@@ -1,9 +1,9 @@
-"""Time the compiled iteration kernels against the pure-NumPy fallback.
+"""Time the compiled iteration kernels against the scalar Python lane.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--n N] [--repeats R]
 
-Each workload runs on both lanes in the same process (the fallback is
+Each workload runs on both lanes in the same process (the scalar lane is
 forced per call, no env juggling needed) and reports the best wall time
 over the repeats plus the resulting speedup.
 """
@@ -36,7 +36,7 @@ def main() -> None:
 
     if not _kernels.USE_NUMBA:
         print("numba lane unavailable (not installed or disabled via "
-              "ATTRACTORLAB_NO_NUMBA); only the fallback would run")
+              "ATTRACTORLAB_NO_NUMBA); only the scalar Python lane would run")
         return
 
     gauss = gauss_rotation(4.4, GOLDEN_MEAN)
@@ -60,7 +60,7 @@ def main() -> None:
     ]
 
     _kernels.warmup()
-    print(f"{'workload':<16} {'numba':>10} {'fallback':>10} {'speedup':>8}")
+    print(f"{'workload':<16} {'numba':>10} {'python':>10} {'speedup':>8}")
     for name, run in workloads:
         fast = best_time(lambda: run(False), args.repeats)
         slow = best_time(lambda: run(True), max(1, args.repeats // 2))

@@ -1,16 +1,33 @@
-"""Hot iteration kernels: numba-compiled with a pure-Python/NumPy fallback.
+"""Hot iteration kernels: orbit, norm-sum Lyapunov and QR Lyapunov.
 
-Two lanes live side by side.  The numba lane compiles the scalar step and
-Jacobian dispatch for the built-in planar families into tight loops.  The
-fallback lane runs ordinary Python loops over callables and therefore also
-serves arbitrary user-supplied maps, which cannot be jitted.
+Each built-in planar family is defined once, by the scalar step
+``_step`` and analytic Jacobian ``_jac`` below.  ``_make_loops`` turns
+that definition into the three kernel loops, and three lanes run them:
 
-Lane selection:
+* compiled: the loops ``njit``-ed over ``njit`` versions of ``_step``
+  and ``_jac``; used for built-in families when numba is importable and
+  not disabled.
+* scalar Python: the same loops over the plain functions, run by the
+  interpreter.  Closed-form 2x2 arithmetic on floats, with no array or
+  LAPACK call per step; used for built-in families whenever the
+  compiled lane is not taken.
+* generic: loops over a handle's NumPy callables (``eval``/``jac``),
+  the only lane for user maps (``user_map``, the radial tent, the model
+  horseshoe), which have no family code.
 
-* ``ATTRACTORLAB_NO_NUMBA=1`` (or ``true``/``yes``) forces the fallback.
-* If numba is not importable the fallback is used automatically.
-* The dispatch helpers accept ``force_python=True`` so both lanes can be
-  timed in one process (see ``benchmarks/bench_kernels.py``).
+Lane selection for built-in families:
+
+* ``ATTRACTORLAB_NO_NUMBA=1`` (or ``true``/``yes``) switches the
+  compiled lane off, so built-ins run on the scalar Python lane.
+* Without numba the same happens automatically.
+* ``force_python=True`` on a dispatch helper selects the scalar Python
+  lane for that call, so both lanes can be timed in one process (see
+  ``benchmarks/bench_kernels.py``).
+
+``math.exp`` raises ``OverflowError`` where NumPy and numba return
+``inf`` (a pioneer orbit started outside its positivity cone).  A scalar
+Python call that overflows is rerun on the generic lane, so divergence
+shows up as non-finite values on every lane.
 """
 
 from __future__ import annotations
@@ -27,15 +44,6 @@ try:
 except ImportError:  # pragma: no cover - exercised only without numba
     HAVE_NUMBA = False
 
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
 
 _DISABLED = os.environ.get("ATTRACTORLAB_NO_NUMBA", "").strip().lower() in (
     "1",
@@ -44,7 +52,7 @@ _DISABLED = os.environ.get("ATTRACTORLAB_NO_NUMBA", "").strip().lower() in (
 )
 USE_NUMBA = HAVE_NUMBA and not _DISABLED
 
-# family codes used by the jitted dispatch
+# family codes of the built-in families, dispatched on inside _step/_jac
 FAM_GAUSS_LITERAL = 0
 FAM_GAUSS = 1
 FAM_PIONEER_FULL = 2
@@ -109,117 +117,35 @@ def _jac(fam, pa, pb, pc, x1, x2):
     return j11, 0.0, j21, j22
 
 
-def _spec_norm(j11, j12, j21, j22):
-    # largest singular value of a 2x2 matrix, closed form
-    q = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
-    d = j11 * j22 - j12 * j21
-    disc = q * q - 4.0 * d * d
-    if disc < 0.0:
-        disc = 0.0
-    return math.sqrt(0.5 * (q + math.sqrt(disc)))
+def _make_loops(step, jac):
+    """The orbit, norm-sum and QR loops over one step/Jacobian definition.
 
+    Called with the plain functions above for the scalar Python lane and
+    with their ``njit`` versions for the compiled lane.
+    """
 
-def _orbit_loop(fam, pa, pb, pc, x1, x2, n_transient, n_keep, out):
-    for _ in range(n_transient):
-        x1, x2 = _step(fam, pa, pb, pc, x1, x2)
-    for i in range(n_keep):
-        x1, x2 = _step(fam, pa, pb, pc, x1, x2)
-        out[i, 0] = x1
-        out[i, 1] = x2
-    return out
-
-
-def _norm_sum_loop(fam, pa, pb, pc, x1, x2, n_transient, n, stride, trace):
-    for _ in range(n_transient):
-        x1, x2 = _step(fam, pa, pb, pc, x1, x2)
-    total = 0.0
-    degenerate = False
-    k_used = 0
-    for k in range(n):
-        j11, j12, j21, j22 = _jac(fam, pa, pb, pc, x1, x2)
-        nrm = _spec_norm(j11, j12, j21, j22)
-        if nrm <= 0.0:
-            degenerate = True
-            break
-        total += math.log(nrm)
-        k_used = k + 1
-        if k_used % stride == 0:
-            trace[k_used // stride - 1] = total / k_used
-        x1, x2 = _step(fam, pa, pb, pc, x1, x2)
-    value = total / k_used if k_used > 0 else 0.0
-    return value, k_used, degenerate
-
-
-def _qr_loop(fam, pa, pb, pc, x1, x2, n_transient, n, stride, trace):
-    for _ in range(n_transient):
-        x1, x2 = _step(fam, pa, pb, pc, x1, x2)
-    # orthonormal frame carried along the orbit, re-orthonormalized each step
-    q11, q21 = 1.0, 0.0
-    q12, q22 = 0.0, 1.0
-    s1 = 0.0
-    s2 = 0.0
-    deg1 = False
-    deg2 = False
-    k_used = 0
-    for k in range(n):
-        j11, j12, j21, j22 = _jac(fam, pa, pb, pc, x1, x2)
-        v11 = j11 * q11 + j12 * q21
-        v21 = j21 * q11 + j22 * q21
-        v12 = j11 * q12 + j12 * q22
-        v22 = j21 * q12 + j22 * q22
-        r11 = math.sqrt(v11 * v11 + v21 * v21)
-        if r11 == 0.0:
-            deg1 = True
-            deg2 = True
-            break
-        q11 = v11 / r11
-        q21 = v21 / r11
-        r12 = q11 * v12 + q21 * v22
-        w1 = v12 - r12 * q11
-        w2 = v22 - r12 * q21
-        r22 = math.sqrt(w1 * w1 + w2 * w2)
-        if r22 == 0.0:
-            deg2 = True
-            break
-        q12 = w1 / r22
-        q22 = w2 / r22
-        s1 += math.log(r11)
-        s2 += math.log(r22)
-        k_used = k + 1
-        if k_used % stride == 0:
-            trace[k_used // stride - 1, 0] = s1 / k_used
-            trace[k_used // stride - 1, 1] = s2 / k_used
-        x1, x2 = _step(fam, pa, pb, pc, x1, x2)
-    e1 = s1 / k_used if k_used > 0 else 0.0
-    e2 = s2 / k_used if k_used > 0 else 0.0
-    return e1, e2, k_used, deg1, deg2
-
-
-if HAVE_NUMBA:
-    _step_nb = njit(cache=True)(_step)
-    _jac_nb = njit(cache=True)(_jac)
-    _spec_norm_nb = njit(cache=True)(_spec_norm)
-
-    @njit(cache=True)
-    def _orbit_nb(fam, pa, pb, pc, x1, x2, n_transient, n_keep, out):
+    def orbit(fam, pa, pb, pc, x1, x2, n_transient, n_keep, out):
         for _ in range(n_transient):
-            x1, x2 = _step_nb(fam, pa, pb, pc, x1, x2)
+            x1, x2 = step(fam, pa, pb, pc, x1, x2)
         for i in range(n_keep):
-            x1, x2 = _step_nb(fam, pa, pb, pc, x1, x2)
+            x1, x2 = step(fam, pa, pb, pc, x1, x2)
             out[i, 0] = x1
             out[i, 1] = x2
         return out
 
-    @njit(cache=True)
-    def _norm_sum_nb(fam, pa, pb, pc, x1, x2, n_transient, n, stride, trace):
+    def norm_sum(fam, pa, pb, pc, x1, x2, n_transient, n, stride, trace):
         for _ in range(n_transient):
-            x1, x2 = _step_nb(fam, pa, pb, pc, x1, x2)
+            x1, x2 = step(fam, pa, pb, pc, x1, x2)
         total = 0.0
         degenerate = False
         k_used = 0
         for k in range(n):
-            j11, j12, j21, j22 = _jac_nb(fam, pa, pb, pc, x1, x2)
-            nrm = _spec_norm_nb(j11, j12, j21, j22)
+            j11, j12, j21, j22 = jac(fam, pa, pb, pc, x1, x2)
+            # spectral norm (largest singular value), closed form
+            q = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
+            d = j11 * j22 - j12 * j21
+            nrm = math.sqrt(0.5 * (q + math.sqrt(max(q * q - 4.0 * d * d,
+                                                     0.0))))
             if nrm <= 0.0:
                 degenerate = True
                 break
@@ -227,14 +153,15 @@ if HAVE_NUMBA:
             k_used = k + 1
             if k_used % stride == 0:
                 trace[k_used // stride - 1] = total / k_used
-            x1, x2 = _step_nb(fam, pa, pb, pc, x1, x2)
+            x1, x2 = step(fam, pa, pb, pc, x1, x2)
         value = total / k_used if k_used > 0 else 0.0
         return value, k_used, degenerate
 
-    @njit(cache=True)
-    def _qr_nb(fam, pa, pb, pc, x1, x2, n_transient, n, stride, trace):
+    def qr(fam, pa, pb, pc, x1, x2, n_transient, n, stride, trace):
         for _ in range(n_transient):
-            x1, x2 = _step_nb(fam, pa, pb, pc, x1, x2)
+            x1, x2 = step(fam, pa, pb, pc, x1, x2)
+        # orthonormal frame carried along the orbit, re-orthonormalized
+        # each step by closed-form 2x2 Gram-Schmidt
         q11, q21 = 1.0, 0.0
         q12, q22 = 0.0, 1.0
         s1 = 0.0
@@ -243,7 +170,7 @@ if HAVE_NUMBA:
         deg2 = False
         k_used = 0
         for k in range(n):
-            j11, j12, j21, j22 = _jac_nb(fam, pa, pb, pc, x1, x2)
+            j11, j12, j21, j22 = jac(fam, pa, pb, pc, x1, x2)
             v11 = j11 * q11 + j12 * q21
             v21 = j21 * q11 + j22 * q21
             v12 = j11 * q12 + j12 * q22
@@ -270,26 +197,38 @@ if HAVE_NUMBA:
             if k_used % stride == 0:
                 trace[k_used // stride - 1, 0] = s1 / k_used
                 trace[k_used // stride - 1, 1] = s2 / k_used
-            x1, x2 = _step_nb(fam, pa, pb, pc, x1, x2)
+            x1, x2 = step(fam, pa, pb, pc, x1, x2)
         e1 = s1 / k_used if k_used > 0 else 0.0
         e2 = s2 / k_used if k_used > 0 else 0.0
         return e1, e2, k_used, deg1, deg2
 
+    return {"orbit": orbit, "norm_sum": norm_sum, "qr": qr}
+
+
+_PY_LOOPS = _make_loops(_step, _jac)
+
+if HAVE_NUMBA:
+    _NB_LOOPS = {
+        name: njit(cache=True)(loop)
+        for name, loop in _make_loops(
+            njit(cache=True)(_step), njit(cache=True)(_jac)
+        ).items()
+    }
+
 
 def warmup():
-    """Trigger JIT compilation of the numba lane (no-op on the fallback)."""
+    """Trigger JIT compilation of the compiled lane (no-op without numba)."""
     if not HAVE_NUMBA:
         return
-    out = np.empty((1, 2))
-    _orbit_nb(FAM_GAUSS, 1.0, 1.0, 0.0, 0.1, 0.1, 1, 1, out)
-    tr = np.empty(1)
-    _norm_sum_nb(FAM_GAUSS, 1.0, 1.0, 0.0, 0.1, 0.1, 1, 1, 1, tr)
-    tr2 = np.empty((1, 2))
-    _qr_nb(FAM_GAUSS, 1.0, 1.0, 0.0, 0.1, 0.1, 1, 1, 1, tr2)
+    args = (FAM_GAUSS, 1.0, 1.0, 0.0, 0.1, 0.1, 1)
+    _NB_LOOPS["orbit"](*args, 1, np.empty((1, 2)))
+    _NB_LOOPS["norm_sum"](*args, 1, 1, np.empty(1))
+    _NB_LOOPS["qr"](*args, 1, 1, np.empty((1, 2)))
 
 
 # ---------------------------------------------------------------------------
-# generic callable-based loops (fallback lane, and the only lane for user maps)
+# generic callable-based loops: the lane for user maps, and the rerun of a
+# scalar Python call that overflowed
 
 
 def _orbit_generic(step_fn, x0, n_transient, n_keep):
@@ -314,7 +253,12 @@ def _norm_sum_generic(step_fn, jac_fn, x0, n_transient, n, stride, trace):
     degenerate = False
     k_used = 0
     for k in range(n):
-        nrm = np.linalg.norm(jac_fn(x), 2)
+        try:
+            nrm = np.linalg.norm(jac_fn(x), 2)
+        except np.linalg.LinAlgError:
+            # the SVD rejects a non-finite Jacobian; the closed-form norm
+            # of the scalar lanes gives nan there
+            nrm = math.nan
         if nrm <= 0.0:
             degenerate = True
             break
@@ -356,54 +300,60 @@ def _qr_generic(step_fn, jac_fn, x0, n_transient, n, stride, trace):
 # dispatch helpers; a handle is anything exposing family_code/packed/eval/jac
 
 
+def _builtin(handle):
+    return getattr(handle, "family_code", -1) >= 0 and handle.spec.dim == 2
+
+
 def _lane(handle, force_python):
-    return (
-        not force_python
-        and USE_NUMBA
-        and getattr(handle, "family_code", -1) >= 0
-        and handle.spec.dim == 2
-    )
+    """True when a call on ``handle`` runs on the compiled lane."""
+    return not force_python and USE_NUMBA and _builtin(handle)
+
+
+def _run_scalar(kernel, handle, x0, force_python, *args):
+    """Run a scalar-lane loop; None when the generic lane must run instead."""
+    if not _builtin(handle):
+        return None
+    loops = _NB_LOOPS if _lane(handle, force_python) else _PY_LOOPS
+    try:
+        return loops[kernel](handle.family_code, *handle.packed,
+                             float(x0[0]), float(x0[1]), *args)
+    except OverflowError:
+        return None  # math.exp overflowed; the generic lane yields inf
 
 
 def run_orbit(handle, x0, n_transient, n_keep, force_python=False):
-    if _lane(handle, force_python):
-        pa, pb, pc = handle.packed
-        out = np.empty((n_keep, 2))
-        return _orbit_nb(
-            handle.family_code, pa, pb, pc,
-            float(x0[0]), float(x0[1]), n_transient, n_keep, out,
-        )
-    return _orbit_generic(handle.eval, x0, n_transient, n_keep)
+    out = _run_scalar("orbit", handle, x0, force_python,
+                      n_transient, n_keep, np.empty((n_keep, 2)))
+    if out is None:
+        out = _orbit_generic(handle.eval, x0, n_transient, n_keep)
+    return out
 
 
 def run_norm_sum(handle, x0, n_transient, n, stride, force_python=False):
     trace = np.full(max(n // stride, 1), np.nan)
-    if _lane(handle, force_python):
-        pa, pb, pc = handle.packed
-        value, k_used, degenerate = _norm_sum_nb(
-            handle.family_code, pa, pb, pc,
-            float(x0[0]), float(x0[1]), n_transient, n, stride, trace,
-        )
-    else:
-        value, k_used, degenerate = _norm_sum_generic(
+    res = _run_scalar("norm_sum", handle, x0, force_python,
+                      n_transient, n, stride, trace)
+    if res is None:
+        trace.fill(np.nan)
+        res = _norm_sum_generic(
             handle.eval, handle.jac, x0, n_transient, n, stride, trace
         )
+    value, k_used, degenerate = res
     return value, k_used, degenerate, trace[: max(k_used // stride, 0)]
 
 
 def run_qr(handle, x0, n_transient, n, stride, force_python=False):
     m = handle.spec.dim
     trace = np.full((max(n // stride, 1), m), np.nan)
-    if _lane(handle, force_python):
-        pa, pb, pc = handle.packed
-        e1, e2, k_used, d1, d2 = _qr_nb(
-            handle.family_code, pa, pb, pc,
-            float(x0[0]), float(x0[1]), n_transient, n, stride, trace,
-        )
-        vals = np.array([e1, e2])
-        degenerate = np.array([d1, d2])
-    else:
+    res = _run_scalar("qr", handle, x0, force_python,
+                      n_transient, n, stride, trace)
+    if res is None:
+        trace.fill(np.nan)
         vals, k_used, degenerate = _qr_generic(
             handle.eval, handle.jac, x0, n_transient, n, stride, trace
         )
+    else:
+        e1, e2, k_used, d1, d2 = res
+        vals = np.array([e1, e2])
+        degenerate = np.array([d1, d2])
     return vals, k_used, degenerate, trace[: max(k_used // stride, 0)]

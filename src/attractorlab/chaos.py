@@ -8,13 +8,14 @@ tangent-space spectrum.  Exponents are per-iterate natural logs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .maps import MapHandle
-from .dynamics import PointCloud
+from .dynamics import DivergenceError, PointCloud
 
 TRACE_STRIDE = 100
 
@@ -45,13 +46,16 @@ def max_lyapunov_norm_sum(handle: MapHandle, x0, n: int,
 
     An orbit point with an exactly zero Jacobian norm makes the sum
     -inf; that case is reported with ``degenerate=True`` instead of
-    raising.
+    raising.  A non-finite sum otherwise means the orbit diverged and
+    raises :class:`DivergenceError`.
     """
     _check_lyapunov_args(x0, n, n_transient)
     value, k_used, degenerate, trace = _kernels.run_norm_sum(
         handle, np.asarray(x0, dtype=float), n_transient, n, TRACE_STRIDE)
     if degenerate:
         value = -np.inf
+    elif not np.isfinite(value):
+        raise DivergenceError("orbit diverged: non-finite norm-sum estimate")
     return LyapunovEstimate(
         max_exponent=float(value),
         spectrum=np.array([value], dtype=float),
@@ -66,13 +70,16 @@ def lyapunov_spectrum_qr(handle: MapHandle, x0, n: int,
     """QR tangent-space spectrum: re-orthonormalize a frame every step.
 
     Rank-deficient Jacobian steps mark the affected exponents with a
-    -inf sentinel and stop the accumulation.
+    -inf sentinel and stop the accumulation.  Any other non-finite
+    exponent means the orbit diverged and raises :class:`DivergenceError`.
     """
     _check_lyapunov_args(x0, n, n_transient)
     vals, k_used, deg, trace = _kernels.run_qr(
         handle, np.asarray(x0, dtype=float), n_transient, n, TRACE_STRIDE)
     vals = np.asarray(vals, dtype=float).copy()
     deg = np.asarray(deg, dtype=bool)
+    if not np.isfinite(vals[~deg]).all():
+        raise DivergenceError("orbit diverged: non-finite QR spectrum")
     vals[deg] = -np.inf
     order = np.argsort(vals)[::-1]
     spectrum = vals[order]
@@ -124,7 +131,7 @@ def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:
     kept = []
     for i, eps in enumerate(scales):
         idx = np.floor((pts - mins) / eps).astype(np.int64)
-        counts[i] = len(np.unique(idx, axis=0))
+        counts[i] = _occupied_boxes(idx)
         if counts[i] > n_pts / 10:
             counts = counts[:i + 1]
             scales = scales[:i + 1]
@@ -143,3 +150,20 @@ def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:
     dimension = float(min(max(slope, 0.0), m))
     return BoxCountResult(scales=scales, counts=counts, dimension=dimension,
                           r2=r2, scale_window=window)
+
+
+def _occupied_boxes(idx: np.ndarray) -> int:
+    """Number of distinct rows of a nonnegative (n, m) int64 box index.
+
+    Each row is packed into one mixed-radix int64 key, which is far
+    cheaper to make unique than rows; when the key space would overflow
+    int64 (many axes or very fine boxes) the rows are compared directly.
+    """
+    sizes = [int(v) + 1 for v in idx.max(axis=0)]
+    if math.prod(sizes) > 2 ** 63:
+        return len(np.unique(idx, axis=0))
+    key = idx[:, 0].copy()
+    for j in range(1, idx.shape[1]):
+        key *= sizes[j]
+        key += idx[:, j]
+    return len(np.unique(key))

@@ -13,6 +13,7 @@ per-value failure in batch mode), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -36,6 +37,7 @@ from .horseshoe import (HorseshoeRegion, model_horseshoe_map, verify_ah,
 
 MAX_RASTER_SIDE = 8192
 FLOAT_FMT = "%.17g"
+CSV_CHUNK_ROWS = 1024  # rows per write: keeps the writer's memory small
 SUMMARY_COLUMNS = ("param", "period", "lyap_normsum", "lyap_qr_max",
                    "boxdim", "boxdim_r2", "status", "seconds")
 
@@ -125,13 +127,12 @@ def _get_vec(raw, key, default=None) -> np.ndarray:
         raise ConfigError(f"config key {key!r} is not a vector: {val!r}")
 
 
-def build_handle(raw: dict, literal_rotation: bool = False) -> MapHandle:
+def build_handle(raw: dict) -> MapHandle:
     family = _get(raw, "map")
     if family == "gauss_rotation":
-        literal = literal_rotation or _get_bool(raw, "literal_rotation")
         return gauss_rotation(_get_float(raw, "a"),
                               _get_float(raw, "theta"),
-                              literal_eq=literal)
+                              literal_eq=_get_bool(raw, "literal_rotation"))
     if family == "pioneer_climax_full":
         return pioneer_climax_full(_get_float(raw, "a"),
                                    _get_float(raw, "b"))
@@ -199,18 +200,35 @@ def _schedule(raw: dict, minimum: int = 1) -> tuple:
 
 
 def _write_rows(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(FLOAT_FMT % v if isinstance(v, float)
-                              else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write a CSV: floats as FLOAT_FMT, anything else as str().
+
+    The line format is built once from the first row's column types, so
+    every row must share them.  Lines go out in bounded chunks.
+    """
+    rows = iter(rows)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        first = next(rows, None)
+        if first is None:
+            return
+        fmt = ",".join(FLOAT_FMT if isinstance(v, float) else "%s"
+                       for v in first) + "\n"
+        fh.write(fmt % tuple(first))
+        while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
+            fh.write("".join([fmt % tuple(row) for row in chunk]))
 
 
 def write_cloud_csv(path, points: np.ndarray) -> None:
     points = np.atleast_2d(points)
     header = "i," + ",".join(f"x{j + 1}" for j in range(points.shape[1]))
-    rows = ((i, *map(float, p)) for i, p in enumerate(points))
-    _write_rows(Path(path), header, rows)
+
+    def rows():
+        for k in range(0, len(points), CSV_CHUNK_ROWS):
+            block = points[k:k + CSV_CHUNK_ROWS].astype(float, copy=False)
+            for i, p in enumerate(block.tolist(), k):
+                yield (i, *p)
+
+    _write_rows(Path(path), header, rows())
 
 
 def render_raster(points: np.ndarray, bounds, resolution, path) -> None:
@@ -245,8 +263,13 @@ def render_raster(points: np.ndarray, bounds, resolution, path) -> None:
         warnings.warn("raster rendered from an empty cloud")
         gray = np.zeros((h, w), dtype=np.uint8)
     else:
+        # in place, in the order of tone / tone.max() * 255.0, so that at
+        # most two full-size float arrays are alive at once
         tone = np.log1p(counts)
-        gray = np.round(tone / tone.max() * 255.0).astype(np.uint8)
+        del counts
+        tone /= tone.max()
+        tone *= 255.0
+        gray = np.round(tone, out=tone).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(gray.tobytes())
@@ -270,7 +293,7 @@ def _cloud_bounds(points: np.ndarray, raw: dict):
 
 
 def _sweep_value(args) -> dict:
-    raw, name, value, idx, out_dir, literal = args
+    raw, name, value, idx, out_dir = args
     raw = dict(raw)
     raw[name] = repr(float(value))
     out = Path(out_dir)
@@ -279,7 +302,7 @@ def _sweep_value(args) -> dict:
            "boxdim_r2": float("nan"), "status": "ok", "seconds": 0.0}
     t0 = time.perf_counter()
     try:
-        handle = build_handle(raw, literal)
+        handle = build_handle(raw)
         x0 = _default_x0(raw)
         cloud = orbit(handle, x0, _get_int(raw, "n_transient"),
                       _get_int(raw, "n_keep"))
@@ -305,9 +328,9 @@ def _sweep_value(args) -> dict:
     return row
 
 
-def run_sweep(raw: dict, out: Path, jobs: int, literal: bool) -> int:
+def run_sweep(raw: dict, out: Path, jobs: int) -> int:
     name, values = _schedule(raw)
-    tasks = [(raw, name, float(v), i, str(out), literal)
+    tasks = [(raw, name, float(v), i, str(out))
              for i, v in enumerate(values)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -475,9 +498,11 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ConfigError("ATTRACTORLAB_SEED must be an integer")
         raw["seed"] = str(seed)
+        if args.literal_rotation:
+            raw["literal_rotation"] = "true"
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "sweep":
-            return run_sweep(raw, out, jobs, args.literal_rotation)
+            return run_sweep(raw, out, jobs)
         if args.command == "orbit":
             return run_orbit(raw, out)
         if args.command == "lyapunov":

@@ -1,10 +1,10 @@
 """Orbit generation, periodic-orbit search, and stability classification.
 
-Orbits of built-in families run through the compiled kernels in
-:mod:`attractorlab._kernels`; everything else goes through the generic
-callable lane.  Periodic orbits are located with Newton's method on
-``f^k - id`` using the chain-rule Jacobian product, then reduced to
-their minimal period.
+Orbits of built-in families run through the scalar kernels in
+:mod:`attractorlab._kernels` (compiled when numba is present); everything
+else goes through the generic callable lane.  Periodic orbits are
+located with Newton's method on ``f^k - id`` using the chain-rule
+Jacobian product, then reduced to their minimal period.
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from attractorlab.maps import GOLDEN_MEAN, gauss_rotation, user_map
-from attractorlab.dynamics import PointCloud
+from attractorlab import chaos
+from attractorlab.maps import (GOLDEN_MEAN, gauss_rotation,
+                               pioneer_climax_full, user_map)
+from attractorlab.dynamics import DivergenceError, PointCloud
 from attractorlab.chaos import (box_counting_dimension, lyapunov_spectrum_qr,
                                 max_lyapunov_norm_sum)
 
@@ -72,6 +74,14 @@ def test_convergence_trace_progresses():
     assert trace[-1] == pytest.approx(est.max_exponent, abs=5e-2)
 
 
+def test_diverging_orbit_raises_divergence_error():
+    # started outside its positivity cone the pioneer orbit overflows
+    h = pioneer_climax_full(3.0, 3.0)
+    for estimate in (max_lyapunov_norm_sum, lyapunov_spectrum_qr):
+        with pytest.raises(DivergenceError):
+            estimate(h, [-1.0, 0.5], 200)
+
+
 def test_boxdim_segment_is_one():
     t = np.linspace(0.0, 1.0, 20_000)
     cloud = PointCloud(np.column_stack([t, 0.5 * t]), ordered=False)
@@ -126,3 +136,35 @@ def test_boxdim_clamped_to_embedding_dimension():
     cloud = PointCloud(rng.uniform(size=(50_000, 2)), ordered=False)
     res = box_counting_dimension(cloud, n_scales=6)
     assert 0.0 <= res.dimension <= 2.0
+
+
+def row_unique_counts(pts, scales):
+    # reference: occupied boxes as distinct rows of the box index
+    mins = pts.min(axis=0)
+    return [len(np.unique(np.floor((pts - mins) / eps).astype(np.int64),
+                          axis=0)) for eps in scales]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_boxdim_counts_match_row_unique_reference(m):
+    pts = np.random.default_rng(m).normal(size=(20_000, m))
+    res = box_counting_dimension(pts)
+    assert list(res.counts) == row_unique_counts(pts, res.scales)
+
+
+def test_boxdim_counts_when_box_keys_overflow_int64():
+    # 50 distinct points never saturate the ladder, so all 40 rungs run;
+    # the finest grids have more boxes than an int64 key can number
+    pts = np.tile(np.random.default_rng(7).uniform(size=(50, 2)), (20, 1))
+    res = box_counting_dimension(pts, n_scales=40)
+    assert len(res.counts) == 40
+    finest = np.floor((pts - pts.min(axis=0)) / res.scales[-1])
+    assert math.prod(int(v) + 1 for v in finest.max(axis=0)) > 2 ** 63
+    assert list(res.counts) == row_unique_counts(pts, res.scales)
+
+
+def test_occupied_boxes_does_not_wrap_int64_keys():
+    # a mixed-radix key would map rows (0, 0) and (4, 0) both to
+    # 4 * 2**62 = 2**64 = 0 (mod 2**64); the row path keeps them apart
+    idx = np.array([[0, 0], [4, 0], [0, 2 ** 62 - 1]], dtype=np.int64)
+    assert chaos._occupied_boxes(idx) == 3

@@ -111,6 +111,60 @@ resolution = 16
         assert x1 == x2
 
 
+def test_orbit_literal_rotation_flag(tmp_path):
+    cfg = write_cfg(tmp_path, "flag.cfg", """
+map = gauss_rotation
+a = 2.7
+theta = 0.6180339887498949
+n_transient = 50
+n_keep = 300
+resolution = 16
+""")
+    out = tmp_path / "run"
+    assert main(["orbit", "--config", cfg, "--out", str(out),
+                 "--literal-rotation"]) == 0
+    rows = (out / "orbit.csv").read_text().splitlines()[1:]
+    assert len(rows) == 300
+    for row in rows:
+        _, x1, x2 = row.split(",")
+        assert x1 == x2
+
+
+def per_value_csv(header, rows):
+    # the per-value formatting every CSV artefact must keep, byte for byte
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(cli.FLOAT_FMT % v if isinstance(v, float)
+                              else str(v) for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_write_rows_matches_per_value_format(tmp_path):
+    n = 2 * cli.CSV_CHUNK_ROWS + 5
+    rows = [(i, 0.1 * i, np.float64(1.0 / (i + 3)), f"s{i}")
+            for i in range(n)]
+    rows[1] = (1, float("nan"), np.float64(-0.0), "")
+    rows[2] = (2, 1e300, np.float64(float("-inf")), "x y")
+    path = tmp_path / "mixed.csv"
+    cli._write_rows(path, "i,a,b,s", rows)
+    assert path.read_bytes() == per_value_csv("i,a,b,s", rows)
+    cli._write_rows(path, "i,a,b,s", [])
+    assert path.read_bytes() == b"i,a,b,s\n"
+
+
+def test_write_cloud_csv_matches_per_value_format(tmp_path):
+    rng = np.random.default_rng(3)
+    clouds = [rng.normal(size=(cli.CSV_CHUNK_ROWS + 7, 2)),
+              rng.integers(-5, 5, size=(40, 3)),
+              np.empty((0, 2))]
+    path = tmp_path / "cloud.csv"
+    for pts in clouds:
+        cli.write_cloud_csv(path, pts)
+        header = "i," + ",".join(f"x{j + 1}" for j in range(pts.shape[1]))
+        rows = [(i, *map(float, p)) for i, p in enumerate(pts)]
+        assert path.read_bytes() == per_value_csv(header, rows)
+
+
 def test_lyapunov_command_values(tmp_path):
     cfg = write_cfg(tmp_path, "lyap.cfg", """
 map = gauss_rotation

@@ -1,17 +1,30 @@
-"""Compiled lane vs pure-numpy lane agreement.
+"""Agreement between the kernel lanes.
 
-Both lanes evaluate the same recurrences but not in bit-identical order,
-so a positive Lyapunov exponent amplifies one-ulp libm differences
+Built-in families run on the compiled lane when numba is present and on
+the scalar Python lane otherwise (or under ``force_python=True``); user
+maps run on the generic callable lane.  The compiled-vs-``force_python``
+checks compare two different lanes only when numba is present; the
+scalar-vs-generic checks always do, by wrapping a built-in handle's
+callables as a user map.
+
+The lanes evaluate the same recurrences but not in bit-identical order
+(``math.exp`` against ``np.exp``, Gram-Schmidt against Householder QR),
+so a positive Lyapunov exponent amplifies one-ulp differences
 exponentially.  Parity is therefore asserted over short horizons for
 chaotic parameters and over long horizons only where the dynamics do not
 amplify rounding (contracting or neutral regimes).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from attractorlab import _kernels
-from attractorlab.maps import GOLDEN_MEAN, gauss_rotation, pioneer_climax_full, user_map
+from attractorlab.dynamics import DivergenceError, orbit
+from attractorlab.maps import (GOLDEN_MEAN, gauss_rotation,
+                               pioneer_climax_full, pioneer_climax_mixed,
+                               user_map)
 
 X0 = np.array([0.3, 0.1])
 
@@ -19,64 +32,151 @@ X0 = np.array([0.3, 0.1])
 def handles():
     return [gauss_rotation(4.4, GOLDEN_MEAN),
             gauss_rotation(2.7, GOLDEN_MEAN, literal_eq=True),
-            pioneer_climax_full(3.0, 3.0)]
+            pioneer_climax_full(3.0, 3.0),
+            pioneer_climax_mixed(3.0, 3.0)]
 
 
 def start_for(h):
     return np.array([0.5, 0.5]) if h.cone else X0
 
 
-def test_orbit_lane_parity_short_horizon():
+def generic_twin(h):
+    """The same map as a user map, which runs on the generic lane."""
+    return user_map(h.eval, 2, jac=h.jac, batch=h.eval_many, cone=h.cone)
+
+
+# a lane runs kernel(handle, *args) on one lane
+def default_lane(kernel, h, *args):
+    return kernel(h, *args)
+
+
+def scalar_lane(kernel, h, *args):
+    return kernel(h, *args, force_python=True)
+
+
+def generic_lane(kernel, h, *args):
+    return kernel(generic_twin(h), *args)
+
+
+def check_orbit_short_horizon(lane_a, lane_b):
     for h in handles():
         x0 = start_for(h)
-        fast = _kernels.run_orbit(h, x0, 0, 40)
-        slow = _kernels.run_orbit(h, x0, 0, 40, force_python=True)
-        assert fast.shape == (40, 2)
-        np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-12)
+        a = lane_a(_kernels.run_orbit, h, x0, 0, 40)
+        b = lane_b(_kernels.run_orbit, h, x0, 0, 40)
+        assert a.shape == b.shape == (40, 2)
+        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
-def test_orbit_lane_parity_long_horizon_nonchaotic():
+def check_orbit_long_horizon_nonchaotic(lane_a, lane_b):
     # contracting: both lanes end up pinned at the origin
     h = gauss_rotation(0.5, GOLDEN_MEAN)
-    fast = _kernels.run_orbit(h, X0, 500, 50)
-    slow = _kernels.run_orbit(h, X0, 500, 50, force_python=True)
-    np.testing.assert_allclose(fast, slow, atol=1e-12)
+    a = lane_a(_kernels.run_orbit, h, X0, 500, 50)
+    b = lane_b(_kernels.run_orbit, h, X0, 500, 50)
+    np.testing.assert_allclose(a, b, atol=1e-12)
     # neutral rotation regime: rounding differences grow at most linearly
     h = gauss_rotation(2.7, GOLDEN_MEAN)
-    fast = _kernels.run_orbit(h, X0, 500, 200)
-    slow = _kernels.run_orbit(h, X0, 500, 200, force_python=True)
-    np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-10)
+    a = lane_a(_kernels.run_orbit, h, X0, 500, 200)
+    b = lane_b(_kernels.run_orbit, h, X0, 500, 200)
+    np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-10)
 
 
-def test_norm_sum_lane_parity():
+def check_norm_sum(lane_a, lane_b):
     for h in handles():
         x0 = start_for(h)
-        fast = _kernels.run_norm_sum(h, x0, 0, 50, 10)
-        slow = _kernels.run_norm_sum(h, x0, 0, 50, 10, force_python=True)
-        assert fast[0] == pytest.approx(slow[0], rel=1e-8, abs=1e-10)
-        assert fast[1] == slow[1]
+        a = lane_a(_kernels.run_norm_sum, h, x0, 0, 50, 10)
+        b = lane_b(_kernels.run_norm_sum, h, x0, 0, 50, 10)
+        assert a[0] == pytest.approx(b[0], rel=1e-8, abs=1e-10)
+        assert a[1] == b[1]
     h = gauss_rotation(2.7, GOLDEN_MEAN)
-    fast = _kernels.run_norm_sum(h, X0, 500, 2000, 100)
-    slow = _kernels.run_norm_sum(h, X0, 500, 2000, 100, force_python=True)
-    assert fast[0] == pytest.approx(slow[0], rel=1e-8, abs=1e-10)
+    a = lane_a(_kernels.run_norm_sum, h, X0, 500, 2000, 100)
+    b = lane_b(_kernels.run_norm_sum, h, X0, 500, 2000, 100)
+    assert a[0] == pytest.approx(b[0], rel=1e-8, abs=1e-10)
 
 
-def test_qr_lane_parity():
+def check_qr(lane_a, lane_b):
     for h in handles():
         x0 = start_for(h)
-        fast = _kernels.run_qr(h, x0, 0, 60, 10)
-        slow = _kernels.run_qr(h, x0, 0, 60, 10, force_python=True)
+        a = lane_a(_kernels.run_qr, h, x0, 0, 60, 10)
+        b = lane_b(_kernels.run_qr, h, x0, 0, 60, 10)
         if h.literal:
             # duplicated-component form has a rank-1 Jacobian: the second
             # QR exponent is log of rounding noise, floored near log(eps)
-            assert fast[0][0] == pytest.approx(slow[0][0], rel=1e-6)
-            assert fast[0][1] < -30 and slow[0][1] < -30
+            assert a[0][0] == pytest.approx(b[0][0], rel=1e-6)
+            assert a[0][1] < -30 and b[0][1] < -30
         else:
-            np.testing.assert_allclose(fast[0], slow[0], rtol=1e-6, atol=1e-9)
+            np.testing.assert_allclose(a[0], b[0], rtol=1e-6, atol=1e-9)
     h = gauss_rotation(2.7, GOLDEN_MEAN)
-    fast = _kernels.run_qr(h, X0, 500, 2000, 100)
-    slow = _kernels.run_qr(h, X0, 500, 2000, 100, force_python=True)
-    np.testing.assert_allclose(fast[0], slow[0], rtol=1e-8, atol=1e-10)
+    a = lane_a(_kernels.run_qr, h, X0, 500, 2000, 100)
+    b = lane_b(_kernels.run_qr, h, X0, 500, 2000, 100)
+    np.testing.assert_allclose(a[0], b[0], rtol=1e-8, atol=1e-10)
+
+
+def test_orbit_lane_parity_short_horizon():
+    check_orbit_short_horizon(default_lane, scalar_lane)
+
+
+def test_orbit_lane_parity_long_horizon_nonchaotic():
+    check_orbit_long_horizon_nonchaotic(default_lane, scalar_lane)
+
+
+def test_norm_sum_lane_parity():
+    check_norm_sum(default_lane, scalar_lane)
+
+
+def test_qr_lane_parity():
+    check_qr(default_lane, scalar_lane)
+
+
+def test_orbit_scalar_vs_generic_short_horizon():
+    check_orbit_short_horizon(scalar_lane, generic_lane)
+
+
+def test_orbit_scalar_vs_generic_long_horizon_nonchaotic():
+    check_orbit_long_horizon_nonchaotic(scalar_lane, generic_lane)
+
+
+def test_norm_sum_scalar_vs_generic():
+    check_norm_sum(scalar_lane, generic_lane)
+
+
+def test_qr_scalar_vs_generic():
+    check_qr(scalar_lane, generic_lane)
+
+
+def test_builtin_kernels_never_call_handle_callables():
+    def refuse(x):
+        raise AssertionError("a built-in kernel called the handle callable")
+
+    for h in handles():
+        bare = dataclasses.replace(h, eval=refuse, jac=refuse,
+                                   eval_many=refuse)
+        x0 = start_for(h)
+        for force_python in (False, True):
+            out = _kernels.run_orbit(bare, x0, 10, 20,
+                                     force_python=force_python)
+            assert out.shape == (20, 2)
+            assert _kernels.run_norm_sum(bare, x0, 10, 100, 10,
+                                         force_python=force_python)[1] == 100
+            assert _kernels.run_qr(bare, x0, 10, 100, 10,
+                                   force_python=force_python)[1] == 100
+
+
+def test_builtin_overflow_reruns_on_generic_lane():
+    # started outside the positivity cone the pioneer orbit blows up, and
+    # math.exp raises OverflowError where np.exp gives inf
+    h = pioneer_climax_full(3.0, 3.0)
+    x0 = np.array([-1.0, 0.5])
+    with pytest.raises(DivergenceError):
+        orbit(h, x0, 0, 100)
+    twin = generic_twin(h)
+    for kernel in (_kernels.run_norm_sum, _kernels.run_qr):
+        # stride 1: the scalar lane writes trace entries before it overflows
+        got = kernel(h, x0, 0, 100, 1, force_python=True)
+        want = kernel(twin, x0, 0, 100, 1)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        assert not np.isfinite(got[0]).all()
 
 
 def test_generic_lane_used_for_user_maps():
