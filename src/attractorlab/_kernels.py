@@ -247,26 +247,28 @@ def _orbit_generic(step_fn, x0, n_transient, n_keep):
 
 def _norm_sum_generic(step_fn, jac_fn, x0, n_transient, n, stride, trace):
     x = np.array(x0, dtype=float)
-    for _ in range(n_transient):
-        x = step_fn(x)
     total = 0.0
     degenerate = False
     k_used = 0
-    for k in range(n):
-        try:
-            nrm = np.linalg.norm(jac_fn(x), 2)
-        except np.linalg.LinAlgError:
-            # the SVD rejects a non-finite Jacobian; the closed-form norm
-            # of the scalar lanes gives nan there
-            nrm = math.nan
-        if nrm <= 0.0:
-            degenerate = True
-            break
-        total += math.log(nrm)
-        k_used = k + 1
-        if k_used % stride == 0:
-            trace[k_used // stride - 1] = total / k_used
-        x = step_fn(x)
+    # silent on overflow like _orbit_generic; callers test the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_transient):
+            x = step_fn(x)
+        for k in range(n):
+            try:
+                nrm = np.linalg.norm(jac_fn(x), 2)
+            except np.linalg.LinAlgError:
+                # the SVD rejects a non-finite Jacobian; the closed-form
+                # norm of the scalar lanes gives nan there
+                nrm = math.nan
+            if nrm <= 0.0:
+                degenerate = True
+                break
+            total += math.log(nrm)
+            k_used = k + 1
+            if k_used % stride == 0:
+                trace[k_used // stride - 1] = total / k_used
+            x = step_fn(x)
     value = total / k_used if k_used > 0 else 0.0
     return value, k_used, degenerate
 
@@ -274,24 +276,26 @@ def _norm_sum_generic(step_fn, jac_fn, x0, n_transient, n, stride, trace):
 def _qr_generic(step_fn, jac_fn, x0, n_transient, n, stride, trace):
     x = np.array(x0, dtype=float)
     m = x.size
-    for _ in range(n_transient):
-        x = step_fn(x)
     q = np.eye(m)
     sums = np.zeros(m)
     degenerate = np.zeros(m, dtype=bool)
     k_used = 0
-    for k in range(n):
-        z = jac_fn(x) @ q
-        q, r = np.linalg.qr(z)
-        diag = np.abs(np.diag(r))
-        if np.any(diag == 0.0):
-            degenerate |= diag == 0.0
-            break
-        sums += np.log(diag)
-        k_used = k + 1
-        if k_used % stride == 0:
-            trace[k_used // stride - 1] = sums / k_used
-        x = step_fn(x)
+    # silent on overflow like _orbit_generic; callers test the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_transient):
+            x = step_fn(x)
+        for k in range(n):
+            z = jac_fn(x) @ q
+            q, r = np.linalg.qr(z)
+            diag = np.abs(np.diag(r))
+            if np.any(diag == 0.0):
+                degenerate |= diag == 0.0
+                break
+            sums += np.log(diag)
+            k_used = k + 1
+            if k_used % stride == 0:
+                trace[k_used // stride - 1] = sums / k_used
+            x = step_fn(x)
     vals = sums / k_used if k_used > 0 else np.zeros(m)
     return vals, k_used, degenerate
 

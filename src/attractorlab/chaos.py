@@ -18,6 +18,7 @@ from .maps import MapHandle
 from .dynamics import DivergenceError, PointCloud
 
 TRACE_STRIDE = 100
+MAX_SCALES = 61     # the finest box index must fit in int64
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:
     The ladder starts at (bounding-box diagonal)/4 and stops before the
     saturated regime N(eps) > n_points/10.  The grid is anchored at the
     bounding-box corner, which makes counts deterministic and monotone
-    across the ladder.
+    across the ladder.  n_scales runs from 5 to MAX_SCALES.
     """
     pts = getattr(cloud, "points", None)
     if pts is None:
@@ -120,6 +121,9 @@ def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:
         raise ValueError(f"cloud too small for box counting: {n_pts} points")
     if n_scales < 5:
         raise ValueError("need at least 5 scales")
+    if n_scales > MAX_SCALES:
+        # the finest box index reaches 2^(n_scales + 1)
+        raise ValueError(f"at most {MAX_SCALES} scales")
     mins = pts.min(axis=0)
     diag = float(np.linalg.norm(pts.max(axis=0) - mins))
     if diag == 0.0:

@@ -32,8 +32,9 @@ from .chaos import (max_lyapunov_norm_sum, lyapunov_spectrum_qr,
                     box_counting_dimension)
 from .hypotheses import run_hypothesis_report
 from .radial import radial_tent_map, MODE_SOURCE, MODE_SINK
-from .horseshoe import (HorseshoeRegion, model_horseshoe_map, verify_ah,
-                        find_saddles, trellis as trace_trellis)
+from .horseshoe import (HorseshoeRegion, RefinementExplosion,
+                        model_horseshoe_map, verify_ah, find_saddles,
+                        trellis as trace_trellis)
 
 MAX_RASTER_SIDE = 8192
 FLOAT_FMT = "%.17g"
@@ -426,10 +427,14 @@ def run_trellis(raw: dict, out: Path) -> int:
     write_cloud_csv(out / "trellis.csv", cloud.points)
     render_raster(cloud.points, _cloud_bounds(cloud.points, raw),
                   _get_int(raw, "resolution"), out / "trellis.pgm")
-    slices = cloud.meta.get("component_slices", [])
-    (out / "trellis.txt").write_text(
-        "".join(f"component {i}: [{a}, {b})\n"
-                for i, (a, b) in enumerate(slices)))
+    meta = cloud.meta
+    lines = [f"component {i}: [{a}, {b})\n"
+             for i, (a, b) in enumerate(meta["component_slices"])]
+    lines += [f"branch {name}: {reason} points={n} arclength={arc:.17g}\n"
+              for name, reason, n, arc in zip(
+                  ("minus", "plus"), meta["stop_reasons"],
+                  meta["branch_sizes"], meta["branch_arclength"])]
+    (out / "trellis.txt").write_text("".join(lines))
     return 0
 
 
@@ -525,7 +530,7 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except (DivergenceError, CycleSearchError, FloatingPointError,
-            np.linalg.LinAlgError, ValueError) as exc:
+            np.linalg.LinAlgError, RefinementExplosion, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 

@@ -56,6 +56,7 @@ class HorseshoeRegion:
     """Affine frame carrying the model capsule H* into the plane."""
     matrix: np.ndarray = None
     offset: np.ndarray = None
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.eye(2) if self.matrix is None else \
@@ -66,13 +67,13 @@ class HorseshoeRegion:
             raise ValueError("frame matrix is singular")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "offset", b)
+        object.__setattr__(self, "inverse", np.linalg.inv(m))
 
     def to_world(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(pts, dtype=float) @ self.matrix.T + self.offset
 
     def to_model(self, pts: np.ndarray) -> np.ndarray:
-        return (np.asarray(pts, dtype=float) - self.offset) @ \
-            np.linalg.inv(self.matrix).T
+        return (np.asarray(pts, dtype=float) - self.offset) @ self.inverse.T
 
     # signed interior distances in model coordinates (positive inside)
 
@@ -200,8 +201,7 @@ class AHReport:
 
 def _model_jacobian(handle: MapHandle, region: HorseshoeRegion,
                     q: np.ndarray) -> np.ndarray:
-    inv = np.linalg.inv(region.matrix)
-    return inv @ handle.jac(region.to_world(q)) @ region.matrix
+    return region.inverse @ handle.jac(region.to_world(q)) @ region.matrix
 
 
 def _map_model(handle: MapHandle, region: HorseshoeRegion,
@@ -335,7 +335,7 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
         if info.unstable_vectors is None or \
                 info.unstable_vectors.shape[1] != 1:
             continue
-        w = np.linalg.inv(region.matrix) @ info.unstable_vectors[:, 0]
+        w = region.inverse @ info.unstable_vectors[:, 0]
         ang = math.asin(min(1.0, abs(w[0]) / np.linalg.norm(w)))
         status = STATUS_PASS if ang < TRANSVERSALITY_MIN_ANGLE else \
             STATUS_FAIL
@@ -445,9 +445,20 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
     A fundamental segment of length 1e-6 along the unstable eigenvector
     is iterated under f^k (k the saddle period), inserting preimage
     midpoints wherever consecutive image points separate by more than
-    tol, until each branch has accumulated arc_budget/2 of arclength.
-    More than 10^7 points raises RefinementExplosion carrying the
-    partial cloud.
+    tol.  Each branch stops for one of these reasons:
+
+    * ``"arc_budget"``: it has accumulated arc_budget/2 of arclength;
+    * ``"stalled"``: the arclength added by the latest iterate is below
+      tol and below what the iterate before it added, so the branch is
+      collapsing onto an attractor below the refinement resolution (a
+      growing branch is exempt however short, since its gain rises by
+      |mu| per iterate);
+    * more than 10^7 points in all raises RefinementExplosion carrying
+      the partial cloud, a backstop for unbounded folding.
+
+    meta["stop_reasons"], meta["branch_arclength"] and
+    meta["branch_iterations"] are (minus, plus) pairs ordered like
+    meta["branch_sizes"].
     """
     mults = np.asarray(saddle.multipliers)
     unstable_idx = np.flatnonzero(np.abs(mults) > 1.0)
@@ -467,14 +478,16 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
 
     a = 1e-6 / (abs(mu) - 1.0)
     seg = np.linspace(a, a * abs(mu), 33)
-    branches = []
+    half = arc_budget / 2.0
+    branches, stops = [], []
     total = 0
     for sign in (1.0, -1.0):
         pre = p + sign * seg[:, None] * v
         chunks = [pre.copy()]
-        arc = 0.0
+        arc = prev_gain = 0.0
+        reason = "arc_budget"
         try:
-            while arc < arc_budget / 2.0:
+            while arc < half:
                 if total + len(pre) > POINT_CAP:
                     raise _CapReached(pre, pre[:0])
                 img = _power_eval(handle, pre, k)
@@ -482,13 +495,18 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
                     raise DivergenceError("unstable manifold diverged")
                 pre_r, img = _refine_segment(handle, k, pre, img, tol,
                                              POINT_CAP - total)
-                arc += float(np.sum(np.linalg.norm(np.diff(img, axis=0),
+                gain = float(np.sum(np.linalg.norm(np.diff(img, axis=0),
                                                    axis=1)))
+                arc += gain
                 # img[0] duplicates the previous chunk's endpoint (both are
                 # f^k of the fundamental segment's matched ends); drop it
                 chunks.append(img[1:])
                 total += len(img) - 1
                 pre = img
+                if arc < half and gain < tol and gain < prev_gain:
+                    reason = "stalled"
+                    break
+                prev_gain = gain
         except _CapReached as cap:
             chunks.append(cap.img)
             pieces = branches + [np.vstack(chunks)]
@@ -497,12 +515,17 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
             raise RefinementExplosion(
                 "manifold refinement exceeded the point budget", partial)
         branches.append(np.vstack(chunks))
+        stops.append((reason, arc, len(chunks) - 1))
+    reasons, arcs, iterations = zip(*stops[::-1])
     minus = branches[1][::-1]
     plus = branches[0]
     pts = np.vstack([minus, p[None, :], plus])
     return PointCloud(pts, ordered=True,
                       meta={"saddle": p, "multiplier": mu, "period": k,
                             "branch_sizes": (len(minus), len(plus)),
+                            "stop_reasons": reasons,
+                            "branch_arclength": arcs,
+                            "branch_iterations": iterations,
                             "tol": tol, "arc_budget": arc_budget})
 
 
@@ -511,7 +534,8 @@ def trellis(handle: MapHandle, saddle_cycle: Cycle,
     """Unstable manifold of f^k at one cycle point plus its k-1 images.
 
     Component i is the forward image of component i-1 under f, refined
-    to the same tolerance; meta["component_slices"] delimits them.
+    to the same tolerance; meta["component_slices"] delimits them, and
+    the manifold's branch stop telemetry is carried over.
     """
     k = saddle_cycle.period
     base = unstable_manifold(handle, saddle_cycle, arc_budget, tol)
@@ -612,7 +636,7 @@ def model_horseshoe_map(region: Optional[HorseshoeRegion] = None,
             j = np.array([[-lam, 0.0], [0.0, -mu]])
         else:
             j = np.array([[-lam, 0.0], [0.0, -0.05]])
-        return frame.matrix @ j @ np.linalg.inv(frame.matrix)
+        return frame.matrix @ j @ frame.inverse
 
     return user_map(fn, 2, jac=jac, batch=batch,
                     params={"contraction": lam, "expansion": mu})

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,16 @@ def test_diverging_orbit_raises_divergence_error():
     for estimate in (max_lyapunov_norm_sum, lyapunov_spectrum_qr):
         with pytest.raises(DivergenceError):
             estimate(h, [-1.0, 0.5], 200)
+
+
+def test_diverging_orbit_emits_no_runtime_warnings():
+    # the overflow is reported by DivergenceError alone, on every lane
+    h = pioneer_climax_full(3.0, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for estimate in (max_lyapunov_norm_sum, lyapunov_spectrum_qr):
+            with pytest.raises(DivergenceError):
+                estimate(h, [-1.0, 0.5], 200)
 
 
 def test_boxdim_segment_is_one():
@@ -168,3 +179,22 @@ def test_occupied_boxes_does_not_wrap_int64_keys():
     # 4 * 2**62 = 2**64 = 0 (mod 2**64); the row path keeps them apart
     idx = np.array([[0, 0], [4, 0], [0, 2 ** 62 - 1]], dtype=np.int64)
     assert chaos._occupied_boxes(idx) == 3
+
+
+def test_boxdim_rejects_ladders_past_int64_box_indices():
+    # the finest box index reaches 2^(n_scales + 1); from 62 scales on it
+    # would overflow int64 and wrap the counts
+    pts = np.tile(np.random.default_rng(7).uniform(size=(50, 2)), (20, 1))
+    for n_scales in (62, 70):
+        with pytest.raises(ValueError):
+            box_counting_dimension(pts, n_scales=n_scales)
+
+
+def test_boxdim_finest_allowed_ladder_counts_stay_exact():
+    x = np.tile(np.random.default_rng(3).uniform(size=50), 20)
+    pts = np.column_stack([x, np.zeros_like(x)])
+    res = box_counting_dimension(pts, n_scales=chaos.MAX_SCALES)
+    assert len(res.counts) == 61
+    assert np.all(np.diff(res.counts) >= 0)
+    assert res.counts.max() <= 50
+    assert res.counts[-1] == 50

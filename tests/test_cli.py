@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from attractorlab import cli
+from attractorlab import cli, horseshoe
 from attractorlab.cli import (ConfigError, main, parse_config, render_raster,
                               _schedule)
 
@@ -255,6 +255,44 @@ resolution = 64
     lines = (out / "trellis.csv").read_text().splitlines()
     assert len(lines) > 1000
     assert (out / "trellis.pgm").read_bytes().startswith(b"P5\n64 64\n255\n")
+
+
+MODEL_TRELLIS_CFG = """
+map = model_horseshoe
+saddle_seed = 0.05,0.02
+"""
+
+
+def test_trellis_model_default_budget_stops_in_sink(tmp_path):
+    # the README config: default arc_budget 50 and tol 1e-3
+    cfg = write_cfg(tmp_path, "tr.cfg", MODEL_TRELLIS_CFG)
+    outs = [tmp_path / "run1", tmp_path / "run2"]
+    for out in outs:
+        assert main(["trellis", "--config", cfg, "--out", str(out)]) == 0
+    text = (outs[0] / "trellis.txt").read_text().splitlines()
+    assert text[0].startswith("component 0: [0, ")
+    assert text[1].startswith("branch minus: stalled points=")
+    assert text[2].startswith("branch plus: arc_budget points=")
+    pts = np.loadtxt(outs[0] / "trellis.csv", delimiter=",",
+                     skiprows=1)[:, 1:]
+    assert len(pts) < 200_000
+    assert np.linalg.norm(np.diff(pts, axis=0), axis=1).max() <= 1e-3
+    assert np.linalg.norm(pts[0] - [0.0, -79.0 / 19.0]) <= 1e-3
+    n_minus = int(text[1].split("points=")[1].split()[0])
+    n_plus = int(text[2].split("points=")[1].split()[0])
+    assert n_minus + n_plus + 1 == len(pts)
+    for name in ("trellis.csv", "trellis.pgm", "trellis.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_trellis_refinement_explosion_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(horseshoe, "POINT_CAP", 5_000)
+    cfg = write_cfg(tmp_path, "tr.cfg", MODEL_TRELLIS_CFG)
+    assert main(["trellis", "--config", cfg,
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ")
+    assert "Traceback" not in err
 
 
 def test_trellis_non_saddle_seed_exits_2(tmp_path):

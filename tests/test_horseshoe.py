@@ -35,6 +35,27 @@ def test_region_membership_and_frame_roundtrip():
         HorseshoeRegion(matrix=[[1.0, 2.0], [2.0, 4.0]])
 
 
+def test_region_inverts_its_frame_once(monkeypatch):
+    matrix, offset = [[0.3, 0.1], [-0.2, 0.5]], [1.5, -2.0]
+    framed = HorseshoeRegion(matrix=matrix, offset=offset)
+    pts = np.array([[0.0, 0.0], [-2.0, 4.0], [1.0, -3.0]])
+    # bit for bit what inverting the matrix on every call gave
+    np.testing.assert_array_equal(
+        framed.to_model(pts),
+        (pts - np.asarray(offset)) @ np.linalg.inv(np.asarray(matrix)).T)
+    np.testing.assert_allclose(framed.to_model(framed.to_world(pts)), pts,
+                               atol=1e-12)
+    handle = model_horseshoe_map(region=framed)
+    before = verify_ah(handle, framed, sampling=16).as_text()
+    calls = []
+    real_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda m: calls.append(1) or real_inv(m))
+    after = verify_ah(handle, framed, sampling=16).as_text()
+    assert calls == []
+    assert after == before
+
+
 def test_region_sampling():
     region = HorseshoeRegion()
     for piece in ("h", "z", "c0", "c1", "s0", "s_half", "s1"):
@@ -200,6 +221,29 @@ def test_unstable_manifold_model_exact_axis():
     assert n_minus + n_plus + 1 == len(pts)
     # downward branch has fallen into the sink cap, heading for the sink
     assert SINK_Y - 1e-9 < pts[0, 1] < -4.0
+
+
+def test_unstable_manifold_stop_reasons():
+    handle = model_horseshoe_map()
+    saddle = find_cycle(handle, 1, np.array([0.05, 0.02]))
+    short = unstable_manifold(handle, saddle, arc_budget=4.0, tol=1e-3)
+    assert short.meta["stop_reasons"] == ("arc_budget", "arc_budget")
+    assert min(short.meta["branch_arclength"]) >= 2.0
+    # the lower branch runs into the sink with about 4.16 of arclength,
+    # short of half of 50; it stalls there instead of refining forever
+    cloud = unstable_manifold(handle, saddle, arc_budget=50.0, tol=1e-3)
+    meta = cloud.meta
+    assert meta["stop_reasons"] == ("stalled", "arc_budget")
+    arc_minus, arc_plus = meta["branch_arclength"]
+    assert arc_minus < 25.0 <= arc_plus
+    # early gains are far below tol but grow, so no branch stops early
+    assert min(meta["branch_iterations"]) > 5
+    assert len(cloud.points) < 200_000
+    n_minus, n_plus = meta["branch_sizes"]
+    assert n_minus + n_plus + 1 == len(cloud.points)
+    gaps = np.linalg.norm(np.diff(cloud.points, axis=0), axis=1)
+    assert gaps.max() <= 1e-3
+    assert np.linalg.norm(cloud.points[0] - [0.0, SINK_Y]) < 1e-3
 
 
 def test_unstable_manifold_rejects_wrong_stability():

@@ -16,6 +16,7 @@ amplify rounding (contracting or neutral regimes).
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,18 @@ def test_builtin_overflow_reruns_on_generic_lane():
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
         assert not np.isfinite(got[0]).all()
+
+
+def test_generic_lane_overflows_silently():
+    # like the compiled and scalar lanes, the generic loops leave overflow
+    # to the caller's finiteness check instead of warning
+    twin = generic_twin(pioneer_climax_full(3.0, 3.0))
+    x0 = np.array([-1.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for kernel in (_kernels.run_norm_sum, _kernels.run_qr):
+            got = kernel(twin, x0, 0, 100, 1)
+            assert not np.isfinite(got[0]).all()
 
 
 def test_generic_lane_used_for_user_maps():
