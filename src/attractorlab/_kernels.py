@@ -1,8 +1,14 @@
 """Hot iteration kernels: orbit, norm-sum Lyapunov and QR Lyapunov.
 
-Each built-in planar family is defined once, by the scalar step
-``_step`` and analytic Jacobian ``_jac`` below.  ``_make_loops`` turns
-that definition into the three kernel loops, and three lanes run them:
+Each built-in planar family is defined once, by the step and analytic
+Jacobian in ``_family`` below, which takes the exponential as an
+argument.  Built over ``math.exp`` it is the scalar definition
+``_step``/``_jac``; built over ``np.exp`` it is the NumPy form
+``_np_step``/``_np_jac``, which also takes column arrays.
+``_make_loops`` turns the scalar definition into the three kernel loops,
+and ``eval_point``/``eval_block``/``jac_point`` wrap the NumPy form as a
+built-in handle's ``eval``/``eval_many``/``jac``.  Three lanes run the
+kernels:
 
 * compiled: the loops ``njit``-ed over ``njit`` versions of ``_step``
   and ``_jac``; used for built-in families when numba is importable and
@@ -26,8 +32,9 @@ Lane selection for built-in families:
 
 ``math.exp`` raises ``OverflowError`` where NumPy and numba return
 ``inf`` (a pioneer orbit started outside its positivity cone).  A scalar
-Python call that overflows is rerun on the generic lane, so divergence
-shows up as non-finite values on every lane.
+Python call that overflows is rerun on the generic lane, which for a
+built-in family runs the NumPy form of the same definition, so
+divergence shows up as non-finite values on every lane.
 """
 
 from __future__ import annotations
@@ -59,69 +66,102 @@ FAM_PIONEER_FULL = 2
 FAM_PIONEER_MIXED = 3
 
 
-def _step(fam, pa, pb, pc, x1, x2):
-    # pa/pb/pc packing: gauss -> (a, cos(2*pi*theta), sin(2*pi*theta)),
-    # pioneer -> (a, b, unused)
-    if fam == FAM_GAUSS:
-        w = pa * math.exp(-(x1 * x1 + x2 * x2))
-        return w * (x1 * pb - x2 * pc), w * (x1 * pc + x2 * pb)
-    if fam == FAM_GAUSS_LITERAL:
-        # degenerate variant: both components share the first formula
-        w = pa * math.exp(-(x1 * x1 + x2 * x2))
-        t = x1 * pb - x2 * pc
-        return w * t, w * t
-    if fam == FAM_PIONEER_FULL:
-        y1 = x1 * math.exp(pa - 0.8 * x1 - 0.2 * x2)
-        y2 = x2 * (0.2 * x1 + 0.8 * x2) * math.exp(pb - 0.2 * x1 - 0.8 * x2)
+def _family(exp):
+    """The built-in families' step and analytic Jacobian over ``exp``.
+
+    ``step(fam, pa, pb, pc, x1, x2)`` returns the image (y1, y2) and
+    ``jac`` the Jacobian entries (j11, j12, j21, j22).  With ``math.exp``
+    they are the scalar definition run by the kernel loops; with
+    ``np.exp`` the same code also takes column arrays for x1/x2 and
+    returns ``inf`` where ``math.exp`` raises ``OverflowError``.
+    """
+
+    def step(fam, pa, pb, pc, x1, x2):
+        # pa/pb/pc packing: gauss -> (a, cos(2*pi*theta), sin(2*pi*theta)),
+        # pioneer -> (a, b, unused)
+        if fam == FAM_GAUSS:
+            w = pa * exp(-(x1 * x1 + x2 * x2))
+            return w * (x1 * pb - x2 * pc), w * (x1 * pc + x2 * pb)
+        if fam == FAM_GAUSS_LITERAL:
+            # degenerate variant: both components share the first formula
+            w = pa * exp(-(x1 * x1 + x2 * x2))
+            t = x1 * pb - x2 * pc
+            return w * t, w * t
+        if fam == FAM_PIONEER_FULL:
+            y1 = x1 * exp(pa - 0.8 * x1 - 0.2 * x2)
+            y2 = x2 * (0.2 * x1 + 0.8 * x2) * exp(pb - 0.2 * x1 - 0.8 * x2)
+            return y1, y2
+        # FAM_PIONEER_MIXED
+        y1 = x1 * exp(pa - 0.8 * x1)
+        y2 = x2 * (0.2 * x1 + 0.8 * x2) * exp(pb - 0.2 * x1 - 0.8 * x2)
         return y1, y2
-    # FAM_PIONEER_MIXED
-    y1 = x1 * math.exp(pa - 0.8 * x1)
-    y2 = x2 * (0.2 * x1 + 0.8 * x2) * math.exp(pb - 0.2 * x1 - 0.8 * x2)
-    return y1, y2
 
-
-def _jac(fam, pa, pb, pc, x1, x2):
-    """Analytic Jacobian entries (j11, j12, j21, j22) for a built-in family."""
-    if fam == FAM_GAUSS:
-        w = pa * math.exp(-(x1 * x1 + x2 * x2))
-        u1 = x1 * pb - x2 * pc
-        u2 = x1 * pc + x2 * pb
-        return (
-            w * (pb - 2.0 * u1 * x1),
-            w * (-pc - 2.0 * u1 * x2),
-            w * (pc - 2.0 * u2 * x1),
-            w * (pb - 2.0 * u2 * x2),
-        )
-    if fam == FAM_GAUSS_LITERAL:
-        w = pa * math.exp(-(x1 * x1 + x2 * x2))
-        t = x1 * pb - x2 * pc
-        j11 = w * (pb - 2.0 * t * x1)
-        j12 = w * (-pc - 2.0 * t * x2)
-        return j11, j12, j11, j12
-    if fam == FAM_PIONEER_FULL:
-        e1 = math.exp(pa - 0.8 * x1 - 0.2 * x2)
+    def jac(fam, pa, pb, pc, x1, x2):
+        if fam == FAM_GAUSS:
+            w = pa * exp(-(x1 * x1 + x2 * x2))
+            u1 = x1 * pb - x2 * pc
+            u2 = x1 * pc + x2 * pb
+            return (
+                w * (pb - 2.0 * u1 * x1),
+                w * (-pc - 2.0 * u1 * x2),
+                w * (pc - 2.0 * u2 * x1),
+                w * (pb - 2.0 * u2 * x2),
+            )
+        if fam == FAM_GAUSS_LITERAL:
+            w = pa * exp(-(x1 * x1 + x2 * x2))
+            t = x1 * pb - x2 * pc
+            j11 = w * (pb - 2.0 * t * x1)
+            j12 = w * (-pc - 2.0 * t * x2)
+            return j11, j12, j11, j12
+        if fam == FAM_PIONEER_FULL:
+            e1 = exp(pa - 0.8 * x1 - 0.2 * x2)
+            j11 = e1 * (1.0 - 0.8 * x1)
+            j12 = -0.2 * x1 * e1
+            p = 0.2 * x1 + 0.8 * x2
+            e2 = exp(pb - 0.2 * x1 - 0.8 * x2)
+            j21 = 0.2 * x2 * e2 * (1.0 - p)
+            j22 = e2 * (p + 0.8 * x2 * (1.0 - p))
+            return j11, j12, j21, j22
+        # FAM_PIONEER_MIXED
+        e1 = exp(pa - 0.8 * x1)
         j11 = e1 * (1.0 - 0.8 * x1)
-        j12 = -0.2 * x1 * e1
         p = 0.2 * x1 + 0.8 * x2
-        e2 = math.exp(pb - 0.2 * x1 - 0.8 * x2)
+        e2 = exp(pb - 0.2 * x1 - 0.8 * x2)
         j21 = 0.2 * x2 * e2 * (1.0 - p)
         j22 = e2 * (p + 0.8 * x2 * (1.0 - p))
-        return j11, j12, j21, j22
-    # FAM_PIONEER_MIXED
-    e1 = math.exp(pa - 0.8 * x1)
-    j11 = e1 * (1.0 - 0.8 * x1)
-    p = 0.2 * x1 + 0.8 * x2
-    e2 = math.exp(pb - 0.2 * x1 - 0.8 * x2)
-    j21 = 0.2 * x2 * e2 * (1.0 - p)
-    j22 = e2 * (p + 0.8 * x2 * (1.0 - p))
-    return j11, 0.0, j21, j22
+        return j11, 0.0, j21, j22
+
+    return step, jac
+
+
+_step, _jac = _family(math.exp)
+# the handle callables use np.exp: inf instead of OverflowError, so Newton
+# steps that wander far out degrade gracefully
+_np_step, _np_jac = _family(np.exp)
+
+
+def eval_point(fam, packed, x):
+    """Image of one point x, shape (2,), under built-in family ``fam``."""
+    return np.array(_np_step(fam, *packed, x[0], x[1]))
+
+
+def eval_block(fam, packed, pts):
+    """Images of an (n, 2) block of points under built-in family ``fam``."""
+    pts = np.asarray(pts, dtype=float)
+    return np.column_stack(_np_step(fam, *packed, pts[:, 0], pts[:, 1]))
+
+
+def jac_point(fam, packed, x):
+    """Analytic (2, 2) Jacobian of built-in family ``fam`` at x."""
+    j11, j12, j21, j22 = _np_jac(fam, *packed, x[0], x[1])
+    return np.array([[j11, j12], [j21, j22]])
 
 
 def _make_loops(step, jac):
     """The orbit, norm-sum and QR loops over one step/Jacobian definition.
 
-    Called with the plain functions above for the scalar Python lane and
-    with their ``njit`` versions for the compiled lane.
+    Called with the scalar ``_step``/``_jac`` for the scalar Python lane
+    and with their ``njit`` versions for the compiled lane.
     """
 
     def orbit(fam, pa, pb, pc, x1, x2, n_transient, n_keep, out):

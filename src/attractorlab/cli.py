@@ -48,7 +48,6 @@ DEFAULTS = {
     "lyap_n": 100_000,
     "n_scales": 8,
     "resolution": 1024,
-    "seed": 0,
     "bif_transient": 1_000,
     "bif_keep": 200,
     "arc_budget": 50.0,
@@ -495,14 +494,6 @@ def main(argv=None) -> int:
                                       else os.cpu_count() or 1))
         if jobs < 1:
             raise ConfigError("jobs must be at least 1")
-        seed = _get_int(raw, "seed")
-        env_seed = os.environ.get("ATTRACTORLAB_SEED")
-        if env_seed is not None:
-            try:
-                seed = int(env_seed)
-            except ValueError:
-                raise ConfigError("ATTRACTORLAB_SEED must be an integer")
-        raw["seed"] = str(seed)
         if args.literal_rotation:
             raw["literal_rotation"] = "true"
         out.mkdir(parents=True, exist_ok=True)

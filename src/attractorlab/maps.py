@@ -18,14 +18,18 @@ absorbs every orbit after one step.  Three closed-form families are built in:
     Same second component, first component decoupled:
     f1 = x1 * e^(a - 0.8 x1).
 
-Arbitrary maps of R^m enter through :func:`user_map`.  Built-ins carry
-analytic Jacobians; user maps default to central finite differences.
+Each built-in formula and its analytic Jacobian are written once, in
+``_kernels._family``; a built-in handle evaluates the NumPy form of that
+definition, which the kernel lanes run in scalar form.  Arbitrary maps of
+R^m enter through :func:`user_map`; their Jacobians default to central
+finite differences.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -61,7 +65,11 @@ class MapHandle:
 
     ``eval`` maps an (m,) point to an (m,) image; ``eval_many`` maps an
     (n, m) block of points at once.  ``jac`` returns the (m, m) Jacobian.
-    Handles are immutable and safe to share across worker processes.
+    For a built-in family they are partials of the module functions
+    ``_kernels.eval_point``/``eval_block``/``jac_point`` over
+    ``family_code`` and ``packed``, so built-in handles pickle and are safe
+    to share across worker processes.  A user map's handle holds the
+    callables it was given, and pickles only if they do.
     """
 
     spec: MapSpec
@@ -72,11 +80,15 @@ class MapHandle:
     family_code: int = -1
     packed: tuple = ()
     cone: bool = False  # natural domain restricted to the nonnegative orthant
-    literal: bool = False
 
     @property
     def dim(self) -> int:
         return self.spec.dim
+
+    @property
+    def literal(self) -> bool:
+        """True for the degenerate duplicated-component gauss form."""
+        return self.family_code == _kernels.FAM_GAUSS_LITERAL
 
 
 def _require_finite_params(params, names):
@@ -107,89 +119,6 @@ def validate_spec(spec: MapSpec) -> None:
         raise MapDefinitionError("gauss_rotation needs a > 0")
 
 
-def _gauss_callables(a, c, s, literal):
-    # np.exp keeps IEEE semantics (inf instead of OverflowError) so Newton
-    # steps that wander far out degrade gracefully
-    if literal:
-        def ev(x):
-            w = a * np.exp(-(x[0] * x[0] + x[1] * x[1]))
-            t = w * (x[0] * c - x[1] * s)
-            return np.array([t, t])
-
-        def ev_many(pts):
-            pts = np.asarray(pts, dtype=float)
-            w = a * np.exp(-(pts[:, 0] ** 2 + pts[:, 1] ** 2))
-            t = w * (pts[:, 0] * c - pts[:, 1] * s)
-            return np.column_stack([t, t])
-
-        def jac(x):
-            w = a * np.exp(-(x[0] * x[0] + x[1] * x[1]))
-            t = x[0] * c - x[1] * s
-            j11 = w * (c - 2.0 * t * x[0])
-            j12 = w * (-s - 2.0 * t * x[1])
-            return np.array([[j11, j12], [j11, j12]])
-    else:
-        def ev(x):
-            w = a * np.exp(-(x[0] * x[0] + x[1] * x[1]))
-            return np.array(
-                [w * (x[0] * c - x[1] * s), w * (x[0] * s + x[1] * c)]
-            )
-
-        def ev_many(pts):
-            pts = np.asarray(pts, dtype=float)
-            w = a * np.exp(-(pts[:, 0] ** 2 + pts[:, 1] ** 2))
-            return np.column_stack(
-                [w * (pts[:, 0] * c - pts[:, 1] * s),
-                 w * (pts[:, 0] * s + pts[:, 1] * c)]
-            )
-
-        def jac(x):
-            w = a * np.exp(-(x[0] * x[0] + x[1] * x[1]))
-            u1 = x[0] * c - x[1] * s
-            u2 = x[0] * s + x[1] * c
-            return np.array(
-                [[w * (c - 2.0 * u1 * x[0]), w * (-s - 2.0 * u1 * x[1])],
-                 [w * (s - 2.0 * u2 * x[0]), w * (c - 2.0 * u2 * x[1])]]
-            )
-
-    return ev, ev_many, jac
-
-
-def _pioneer_callables(a, b, mixed):
-    if mixed:
-        def _e1(x1, x2):
-            return np.exp(a - 0.8 * x1)
-    else:
-        def _e1(x1, x2):
-            return np.exp(a - 0.8 * x1 - 0.2 * x2)
-
-    def ev(x):
-        x1, x2 = x[0], x[1]
-        y1 = x1 * _e1(x1, x2)
-        y2 = x2 * (0.2 * x1 + 0.8 * x2) * np.exp(b - 0.2 * x1 - 0.8 * x2)
-        return np.array([y1, y2])
-
-    def ev_many(pts):
-        pts = np.asarray(pts, dtype=float)
-        x1, x2 = pts[:, 0], pts[:, 1]
-        y1 = x1 * _e1(x1, x2)
-        y2 = x2 * (0.2 * x1 + 0.8 * x2) * np.exp(b - 0.2 * x1 - 0.8 * x2)
-        return np.column_stack([y1, y2])
-
-    def jac(x):
-        x1, x2 = x[0], x[1]
-        e1 = _e1(x1, x2)
-        j11 = e1 * (1.0 - 0.8 * x1)
-        j12 = 0.0 if mixed else -0.2 * x1 * e1
-        p = 0.2 * x1 + 0.8 * x2
-        e2 = np.exp(b - 0.2 * x1 - 0.8 * x2)
-        j21 = 0.2 * x2 * e2 * (1.0 - p)
-        j22 = e2 * (p + 0.8 * x2 * (1.0 - p))
-        return np.array([[j11, j12], [j21, j22]])
-
-    return ev, ev_many, jac
-
-
 def build_map(spec: MapSpec, *, literal_eq: bool = False) -> MapHandle:
     """Construct a MapHandle from a spec.
 
@@ -200,29 +129,25 @@ def build_map(spec: MapSpec, *, literal_eq: bool = False) -> MapHandle:
     validate_spec(spec)
     fam = spec.family
     if fam == "gauss_rotation":
-        a = float(spec.params["a"])
         theta = float(spec.params["theta"])
-        c = math.cos(2.0 * math.pi * theta)
-        s = math.sin(2.0 * math.pi * theta)
-        ev, ev_many, jac = _gauss_callables(a, c, s, literal_eq)
         code = _kernels.FAM_GAUSS_LITERAL if literal_eq else _kernels.FAM_GAUSS
-        return MapHandle(
-            spec=spec, eval=ev, eval_many=ev_many, jac=jac,
-            jac_kind="analytic", family_code=code, packed=(a, c, s),
-            literal=literal_eq,
-        )
-    if fam in ("pioneer_climax_full", "pioneer_climax_mixed"):
-        a = float(spec.params["a"])
-        b = float(spec.params["b"])
-        mixed = fam == "pioneer_climax_mixed"
-        ev, ev_many, jac = _pioneer_callables(a, b, mixed)
-        code = _kernels.FAM_PIONEER_MIXED if mixed else _kernels.FAM_PIONEER_FULL
-        return MapHandle(
-            spec=spec, eval=ev, eval_many=ev_many, jac=jac,
-            jac_kind="analytic", family_code=code, packed=(a, b, 0.0),
-            cone=True,
-        )
-    raise MapDefinitionError("use user_map() to build user_table handles")
+        packed = (float(spec.params["a"]), math.cos(2.0 * math.pi * theta),
+                  math.sin(2.0 * math.pi * theta))
+        cone = False
+    elif fam in ("pioneer_climax_full", "pioneer_climax_mixed"):
+        code = (_kernels.FAM_PIONEER_MIXED if fam == "pioneer_climax_mixed"
+                else _kernels.FAM_PIONEER_FULL)
+        packed = (float(spec.params["a"]), float(spec.params["b"]), 0.0)
+        cone = True
+    else:
+        raise MapDefinitionError("use user_map() to build user_table handles")
+    return MapHandle(
+        spec=spec,
+        eval=partial(_kernels.eval_point, code, packed),
+        eval_many=partial(_kernels.eval_block, code, packed),
+        jac=partial(_kernels.jac_point, code, packed),
+        jac_kind="analytic", family_code=code, packed=packed, cone=cone,
+    )
 
 
 def gauss_rotation(a: float, theta: float, *, literal_eq: bool = False) -> MapHandle:

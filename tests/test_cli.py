@@ -424,20 +424,3 @@ resolution = 16
 """)
     assert main(["orbit", "--config", ok,
                  "--out", str(blocker / "sub")]) == 3
-
-
-def test_env_seed_validation(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path, "ok.cfg", """
-map = gauss_rotation
-a = 2.7
-theta = 0.5
-n_transient = 10
-n_keep = 300
-resolution = 16
-""")
-    monkeypatch.setenv("ATTRACTORLAB_SEED", "not-a-number")
-    assert main(["orbit", "--config", cfg,
-                 "--out", str(tmp_path / "r")]) == 1
-    monkeypatch.setenv("ATTRACTORLAB_SEED", "7")
-    assert main(["orbit", "--config", cfg,
-                 "--out", str(tmp_path / "r")]) == 0

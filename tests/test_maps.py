@@ -1,8 +1,10 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from attractorlab import _kernels
 from attractorlab.maps import (GOLDEN_MEAN, MapDefinitionError, MapSpec,
                                build_map, eval_map, finite_difference_jacobian,
                                gauss_rotation, jacobian, pioneer_climax_full,
@@ -133,3 +135,59 @@ def test_far_points_decay_toward_zero():
     hp = pioneer_climax_full(3.0, 3.0)
     y = hp.eval(np.array([60.0, 60.0]))
     assert np.linalg.norm(y) < 1e-9
+
+
+def builtin_handles():
+    return [gauss_rotation(4.4, GOLDEN_MEAN),
+            gauss_rotation(2.7, 0.3, literal_eq=True),
+            pioneer_climax_full(3.0, 2.5),
+            pioneer_climax_mixed(2.0, 3.0)]
+
+
+def grid_points():
+    # every exponent stays far from math.exp's overflow threshold here
+    g = np.linspace(-2.5, 6.0, 18)
+    return np.array([(u, v) for u in g for v in g])
+
+
+def test_builtin_handles_pickle():
+    pts = grid_points()
+    for h in builtin_handles():
+        back = pickle.loads(pickle.dumps(h))
+        assert (back.spec, back.family_code, back.packed, back.cone,
+                back.literal) == (h.spec, h.family_code, h.packed, h.cone,
+                                  h.literal)
+        for p in pts:
+            assert np.array_equal(back.eval(p), h.eval(p))
+            assert np.array_equal(back.jac(p), h.jac(p))
+        assert np.array_equal(back.eval_many(pts), h.eval_many(pts))
+
+
+def scalar_form(step, jac, h, pts):
+    """A definition evaluated one Python-float point at a time."""
+    images = np.array([step(h.family_code, *h.packed, float(u), float(v))
+                       for u, v in pts])
+    jacs = np.array([jac(h.family_code, *h.packed, float(u), float(v))
+                     for u, v in pts]).reshape(-1, 2, 2)
+    return images, jacs
+
+
+def test_handle_callables_are_the_kernel_definition():
+    pts = grid_points()
+    np_step, np_jac = _kernels._family(np.exp)
+    for h in builtin_handles():
+        ev = np.array([h.eval(p) for p in pts])
+        ev_many = h.eval_many(pts)
+        jc = np.array([h.jac(p) for p in pts])
+        # over the same exponential, bit for bit the scalar definition
+        images, jacs = scalar_form(np_step, np_jac, h, pts)
+        assert np.array_equal(ev, images)
+        assert np.array_equal(ev_many, images)
+        assert np.array_equal(jc, jacs)
+        # the kernel loops' _step/_jac use math.exp, which differs from
+        # np.exp by one ulp on some arguments; exp is a factor of every
+        # entry, so the gap stays within a few ulps
+        images, jacs = scalar_form(_kernels._step, _kernels._jac, h, pts)
+        np.testing.assert_allclose(ev, images, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(ev_many, images, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(jc, jacs, rtol=1e-15, atol=0)
