@@ -27,8 +27,7 @@ Lane selection for built-in families:
   compiled lane off, so built-ins run on the scalar Python lane.
 * Without numba the same happens automatically.
 * ``force_python=True`` on a dispatch helper selects the scalar Python
-  lane for that call, so both lanes can be timed in one process (see
-  ``benchmarks/bench_kernels.py``).
+  lane for that call, so both lanes can be timed in one process.
 
 ``math.exp`` raises ``OverflowError`` where NumPy and numba return
 ``inf`` (a pioneer orbit started outside its positivity cone).  A scalar

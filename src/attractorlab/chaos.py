@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .maps import MapHandle
-from .dynamics import DivergenceError, PointCloud
+from .dynamics import DivergenceError, PointCloud, initial_point
 
 TRACE_STRIDE = 100
 MAX_SCALES = 61     # the finest box index must fit in int64
@@ -50,9 +50,9 @@ def max_lyapunov_norm_sum(handle: MapHandle, x0, n: int,
     raising.  A non-finite sum otherwise means the orbit diverged and
     raises :class:`DivergenceError`.
     """
-    _check_lyapunov_args(x0, n, n_transient)
+    x0 = _check_lyapunov_args(handle, x0, n, n_transient)
     value, k_used, degenerate, trace = _kernels.run_norm_sum(
-        handle, np.asarray(x0, dtype=float), n_transient, n, TRACE_STRIDE)
+        handle, x0, n_transient, n, TRACE_STRIDE)
     if degenerate:
         value = -np.inf
     elif not np.isfinite(value):
@@ -74,9 +74,9 @@ def lyapunov_spectrum_qr(handle: MapHandle, x0, n: int,
     -inf sentinel and stop the accumulation.  Any other non-finite
     exponent means the orbit diverged and raises :class:`DivergenceError`.
     """
-    _check_lyapunov_args(x0, n, n_transient)
+    x0 = _check_lyapunov_args(handle, x0, n, n_transient)
     vals, k_used, deg, trace = _kernels.run_qr(
-        handle, np.asarray(x0, dtype=float), n_transient, n, TRACE_STRIDE)
+        handle, x0, n_transient, n, TRACE_STRIDE)
     vals = np.asarray(vals, dtype=float).copy()
     deg = np.asarray(deg, dtype=bool)
     if not np.isfinite(vals[~deg]).all():
@@ -95,14 +95,12 @@ def lyapunov_spectrum_qr(handle: MapHandle, x0, n: int,
         degenerate=bool(deg.any()))
 
 
-def _check_lyapunov_args(x0, n: int, n_transient: int):
+def _check_lyapunov_args(handle, x0, n: int, n_transient: int) -> np.ndarray:
     if n < 100:
         raise ValueError("need n >= 100 iterates for a Lyapunov estimate")
     if n_transient < 0:
         raise ValueError("n_transient must be nonnegative")
-    x0 = np.asarray(x0, dtype=float)
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("initial point must be finite")
+    return initial_point(handle, x0)
 
 
 def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:

@@ -13,21 +13,24 @@ per-value failure in batch mode), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import difflib
 import itertools
 import math
 import os
 import sys
 import time
 import warnings
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .maps import (MapHandle, gauss_rotation, pioneer_climax_full,
                    pioneer_climax_mixed)
-from .dynamics import (DivergenceError, CycleSearchError, PointCloud,
-                       orbit, detect_period, find_cycle)
+from .dynamics import (DivergenceError, CycleSearchError, orbit,
+                       detect_period, find_cycle)
 from .chaos import (max_lyapunov_norm_sum, lyapunov_spectrum_qr,
                     box_counting_dimension)
 from .hypotheses import run_hypothesis_report
@@ -41,21 +44,7 @@ FLOAT_FMT = "%.17g"
 CSV_CHUNK_ROWS = 1024  # rows per write: keeps the writer's memory small
 SUMMARY_COLUMNS = ("param", "period", "lyap_normsum", "lyap_qr_max",
                    "boxdim", "boxdim_r2", "status", "seconds")
-
-DEFAULTS = {
-    "n_transient": 10_000,
-    "n_keep": 100_000,
-    "lyap_n": 100_000,
-    "n_scales": 8,
-    "resolution": 1024,
-    "bif_transient": 1_000,
-    "bif_keep": 200,
-    "arc_budget": 50.0,
-    "tol": 1e-3,
-}
-
-COMMANDS = ("sweep", "orbit", "lyapunov", "boxdim", "hypothesis",
-            "horseshoe", "trellis", "bifurcation")
+DIM = 2  # every map family the CLI builds is planar
 
 
 class ConfigError(ValueError):
@@ -85,105 +74,136 @@ def parse_config(path) -> dict:
     return raw
 
 
-def _get(raw, key, default=None):
-    if key in raw:
-        return raw[key]
-    if default is not None or key in DEFAULTS:
-        return raw.get(key, default if default is not None
-                       else DEFAULTS[key])
-    raise ConfigError(f"missing config key {key!r}")
+# config schema ----------------------------------------------------------
+# A command takes the keys of COMMON, its own keys and its map family's
+# keys, and no others.  A key's default is a value, REQUIRED, None (the
+# key may stay unset), or a function of the config resolved so far whose
+# docstring says what it computes.  A type's parse raises ValueError or
+# KeyError on a bad value, and its ok checks the parsed value.
+Type = namedtuple("Type", "name parse ok", defaults=(lambda value: True,))
 
 
-def _get_float(raw, key, default=None) -> float:
-    val = _get(raw, key, default)
+def _vec(n: int) -> Type:
+    return Type(f"float[{n}]",
+                lambda text: np.array([float(t) for t in text.split(",")]),
+                lambda value: value.shape == (n,))
+
+
+def _choice(*names: str) -> Type:
+    return Type("one of " + ", ".join(names), str, names.__contains__)
+
+
+_BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | \
+    dict.fromkeys(("0", "false", "no", "off"), False)
+FLOAT, STR = Type("float", float), Type("str", str)
+INT = Type("int", partial(int, base=10))
+BOOL = Type("bool", lambda text: _BOOLS[text.lower()])
+REQUIRED = object()
+Key = namedtuple("Key", "type default", defaults=(REQUIRED,))
+Family = namedtuple("Family", "build keys x0")  # x0: orbits' start point
+FRAME_KEYS = {"frame": Key(_vec(4), None), "frame_offset": Key(_vec(2), None)}
+_AB = {"a": Key(FLOAT), "b": Key(FLOAT)}
+FAMILIES = {
+    "gauss_rotation": Family(
+        lambda cfg: gauss_rotation(cfg["a"], cfg["theta"],
+                                   literal_eq=cfg["literal_rotation"]),
+        {"a": Key(FLOAT), "theta": Key(FLOAT),
+         "literal_rotation": Key(BOOL, False)}, (0.3, 0.1)),
+    "pioneer_climax_full": Family(
+        lambda cfg: pioneer_climax_full(cfg["a"], cfg["b"]), _AB, (0.5, 0.5)),
+    "pioneer_climax_mixed": Family(
+        lambda cfg: pioneer_climax_mixed(cfg["a"], cfg["b"]), _AB,
+        (0.5, 0.5)),
+    "radial_tent": Family(
+        lambda cfg: radial_tent_map(
+            (cfg["slope_in"], cfg["slope_out"]),
+            **{k: cfg[k] for k in ("zeta", "theta", "mode", "alpha0")}).handle,
+        {"mode": Key(_choice(MODE_SOURCE, MODE_SINK), MODE_SOURCE),
+         "alpha0": Key(FLOAT, None), "slope_in": Key(FLOAT, 3.0),
+         "slope_out": Key(FLOAT, 3.0), "zeta": Key(FLOAT, 1.0),
+         "theta": Key(FLOAT, 0.0)}, (0.3, 0.1)),
+    "model_horseshoe": Family(
+        lambda cfg: model_horseshoe_map(region=_region_from(cfg)),
+        FRAME_KEYS, (0.3, 0.1)),
+}
+
+
+def _available_cpus(cfg) -> int:
+    """CPUs available"""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+
+
+def _start_point(cfg) -> np.ndarray:
+    """start point of the map family"""
+    return np.array(FAMILIES[cfg["map"]].x0)
+
+
+COMMON = {"map": Key(_choice(*FAMILIES)), "out": Key(STR, "runs"),
+          "jobs": Key(Type("int >= 1", INT.parse, (1).__le__),
+                      _available_cpus)}
+# keys that several commands take
+_SCHEDULE = {"param": Key(Type("float key of map", str)),
+             "start": Key(FLOAT), "stop": Key(FLOAT), "step": Key(FLOAT)}
+_ORBIT = {"n_transient": Key(INT, 10_000), "x0": Key(_vec(DIM), _start_point)}
+_RASTER = {"resolution": Key(Type(f"int 1..{MAX_RASTER_SIDE}", INT.parse,
+                                  lambda v: 1 <= v <= MAX_RASTER_SIDE), 1024),
+           **dict.fromkeys(("xmin", "xmax", "ymin", "ymax"), Key(FLOAT, None))}
+N_KEEP, LYAP_N, N_SCALES = Key(INT, 100_000), Key(INT, 100_000), Key(INT, 8)
+
+
+def resolve(command: str, raw: dict) -> dict:
+    """Check a parsed config against its command's schema and return the
+    schema's keys with typed values or defaults; an unknown key is a
+    ConfigError naming the closest known key."""
+    cfg = {}
+
+    def value(name: str, key: Key):
+        if name not in raw:
+            if key.default is not REQUIRED:
+                return key.default(cfg) if callable(key.default) \
+                    else key.default
+            if name == raw.get("param"):  # the schedule sets it
+                return None
+            raise ConfigError(f"missing config key {name!r}")
+        try:
+            parsed = key.type.parse(raw[name])
+            if key.type.ok(parsed):
+                return parsed
+        except (KeyError, ValueError):
+            pass
+        raise ConfigError(f"config key {name!r} must be {key.type.name}; "
+                          f"got {raw[name]!r}")
+
+    cfg["map"] = value("map", COMMON["map"])
+    family = FAMILIES[cfg["map"]]
+    keys = {**COMMON, **COMMANDS[command].keys, **family.keys}
+    for name in (k for k in raw if k not in keys):
+        near = difflib.get_close_matches(name, keys, n=1)
+        raise ConfigError(f"unknown config key {name!r} for {command} with "
+                          f"map {cfg['map']}" + (f"; did you mean {near[0]!r}?"
+                                                 if near else ""))
+    if "param" in keys:  # it names a float key of the map family
+        keys["param"] = Key(_choice(*(k for k, key in family.keys.items()
+                                      if key.type is FLOAT)))
+    for name, key in keys.items():
+        cfg[name] = value(name, key)
+    return cfg
+
+
+def build_handle(cfg: dict) -> MapHandle:
+    return FAMILIES[cfg["map"]].build(cfg)
+
+
+def _region_from(cfg: dict) -> HorseshoeRegion:
     try:
-        return float(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {key!r} is not a number: {val!r}")
-
-
-def _get_int(raw, key, default=None) -> int:
-    val = _get(raw, key, default)
-    try:
-        return int(str(val), 10)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {key!r} is not an integer: {val!r}")
-
-
-def _get_bool(raw, key, default=False) -> bool:
-    val = str(_get(raw, key, str(default))).lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"config key {key!r} is not a boolean: {val!r}")
-
-
-def _get_vec(raw, key, default=None) -> np.ndarray:
-    val = _get(raw, key, default)
-    try:
-        return np.array([float(t) for t in str(val).split(",")])
-    except ValueError:
-        raise ConfigError(f"config key {key!r} is not a vector: {val!r}")
-
-
-def build_handle(raw: dict) -> MapHandle:
-    family = _get(raw, "map")
-    if family == "gauss_rotation":
-        return gauss_rotation(_get_float(raw, "a"),
-                              _get_float(raw, "theta"),
-                              literal_eq=_get_bool(raw, "literal_rotation"))
-    if family == "pioneer_climax_full":
-        return pioneer_climax_full(_get_float(raw, "a"),
-                                   _get_float(raw, "b"))
-    if family == "pioneer_climax_mixed":
-        return pioneer_climax_mixed(_get_float(raw, "a"),
-                                    _get_float(raw, "b"))
-    if family == "radial_tent":
-        mode = _get(raw, "mode", MODE_SOURCE)
-        if mode not in (MODE_SOURCE, MODE_SINK):
-            raise ConfigError(f"unknown radial mode {mode!r}")
-        alpha0 = None
-        if "alpha0" in raw:
-            alpha0 = _get_float(raw, "alpha0")
-        rt = radial_tent_map(slopes=(_get_float(raw, "slope_in", "3"),
-                                     _get_float(raw, "slope_out", "3")),
-                             zeta=_get_float(raw, "zeta", "1"),
-                             theta=_get_float(raw, "theta", "0"),
-                             mode=mode, alpha0=alpha0)
-        return rt.handle
-    if family == "model_horseshoe":
-        return model_horseshoe_map(region=_region_from(raw))
-    raise ConfigError(f"unknown map family {family!r}")
-
-
-def _region_from(raw: dict) -> HorseshoeRegion:
-    matrix = None
-    offset = None
-    if "frame" in raw:
-        matrix = _get_vec(raw, "frame").reshape(2, 2)
-    if "frame_offset" in raw:
-        offset = _get_vec(raw, "frame_offset")
-    try:
-        return HorseshoeRegion(matrix=matrix, offset=offset)
+        return HorseshoeRegion(matrix=cfg["frame"], offset=cfg["frame_offset"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _default_x0(raw: dict) -> np.ndarray:
-    if "x0" in raw:
-        return _get_vec(raw, "x0")
-    family = _get(raw, "map")
-    if family.startswith("pioneer"):
-        return np.array([0.5, 0.5])
-    return np.array([0.3, 0.1])
-
-
-def _schedule(raw: dict, minimum: int = 1) -> tuple:
-    name = _get(raw, "param")
-    start = _get_float(raw, "start")
-    stop = _get_float(raw, "stop")
-    step = _get_float(raw, "step")
+def _schedule(cfg: dict, minimum: int = 1) -> tuple:
+    start, stop, step = cfg["start"], cfg["stop"], cfg["step"]
     if step <= 0:
         raise ConfigError("schedule step must be positive")
     if stop < start:
@@ -193,7 +213,7 @@ def _schedule(raw: dict, minimum: int = 1) -> tuple:
     if count < minimum:
         raise ConfigError(f"schedule must contain at least {minimum} "
                           f"values, got {count}")
-    return name, values
+    return cfg["param"], values
 
 
 # artifact writers ------------------------------------------------------
@@ -275,10 +295,10 @@ def render_raster(points: np.ndarray, bounds, resolution, path) -> None:
         fh.write(gray.tobytes())
 
 
-def _cloud_bounds(points: np.ndarray, raw: dict):
-    if all(k in raw for k in ("xmin", "xmax", "ymin", "ymax")):
-        return ((_get_float(raw, "xmin"), _get_float(raw, "xmax")),
-                (_get_float(raw, "ymin"), _get_float(raw, "ymax")))
+def _cloud_bounds(points: np.ndarray, cfg: dict):
+    given = [cfg[k] for k in ("xmin", "xmax", "ymin", "ymax")]
+    if None not in given:
+        return given[:2], given[2:]
     pts = np.atleast_2d(points)
     if len(pts) == 0:
         return ((0.0, 1.0), (0.0, 1.0))
@@ -292,35 +312,37 @@ def _cloud_bounds(points: np.ndarray, raw: dict):
 # per-command drivers ----------------------------------------------------
 
 
+def _map_values(fn, tasks: list, jobs: int) -> list:
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def _sweep_value(args) -> dict:
-    raw, name, value, idx, out_dir = args
-    raw = dict(raw)
-    raw[name] = repr(float(value))
+    cfg, name, value, idx, out_dir = args
+    cfg = {**cfg, name: float(value)}
     out = Path(out_dir)
-    row = {"param": float(value), "period": 0, "lyap_normsum": float("nan"),
-           "lyap_qr_max": float("nan"), "boxdim": float("nan"),
-           "boxdim_r2": float("nan"), "status": "ok", "seconds": 0.0}
+    row = dict.fromkeys(SUMMARY_COLUMNS, float("nan")) | {
+        "param": float(value), "period": 0, "status": "ok", "seconds": 0.0}
     t0 = time.perf_counter()
     try:
-        handle = build_handle(raw)
-        x0 = _default_x0(raw)
-        cloud = orbit(handle, x0, _get_int(raw, "n_transient"),
-                      _get_int(raw, "n_keep"))
+        handle = build_handle(cfg)
+        cloud = orbit(handle, cfg["x0"], cfg["n_transient"], cfg["n_keep"])
         period = detect_period(cloud)
         row["period"] = 0 if period == "aperiodic" else int(period)
-        ns = max_lyapunov_norm_sum(handle, x0, _get_int(raw, "lyap_n"),
-                                   _get_int(raw, "n_transient"))
+        ns = max_lyapunov_norm_sum(handle, cfg["x0"], cfg["lyap_n"],
+                                   cfg["n_transient"])
         row["lyap_normsum"] = float(ns.max_exponent)
-        qr = lyapunov_spectrum_qr(handle, x0, _get_int(raw, "lyap_n"),
-                                  _get_int(raw, "n_transient"))
+        qr = lyapunov_spectrum_qr(handle, cfg["x0"], cfg["lyap_n"],
+                                  cfg["n_transient"])
         row["lyap_qr_max"] = float(qr.max_exponent)
-        box = box_counting_dimension(cloud, _get_int(raw, "n_scales"))
+        box = box_counting_dimension(cloud, cfg["n_scales"])
         row["boxdim"] = float(box.dimension)
         row["boxdim_r2"] = float(box.r2)
         write_cloud_csv(out / f"cloud_{idx:03d}.csv", cloud.points)
-        render_raster(cloud.points, _cloud_bounds(cloud.points, raw),
-                      _get_int(raw, "resolution"),
-                      out / f"cloud_{idx:03d}.pgm")
+        render_raster(cloud.points, _cloud_bounds(cloud.points, cfg),
+                      cfg["resolution"], out / f"cloud_{idx:03d}.pgm")
     except (DivergenceError, CycleSearchError, FloatingPointError,
             ValueError, RuntimeError) as exc:
         row["status"] = f"error:{type(exc).__name__}"
@@ -328,39 +350,33 @@ def _sweep_value(args) -> dict:
     return row
 
 
-def run_sweep(raw: dict, out: Path, jobs: int) -> int:
-    name, values = _schedule(raw)
-    tasks = [(raw, name, float(v), i, str(out))
-             for i, v in enumerate(values)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_value, tasks))
-    else:
-        rows = [_sweep_value(t) for t in tasks]
+def run_sweep(cfg: dict, out: Path) -> int:
+    name, values = _schedule(cfg)
+    rows = _map_values(_sweep_value, [(cfg, name, float(v), i, str(out))
+                                      for i, v in enumerate(values)],
+                       cfg["jobs"])
     _write_rows(out / "summary.csv", ",".join(SUMMARY_COLUMNS),
                 ([r[c] for c in SUMMARY_COLUMNS] for r in rows))
     return 0 if all(r["status"] == "ok" for r in rows) else 2
 
 
-def run_orbit(raw: dict, out: Path) -> int:
-    handle = build_handle(raw)
-    cloud = orbit(handle, _default_x0(raw), _get_int(raw, "n_transient"),
-                  _get_int(raw, "n_keep"))
+def run_orbit(cfg: dict, out: Path) -> int:
+    cloud = orbit(build_handle(cfg), cfg["x0"], cfg["n_transient"],
+                  cfg["n_keep"])
     write_cloud_csv(out / "orbit.csv", cloud.points)
-    render_raster(cloud.points, _cloud_bounds(cloud.points, raw),
-                  _get_int(raw, "resolution"), out / "orbit.pgm")
+    render_raster(cloud.points, _cloud_bounds(cloud.points, cfg),
+                  cfg["resolution"], out / "orbit.pgm")
     period = detect_period(cloud)
     (out / "orbit.txt").write_text(f"period={period}\n")
     return 0
 
 
-def run_lyapunov(raw: dict, out: Path) -> int:
-    handle = build_handle(raw)
-    x0 = _default_x0(raw)
-    ns = max_lyapunov_norm_sum(handle, x0, _get_int(raw, "lyap_n"),
-                               _get_int(raw, "n_transient"))
-    qr = lyapunov_spectrum_qr(handle, x0, _get_int(raw, "lyap_n"),
-                              _get_int(raw, "n_transient"))
+def run_lyapunov(cfg: dict, out: Path) -> int:
+    handle = build_handle(cfg)
+    ns = max_lyapunov_norm_sum(handle, cfg["x0"], cfg["lyap_n"],
+                               cfg["n_transient"])
+    qr = lyapunov_spectrum_qr(handle, cfg["x0"], cfg["lyap_n"],
+                              cfg["n_transient"])
     rows = [("norm_sum", 0, float(ns.max_exponent))]
     rows += [("qr", j, float(v)) for j, v in enumerate(qr.spectrum)]
     rows += [("n_used", 0, float(qr.n_used))]
@@ -368,11 +384,10 @@ def run_lyapunov(raw: dict, out: Path) -> int:
     return 0
 
 
-def run_boxdim(raw: dict, out: Path) -> int:
-    handle = build_handle(raw)
-    cloud = orbit(handle, _default_x0(raw), _get_int(raw, "n_transient"),
-                  _get_int(raw, "n_keep"))
-    box = box_counting_dimension(cloud, _get_int(raw, "n_scales"))
+def run_boxdim(cfg: dict, out: Path) -> int:
+    cloud = orbit(build_handle(cfg), cfg["x0"], cfg["n_transient"],
+                  cfg["n_keep"])
+    box = box_counting_dimension(cloud, cfg["n_scales"])
     used = set(int(j) for j in np.asarray(box.scale_window).ravel())
     rows = [(float(s), int(c), int(j in used))
             for j, (s, c) in enumerate(zip(box.scales, box.counts))]
@@ -383,49 +398,40 @@ def run_boxdim(raw: dict, out: Path) -> int:
     return 0
 
 
-def run_hypothesis(raw: dict, out: Path) -> int:
-    handle = build_handle(raw)
-    report = run_hypothesis_report(
-        handle, search_radius=_get_float(raw, "search_radius", "8"),
-        grid=_get_int(raw, "grid", "256"))
+def run_hypothesis(cfg: dict, out: Path) -> int:
+    report = run_hypothesis_report(build_handle(cfg),
+                                   search_radius=cfg["search_radius"],
+                                   grid=cfg["grid"])
     (out / "hypothesis.txt").write_text(report.as_text())
     return 0
 
 
-def run_horseshoe(raw: dict, out: Path) -> int:
-    handle = build_handle(raw)
-    region = _region_from(raw)
-    report = verify_ah(handle, region,
-                       sampling=_get_int(raw, "sampling", "48"))
+def run_horseshoe(cfg: dict, out: Path) -> int:
+    handle = build_handle(cfg)
+    report = verify_ah(handle, _region_from(cfg), sampling=cfg["sampling"])
     (out / "ahreport.txt").write_text(report.as_text())
-    if "box" in raw:
-        box = _get_vec(raw, "box").reshape(2, 2)
-        cycles = find_saddles(handle, box, _get_int(raw, "k_max", "1"),
-                              n_seeds=_get_int(raw, "n_seeds", "12"))
-        rows = []
-        for cyc in cycles:
-            p = cyc.points[0]
-            mods = np.abs(cyc.multipliers)
-            rows.append((cyc.period, float(p[0]), float(p[1]),
-                         float(mods.max()), float(mods.min()),
-                         cyc.stability))
+    if cfg["box"] is not None:
+        cycles = find_saddles(handle, cfg["box"].reshape(2, 2),
+                              cfg["k_max"], n_seeds=cfg["n_seeds"])
+        rows = [(c.period, *map(float, c.points[0]),
+                 float(np.abs(c.multipliers).max()),
+                 float(np.abs(c.multipliers).min()), c.stability)
+                for c in cycles]
         _write_rows(out / "saddles.csv",
                     "period,x1,x2,mod_max,mod_min,stability", rows)
     return 0
 
 
-def run_trellis(raw: dict, out: Path) -> int:
-    handle = build_handle(raw)
-    seed = _get_vec(raw, "saddle_seed")
-    cycle = find_cycle(handle, _get_int(raw, "period", "1"), seed)
+def run_trellis(cfg: dict, out: Path) -> int:
+    handle = build_handle(cfg)
+    cycle = find_cycle(handle, cfg["period"], cfg["saddle_seed"])
     if cycle.stability != "saddle":
         raise DivergenceError("seed did not converge to a saddle")
-    cloud = trace_trellis(handle, cycle,
-                          arc_budget=_get_float(raw, "arc_budget"),
-                          tol=_get_float(raw, "tol"))
+    cloud = trace_trellis(handle, cycle, arc_budget=cfg["arc_budget"],
+                          tol=cfg["tol"])
     write_cloud_csv(out / "trellis.csv", cloud.points)
-    render_raster(cloud.points, _cloud_bounds(cloud.points, raw),
-                  _get_int(raw, "resolution"), out / "trellis.pgm")
+    render_raster(cloud.points, _cloud_bounds(cloud.points, cfg),
+                  cfg["resolution"], out / "trellis.pgm")
     meta = cloud.meta
     lines = [f"component {i}: [{a}, {b})\n"
              for i, (a, b) in enumerate(meta["component_slices"])]
@@ -438,39 +444,48 @@ def run_trellis(raw: dict, out: Path) -> int:
 
 
 def _bifurcation_value(args):
-    raw, name, value, projection = args
-    raw = dict(raw)
-    raw[name] = repr(float(value))
-    handle = build_handle(raw)
-    cloud = orbit(handle, _default_x0(raw), _get_int(raw, "bif_transient"),
-                  _get_int(raw, "bif_keep"))
-    if projection == "norm":
-        proj = np.linalg.norm(cloud.points, axis=1)
-    else:
-        proj = cloud.points[:, int(projection)]
+    cfg, name, value = args
+    cfg = {**cfg, name: float(value)}
+    cloud = orbit(build_handle(cfg), cfg["x0"], cfg["bif_transient"],
+                  cfg["bif_keep"])
+    pts = cloud.points
+    proj = np.linalg.norm(pts, axis=1) if cfg["projection"] == "norm" \
+        else pts[:, int(cfg["projection"])]
     return [(float(value), float(v)) for v in proj]
 
 
-def run_bifurcation(raw: dict, out: Path, jobs: int) -> int:
-    name, values = _schedule(raw, minimum=100)
-    projection = _get(raw, "projection", "norm")
-    if projection != "norm":
-        try:
-            idx = int(projection)
-        except ValueError:
-            raise ConfigError(f"projection must be a coordinate index "
-                              f"or 'norm', got {projection!r}")
-        if not 0 <= idx < 16:
-            raise ConfigError("projection index out of range")
-    tasks = [(raw, name, float(v), projection) for v in values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_bifurcation_value, tasks))
-    else:
-        chunks = [_bifurcation_value(t) for t in tasks]
+def run_bifurcation(cfg: dict, out: Path) -> int:
+    name, values = _schedule(cfg, minimum=100)
+    chunks = _map_values(_bifurcation_value,
+                         [(cfg, name, float(v)) for v in values], cfg["jobs"])
     rows = [row for chunk in chunks for row in chunk]
     _write_rows(out / "bifurcation.csv", "param,value", rows)
     return 0
+
+
+# run(cfg, out) carries out the command and returns its exit code
+Command = namedtuple("Command", "run keys")
+COMMANDS = {
+    "sweep": Command(run_sweep, {
+        **_SCHEDULE, **_ORBIT, "n_keep": N_KEEP, "lyap_n": LYAP_N,
+        "n_scales": N_SCALES, **_RASTER}),
+    "orbit": Command(run_orbit, {**_ORBIT, "n_keep": N_KEEP, **_RASTER}),
+    "lyapunov": Command(run_lyapunov, {**_ORBIT, "lyap_n": LYAP_N}),
+    "boxdim": Command(run_boxdim, {**_ORBIT, "n_keep": N_KEEP,
+                                   "n_scales": N_SCALES}),
+    "hypothesis": Command(run_hypothesis, {
+        "search_radius": Key(FLOAT, 8.0), "grid": Key(INT, 256)}),
+    "horseshoe": Command(run_horseshoe, {
+        "sampling": Key(INT, 48), "box": Key(_vec(4), None),
+        "k_max": Key(INT, 1), "n_seeds": Key(INT, 12), **FRAME_KEYS}),
+    "trellis": Command(run_trellis, {
+        "saddle_seed": Key(_vec(DIM)), "period": Key(INT, 1),
+        "arc_budget": Key(FLOAT, 50.0), "tol": Key(FLOAT, 1e-3), **_RASTER}),
+    "bifurcation": Command(run_bifurcation, {
+        **_SCHEDULE, "bif_transient": Key(INT, 1_000),
+        "bif_keep": Key(INT, 200), "x0": _ORBIT["x0"],
+        "projection": Key(_choice("norm", *map(str, range(DIM))), "norm")}),
+}
 
 
 def main(argv=None) -> int:
@@ -478,42 +493,20 @@ def main(argv=None) -> int:
                      description="attractor toolkit batch runner")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--literal-rotation", action="store_true",
-                        help="use the degenerate rotation form of the "
-                             "gauss family")
+    parser.add_argument("--out", help="sets the config key out")
+    parser.add_argument("--jobs", help="sets the config key jobs")
+    parser.add_argument("--literal-rotation", action="store_const",
+                        const="true", help="use the degenerate rotation "
+                        "form of the gauss family")
     try:
         args = parser.parse_args(argv)
         raw = parse_config(args.config)
-        out = Path(args.out if args.out is not None
-                   else _get(raw, "out", "runs"))
-        jobs = args.jobs if args.jobs is not None else \
-            _get_int(raw, "jobs", str(len(os.sched_getaffinity(0))
-                                      if hasattr(os, "sched_getaffinity")
-                                      else os.cpu_count() or 1))
-        if jobs < 1:
-            raise ConfigError("jobs must be at least 1")
-        if args.literal_rotation:
-            raw["literal_rotation"] = "true"
+        raw.update((k, v) for k in ("out", "jobs", "literal_rotation")
+                   if (v := getattr(args, k)) is not None)
+        cfg = resolve(args.command, raw)
+        out = Path(cfg["out"])
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "sweep":
-            return run_sweep(raw, out, jobs)
-        if args.command == "orbit":
-            return run_orbit(raw, out)
-        if args.command == "lyapunov":
-            return run_lyapunov(raw, out)
-        if args.command == "boxdim":
-            return run_boxdim(raw, out)
-        if args.command == "hypothesis":
-            return run_hypothesis(raw, out)
-        if args.command == "horseshoe":
-            return run_horseshoe(raw, out)
-        if args.command == "trellis":
-            return run_trellis(raw, out)
-        if args.command == "bifurcation":
-            return run_bifurcation(raw, out, jobs)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command].run(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -107,6 +107,17 @@ class StabilityInfo:
     multipliers: np.ndarray
 
 
+def initial_point(handle: MapHandle, x0) -> np.ndarray:
+    """``x0`` as a float array; ValueError unless finite, of shape (dim,)."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (handle.dim,):
+        raise ValueError(f"initial point must have shape ({handle.dim},), "
+                         f"got {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("initial point must be finite")
+    return x0
+
+
 def orbit(handle: MapHandle, x0, n_transient: int, n_keep: int) -> PointCloud:
     """Iterate the map and keep the n_keep points after the transient.
 
@@ -115,9 +126,7 @@ def orbit(handle: MapHandle, x0, n_transient: int, n_keep: int) -> PointCloud:
     for user maps and for cone-restricted built-ins started outside
     their positivity domain).
     """
-    x0 = np.asarray(x0, dtype=float)
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("initial point must be finite")
+    x0 = initial_point(handle, x0)
     if n_transient < 0 or n_keep < 0:
         raise ValueError("iteration counts must be nonnegative")
     if n_keep == 0:

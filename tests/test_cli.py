@@ -1,5 +1,7 @@
 """End-to-end command tests through main(); artifact and exit-code checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,17 +34,17 @@ theta=0.5
 
 
 def test_schedule_counts():
-    name, vals = _schedule({"param": "a", "start": "2.7", "stop": "5.4",
-                            "step": "0.9"})
+    name, vals = _schedule({"param": "a", "start": 2.7, "stop": 5.4,
+                            "step": 0.9})
     assert name == "a"
     np.testing.assert_allclose(vals, [2.7, 3.6, 4.5, 5.4])
-    _, vals = _schedule({"param": "a", "start": "2.7", "stop": "5.39",
-                         "step": "0.9"})
+    _, vals = _schedule({"param": "a", "start": 2.7, "stop": 5.39,
+                         "step": 0.9})
     assert len(vals) == 3
     with pytest.raises(ConfigError):
-        _schedule({"param": "a", "start": "1", "stop": "2", "step": "0"})
+        _schedule({"param": "a", "start": 1.0, "stop": 2.0, "step": 0.0})
     with pytest.raises(ConfigError):
-        _schedule({"param": "a", "start": "3", "stop": "2", "step": "1"})
+        _schedule({"param": "a", "start": 3.0, "stop": 2.0, "step": 1.0})
 
 
 def test_render_raster_geometry(tmp_path):
@@ -424,3 +426,170 @@ resolution = 16
 """)
     assert main(["orbit", "--config", ok,
                  "--out", str(blocker / "sub")]) == 3
+
+
+# the config contract, command by command: (ok config, misspelt key line,
+# the key its message must name, badly typed line, lines that turn the ok
+# config into a numeric failure).  hypothesis and horseshoe have no
+# numeric failure to reach: their batteries report fail or inconclusive
+# rows instead of raising.
+PIONEER = "map = pioneer_climax_full\na = 3\nb = 3\n"
+OUTSIDE_CONE = "x0 = -1,0.5\n"   # the pioneer orbit overflows
+CONTRACT = {
+    "sweep": ("map = gauss_rotation\ntheta = 0.5\nparam = a\nstart = 2.7\n"
+              "stop = 3.6\nstep = 0.9\nn_transient = 10\nn_keep = 1000\n"
+              "lyap_n = 200\nresolution = 8\njobs = 1\n",
+              "lyap_m = 200\n", "lyap_n", "n_keep = many\n",
+              "start = -0.5\n"),
+    "orbit": (PIONEER + "n_transient = 10\nn_keep = 300\nresolution = 8\n",
+              "n_kepe = 300\n", "n_keep", "resolution = big\n",
+              OUTSIDE_CONE),
+    "lyapunov": (PIONEER + "n_transient = 10\nlyap_n = 200\n",
+                 "lyap_m = 200\n", "lyap_n", "lyap_n = 1.5\n",
+                 OUTSIDE_CONE),
+    "boxdim": (PIONEER + "n_transient = 10\nn_keep = 1000\n",
+               "n_scale = 8\n", "n_scales", "n_scales = x\n", OUTSIDE_CONE),
+    "hypothesis": ("map = gauss_rotation\na = 2.7\ntheta = 0.5\ngrid = 16\n",
+                   "gird = 16\n", "grid", "grid = 1e3\n", None),
+    "horseshoe": ("map = model_horseshoe\nsampling = 8\n",
+                  "samplng = 8\n", "sampling", "box = 1,2\n", None),
+    "trellis": ("map = model_horseshoe\nsaddle_seed = 0.05,0.02\n"
+                "arc_budget = 4\nresolution = 8\n",
+                "arc_budgte = 4\n", "arc_budget", "saddle_seed = 0.05\n",
+                "saddle_seed = 0.1,-4.0\n"),
+    "bifurcation": ("map = gauss_rotation\ntheta = 0.5\nparam = a\n"
+                    "start = 2.0\nstop = 2.99\nstep = 0.01\n"
+                    "bif_transient = 10\nbif_keep = 2\njobs = 1\n",
+                    "bif_kep = 2\n", "bif_keep", "projection = 5\n",
+                    "start = -0.5\nstop = 0.49\n"),
+}
+EXIT_CODES = {"ok": 0, "unknown_key": 1, "bad_type": 1, "numeric": 2,
+              "unwritable_out": 3}
+
+
+@pytest.mark.parametrize("command, case", [
+    (command, case) for command in CONTRACT for case in EXIT_CODES
+    if case != "numeric" or CONTRACT[command][4] is not None])
+def test_config_contract_exit_codes(tmp_path, capsys, command, case):
+    ok, typo, near, bad, numeric = CONTRACT[command]
+    text = ok + {"unknown_key": typo, "bad_type": bad,
+                 "numeric": numeric}.get(case, "")
+    out = tmp_path / "run"
+    if case == "unwritable_out":
+        (tmp_path / "file").write_text("x")
+        out = tmp_path / "file" / "sub"
+    code = main([command, "--config", write_cfg(tmp_path, "c.cfg", text),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code == EXIT_CODES[case], err
+    if case == "unknown_key":
+        assert f"did you mean {near!r}?" in err
+    if case == "bad_type":
+        assert err.startswith("config error: config key ")
+
+
+def test_sweep_config_errors_stop_before_any_value(tmp_path, capsys):
+    base = CONTRACT["sweep"][0]
+    for extra, message in [
+            ("a = 3.0\nparam = alpha\n", "'param' must be one of a, theta"),
+            ("param = n_keep\n", "'param' must be one of a, theta"),
+            ("resolution = 9000\n", "'resolution' must be int 1..8192"),
+            ("x0 = 1\n", "'x0' must be float[2]")]:
+        out = tmp_path / "run"
+        assert main(["sweep", "--config",
+                     write_cfg(tmp_path, "s.cfg", base + extra),
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("orbit", "map = gauss_rotation\na = 2.7\ntheta = 0.5\nx0 = 1\n"),
+    ("orbit", "map = gauss_rotation\na = 2.7\ntheta = 0.5\nx0 = 1,2,3\n"),
+    ("bifurcation", CONTRACT["bifurcation"][0] + "projection = 2\n"),
+    ("horseshoe", "map = model_horseshoe\nframe = 1,2,3\n"),
+    ("horseshoe", "map = gauss_rotation\na = 2.7\ntheta = 0.5\n"
+                  "frame_offset = 1\n"),
+    ("trellis", "map = model_horseshoe\nsaddle_seed = 0.05,0.02,0\n"),
+    ("orbit", "map = warp_drive\n"),
+    ("orbit", "a = 2.7\ntheta = 0.5\n"),
+    ("orbit", "map = gauss_rotation\ntheta = 0.5\n"),
+    ("orbit", "map = radial_tent\nmode = spiral\n"),
+    ("orbit", "map = gauss_rotation\na = 2.7\ntheta = 0.5\n"
+              "literal_rotation = maybe\n"),
+    # keys of another family, or of none
+    ("orbit", PIONEER + "literal_rotation = true\n"),
+    ("orbit", PIONEER + "theta = 0.5\n"),
+    ("orbit", "map = gauss_rotation\na = 2.7\ntheta = 0.5\nseed = 3\n"),
+    ("hypothesis", PIONEER + "n_keep = 300\n"),
+])
+def test_config_errors_exit_1(tmp_path, capsys, command, text):
+    out = tmp_path / "run"
+    assert main([command, "--config", write_cfg(tmp_path, "c.cfg", text),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_flags_go_through_the_config_checks(tmp_path, capsys):
+    elsewhere = tmp_path / "elsewhere"
+    cfg = write_cfg(tmp_path, "c.cfg", PIONEER + "n_keep = 300\n"
+                    f"resolution = 8\nout = {elsewhere}\n")
+    out = tmp_path / "run"
+    for flags in (["--jobs", "0"], ["--jobs", "two"], ["--literal-rotation"]):
+        assert main(["orbit", "--config", cfg, "--out", str(out),
+                     *flags]) == 1
+        assert "config key" in capsys.readouterr().err
+    # --out wins over the config key
+    assert main(["orbit", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "orbit.csv").is_file()
+    assert not elsewhere.exists()
+
+
+def test_resolve_fills_typed_defaults():
+    cfg = cli.resolve("orbit", {"map": "pioneer_climax_mixed", "a": "3",
+                                "b": "2.5", "n_keep": "1_000"})
+    assert cfg["a"] == 3.0 and cfg["b"] == 2.5 and cfg["n_keep"] == 1000
+    assert cfg["n_transient"] == 10_000 and cfg["resolution"] == 1024
+    np.testing.assert_array_equal(cfg["x0"], [0.5, 0.5])
+    assert cfg["xmin"] is None and cfg["out"] == "runs" and cfg["jobs"] >= 1
+    cfg = cli.resolve("sweep", {"map": "gauss_rotation", "param": "theta",
+                                "a": "4.4", "start": "0", "stop": "1",
+                                "step": "0.5"})
+    assert cfg["theta"] is None   # the schedule sets it
+    assert cfg["literal_rotation"] is False
+    np.testing.assert_array_equal(cfg["x0"], [0.3, 0.1])
+
+
+def readme_key_rows():
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| keys of | key | type | default |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(tuple(c.strip().strip("`") for c in line.strip("|")
+                          .split("|")))
+    return rows
+
+
+def test_readme_config_table_matches_schema():
+    tables = [("every command", cli.COMMON)]
+    tables += [(name, c.keys) for name, c in cli.COMMANDS.items()]
+    tables += [(name, f.keys) for name, f in cli.FAMILIES.items()]
+    want = [(owner, key) for owner, keys in tables for key in keys]
+    rows = readme_key_rows()
+    assert [(owner, key) for owner, key, _, _ in rows] == want
+    for owner, key, type_name, default in rows:
+        spec = dict(tables)[owner][key]
+        assert type_name == spec.type.name, (owner, key)
+        if spec.default is cli.REQUIRED:
+            assert default == "required", (owner, key)
+        elif spec.default is None:
+            assert default == "unset", (owner, key)
+        elif callable(spec.default):
+            assert default == spec.default.__doc__, (owner, key)
+        else:
+            assert spec.type.parse(default) == spec.default, (owner, key)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from attractorlab.maps import GOLDEN_MEAN, gauss_rotation, pioneer_climax_full, 
 from attractorlab.dynamics import (Cycle, CycleSearchError, DivergenceError,
                                    PointCloud, classify_cycle, detect_period,
                                    find_cycle, orbit)
+from attractorlab.chaos import lyapunov_spectrum_qr, max_lyapunov_norm_sum
 
 
 def linear_map(sx, sy):
@@ -26,6 +29,27 @@ def test_orbit_detects_divergence():
     h = user_map(lambda x: 2.0 * x, 2, batch=lambda p: 2.0 * p)
     with pytest.raises(DivergenceError):
         orbit(h, [1.0, 1.0], 0, 5000)
+
+
+@pytest.mark.parametrize("x0", [[0.3], [0.3, 0.1, 0.5], 0.3, [[0.3, 0.1]]])
+def test_initial_point_must_have_the_map_dimension(x0):
+    # a 3-vector used to lose its last coordinate on the scalar lane, and
+    # a 1-vector raised IndexError
+    h = gauss_rotation(2.7, GOLDEN_MEAN)
+    for run in (lambda: orbit(h, x0, 10, 300),
+                lambda: max_lyapunov_norm_sum(h, x0, 200, 10),
+                lambda: lyapunov_spectrum_qr(h, x0, 200, 10)):
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            run()
+
+
+def test_initial_point_of_a_user_map_in_three_dimensions():
+    h = user_map(lambda x: 0.5 * x, 3, jac=lambda x: 0.5 * np.eye(3))
+    assert orbit(h, [0.3, 0.1, 0.2], 0, 5).dim == 3
+    est = lyapunov_spectrum_qr(h, [0.3, 0.1, 0.2], 200)
+    assert est.max_exponent == pytest.approx(math.log(0.5))
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        orbit(h, [0.3, 0.1], 0, 5)
 
 
 def test_point_cloud_immutable():

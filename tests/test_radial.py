@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from attractorlab.maps import finite_difference_jacobian
 from attractorlab.radial import (MODE_SINK, MODE_SOURCE, RadialTent,
@@ -279,6 +280,33 @@ def test_symbol_code_canonical_forms():
         SymbolCode((), ())
     with pytest.raises(ValueError):
         periodic_code("")
+
+
+binary_words = st.lists(st.integers(0, 1), max_size=6).map(tuple)
+
+
+@given(binary_words, binary_words.filter(bool), st.integers(0, 8),
+       st.integers(1, 4))
+def test_symbol_code_canonical_form_properties(pre, per, k, r):
+    code = SymbolCode(pre, per)
+    n = len(per)
+    # the same sequence spelled with k more preperiod digits, or with the
+    # period word repeated r times
+    unrolled = SymbolCode(pre + (per * (k // n + 1))[:k],
+                          per[k % n:] + per[:k % n])
+    repeated = SymbolCode(pre, per * r)
+    length = len(pre) + k + 2 * n * r
+    naive = (pre + per * length)[:length]
+    for other in (unrolled, repeated):
+        assert other == code
+        assert (other.preperiod, other.period) == \
+            (code.preperiod, code.period)
+        assert other.prefix(length) == code.prefix(length) == naive
+    # canonical: no shorter period word, no preperiod digit to absorb
+    m = len(code.period)
+    assert all(code.period != code.period[:d] * (m // d)
+               for d in range(1, m) if m % d == 0)
+    assert not code.preperiod or code.preperiod[-1] != code.period[-1]
 
 
 def test_symbol_code_digits_and_prefix():
