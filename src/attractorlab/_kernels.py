@@ -135,8 +135,9 @@ def _family(exp):
 
 _step, _jac = _family(math.exp)
 # the handle callables use np.exp: inf instead of OverflowError, so Newton
-# steps that wander far out degrade gracefully
-_np_step, _np_jac = _family(np.exp)
+# steps that wander far out degrade gracefully, without RuntimeWarnings
+_np_step, _np_jac = map(np.errstate(over="ignore", invalid="ignore"),
+                        _family(np.exp))
 
 
 def eval_point(fam, packed, x):

@@ -1,10 +1,10 @@
 """Command line front end: sweeps, orbits, exponents, reports, rasters.
 
 Configs are flat ``key = value`` files; ``#`` starts a comment.  Every
-command writes its artifacts into the output directory: clouds as CSV
-(columns ``i,x1,...,xm``, 17 significant digits, LF line endings) and
-rasters as binary PGM with a log(1 + count) tone map, so two runs of
-the same config produce byte-identical data artifacts.
+command writes its artifacts into the output directory: tables and clouds
+as CSV (LF line endings, floats exactly as ``'%.17g' % x`` but formatted a
+column at a time in NumPy) and rasters as binary PGM with a log(1 + count)
+tone map, so two runs of a config produce byte-identical data artifacts.
 
 Exit codes: 0 success, 1 config error, 2 numeric failure (any
 per-value failure in batch mode), 3 I/O error.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import itertools
 import math
 import os
 import sys
@@ -40,8 +39,9 @@ from .horseshoe import (HorseshoeRegion, RefinementExplosion,
                         trellis as trace_trellis)
 
 MAX_RASTER_SIDE = 8192
+BOUNDS = ("xmin", "xmax", "ymin", "ymax")  # the raster window, if set
 FLOAT_FMT = "%.17g"
-CSV_CHUNK_ROWS = 1024  # rows per write: keeps the writer's memory small
+CSV_CHUNK_ROWS = 1 << 14  # rows per block: bounds the writer's memory
 SUMMARY_COLUMNS = ("param", "period", "lyap_normsum", "lyap_qr_max",
                    "boxdim", "boxdim_r2", "status", "seconds")
 DIM = 2  # every map family the CLI builds is planar
@@ -93,6 +93,10 @@ def _choice(*names: str) -> Type:
     return Type("one of " + ", ".join(names), str, names.__contains__)
 
 
+def _at_least(n: int) -> Type:
+    return Type(f"int >= {n}", INT.parse, (n).__le__)
+
+
 _BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | \
     dict.fromkeys(("0", "false", "no", "off"), False)
 FLOAT, STR = Type("float", float), Type("str", str)
@@ -140,15 +144,14 @@ def _start_point(cfg) -> np.ndarray:
 
 
 COMMON = {"map": Key(_choice(*FAMILIES)), "out": Key(STR, "runs"),
-          "jobs": Key(Type("int >= 1", INT.parse, (1).__le__),
-                      _available_cpus)}
+          "jobs": Key(_at_least(1), _available_cpus)}
 # keys that several commands take
 _SCHEDULE = {"param": Key(Type("float key of map", str)),
              "start": Key(FLOAT), "stop": Key(FLOAT), "step": Key(FLOAT)}
 _ORBIT = {"n_transient": Key(INT, 10_000), "x0": Key(_vec(DIM), _start_point)}
 _RASTER = {"resolution": Key(Type(f"int 1..{MAX_RASTER_SIDE}", INT.parse,
                                   lambda v: 1 <= v <= MAX_RASTER_SIDE), 1024),
-           **dict.fromkeys(("xmin", "xmax", "ymin", "ymax"), Key(FLOAT, None))}
+           **dict.fromkeys(BOUNDS, Key(FLOAT, None))}
 N_KEEP, LYAP_N, N_SCALES = Key(INT, 100_000), Key(INT, 100_000), Key(INT, 8)
 
 
@@ -188,6 +191,8 @@ def resolve(command: str, raw: dict) -> dict:
                                       if key.type is FLOAT)))
     for name, key in keys.items():
         cfg[name] = value(name, key)
+    if 0 < sum(cfg.get(k) is not None for k in BOUNDS) < len(BOUNDS):
+        raise ConfigError("set all or none of xmin, xmax, ymin and ymax")
     return cfg
 
 
@@ -219,36 +224,104 @@ def _schedule(cfg: dict, minimum: int = 1) -> tuple:
 # artifact writers ------------------------------------------------------
 
 
-def _write_rows(path: Path, header: str, rows) -> None:
-    """Write a CSV: floats as FLOAT_FMT, anything else as str().
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # exact doubles
+_ROW = np.arange(22, dtype=np.int8)[:, None]
 
-    The line format is built once from the first row's column types, so
-    every row must share them.  Lines go out in bounded chunks.
-    """
-    rows = iter(rows)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        first = next(rows, None)
-        if first is None:
-            return
-        fmt = ",".join(FLOAT_FMT if isinstance(v, float) else "%s"
-                       for v in first) + "\n"
-        fh.write(fmt % tuple(first))
-        while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
-            fh.write("".join([fmt % tuple(row) for row in chunk]))
+
+def _digits(v, rows) -> None:
+    """Write the ASCII digits of the ints v >= 0 into rows, last row last."""
+    for row in rows[::-1]:
+        q = v // 10  # several times faster than np.divmod
+        row[:] = v - q * 10 + 48
+        v = q
+
+
+def _text_fields(values, fmt: str = "%s", width: int = 1) -> np.ndarray:
+    """fmt % v of each value as NUL-padded uint8 fields, width or wider."""
+    b = np.array([(fmt % v).encode() for v in values] + [bytes(width)])[:-1]
+    return b.view(np.uint8).reshape(len(b), b.itemsize).T
+
+
+def _round_scaled(a, e):
+    """a * 10**(16 - e) rounded half-even to an int64: Dekker's TwoProduct
+    gives it exactly as hi + lo, and hi is even wherever it has 17 digits."""
+    p = _POW10[np.clip(16 - e, 0, 22)]
+    hi = a * p
+    ah, ph = [(c - (c - v)) for v in (a, p) for c in [134217729.0 * v]]
+    al, pl = a - ah, p - ph  # 26-bit halves: their products are exact
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _float_fields(x) -> np.ndarray:
+    """FLOAT_FMT of each float64 of x as (24, len(x)) uint8 fields: from the
+    17 digits of round(|x| * 10**(16 - E)) where the rounded exponent E is
+    in [-4, 16] (%g's fixed notation), else by FLOAT_FMT itself."""
+    a = np.abs(x)
+    fast = (a >= 9e-5) & (a < 1e17)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    d = _round_scaled(a, e)
+    up, down = d >= 10 ** 17, d < 10 ** 16  # E was one off: retry
+    e = e + up - down
+    d[up | down] = _round_scaled(a[up | down], e[up | down])
+    fast &= (e >= -4) & (e <= 16)  # one retry puts d in [1e16, 1e17)
+    # the 21 digits of d * 10**4, with the units digit of x at row p, then
+    # '.', then the fraction; leading and trailing zeros become NUL
+    p = (4 + e).astype(np.int8)
+    digits = np.full((22, len(x)), 48, np.uint8)
+    _digits(d, digits[4:21])
+    left, dot = _ROW <= p, _ROW == p + 1
+    out = np.zeros((24, len(x)), np.uint8)
+    body = out[1:23]
+    body[1:] = digits[:21] * (_ROW[1:] > p + 1)
+    body += digits * left + np.uint8(46) * dot
+    keep = body > 48  # a nonzero digit at or after this row
+    for j in range(20, -1, -1):
+        keep[j] |= keep[j + 1]
+    body *= (keep | left) & (_ROW >= np.minimum(p, 4))
+    out[0] = 45 * (x < 0)
+    slow = ~fast
+    out[:, slow] = _text_fields(x[slow], FLOAT_FMT, 24)
+    return out
+
+
+def _fields(column: np.ndarray) -> np.ndarray:
+    """A column as (width, len) uint8 text fields: float64 as FLOAT_FMT,
+    integers in decimal, anything else as %s."""
+    if column.dtype == np.float64:
+        return _float_fields(column)
+    if column.dtype.kind not in "iu":
+        return _text_fields(column)
+    u = np.abs(column.astype(np.int64)).astype(np.uint64)
+    n = len(str(u.max(initial=0)))
+    out = np.empty((n + 1, len(u)), np.uint8)
+    out[0] = 45 * (column < 0)
+    _digits(u, out[1:])
+    out[1:-1] *= u >= 10 ** np.arange(n - 1, 0, -1, dtype=np.uint64)[:, None]
+    return out
+
+
+def _write_rows(path: Path, header: str, columns) -> None:
+    """Write a CSV of equal-length columns: per chunk, stack each column's
+    fields and a ',' or newline row, transpose, drop the NUL padding."""
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0]) if columns else 0
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
+        for k in range(0, n, CSV_CHUNK_ROWS):
+            m = min(CSV_CHUNK_ROWS, n - k)
+            sep = np.full((len(columns), 1, m), 44, np.uint8)
+            sep[-1] = 10
+            block = [part for c, s in zip(columns, sep)
+                     for part in (_fields(c[k:k + m]), s)]
+            fh.write(np.vstack(block).T.tobytes().translate(None, b"\0"))
 
 
 def write_cloud_csv(path, points: np.ndarray) -> None:
-    points = np.atleast_2d(points)
+    points = np.atleast_2d(points).astype(float, copy=False)
     header = "i," + ",".join(f"x{j + 1}" for j in range(points.shape[1]))
-
-    def rows():
-        for k in range(0, len(points), CSV_CHUNK_ROWS):
-            block = points[k:k + CSV_CHUNK_ROWS].astype(float, copy=False)
-            for i, p in enumerate(block.tolist(), k):
-                yield (i, *p)
-
-    _write_rows(Path(path), header, rows())
+    _write_rows(Path(path), header, [np.arange(len(points)), *points.T])
 
 
 def render_raster(points: np.ndarray, bounds, resolution, path) -> None:
@@ -296,9 +369,8 @@ def render_raster(points: np.ndarray, bounds, resolution, path) -> None:
 
 
 def _cloud_bounds(points: np.ndarray, cfg: dict):
-    given = [cfg[k] for k in ("xmin", "xmax", "ymin", "ymax")]
-    if None not in given:
-        return given[:2], given[2:]
+    if cfg["xmin"] is not None:  # then resolve() saw all four set
+        return (cfg["xmin"], cfg["xmax"]), (cfg["ymin"], cfg["ymax"])
     pts = np.atleast_2d(points)
     if len(pts) == 0:
         return ((0.0, 1.0), (0.0, 1.0))
@@ -356,7 +428,7 @@ def run_sweep(cfg: dict, out: Path) -> int:
                                       for i, v in enumerate(values)],
                        cfg["jobs"])
     _write_rows(out / "summary.csv", ",".join(SUMMARY_COLUMNS),
-                ([r[c] for c in SUMMARY_COLUMNS] for r in rows))
+                [[r[c] for r in rows] for c in SUMMARY_COLUMNS])
     return 0 if all(r["status"] == "ok" for r in rows) else 2
 
 
@@ -366,7 +438,10 @@ def run_orbit(cfg: dict, out: Path) -> int:
     write_cloud_csv(out / "orbit.csv", cloud.points)
     render_raster(cloud.points, _cloud_bounds(cloud.points, cfg),
                   cfg["resolution"], out / "orbit.pgm")
-    period = detect_period(cloud)
+    try:
+        period = detect_period(cloud)
+    except ValueError:  # the cloud is too short to tell
+        period = "undetermined"
     (out / "orbit.txt").write_text(f"period={period}\n")
     return 0
 
@@ -380,7 +455,7 @@ def run_lyapunov(cfg: dict, out: Path) -> int:
     rows = [("norm_sum", 0, float(ns.max_exponent))]
     rows += [("qr", j, float(v)) for j, v in enumerate(qr.spectrum)]
     rows += [("n_used", 0, float(qr.n_used))]
-    _write_rows(out / "lyapunov.csv", "method,component,value", rows)
+    _write_rows(out / "lyapunov.csv", "method,component,value", zip(*rows))
     return 0
 
 
@@ -388,10 +463,9 @@ def run_boxdim(cfg: dict, out: Path) -> int:
     cloud = orbit(build_handle(cfg), cfg["x0"], cfg["n_transient"],
                   cfg["n_keep"])
     box = box_counting_dimension(cloud, cfg["n_scales"])
-    used = set(int(j) for j in np.asarray(box.scale_window).ravel())
-    rows = [(float(s), int(c), int(j in used))
-            for j, (s, c) in enumerate(zip(box.scales, box.counts))]
-    _write_rows(out / "boxdim.csv", "eps,count,used", rows)
+    used = np.isin(np.arange(len(box.counts)), box.scale_window)
+    _write_rows(out / "boxdim.csv", "eps,count,used",
+                [box.scales, box.counts, used.astype(int)])
     (out / "boxdim.txt").write_text(
         f"dimension={box.dimension:.17g}\nr2={box.r2:.17g}\n"
         f"degenerate={box.degenerate}\n")
@@ -418,7 +492,7 @@ def run_horseshoe(cfg: dict, out: Path) -> int:
                  float(np.abs(c.multipliers).min()), c.stability)
                 for c in cycles]
         _write_rows(out / "saddles.csv",
-                    "period,x1,x2,mod_max,mod_min,stability", rows)
+                    "period,x1,x2,mod_max,mod_min,stability", zip(*rows))
     return 0
 
 
@@ -451,15 +525,15 @@ def _bifurcation_value(args):
     pts = cloud.points
     proj = np.linalg.norm(pts, axis=1) if cfg["projection"] == "norm" \
         else pts[:, int(cfg["projection"])]
-    return [(float(value), float(v)) for v in proj]
+    return np.column_stack((np.full(len(proj), float(value)), proj))
 
 
 def run_bifurcation(cfg: dict, out: Path) -> int:
     name, values = _schedule(cfg, minimum=100)
     chunks = _map_values(_bifurcation_value,
                          [(cfg, name, float(v)) for v in values], cfg["jobs"])
-    rows = [row for chunk in chunks for row in chunk]
-    _write_rows(out / "bifurcation.csv", "param,value", rows)
+    _write_rows(out / "bifurcation.csv", "param,value",
+                np.concatenate(chunks).T)
     return 0
 
 
@@ -474,10 +548,13 @@ COMMANDS = {
     "boxdim": Command(run_boxdim, {**_ORBIT, "n_keep": N_KEEP,
                                    "n_scales": N_SCALES}),
     "hypothesis": Command(run_hypothesis, {
-        "search_radius": Key(FLOAT, 8.0), "grid": Key(INT, 256)}),
+        "search_radius": Key(Type("finite float > 0", float,
+                                  lambda v: 0 < v < math.inf), 8.0),
+        "grid": Key(_at_least(2), 256)}),
     "horseshoe": Command(run_horseshoe, {
-        "sampling": Key(INT, 48), "box": Key(_vec(4), None),
-        "k_max": Key(INT, 1), "n_seeds": Key(INT, 12), **FRAME_KEYS}),
+        "sampling": Key(_at_least(2), 48), "box": Key(_vec(4), None),
+        "k_max": Key(_at_least(1), 1), "n_seeds": Key(_at_least(1), 12),
+        **FRAME_KEYS}),
     "trellis": Command(run_trellis, {
         "saddle_seed": Key(_vec(DIM)), "period": Key(INT, 1),
         "arc_budget": Key(FLOAT, 50.0), "tol": Key(FLOAT, 1e-3), **_RASTER}),

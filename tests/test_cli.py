@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attractorlab import cli, horseshoe
 from attractorlab.cli import (ConfigError, main, parse_config, render_raster,
@@ -141,15 +142,62 @@ def per_value_csv(header, rows):
     return ("\n".join(lines) + "\n").encode()
 
 
+def field_texts(values):
+    # the column writer's text of each float64, NUL padding dropped
+    fields = cli._fields(np.asarray(values, dtype=np.float64))
+    return [f.tobytes().replace(b"\0", b"").decode() for f in fields.T]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_float_fields_equal_percent_17g(values):
+    assert field_texts(values) == [cli.FLOAT_FMT % v for v in values]
+
+
+def adversarial_floats():
+    rng = np.random.default_rng(11)
+    values = []
+    # exact ties: |x| * 10**(16 - E) ends in .5 when x = k * 2**(E - 17)
+    # with k odd, for every fixed-notation exponent E that has them
+    for e in range(-4, 16):
+        lo = int(np.ceil(10.0 ** e * 2.0 ** (17 - e)))
+        hi = min(2 ** 53, int(10.0 ** (e + 1) * 2.0 ** (17 - e)))
+        k = rng.integers(lo, hi, 200) | 1
+        values += list(np.ldexp(k.astype(float), e - 17))
+    # ties of 52- and 53-bit odd k at the scale where they occur
+    for bits in (52, 53):
+        k = rng.integers(2 ** (bits - 1), 2 ** bits, 500) | 1
+        values += list(np.ldexp(k.astype(float), -2))
+    for edge in (1e-4, 1e-5, 1e16, 1e17):
+        values += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+    # the exponent estimate floor(log10|x|) is one off for these
+    values += [9.9999999999999995e-05, 9999999999999998.0,
+               99999999999999984.0, 999999999999999.88, 0.99999999999999989]
+    values += [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               np.inf, np.nan, 0.1, 0.5, 1.0, 123.0, 1e15 + 0.5]
+    values += list(rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64)
+                   .view(np.float64))
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def test_float_fields_adversarial_table():
+    values = adversarial_floats()
+    texts = field_texts(values)
+    bad = [(v, t) for v, t in zip(values, texts) if t != cli.FLOAT_FMT % v]
+    assert not bad, bad[:5]
+
+
 def test_write_rows_matches_per_value_format(tmp_path):
     n = 2 * cli.CSV_CHUNK_ROWS + 5
-    rows = [(i, 0.1 * i, np.float64(1.0 / (i + 3)), f"s{i}")
-            for i in range(n)]
-    rows[1] = (1, float("nan"), np.float64(-0.0), "")
-    rows[2] = (2, 1e300, np.float64(float("-inf")), "x y")
+    rows = [(i - 7, 0.1 * i, 1.0 / (i + 3), f"s{i}") for i in range(n)]
+    rows[1] = (1, float("nan"), -0.0, "")
+    rows[2] = (2, 1e300, float("-inf"), "x y")
+    rows[3] = (-2 ** 63, 5e-324, 1e16, "\u00e9t\u00e9")
     path = tmp_path / "mixed.csv"
-    cli._write_rows(path, "i,a,b,s", rows)
-    assert path.read_bytes() == per_value_csv("i,a,b,s", rows)
+    for table in (rows, rows[:1], [(1, 2.5, "ok", True, np.float32(0.1))]):
+        cli._write_rows(path, "h", zip(*table))
+        assert path.read_bytes() == per_value_csv("h", table)
     cli._write_rows(path, "i,a,b,s", [])
     assert path.read_bytes() == b"i,a,b,s\n"
 
@@ -157,7 +205,9 @@ def test_write_rows_matches_per_value_format(tmp_path):
 def test_write_cloud_csv_matches_per_value_format(tmp_path):
     rng = np.random.default_rng(3)
     clouds = [rng.normal(size=(cli.CSV_CHUNK_ROWS + 7, 2)),
+              adversarial_floats()[:30_000].reshape(-1, 3),
               rng.integers(-5, 5, size=(40, 3)),
+              np.array([[0.25, -1e-7]]),
               np.empty((0, 2))]
     path = tmp_path / "cloud.csv"
     for pts in clouds:
@@ -306,6 +356,48 @@ saddle_seed = 0.1,-4.0
                  "--out", str(tmp_path / "run")]) == 2
 
 
+def test_orbit_too_short_to_tell_the_period(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "short.cfg", """
+map = gauss_rotation
+a = 2.7
+theta = 0.5
+n_transient = 10
+n_keep = 191
+resolution = 8
+""")
+    out = tmp_path / "run"
+    assert main(["orbit", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "orbit.txt").read_text() == "period=undetermined\n"
+    assert len((out / "orbit.csv").read_text().splitlines()) == 1 + 191
+    assert (out / "orbit.pgm").is_file()
+
+
+def test_horseshoe_on_a_population_map_prints_no_warnings(tmp_path, capsys):
+    # Newton iterates leave the positivity cone, where the pioneer step
+    # overflows; the built-in handle returns inf/nan without warnings
+    # (pyproject.toml turns any RuntimeWarning into an error)
+    cfg = write_cfg(tmp_path, "hs.cfg", PIONEER + "sampling = 8\n"
+                    "box = 0,8,0,8\nn_seeds = 3\n")
+    assert main(["horseshoe", "--config", cfg,
+                 "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_bifurcation_csv_matches_per_value_format(tmp_path):
+    text = CONTRACT["bifurcation"][0] + "projection = 1\n"
+    out = tmp_path / "run"
+    assert main(["bifurcation", "--config",
+                 write_cfg(tmp_path, "b.cfg", text), "--out", str(out)]) == 0
+    cfg = cli.resolve("bifurcation", parse_config(tmp_path / "b.cfg"))
+    name, values = _schedule(cfg, minimum=100)
+    rows = [(float(v), float(y)) for v in values
+            for _, y in cli._bifurcation_value((cfg, name, v))]
+    assert len(rows) == 200
+    assert (out / "bifurcation.csv").read_bytes() == \
+        per_value_csv("param,value", rows)
+
+
 def test_bifurcation_command(tmp_path):
     cfg = write_cfg(tmp_path, "bif.cfg", """
 map = gauss_rotation
@@ -404,15 +496,9 @@ def test_exit_codes_config_numeric_io(tmp_path):
     with pytest.raises(ConfigError):
         # unknown command is a usage error surfaced as ConfigError
         cli._Parser(prog="x").parse_args(["--bogus"])
-    short = write_cfg(tmp_path, "short.cfg", """
-map = gauss_rotation
-a = 2.7
-theta = 0.5
-n_transient = 10
-n_keep = 50
-""")
-    # too few points for period detection: numeric failure, not a crash
-    assert main(["orbit", "--config", short,
+    diverging = write_cfg(tmp_path, "diverging.cfg", PIONEER + OUTSIDE_CONE)
+    # a pioneer orbit started outside its cone overflows: numeric failure
+    assert main(["orbit", "--config", diverging,
                  "--out", str(tmp_path / "r2")]) == 2
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -430,7 +516,8 @@ resolution = 16
 
 # the config contract, command by command: (ok config, misspelt key line,
 # the key its message must name, badly typed line, lines that turn the ok
-# config into a numeric failure).  hypothesis and horseshoe have no
+# config into a numeric failure, an out-of-range value or an incomplete
+# raster window).  hypothesis and horseshoe have no
 # numeric failure to reach: their batteries report fail or inconclusive
 # rows instead of raising.
 PIONEER = "map = pioneer_climax_full\na = 3\nb = 3\n"
@@ -440,40 +527,43 @@ CONTRACT = {
               "stop = 3.6\nstep = 0.9\nn_transient = 10\nn_keep = 1000\n"
               "lyap_n = 200\nresolution = 8\njobs = 1\n",
               "lyap_m = 200\n", "lyap_n", "n_keep = many\n",
-              "start = -0.5\n"),
+              "start = -0.5\n", "xmin = -5\n"),
     "orbit": (PIONEER + "n_transient = 10\nn_keep = 300\nresolution = 8\n",
               "n_kepe = 300\n", "n_keep", "resolution = big\n",
-              OUTSIDE_CONE),
+              OUTSIDE_CONE, "xmin = -5\nymax = 2\n"),
     "lyapunov": (PIONEER + "n_transient = 10\nlyap_n = 200\n",
                  "lyap_m = 200\n", "lyap_n", "lyap_n = 1.5\n",
-                 OUTSIDE_CONE),
+                 OUTSIDE_CONE, "jobs = 0\n"),
     "boxdim": (PIONEER + "n_transient = 10\nn_keep = 1000\n",
-               "n_scale = 8\n", "n_scales", "n_scales = x\n", OUTSIDE_CONE),
+               "n_scale = 8\n", "n_scales", "n_scales = x\n", OUTSIDE_CONE,
+               "jobs = 0\n"),
     "hypothesis": ("map = gauss_rotation\na = 2.7\ntheta = 0.5\ngrid = 16\n",
-                   "gird = 16\n", "grid", "grid = 1e3\n", None),
+                   "gird = 16\n", "grid", "grid = 1e3\n", None,
+                   "search_radius = nan\n"),
     "horseshoe": ("map = model_horseshoe\nsampling = 8\n",
-                  "samplng = 8\n", "sampling", "box = 1,2\n", None),
+                  "samplng = 8\n", "sampling", "box = 1,2\n", None,
+                  "sampling = 1\n"),
     "trellis": ("map = model_horseshoe\nsaddle_seed = 0.05,0.02\n"
                 "arc_budget = 4\nresolution = 8\n",
                 "arc_budgte = 4\n", "arc_budget", "saddle_seed = 0.05\n",
-                "saddle_seed = 0.1,-4.0\n"),
+                "saddle_seed = 0.1,-4.0\n", "ymin = 0\n"),
     "bifurcation": ("map = gauss_rotation\ntheta = 0.5\nparam = a\n"
                     "start = 2.0\nstop = 2.99\nstep = 0.01\n"
                     "bif_transient = 10\nbif_keep = 2\njobs = 1\n",
                     "bif_kep = 2\n", "bif_keep", "projection = 5\n",
-                    "start = -0.5\nstop = 0.49\n"),
+                    "start = -0.5\nstop = 0.49\n", "jobs = 0\n"),
 }
 EXIT_CODES = {"ok": 0, "unknown_key": 1, "bad_type": 1, "numeric": 2,
-              "unwritable_out": 3}
+              "out_of_range": 1, "unwritable_out": 3}
 
 
 @pytest.mark.parametrize("command, case", [
     (command, case) for command in CONTRACT for case in EXIT_CODES
     if case != "numeric" or CONTRACT[command][4] is not None])
 def test_config_contract_exit_codes(tmp_path, capsys, command, case):
-    ok, typo, near, bad, numeric = CONTRACT[command]
-    text = ok + {"unknown_key": typo, "bad_type": bad,
-                 "numeric": numeric}.get(case, "")
+    ok, typo, near, bad, numeric, out_of_range = CONTRACT[command]
+    text = ok + {"unknown_key": typo, "bad_type": bad, "numeric": numeric,
+                 "out_of_range": out_of_range}.get(case, "")
     out = tmp_path / "run"
     if case == "unwritable_out":
         (tmp_path / "file").write_text("x")
@@ -487,6 +577,8 @@ def test_config_contract_exit_codes(tmp_path, capsys, command, case):
         assert f"did you mean {near!r}?" in err
     if case == "bad_type":
         assert err.startswith("config error: config key ")
+    if case == "out_of_range":
+        assert err.startswith("config error: ") and not out.exists()
 
 
 def test_sweep_config_errors_stop_before_any_value(tmp_path, capsys):
@@ -523,6 +615,15 @@ def test_sweep_config_errors_stop_before_any_value(tmp_path, capsys):
     ("orbit", PIONEER + "theta = 0.5\n"),
     ("orbit", "map = gauss_rotation\na = 2.7\ntheta = 0.5\nseed = 3\n"),
     ("hypothesis", PIONEER + "n_keep = 300\n"),
+    # out of the ranges the library states, or an incomplete raster window
+    ("horseshoe", "map = model_horseshoe\nsampling = 0\n"),
+    ("horseshoe", "map = model_horseshoe\nbox = 0,1,0,1\nk_max = 0\n"),
+    ("horseshoe", "map = model_horseshoe\nbox = 0,1,0,1\nn_seeds = 0\n"),
+    ("hypothesis", PIONEER + "search_radius = -1\n"),
+    ("hypothesis", PIONEER + "search_radius = 0\n"),
+    ("hypothesis", PIONEER + "search_radius = inf\n"),
+    ("hypothesis", PIONEER + "grid = 1\n"),
+    ("orbit", PIONEER + "xmin = -5\nxmax = 5\nymin = -5\n"),
 ])
 def test_config_errors_exit_1(tmp_path, capsys, command, text):
     out = tmp_path / "run"
