@@ -1,18 +1,20 @@
 """Hot iteration kernels: orbit, norm-sum Lyapunov and QR Lyapunov.
 
-Each built-in planar family is defined once, by the step and analytic
-Jacobian in ``_family`` below, which takes the exponential as an
-argument.  Built over ``math.exp`` it is the scalar definition
-``_step``/``_jac``; built over ``np.exp`` it is the NumPy form
-``_np_step``/``_np_jac``, which also takes column arrays.
-``_make_loops`` turns the scalar definition into the three kernel loops,
-and ``eval_point``/``eval_block``/``jac_point`` wrap the NumPy form as a
+Each built-in planar family is defined once, by the step and the
+tangent (image plus analytic Jacobian, sharing each exponential) in
+``_family`` below, which takes the exponential as an argument.  Built
+over ``math.exp`` it is the scalar definition ``_step``/``_tangent``;
+built over ``np.exp`` it is the NumPy form ``_np_step``/``_np_tangent``,
+which also takes column arrays.  ``_make_loops`` turns the scalar
+definition into the three kernel loops: the orbit loop calls ``step``,
+the norm-sum and QR loops call ``tangent`` once per step.
+``eval_point``/``eval_block``/``jac_point`` wrap the NumPy form as a
 built-in handle's ``eval``/``eval_many``/``jac``.  Three lanes run the
 kernels:
 
 * compiled: the loops ``njit``-ed over ``njit`` versions of ``_step``
-  and ``_jac``; used for built-in families when numba is importable and
-  not disabled.
+  and ``_tangent``; used for built-in families when numba is importable
+  and not disabled.
 * scalar Python: the same loops over the plain functions, run by the
   interpreter.  Closed-form 2x2 arithmetic on floats, with no array or
   LAPACK call per step; used for built-in families whenever the
@@ -58,7 +60,7 @@ _DISABLED = os.environ.get("ATTRACTORLAB_NO_NUMBA", "").strip().lower() in (
 )
 USE_NUMBA = HAVE_NUMBA and not _DISABLED
 
-# family codes of the built-in families, dispatched on inside _step/_jac
+# family codes of the built-in families, dispatched on inside _step/_tangent
 FAM_GAUSS_LITERAL = 0
 FAM_GAUSS = 1
 FAM_PIONEER_FULL = 2
@@ -66,10 +68,11 @@ FAM_PIONEER_MIXED = 3
 
 
 def _family(exp):
-    """The built-in families' step and analytic Jacobian over ``exp``.
+    """The built-in families' step and tangent over ``exp``.
 
     ``step(fam, pa, pb, pc, x1, x2)`` returns the image (y1, y2) and
-    ``jac`` the Jacobian entries (j11, j12, j21, j22).  With ``math.exp``
+    ``tangent`` the image and the Jacobian entries (y1, y2, j11, j12, j21,
+    j22), bit for bit the same image as ``step``.  With ``math.exp``
     they are the scalar definition run by the kernel loops; with
     ``np.exp`` the same code also takes column arrays for x1/x2 and
     returns ``inf`` where ``math.exp`` raises ``OverflowError``.
@@ -95,49 +98,42 @@ def _family(exp):
         y2 = x2 * (0.2 * x1 + 0.8 * x2) * exp(pb - 0.2 * x1 - 0.8 * x2)
         return y1, y2
 
-    def jac(fam, pa, pb, pc, x1, x2):
+    def tangent(fam, pa, pb, pc, x1, x2):
+        # one exp per factor serves both the image and the Jacobian; the
+        # image is computed by the same operations as ``step``
         if fam == FAM_GAUSS:
             w = pa * exp(-(x1 * x1 + x2 * x2))
             u1 = x1 * pb - x2 * pc
             u2 = x1 * pc + x2 * pb
-            return (
-                w * (pb - 2.0 * u1 * x1),
-                w * (-pc - 2.0 * u1 * x2),
-                w * (pc - 2.0 * u2 * x1),
-                w * (pb - 2.0 * u2 * x2),
-            )
+            return (w * u1, w * u2,
+                    w * (pb - 2.0 * u1 * x1), w * (-pc - 2.0 * u1 * x2),
+                    w * (pc - 2.0 * u2 * x1), w * (pb - 2.0 * u2 * x2))
         if fam == FAM_GAUSS_LITERAL:
             w = pa * exp(-(x1 * x1 + x2 * x2))
             t = x1 * pb - x2 * pc
             j11 = w * (pb - 2.0 * t * x1)
             j12 = w * (-pc - 2.0 * t * x2)
-            return j11, j12, j11, j12
+            return w * t, w * t, j11, j12, j11, j12
         if fam == FAM_PIONEER_FULL:
             e1 = exp(pa - 0.8 * x1 - 0.2 * x2)
-            j11 = e1 * (1.0 - 0.8 * x1)
             j12 = -0.2 * x1 * e1
-            p = 0.2 * x1 + 0.8 * x2
-            e2 = exp(pb - 0.2 * x1 - 0.8 * x2)
-            j21 = 0.2 * x2 * e2 * (1.0 - p)
-            j22 = e2 * (p + 0.8 * x2 * (1.0 - p))
-            return j11, j12, j21, j22
-        # FAM_PIONEER_MIXED
-        e1 = exp(pa - 0.8 * x1)
-        j11 = e1 * (1.0 - 0.8 * x1)
+        else:  # FAM_PIONEER_MIXED
+            e1 = exp(pa - 0.8 * x1)
+            j12 = 0.0
         p = 0.2 * x1 + 0.8 * x2
         e2 = exp(pb - 0.2 * x1 - 0.8 * x2)
-        j21 = 0.2 * x2 * e2 * (1.0 - p)
-        j22 = e2 * (p + 0.8 * x2 * (1.0 - p))
-        return j11, 0.0, j21, j22
+        return (x1 * e1, x2 * p * e2,
+                e1 * (1.0 - 0.8 * x1), j12,
+                0.2 * x2 * e2 * (1.0 - p), e2 * (p + 0.8 * x2 * (1.0 - p)))
 
-    return step, jac
+    return step, tangent
 
 
-_step, _jac = _family(math.exp)
+_step, _tangent = _family(math.exp)
 # the handle callables use np.exp: inf instead of OverflowError, so Newton
 # steps that wander far out degrade gracefully, without RuntimeWarnings
-_np_step, _np_jac = map(np.errstate(over="ignore", invalid="ignore"),
-                        _family(np.exp))
+_np_step, _np_tangent = map(np.errstate(over="ignore", invalid="ignore"),
+                            _family(np.exp))
 
 
 def eval_point(fam, packed, x):
@@ -153,24 +149,25 @@ def eval_block(fam, packed, pts):
 
 def jac_point(fam, packed, x):
     """Analytic (2, 2) Jacobian of built-in family ``fam`` at x."""
-    j11, j12, j21, j22 = _np_jac(fam, *packed, x[0], x[1])
+    j11, j12, j21, j22 = _np_tangent(fam, *packed, x[0], x[1])[2:]
     return np.array([[j11, j12], [j21, j22]])
 
 
-def _make_loops(step, jac):
-    """The orbit, norm-sum and QR loops over one step/Jacobian definition.
+def _make_loops(step, tangent):
+    """The orbit, norm-sum and QR loops over one step/tangent definition.
 
-    Called with the scalar ``_step``/``_jac`` for the scalar Python lane
+    Called with the scalar ``_step``/``_tangent`` for the scalar Python lane
     and with their ``njit`` versions for the compiled lane.
     """
 
     def orbit(fam, pa, pb, pc, x1, x2, n_transient, n_keep, out):
         for _ in range(n_transient):
             x1, x2 = step(fam, pa, pb, pc, x1, x2)
+        col1, col2 = out[:, 0], out[:, 1]
         for i in range(n_keep):
             x1, x2 = step(fam, pa, pb, pc, x1, x2)
-            out[i, 0] = x1
-            out[i, 1] = x2
+            col1[i] = x1
+            col2[i] = x2
         return out
 
     def norm_sum(fam, pa, pb, pc, x1, x2, n_transient, n, stride, trace):
@@ -180,7 +177,7 @@ def _make_loops(step, jac):
         degenerate = False
         k_used = 0
         for k in range(n):
-            j11, j12, j21, j22 = jac(fam, pa, pb, pc, x1, x2)
+            y1, y2, j11, j12, j21, j22 = tangent(fam, pa, pb, pc, x1, x2)
             # spectral norm (largest singular value), closed form
             q = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
             d = j11 * j22 - j12 * j21
@@ -193,7 +190,7 @@ def _make_loops(step, jac):
             k_used = k + 1
             if k_used % stride == 0:
                 trace[k_used // stride - 1] = total / k_used
-            x1, x2 = step(fam, pa, pb, pc, x1, x2)
+            x1, x2 = y1, y2
         value = total / k_used if k_used > 0 else 0.0
         return value, k_used, degenerate
 
@@ -210,7 +207,7 @@ def _make_loops(step, jac):
         deg2 = False
         k_used = 0
         for k in range(n):
-            j11, j12, j21, j22 = jac(fam, pa, pb, pc, x1, x2)
+            y1, y2, j11, j12, j21, j22 = tangent(fam, pa, pb, pc, x1, x2)
             v11 = j11 * q11 + j12 * q21
             v21 = j21 * q11 + j22 * q21
             v12 = j11 * q12 + j12 * q22
@@ -237,7 +234,7 @@ def _make_loops(step, jac):
             if k_used % stride == 0:
                 trace[k_used // stride - 1, 0] = s1 / k_used
                 trace[k_used // stride - 1, 1] = s2 / k_used
-            x1, x2 = step(fam, pa, pb, pc, x1, x2)
+            x1, x2 = y1, y2
         e1 = s1 / k_used if k_used > 0 else 0.0
         e2 = s2 / k_used if k_used > 0 else 0.0
         return e1, e2, k_used, deg1, deg2
@@ -245,13 +242,13 @@ def _make_loops(step, jac):
     return {"orbit": orbit, "norm_sum": norm_sum, "qr": qr}
 
 
-_PY_LOOPS = _make_loops(_step, _jac)
+_PY_LOOPS = _make_loops(_step, _tangent)
 
 if HAVE_NUMBA:
     _NB_LOOPS = {
         name: njit(cache=True)(loop)
         for name, loop in _make_loops(
-            njit(cache=True)(_step), njit(cache=True)(_jac)
+            njit(cache=True)(_step), njit(cache=True)(_tangent)
         ).items()
     }
 

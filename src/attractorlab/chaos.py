@@ -19,6 +19,7 @@ from .dynamics import DivergenceError, PointCloud, initial_point
 
 TRACE_STRIDE = 100
 MAX_SCALES = 61     # the finest box index must fit in int64
+MIN_BOX_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:
     if pts is None:
         pts = np.asarray(cloud, dtype=float)
     n_pts, m = pts.shape
-    if n_pts < 1000:
+    if n_pts < MIN_BOX_POINTS:
         raise ValueError(f"cloud too small for box counting: {n_pts} points")
     if n_scales < 5:
         raise ValueError("need at least 5 scales")
@@ -130,10 +131,22 @@ def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:
                               scale_window=np.empty(0, int), degenerate=True)
     scales = diag / 4.0 / (2.0 ** np.arange(n_scales))
     counts = np.empty(n_scales, dtype=np.int64)
+    # the rungs halve exactly, so rung i's box index is the finest one
+    # shifted right by n_scales-1-i, and the distinct shifted Morton keys
+    # of one sort count every rung; the finest index is < 2^(n_scales+2)
+    morton = m * (n_scales + 2) <= 63
+    if morton:
+        key = np.sort(_morton_key(
+            np.floor((pts - mins) / scales[-1]).astype(np.int64),
+            n_scales + 2))
     kept = []
     for i, eps in enumerate(scales):
-        idx = np.floor((pts - mins) / eps).astype(np.int64)
-        counts[i] = _occupied_boxes(idx)
+        if morton:
+            shift = m * (n_scales - 1 - i)
+            counts[i] = 1 + np.count_nonzero(np.diff(key >> shift))
+        else:
+            idx = np.floor((pts - mins) / eps).astype(np.int64)
+            counts[i] = _occupied_boxes(idx)
         if counts[i] > n_pts / 10:
             counts = counts[:i + 1]
             scales = scales[:i + 1]
@@ -169,3 +182,17 @@ def _occupied_boxes(idx: np.ndarray) -> int:
         key *= sizes[j]
         key += idx[:, j]
     return len(np.unique(key))
+
+
+def _morton_key(idx: np.ndarray, bits: int) -> np.ndarray:
+    """Interleave the low ``bits`` bits of each column of an (n, m) index.
+
+    Bit b of column j lands at bit m*b + j, so ``key >> (m*k)`` is the
+    key of ``idx >> k`` and sorting by key groups every coarser box.
+    """
+    m = idx.shape[1]
+    key = np.zeros(len(idx), dtype=np.int64)
+    for b in range(bits):
+        for j in range(m):
+            key |= ((idx[:, j] >> b) & 1) << (m * b + j)
+    return key

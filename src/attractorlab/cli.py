@@ -31,7 +31,7 @@ from .maps import (MapHandle, gauss_rotation, pioneer_climax_full,
 from .dynamics import (DivergenceError, CycleSearchError, orbit,
                        detect_period, find_cycle)
 from .chaos import (max_lyapunov_norm_sum, lyapunov_spectrum_qr,
-                    box_counting_dimension)
+                    box_counting_dimension, MIN_BOX_POINTS)
 from .hypotheses import run_hypothesis_report
 from .radial import radial_tent_map, MODE_SOURCE, MODE_SINK
 from .horseshoe import (HorseshoeRegion, RefinementExplosion,
@@ -350,7 +350,8 @@ def render_raster(points: np.ndarray, bounds, resolution, path) -> None:
                       0, w - 1)
         row = np.clip(((ymax - y) / (ymax - ymin) * h).astype(np.int64),
                       0, h - 1)
-        np.add.at(counts, (row, col), 1)
+        counts = np.bincount(row * w + col,
+                             minlength=h * w).reshape(h, w)
     total = int(counts.sum())
     if total == 0:
         warnings.warn("raster rendered from an empty cloud")
@@ -401,17 +402,21 @@ def _sweep_value(args) -> dict:
     try:
         handle = build_handle(cfg)
         cloud = orbit(handle, cfg["x0"], cfg["n_transient"], cfg["n_keep"])
-        period = detect_period(cloud)
-        row["period"] = 0 if period == "aperiodic" else int(period)
+        try:
+            period = detect_period(cloud)
+        except ValueError:  # the cloud is too short to tell
+            period = "undetermined"
+        row["period"] = 0 if period == "aperiodic" else period
         ns = max_lyapunov_norm_sum(handle, cfg["x0"], cfg["lyap_n"],
                                    cfg["n_transient"])
         row["lyap_normsum"] = float(ns.max_exponent)
         qr = lyapunov_spectrum_qr(handle, cfg["x0"], cfg["lyap_n"],
                                   cfg["n_transient"])
         row["lyap_qr_max"] = float(qr.max_exponent)
-        box = box_counting_dimension(cloud, cfg["n_scales"])
-        row["boxdim"] = float(box.dimension)
-        row["boxdim_r2"] = float(box.r2)
+        if len(cloud.points) >= MIN_BOX_POINTS:  # else boxdim stays nan
+            box = box_counting_dimension(cloud, cfg["n_scales"])
+            row["boxdim"] = float(box.dimension)
+            row["boxdim_r2"] = float(box.r2)
         write_cloud_csv(out / f"cloud_{idx:03d}.csv", cloud.points)
         render_raster(cloud.points, _cloud_bounds(cloud.points, cfg),
                       cfg["resolution"], out / f"cloud_{idx:03d}.pgm")

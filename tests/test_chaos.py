@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from attractorlab import chaos
+from attractorlab import _kernels, chaos
 from attractorlab.maps import (GOLDEN_MEAN, gauss_rotation,
-                               pioneer_climax_full, user_map)
+                               pioneer_climax_full, pioneer_climax_mixed,
+                               user_map)
 from attractorlab.dynamics import DivergenceError, PointCloud
 from attractorlab.chaos import (box_counting_dimension, lyapunov_spectrum_qr,
                                 max_lyapunov_norm_sum)
@@ -198,3 +201,99 @@ def test_boxdim_finest_allowed_ladder_counts_stay_exact():
     assert np.all(np.diff(res.counts) >= 0)
     assert res.counts.max() <= 50
     assert res.counts[-1] == 50
+
+
+# Box-counting oracles.  A cloud is either up to 40 points repeated to
+# 1000 rows, which never saturates, so every rung of even a very fine
+# ladder is counted, or a random normal cloud, which saturates.
+# Ladders are drawn on both sides of the switch from one Morton sort
+# (m * (n_scales + 2) <= 63 bits) to the per-rung path: 29 | 30 scales in
+# 2-D and 19 | 20 in 3-D.
+LADDERS = {2: [5, 8, 29, 30], 3: [5, 8, 19, 20]}
+
+
+@st.composite
+def box_clouds(draw):
+    m = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        distinct = draw(arrays(
+            np.float64, st.tuples(st.integers(1, 40), st.just(m)),
+            elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+        pts = np.tile(distinct, (-(-1000 // len(distinct)), 1))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        pts = rng.normal(size=(draw(st.integers(1000, 3000)), m))
+    return pts, draw(st.sampled_from(LADDERS[m]))
+
+
+@given(box_clouds())
+def test_boxdim_counts_match_row_unique_reference_on_any_ladder(cloud):
+    pts, n_scales = cloud
+    res = box_counting_dimension(pts, n_scales=n_scales)
+    assert list(res.counts) == row_unique_counts(pts, res.scales)
+
+
+@given(box_clouds(), st.sampled_from([-3, 5, 17]), st.integers(0, 2 ** 32 - 1))
+def test_boxdim_counts_invariant_under_dyadic_scaling_and_permutation(
+        cloud, k, seed):
+    # scaling by 2^k is exact in binary floating point, and the grid is
+    # anchored at the bounding-box corner, so no count may move
+    pts, n_scales = cloud
+    want = box_counting_dimension(pts, n_scales=n_scales)
+    moved = np.random.default_rng(seed).permutation(pts) * 2.0 ** k
+    got = box_counting_dimension(moved, n_scales=n_scales)
+    assert np.array_equal(got.counts, want.counts)
+    assert np.array_equal(got.scales, want.scales * 2.0 ** k)
+
+
+# QR oracles on the closed-form tangent loops, over gauss and pioneer
+# parameters and start points
+@st.composite
+def tangent_orbits(draw):
+    if draw(st.booleans()):
+        h = gauss_rotation(draw(st.floats(0.5, 6.0)), draw(st.floats(0, 1)))
+        x0 = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 2))
+    else:
+        family = draw(st.sampled_from([pioneer_climax_full,
+                                       pioneer_climax_mixed]))
+        h = family(draw(st.floats(1.0, 3.5)), draw(st.floats(1.0, 3.5)))
+        x0 = draw(st.tuples(*[st.floats(0.05, 3.0)] * 2))
+    return h, np.array(x0)
+
+
+N_TRANSIENT, N_QR = 50, 1000
+
+
+def jacobians_along(h, x0, n_transient, n):
+    """(j11, j12, j21, j22) at the n orbit points after n_transient steps,
+    the points at which the tangent loops take their Jacobians."""
+    path = _kernels.run_orbit(h, x0, 0, n_transient + n)
+    pts = np.vstack([x0, path])[n_transient:n_transient + n]
+    return _kernels._np_tangent(h.family_code, *h.packed,
+                                pts[:, 0], pts[:, 1])[2:]
+
+
+@given(tangent_orbits())
+def test_qr_spectrum_sum_is_mean_log_abs_det(case):
+    # r11 * r22 = |det J| at every Gram-Schmidt step, so lambda1 + lambda2
+    # is the mean of log|det J| along the same orbit.  Gram-Schmidt
+    # rounds log r22 by about eps * cond(J), so orbits through nearly
+    # singular Jacobians (superstable cycles) are left out.
+    h, x0 = case
+    est = lyapunov_spectrum_qr(h, x0, N_QR, N_TRANSIENT)
+    j11, j12, j21, j22 = jacobians_along(h, x0, N_TRANSIENT, N_QR)
+    det = np.abs(j11 * j22 - j12 * j21)
+    assume(not est.degenerate and det.min() > 0.0)
+    assume(np.mean((j11**2 + j12**2 + j21**2 + j22**2) / det) < 1e3)
+    assert est.spectrum.sum() == pytest.approx(np.mean(np.log(det)),
+                                               abs=1e-12)
+
+
+@given(tangent_orbits())
+def test_norm_sum_bounds_every_qr_exponent(case):
+    # ||J q|| <= ||J|| for any unit q, step by step, on the same orbit
+    h, x0 = case
+    ns = max_lyapunov_norm_sum(h, x0, N_QR, N_TRANSIENT)
+    qr = lyapunov_spectrum_qr(h, x0, N_QR, N_TRANSIENT)
+    assume(not qr.degenerate)
+    assert ns.max_exponent >= qr.max_exponent - 1e-12

@@ -466,6 +466,28 @@ def test_sweep_summary_and_reproducibility(tmp_path):
             assert a == b
 
 
+@pytest.mark.parametrize("n_keep, period", [(150, "undetermined"),
+                                             (500, "0")])
+def test_sweep_short_clouds_are_not_failures(tmp_path, n_keep, period):
+    # below 192 points the period is undetermined and below 1000 the box
+    # count is nan, as for `orbit`; the exponents and the cloud are kept
+    cfg = write_cfg(tmp_path, "sweep.cfg", SWEEP_CFG.replace(
+        "stop = 4.5", "stop = 4.4").replace("n_keep = 2000",
+                                            f"n_keep = {n_keep}"))
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", cfg, "--out", str(out),
+                 "--jobs", "1"]) == 0
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert len(lines) == 3
+    for i, line in enumerate(lines[1:]):
+        _, got, ns, qr, dim, r2, status, _ = line.split(",")
+        assert (got, dim, r2, status) == (period, "nan", "nan", "ok")
+        assert np.isfinite([float(ns), float(qr)]).all()
+        cloud = (out / f"cloud_{i:03d}.csv").read_text().splitlines()
+        assert len(cloud) == 1 + n_keep
+        assert (out / f"cloud_{i:03d}.pgm").is_file()
+
+
 def test_sweep_bad_value_exits_2_with_summary(tmp_path):
     cfg = write_cfg(tmp_path, "sweep.cfg", """
 map = gauss_rotation

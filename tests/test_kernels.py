@@ -16,6 +16,7 @@ amplify rounding (contracting or neutral regimes).
 """
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -160,6 +161,30 @@ def test_builtin_kernels_never_call_handle_callables():
                                          force_python=force_python)[1] == 100
             assert _kernels.run_qr(bare, x0, 10, 100, 10,
                                    force_python=force_python)[1] == 100
+
+
+def test_tangent_loops_take_one_exp_per_factor_per_step():
+    # norm-sum and QR advance with the image that tangent computes along
+    # with the Jacobian, so each step evaluates each exp factor once:
+    # one per step for the gauss families, two for the pioneer ones
+    calls = []
+
+    def counting_exp(v):
+        calls.append(v)
+        return math.exp(v)
+
+    loops = _kernels._make_loops(*_kernels._family(counting_exp))
+    n_transient, n, stride = 30, 200, 10
+    for h in handles():
+        per_step = 2 if h.cone else 1
+        # k_used is item 1 of the norm-sum result and item 2 of the QR one
+        for name, trace, k_at in (("norm_sum", np.empty(n // stride), 1),
+                                  ("qr", np.empty((n // stride, 2)), 2)):
+            calls.clear()
+            res = loops[name](h.family_code, *h.packed, *start_for(h),
+                              n_transient, n, stride, trace)
+            assert res[k_at] == n
+            assert len(calls) == per_step * (n_transient + n)
 
 
 def test_builtin_overflow_reruns_on_generic_lane():

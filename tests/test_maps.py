@@ -163,31 +163,46 @@ def test_builtin_handles_pickle():
         assert np.array_equal(back.eval_many(pts), h.eval_many(pts))
 
 
-def scalar_form(step, jac, h, pts):
+def scalar_form(step, tangent, h, pts):
     """A definition evaluated one Python-float point at a time."""
     images = np.array([step(h.family_code, *h.packed, float(u), float(v))
                        for u, v in pts])
-    jacs = np.array([jac(h.family_code, *h.packed, float(u), float(v))
+    jacs = np.array([tangent(h.family_code, *h.packed,
+                             float(u), float(v))[2:]
                      for u, v in pts]).reshape(-1, 2, 2)
     return images, jacs
 
 
 def test_handle_callables_are_the_kernel_definition():
     pts = grid_points()
-    np_step, np_jac = _kernels._family(np.exp)
+    np_step, np_tangent = _kernels._family(np.exp)
     for h in builtin_handles():
         ev = np.array([h.eval(p) for p in pts])
         ev_many = h.eval_many(pts)
         jc = np.array([h.jac(p) for p in pts])
         # over the same exponential, bit for bit the scalar definition
-        images, jacs = scalar_form(np_step, np_jac, h, pts)
+        images, jacs = scalar_form(np_step, np_tangent, h, pts)
         assert np.array_equal(ev, images)
         assert np.array_equal(ev_many, images)
         assert np.array_equal(jc, jacs)
-        # the kernel loops' _step/_jac use math.exp, which differs from
+        # the kernel loops' _step/_tangent use math.exp, which differs from
         # np.exp by one ulp on some arguments; exp is a factor of every
         # entry, so the gap stays within a few ulps
-        images, jacs = scalar_form(_kernels._step, _kernels._jac, h, pts)
+        images, jacs = scalar_form(_kernels._step, _kernels._tangent, h, pts)
         np.testing.assert_allclose(ev, images, rtol=1e-15, atol=0)
         np.testing.assert_allclose(ev_many, images, rtol=1e-15, atol=0)
         np.testing.assert_allclose(jc, jacs, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("exp", [math.exp, np.exp])
+def test_tangent_image_is_the_step_bit_for_bit(exp):
+    # the norm-sum and QR loops advance with tangent's image, so it must
+    # be the orbit loop's step exactly, for every family code
+    step, tangent = _kernels._family(exp)
+    pts = grid_points()
+    assert sorted(h.family_code for h in builtin_handles()) == [0, 1, 2, 3]
+    for h in builtin_handles():
+        for u, v in pts:
+            args = (h.family_code, *h.packed, float(u), float(v))
+            image = np.array(tangent(*args)[:2], dtype=float)
+            assert image.tobytes() == np.array(step(*args)).tobytes()
