@@ -8,9 +8,9 @@ built over ``np.exp`` it is the NumPy form ``_np_step``/``_np_tangent``,
 which also takes column arrays.  ``_make_loops`` turns the scalar
 definition into the three kernel loops: the orbit loop calls ``step``,
 the norm-sum and QR loops call ``tangent`` once per step.
-``eval_point``/``eval_block``/``jac_point`` wrap the NumPy form as a
-built-in handle's ``eval``/``eval_many``/``jac``.  Three lanes run the
-kernels:
+``eval_point``/``eval_block``/``jac_point``/``jac_block``/``tangent_point``
+wrap the NumPy form as a built-in handle's ``eval``/``eval_many``/``jac``/
+``jac_many``/``tangent``.  Three lanes run the kernels:
 
 * compiled: the loops ``njit``-ed over ``njit`` versions of ``_step``
   and ``_tangent``; used for built-in families when numba is importable
@@ -147,10 +147,25 @@ def eval_block(fam, packed, pts):
     return np.column_stack(_np_step(fam, *packed, pts[:, 0], pts[:, 1]))
 
 
+def tangent_point(fam, packed, x):
+    """Image and analytic (2, 2) Jacobian of built-in family ``fam`` at x."""
+    y1, y2, j11, j12, j21, j22 = _np_tangent(fam, *packed, x[0], x[1])
+    return np.array([y1, y2]), np.array([[j11, j12], [j21, j22]])
+
+
 def jac_point(fam, packed, x):
     """Analytic (2, 2) Jacobian of built-in family ``fam`` at x."""
-    j11, j12, j21, j22 = _np_tangent(fam, *packed, x[0], x[1])[2:]
-    return np.array([[j11, j12], [j21, j22]])
+    return tangent_point(fam, packed, x)[1]
+
+
+def jac_block(fam, packed, pts):
+    """Analytic (n, 2, 2) Jacobians of built-in family ``fam`` at an (n, 2)
+    block of points."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.empty((len(pts), 2, 2))
+    (out[:, 0, 0], out[:, 0, 1], out[:, 1, 0],
+     out[:, 1, 1]) = _np_tangent(fam, *packed, pts[:, 0], pts[:, 1])[2:]
+    return out
 
 
 def _make_loops(step, tangent):
@@ -223,13 +238,17 @@ def _make_loops(step, tangent):
             w1 = v12 - r12 * q11
             w2 = v22 - r12 * q21
             r22 = math.sqrt(w1 * w1 + w2 * w2)
-            if r22 == 0.0:
-                deg2 = True
-                break
-            q12 = w1 / r22
-            q22 = w2 / r22
             s1 += math.log(r11)
-            s2 += math.log(r22)
+            if r22 == 0.0:
+                # rank-deficient: lambda2 = -inf from now on, q2 is q1's normal
+                deg2 = True
+                s2 = -math.inf
+                q12 = -q21
+                q22 = q11
+            else:
+                q12 = w1 / r22
+                q22 = w2 / r22
+                s2 += math.log(r22)
             k_used = k + 1
             if k_used % stride == 0:
                 trace[k_used // stride - 1, 0] = s1 / k_used
@@ -317,16 +336,17 @@ def _qr_generic(step_fn, jac_fn, x0, n_transient, n, stride, trace):
     sums = np.zeros(m)
     degenerate = np.zeros(m, dtype=bool)
     k_used = 0
-    # silent on overflow like _orbit_generic; callers test the result
-    with np.errstate(over="ignore", invalid="ignore"):
+    # silent on overflow like _orbit_generic; callers test the result.  A
+    # rank-deficient step (r[i, i] == 0, i > 0) makes exponent i -inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(n_transient):
             x = step_fn(x)
         for k in range(n):
             z = jac_fn(x) @ q
             q, r = np.linalg.qr(z)
             diag = np.abs(np.diag(r))
-            if np.any(diag == 0.0):
-                degenerate |= diag == 0.0
+            degenerate |= diag == 0.0
+            if diag[0] == 0.0:
                 break
             sums += np.log(diag)
             k_used = k + 1

@@ -31,7 +31,7 @@ from .maps import (MapHandle, gauss_rotation, pioneer_climax_full,
 from .dynamics import (DivergenceError, CycleSearchError, orbit,
                        detect_period, find_cycle)
 from .chaos import (max_lyapunov_norm_sum, lyapunov_spectrum_qr,
-                    box_counting_dimension, MIN_BOX_POINTS)
+                    box_counting_dimension, MAX_SCALES, MIN_BOX_POINTS)
 from .hypotheses import run_hypothesis_report
 from .radial import radial_tent_map, MODE_SOURCE, MODE_SINK
 from .horseshoe import (HorseshoeRegion, RefinementExplosion,
@@ -97,6 +97,10 @@ def _at_least(n: int) -> Type:
     return Type(f"int >= {n}", INT.parse, (n).__le__)
 
 
+def _between(lo: int, hi: int) -> Type:
+    return Type(f"int {lo}..{hi}", INT.parse, range(lo, hi + 1).__contains__)
+
+
 _BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | \
     dict.fromkeys(("0", "false", "no", "off"), False)
 FLOAT, STR = Type("float", float), Type("str", str)
@@ -149,10 +153,10 @@ COMMON = {"map": Key(_choice(*FAMILIES)), "out": Key(STR, "runs"),
 _SCHEDULE = {"param": Key(Type("float key of map", str)),
              "start": Key(FLOAT), "stop": Key(FLOAT), "step": Key(FLOAT)}
 _ORBIT = {"n_transient": Key(INT, 10_000), "x0": Key(_vec(DIM), _start_point)}
-_RASTER = {"resolution": Key(Type(f"int 1..{MAX_RASTER_SIDE}", INT.parse,
-                                  lambda v: 1 <= v <= MAX_RASTER_SIDE), 1024),
+_RASTER = {"resolution": Key(_between(1, MAX_RASTER_SIDE), 1024),
            **dict.fromkeys(BOUNDS, Key(FLOAT, None))}
-N_KEEP, LYAP_N, N_SCALES = Key(INT, 100_000), Key(INT, 100_000), Key(INT, 8)
+N_KEEP, LYAP_N = Key(INT, 100_000), Key(INT, 100_000)
+N_SCALES = Key(_between(5, MAX_SCALES), 8)
 
 
 def resolve(command: str, raw: dict) -> dict:

@@ -148,13 +148,15 @@ def _orbit_meta(handle: MapHandle, x0, n_transient: int, n_keep: int) -> dict:
 
 
 def _iterate_with_product(handle: MapHandle, x: np.ndarray, k: int):
-    """Return (f^k(x), product of Jacobians along the k steps)."""
-    y = np.array(x, dtype=float)
+    """Return the iterates x, f(x), ..., f^k(x) as the k + 1 rows of an
+    array, and the product of the Jacobians along the k steps."""
+    pts = [np.array(x, dtype=float)]
     prod = np.eye(x.size)
     for _ in range(k):
-        prod = handle.jac(y) @ prod
-        y = handle.eval(y)
-    return y, prod
+        y, jac = handle.tangent(pts[-1])
+        prod = jac @ prod
+        pts.append(y)
+    return np.array(pts), prod
 
 
 def find_cycle(handle: MapHandle, period: int, seed) -> Cycle:
@@ -169,19 +171,18 @@ def find_cycle(handle: MapHandle, period: int, seed) -> Cycle:
     x = np.asarray(seed, dtype=float).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("seed must be finite")
-    m = x.size
     residual = np.inf
     for _ in range(NEWTON_MAX_STEPS):
-        y, prod = _iterate_with_product(handle, x, period)
-        if not np.all(np.isfinite(y)):
+        pts, prod = _iterate_with_product(handle, x, period)
+        if not np.isfinite(pts[-1]).all():
             raise CycleSearchError("iterate escaped to non-finite values "
                                    "during Newton search")
-        fval = y - x
+        fval = pts[-1] - x
         residual = float(np.linalg.norm(fval))
         if residual <= NEWTON_RESIDUAL:
             break
-        amat = prod - np.eye(m)
-        if not np.all(np.isfinite(amat)):
+        amat = prod - np.eye(x.size)
+        if not np.isfinite(amat).all():
             raise CycleSearchError("Newton matrix has non-finite entries")
         try:
             delta = np.linalg.solve(amat, -fval)
@@ -190,7 +191,7 @@ def find_cycle(handle: MapHandle, period: int, seed) -> Cycle:
                 "singular Newton matrix",
                 condition=float(np.linalg.cond(amat))) from None
         cond = float(np.linalg.cond(amat))
-        if not np.all(np.isfinite(delta)) or cond > 1e14:
+        if not np.isfinite(delta).all() or cond > 1e14:
             raise CycleSearchError("ill-conditioned Newton matrix",
                                    condition=cond)
         x = x + delta
@@ -199,26 +200,16 @@ def find_cycle(handle: MapHandle, period: int, seed) -> Cycle:
             f"no convergence within {NEWTON_MAX_STEPS} Newton steps "
             f"(residual {residual:.3e})", residual=residual)
 
-    # minimal-period reduction: smallest divisor j of k that already closes
-    k_min = period
-    for j in _divisors(period):
-        z, _ = _iterate_with_product(handle, x, j)
-        if np.linalg.norm(z - x) <= MINIMAL_PERIOD_TOL:
-            k_min = j
-            break
-    pts = np.empty((k_min, m))
-    y = x.copy()
-    for i in range(k_min):
-        pts[i] = y
-        y = handle.eval(y)
-    _, prod = _iterate_with_product(handle, x, k_min)
+    # minimal-period reduction: the smallest divisor j of k that already
+    # closes.  The converged step holds f^j(x) for every j, and the
+    # product of the k Jacobians; k itself closes, since residual <= tol.
+    k_min = next((j for j in range(1, period) if period % j == 0 and
+                  np.linalg.norm(pts[j] - x) <= MINIMAL_PERIOD_TOL), period)
+    if k_min < period:
+        _, prod = _iterate_with_product(handle, x, k_min)
     mult = np.linalg.eigvals(prod)
-    return Cycle(points=pts, period=k_min, multipliers=mult,
+    return Cycle(points=pts[:k_min], period=k_min, multipliers=mult,
                  stability=_classify_multipliers(mult))
-
-
-def _divisors(k: int):
-    return [j for j in range(1, k + 1) if k % j == 0]
 
 
 def classify_cycle(handle: MapHandle, cycle: Cycle) -> StabilityInfo:

@@ -85,10 +85,12 @@ class HorseshoeRegion:
         return _RADIUS - np.linalg.norm(q - seg, axis=1)
 
     @staticmethod
-    def inside_z(q: np.ndarray) -> np.ndarray:
+    def inside_z(q: np.ndarray, lo: float = _BANDS[0],
+                 hi: float = _BANDS[3]) -> np.ndarray:
+        """Distance inside the core Z, or inside its band lo <= x2 <= hi."""
         q = np.atleast_2d(q)
         return np.minimum.reduce([_RADIUS - np.abs(q[:, 0] + 2.0),
-                                  q[:, 1] - _BANDS[0], _BANDS[3] - q[:, 1]])
+                                  q[:, 1] - lo, hi - q[:, 1]])
 
     @staticmethod
     def _inside_cap(q, center, below: bool) -> np.ndarray:
@@ -103,19 +105,14 @@ class HorseshoeRegion:
     def inside_c1(self, q):
         return self._inside_cap(q, _CAP1, below=False)
 
-    def _inside_band(self, q, lo, hi):
-        q = np.atleast_2d(q)
-        return np.minimum.reduce([_RADIUS - np.abs(q[:, 0] + 2.0),
-                                  q[:, 1] - lo, hi - q[:, 1]])
-
     def inside_s0(self, q):
-        return self._inside_band(q, _BANDS[0], _BANDS[1])
+        return self.inside_z(q, _BANDS[0], _BANDS[1])
 
     def inside_s_half(self, q):
-        return self._inside_band(q, _BANDS[1], _BANDS[2])
+        return self.inside_z(q, _BANDS[1], _BANDS[2])
 
     def inside_s1(self, q):
-        return self._inside_band(q, _BANDS[2], _BANDS[3])
+        return self.inside_z(q, _BANDS[2], _BANDS[3])
 
     def sample(self, piece: str, n: int, boundary: bool = False):
         """Model-coordinate grid sample of one piece of H*.
@@ -199,9 +196,10 @@ class AHReport:
         return "\n".join([header] + [e.line() for e in self.entries]) + "\n"
 
 
-def _model_jacobian(handle: MapHandle, region: HorseshoeRegion,
-                    q: np.ndarray) -> np.ndarray:
-    return region.inverse @ handle.jac(region.to_world(q)) @ region.matrix
+def _model_jacobians(handle: MapHandle, region: HorseshoeRegion,
+                     q: np.ndarray) -> np.ndarray:
+    return region.inverse @ handle.jac_many(region.to_world(q)) @ \
+        region.matrix
 
 
 def _map_model(handle: MapHandle, region: HorseshoeRegion,
@@ -275,15 +273,14 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
                                STATUS_INCONCLUSIVE, 0.0, None,
                                {"note": "no sample maps back into Z"}))
     else:
-        worst = np.inf
-        wit = None
-        for q in z_pts[active]:
-            v = _model_jacobian(handle, region, q) @ np.array([0.0, 1.0])
-            nv = np.linalg.norm(v)
-            ang = 0.0 if nv == 0.0 else math.asin(
-                min(1.0, abs(v[1]) / nv))
-            if ang < worst:
-                worst, wit = ang, q
+        q = z_pts[active]
+        # the images v of e2; where v = 0 the angle is 0
+        v = _model_jacobians(handle, region, q)[:, :, 1]
+        nv = np.linalg.norm(v, axis=1)
+        ang = np.arcsin(np.minimum(1.0, np.abs(v[:, 1]) /
+                                   np.where(nv == 0.0, 1.0, nv)))
+        i = int(np.argmin(ang))
+        worst, wit = float(ang[i]), q[i]
         entries.append(AHEntry(
             "vertical_transversality",
             STATUS_PASS if worst > TRANSVERSALITY_MIN_ANGLE else STATUS_FAIL,
@@ -295,8 +292,11 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
     # cannot flip a seam sample onto the neighbouring band's derivative
     c0_pts = region.sample("c0", sampling)
     c0_in = c0_pts[region.inside_c0(c0_pts) > 1e-9]
-    lip = max(float(np.linalg.norm(_model_jacobian(handle, region, q), 2))
-              for q in c0_in)
+    # largest singular value of each Jacobian, in closed form
+    j = _model_jacobians(handle, region, c0_in)
+    q, d = np.sum(j * j, axis=(1, 2)), np.linalg.det(j)
+    lip = float(np.max(np.sqrt(0.5 * (q + np.sqrt(np.maximum(
+        q * q - 4.0 * d * d, 0.0))))))
     sink_entry = None
     try:
         fp = find_cycle(handle, 1, region.to_world(_CAP0 + [0.0, -2.0]))
@@ -448,6 +448,8 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
     tol.  Each branch stops for one of these reasons:
 
     * ``"arc_budget"``: it has accumulated arc_budget/2 of arclength;
+      the last image is cut at its first point that reaches it, so the
+      branch ends within one gap (at most tol) past arc_budget/2;
     * ``"stalled"``: the arclength added by the latest iterate is below
       tol and below what the iterate before it added, so the branch is
       collapsing onto an attractor below the refinement resolution (a
@@ -493,11 +495,16 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
                 img = _power_eval(handle, pre, k)
                 if not np.all(np.isfinite(img)):
                     raise DivergenceError("unstable manifold diverged")
-                pre_r, img = _refine_segment(handle, k, pre, img, tol,
-                                             POINT_CAP - total)
-                gain = float(np.sum(np.linalg.norm(np.diff(img, axis=0),
-                                                   axis=1)))
-                arc += gain
+                _, img = _refine_segment(handle, k, pre, img, tol,
+                                         POINT_CAP - total)
+                gaps = np.linalg.norm(np.diff(img, axis=0), axis=1)
+                gain = float(np.sum(gaps))
+                if arc + gain < half:
+                    arc += gain
+                else:  # cut the image where the branch reaches its budget
+                    reach = arc + np.cumsum(gaps)
+                    cut = min(int(reach.searchsorted(half)), len(gaps) - 1)
+                    img, arc = img[:cut + 2], float(reach[cut])
                 # img[0] duplicates the previous chunk's endpoint (both are
                 # f^k of the fundamental segment's matched ends); drop it
                 chunks.append(img[1:])
@@ -580,7 +587,8 @@ def model_horseshoe_map(region: Optional[HorseshoeRegion] = None,
     land strictly inside the lower cap, which contracts onto the sink
     q = (0, -79/19).  The saddle at the origin has multipliers exactly
     (contraction, expansion).  A non-identity region conjugates the
-    model by its affine frame.
+    model by its affine frame.  Images and Jacobians come from one block
+    function; the point callables evaluate a block of one row.
     """
     lam, mu = float(contraction), float(expansion)
     if not 0.0 < lam < 1.0 < mu:
@@ -588,57 +596,51 @@ def model_horseshoe_map(region: Optional[HorseshoeRegion] = None,
     frame = region if region is not None else HorseshoeRegion()
 
     bot, s0_top, fold_top, top = _BANDS
+    span = fold_top - s0_top
+    # band 0..4 (C0, S0, fold, S1, C1) counts the cuts below x2; the fold
+    # and C1 hold their lower edge, so their cuts sit one ulp below it and
+    # the bands are x2 <= bot < x2 < s0_top <= x2 <= fold_top < x2 < top <= x2
+    cuts = np.array([bot, np.nextafter(s0_top, -np.inf), fold_top,
+                     np.nextafter(top, -np.inf)])
+    # an affine band maps q to scale * (q - origin) + const, one row per
+    # band; the fold band's rows are placeholders
+    scale = np.array([[lam, 0.05], [lam, mu], [0.0, 0.0], [-lam, -mu],
+                      [-lam, -0.05]])
+    origin = np.array([[0.0, bot], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                       [0.0, top]])
+    const = np.array([[0.0, -4.0], [0.0, 0.0], [0.0, 0.0], [-3.2, 32.0],
+                      [-3.2, -4.0]])
 
-    def batch(pts):
+    def model(pts, with_jac=False):
+        """World images of an (n, 2) block [and (n, 2, 2) Jacobians]."""
         q = frame.to_model(np.atleast_2d(pts))
-        x1, x2 = q[:, 0], q[:, 1]
-        t = np.clip((x2 - s0_top) / (fold_top - s0_top), 0.0, 1.0)
-        r_ell = lam * x1 + 1.6
-        h_ell = 0.2 + 0.025 * (x1 + 6.0)
-        out = np.empty_like(q)
-        m_c0 = x2 <= bot
-        m_s0 = (~m_c0) & (x2 < s0_top)
-        m_f = (~m_c0) & (~m_s0) & (x2 <= fold_top)
-        m_s1 = (~m_c0) & (~m_s0) & (~m_f) & (x2 < top)
-        m_c1 = x2 >= top
-        out[m_c0, 0] = lam * x1[m_c0]
-        out[m_c0, 1] = -4.0 + 0.05 * (x2[m_c0] - bot)
-        out[m_s0, 0] = lam * x1[m_s0]
-        out[m_s0, 1] = mu * x2[m_s0]
-        out[m_f, 0] = -1.6 + r_ell[m_f] * np.cos(np.pi * t[m_f])
-        out[m_f, 1] = 12.0 + h_ell[m_f] * np.sin(np.pi * t[m_f])
-        out[m_s1, 0] = -lam * x1[m_s1] - 3.2
-        out[m_s1, 1] = -mu * x2[m_s1] + 32.0
-        out[m_c1, 0] = -lam * x1[m_c1] - 3.2
-        out[m_c1, 1] = -4.0 - 0.05 * (x2[m_c1] - top)
-        return frame.to_world(out)
-
-    def fn(x):
-        return batch(np.asarray(x, dtype=float)[None, :])[0]
-
-    def jac(x):
-        q = frame.to_model(np.asarray(x, dtype=float)[None, :])[0]
-        x1, x2 = q
-        if x2 <= bot:
-            j = np.array([[lam, 0.0], [0.0, 0.05]])
-        elif x2 < s0_top:
-            j = np.array([[lam, 0.0], [0.0, mu]])
-        elif x2 <= fold_top:
-            t = (x2 - s0_top) / (fold_top - s0_top)
-            dt = 1.0 / (fold_top - s0_top)
-            r_ell = lam * x1 + 1.6
-            h_ell = 0.2 + 0.025 * (x1 + 6.0)
+        band = cuts.searchsorted(q[:, 1])
+        rate = scale.take(band, axis=0)
+        out = rate * (q - origin.take(band, axis=0)) + const.take(band, axis=0)
+        fold = band == 2
+        if any_fold := fold.any():
+            x1 = q[fold, 0]
+            t = (q[fold, 1] - s0_top) / span
+            r_ell, h_ell = lam * x1 + 1.6, 0.2 + 0.025 * (x1 + 6.0)
             c, s = np.cos(np.pi * t), np.sin(np.pi * t)
-            j = np.array([
-                [lam * c, -r_ell * np.pi * s * dt],
-                [0.025 * s, h_ell * np.pi * c * dt]])
-        elif x2 < top:
-            j = np.array([[-lam, 0.0], [0.0, -mu]])
-        else:
-            j = np.array([[-lam, 0.0], [0.0, -0.05]])
-        return frame.matrix @ j @ frame.inverse
+            out[fold] = np.column_stack([-1.6 + r_ell * c,
+                                         12.0 + h_ell * s])
+        img = frame.to_world(out)
+        if not with_jac:
+            return img
+        j = np.zeros((len(q), 2, 2))
+        # the diagonal; 0 * q makes an entry nan where q is not finite
+        j.reshape(-1, 4)[:, ::3] = rate + 0.0 * q
+        if any_fold:
+            j[fold] = np.column_stack([
+                lam * c, -r_ell * np.pi * s / span,
+                0.025 * s, h_ell * np.pi * c / span]).reshape(-1, 2, 2)
+        return img, frame.matrix @ j @ frame.inverse
 
-    return user_map(fn, 2, jac=jac, batch=batch,
+    return user_map(lambda x: model(x)[0], 2, batch=model,
+                    jac=lambda x: model(x, True)[1][0],
+                    jac_many=lambda pts: model(pts, True)[1],
+                    tangent=lambda x: tuple(a[0] for a in model(x, True)),
                     params={"contraction": lam, "expansion": mu})
 
 

@@ -64,18 +64,23 @@ class MapHandle:
     """A built map: spec plus evaluation/Jacobian callables.
 
     ``eval`` maps an (m,) point to an (m,) image; ``eval_many`` maps an
-    (n, m) block of points at once.  ``jac`` returns the (m, m) Jacobian.
+    (n, m) block of points at once.  ``jac`` returns the (m, m) Jacobian
+    and ``jac_many`` the (n, m, m) Jacobians of an (n, m) block;
+    ``tangent`` returns a point's image and Jacobian from one evaluation.
     For a built-in family they are partials of the module functions
-    ``_kernels.eval_point``/``eval_block``/``jac_point`` over
-    ``family_code`` and ``packed``, so built-in handles pickle and are safe
-    to share across worker processes.  A user map's handle holds the
-    callables it was given, and pickles only if they do.
+    ``_kernels.eval_point``/``eval_block``/``jac_point``/``jac_block``/
+    ``tangent_point`` over ``family_code`` and ``packed``, so built-in
+    handles pickle and are safe to share across worker processes.  A
+    user map's handle holds the callables it was given, and pickles only
+    if they do.
     """
 
     spec: MapSpec
     eval: Callable[[np.ndarray], np.ndarray]
     eval_many: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
+    jac_many: Callable[[np.ndarray], np.ndarray]
+    tangent: Callable[[np.ndarray], tuple]
     jac_kind: str = "analytic"
     family_code: int = -1
     packed: tuple = ()
@@ -146,6 +151,8 @@ def build_map(spec: MapSpec, *, literal_eq: bool = False) -> MapHandle:
         eval=partial(_kernels.eval_point, code, packed),
         eval_many=partial(_kernels.eval_block, code, packed),
         jac=partial(_kernels.jac_point, code, packed),
+        jac_many=partial(_kernels.jac_block, code, packed),
+        tangent=partial(_kernels.tangent_point, code, packed),
         jac_kind="analytic", family_code=code, packed=packed, cone=cone,
     )
 
@@ -182,34 +189,29 @@ def user_map(
     dim: int,
     jac: Callable[[np.ndarray], np.ndarray] | None = None,
     batch: Callable[[np.ndarray], np.ndarray] | None = None,
+    jac_many: Callable[[np.ndarray], np.ndarray] | None = None,
+    tangent: Callable[[np.ndarray], tuple] | None = None,
     params: Mapping[str, float] | None = None,
     cone: bool = False,
 ) -> MapHandle:
-    """Wrap an arbitrary callable as a MapHandle (family ``user_table``)."""
+    """Wrap an arbitrary callable as a MapHandle (family ``user_table``);
+    ``batch`` and ``jac_many`` default to a loop over the block's rows,
+    ``tangent`` to calling ``fn`` and the Jacobian."""
     spec = MapSpec("user_table", dict(params or {}), dim=dim)
     validate_spec(spec)
 
     def ev(x):
         return np.asarray(fn(np.asarray(x, dtype=float)), dtype=float)
 
-    if batch is None:
-        def ev_many(pts):
-            pts = np.asarray(pts, dtype=float)
-            return np.array([fn(p) for p in pts], dtype=float)
-    else:
-        ev_many = batch
-
-    if jac is None:
-        def jc(x):
-            return finite_difference_jacobian(fn, x)
-
-        kind = "finite_difference"
-    else:
-        jc = jac
-        kind = "analytic"
+    jc = jac or partial(finite_difference_jacobian, fn)
+    ev_many = batch or (lambda pts: np.array(
+        [fn(p) for p in np.asarray(pts, dtype=float)], dtype=float))
+    jac_many = jac_many or (lambda pts: np.reshape(
+        [jc(p) for p in np.asarray(pts, dtype=float)], (-1, dim, dim)))
     return MapHandle(
-        spec=spec, eval=ev, eval_many=ev_many, jac=jc, jac_kind=kind, cone=cone
-    )
+        spec=spec, eval=ev, eval_many=ev_many, jac=jc, jac_many=jac_many,
+        tangent=tangent or (lambda x: (ev(x), jc(x))),
+        jac_kind="analytic" if jac else "finite_difference", cone=cone)
 
 
 def eval_map(handle: MapHandle, x) -> np.ndarray:

@@ -70,6 +70,22 @@ def test_degenerate_orbit_reports_instead_of_raising():
     assert est.max_exponent == -np.inf
 
 
+@pytest.mark.parametrize("generic", [False, True])
+def test_qr_keeps_lambda1_through_rank_deficient_steps(generic):
+    # the orbit sits on the superstable fixed point x1 = 1.25 of the mixed
+    # pioneer map, where j11 = j12 = 0, so every step has r22 == 0 exactly
+    h = pioneer_climax_mixed(1.0, 1.0)
+    if generic:
+        h = user_map(h.eval, 2, jac=h.jac, batch=h.eval_many, cone=h.cone)
+    qr = lyapunov_spectrum_qr(h, [0.05, 0.05], 1000, 50)
+    ns = max_lyapunov_norm_sum(h, [0.05, 0.05], 1000, 50)
+    assert qr.degenerate and qr.n_used == 1000
+    assert np.isfinite(qr.max_exponent)
+    assert qr.max_exponent <= ns.max_exponent
+    assert qr.spectrum[1] == -np.inf
+    assert np.isfinite(qr.convergence_trace).all()
+
+
 def test_convergence_trace_progresses():
     h = gauss_rotation(4.4, GOLDEN_MEAN)
     est = lyapunov_spectrum_qr(h, [0.3, 0.1], 10_000, 1000)

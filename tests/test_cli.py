@@ -716,3 +716,15 @@ def test_readme_config_table_matches_schema():
             assert default == spec.default.__doc__, (owner, key)
         else:
             assert spec.type.parse(default) == spec.default, (owner, key)
+
+
+@pytest.mark.parametrize("command, n_scales", [
+    ("sweep", 3), ("sweep", 62), ("boxdim", 4), ("boxdim", 100)])
+def test_n_scales_out_of_range_exits_1_before_any_work(tmp_path, capsys,
+                                                      command, n_scales):
+    out = tmp_path / "run"
+    text = CONTRACT[command][0] + f"n_scales = {n_scales}\n"
+    assert main([command, "--config", write_cfg(tmp_path, "c.cfg", text),
+                 "--out", str(out)]) == 1
+    assert "'n_scales' must be int 5..61" in capsys.readouterr().err
+    assert not out.exists()

@@ -13,7 +13,8 @@ from attractorlab.horseshoe import (HorseshoeRegion, RefinementExplosion,
                                     unstable_manifold, verify_ah)
 from attractorlab.dynamics import find_cycle
 from attractorlab.chaos import max_lyapunov_norm_sum
-from attractorlab.maps import pioneer_climax_full, user_map
+from attractorlab.maps import (gauss_rotation, pioneer_climax_full,
+                               user_map)
 
 SINK_Y = -79.0 / 19.0
 
@@ -99,6 +100,34 @@ def test_verify_ah_framed_region():
     assert report.mu_exp == pytest.approx(4.0, abs=1e-6)
 
 
+def test_verify_ah_block_checks_match_the_point_loops():
+    # a map with full, point-dependent Jacobians in a sheared frame: the
+    # closed-form Lipschitz bound and the vectorised transversality angle
+    # against one SVD 2-norm and one angle per sample point
+    region = HorseshoeRegion(matrix=[[0.3, 0.1], [-0.2, 0.5]],
+                             offset=[0.5, -0.25])
+    handle = gauss_rotation(2.7, 0.3)
+    report = verify_ah(handle, region, sampling=24)
+
+    def model_jac(q):
+        return region.inverse @ handle.jac(region.to_world(q)) @ \
+            region.matrix
+
+    c0 = region.sample("c0", 24)
+    lip = max(np.linalg.norm(model_jac(q), 2)
+              for q in c0[region.inside_c0(c0) > 1e-9])
+    data = report.entry("sink_cap_contraction").data
+    assert data["lipschitz"] == pytest.approx(lip, rel=1e-12)
+    z = region.sample("z", 24)
+    img = region.to_model(handle.eval_many(region.to_world(z)))
+    angles = [math.asin(min(1.0, abs(v[1]) / np.linalg.norm(v)))
+              for v in (model_jac(q)[:, 1]
+                        for q in z[region.inside_z(img) >= 0.0])]
+    assert len(angles) > 100
+    data = report.entry("vertical_transversality").data
+    assert data["min_angle"] == pytest.approx(min(angles), abs=1e-12)
+
+
 def test_verify_ah_identity_fails_with_boundary_witness():
     ident = user_map(lambda x: x, 2, jac=lambda x: np.eye(2),
                      batch=lambda p: p)
@@ -129,6 +158,58 @@ def test_model_map_validation_and_seams():
             lo = handle.eval(np.array([x1, seam - 1e-9]))
             hi = handle.eval(np.array([x1, seam + 1e-9]))
             assert np.linalg.norm(hi - lo) < 1e-7
+
+
+def test_model_map_band_edges_follow_the_written_formulas():
+    lam, mu = 0.2, 4.0
+    handle = model_horseshoe_map(contraction=lam, expansion=mu)
+
+    def affine(scale, origin, const):
+        return lambda x1, x2: (
+            [scale[0] * (x1 - origin[0]) + const[0],
+             scale[1] * (x2 - origin[1]) + const[1]],
+            [[scale[0], 0.0], [0.0, scale[1]]])
+
+    def fold(x1, x2):
+        t = (x2 - 3.0) / 2.0
+        r, h = lam * x1 + 1.6, 0.2 + 0.025 * (x1 + 6.0)
+        c, s = math.cos(math.pi * t), math.sin(math.pi * t)
+        return ([-1.6 + r * c, 12.0 + h * s],
+                [[lam * c, -r * math.pi * s * 0.5],
+                 [0.025 * s, h * math.pi * c * 0.5]])
+
+    c0 = affine((lam, 0.05), (0.0, -1.0), (0.0, -4.0))
+    s0 = affine((lam, mu), (0.0, 0.0), (0.0, 0.0))
+    s1 = affine((-lam, -mu), (0.0, 0.0), (-3.2, 32.0))
+    c1 = affine((-lam, -0.05), (0.0, 9.0), (-3.2, -4.0))
+    up, down = (lambda v: np.nextafter(v, np.inf),
+                lambda v: np.nextafter(v, -np.inf))
+    # x2 <= -1 < x2 < 3 <= x2 <= 5 < x2 < 9 <= x2
+    cases = [(-1.0, c0), (up(-1.0), s0), (down(3.0), s0), (3.0, fold),
+             (5.0, fold), (up(5.0), s1), (down(9.0), s1), (9.0, c1)]
+    for x2, band in cases:
+        for x1 in (-5.5, -2.0, 1.5):
+            x = np.array([x1, x2])
+            img, jac = band(x1, x2)
+            np.testing.assert_array_equal(handle.eval(x), img)
+            np.testing.assert_array_equal(handle.jac(x), jac)
+
+
+def test_model_map_non_finite_rows_stay_non_finite():
+    rng = np.random.default_rng(3)
+    for region in (None, HorseshoeRegion([[1.0, 0.3], [0.0, 1.0]],
+                                         [0.5, -0.25])):
+        handle = model_horseshoe_map(region=region)
+        for _ in range(50):
+            pts = rng.uniform([-6.0, -5.0], [2.0, 13.0], size=(8, 2))
+            bad = rng.random(8) < 0.5
+            pts[bad, rng.integers(0, 2, size=bad.sum())] = np.nan
+            img, jac = handle.eval_many(pts), handle.jac_many(pts)
+            assert np.array_equal(~np.isfinite(img).all(axis=1), bad)
+            assert np.array_equal(~np.isfinite(jac).all(axis=(1, 2)), bad)
+        for x in ([np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan]):
+            assert not np.isfinite(handle.eval(np.array(x))).all()
+            assert not np.isfinite(handle.jac(np.array(x))).all()
 
 
 def test_model_fold_injectivity_sampled():
@@ -165,6 +246,32 @@ def test_find_saddles_model_inventory():
     assert two.stability == "saddle"
     with pytest.raises(ValueError):
         find_saddles(handle, [(-1, 1), (-1, 1)], k_max=0)
+
+
+@pytest.mark.parametrize("period, seed", [
+    (1, (0.05, 0.02)), (1, (0.1, -4.0)), (1, (-2.5, 6.3)), (2, (-3.0, 1.9))])
+def test_find_cycle_commutes_with_the_frame(period, seed):
+    region = HorseshoeRegion([[1.0, 0.3], [0.0, 1.0]], [0.5, -0.25])
+    plain = find_cycle(model_horseshoe_map(), period, np.array(seed))
+    framed = find_cycle(model_horseshoe_map(region=region), period,
+                        region.to_world(np.array(seed)))
+    assert framed.period == plain.period == period
+    np.testing.assert_allclose(np.sort_complex(framed.multipliers),
+                               np.sort_complex(plain.multipliers),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(framed.points, region.to_world(plain.points),
+                               rtol=0, atol=1e-12)
+
+
+def test_find_cycle_reduced_period_has_the_maps_multipliers():
+    # f^2 closes at the saddle, but its minimal period is 1, so the
+    # multipliers are those of f (0.2, 4), not of f^2 (0.04, 16)
+    cyc = find_cycle(model_horseshoe_map(), 2, np.array([0.05, 0.02]))
+    assert cyc.period == 1 and cyc.points.shape == (1, 2)
+    np.testing.assert_allclose(cyc.points[0], [0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(np.sort(cyc.multipliers.real), [0.2, 4.0],
+                               rtol=1e-12)
+    assert cyc.stability == "saddle"
 
 
 def test_find_saddles_translation_finds_nothing():
@@ -219,8 +326,9 @@ def test_unstable_manifold_model_exact_axis():
     assert cloud.meta["period"] == 1
     n_minus, n_plus = cloud.meta["branch_sizes"]
     assert n_minus + n_plus + 1 == len(pts)
-    # downward branch has fallen into the sink cap, heading for the sink
-    assert SINK_Y - 1e-9 < pts[0, 1] < -4.0
+    # the downward branch crosses into the sink cap (x2 < -1) and stops
+    # where its arclength reaches the budget's half, 2, within one gap
+    assert -2.0 - 1e-3 <= pts[0, 1] <= -2.0
 
 
 def test_unstable_manifold_stop_reasons():
@@ -244,6 +352,24 @@ def test_unstable_manifold_stop_reasons():
     gaps = np.linalg.norm(np.diff(cloud.points, axis=0), axis=1)
     assert gaps.max() <= 1e-3
     assert np.linalg.norm(cloud.points[0] - [0.0, SINK_Y]) < 1e-3
+
+
+@pytest.mark.parametrize("make, seed, arc_budget, tol", [
+    (model_horseshoe_map, (0.05, 0.02), 4.0, 1e-3),
+    (model_horseshoe_map, (0.05, 0.02), 50.0, 1e-3),
+    (lambda: pioneer_climax_full(3.0, 3.0), (2.498, 5.007), 40.0, 2e-3)])
+def test_branches_stop_within_one_gap_of_the_arc_budget(make, seed,
+                                                        arc_budget, tol):
+    handle = make()
+    saddle = find_cycle(handle, 1, np.array(seed))
+    meta = unstable_manifold(handle, saddle, arc_budget, tol).meta
+    half = arc_budget / 2.0
+    arcs = [arc for reason, arc in zip(meta["stop_reasons"],
+                                       meta["branch_arclength"])
+            if reason == "arc_budget"]
+    assert arcs
+    for arc in arcs:
+        assert half <= arc <= half + tol
 
 
 def test_unstable_manifold_rejects_wrong_stability():

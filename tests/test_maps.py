@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from attractorlab import _kernels
+from attractorlab.horseshoe import model_horseshoe_map
 from attractorlab.maps import (GOLDEN_MEAN, MapDefinitionError, MapSpec,
                                build_map, eval_map, finite_difference_jacobian,
                                gauss_rotation, jacobian, pioneer_climax_full,
@@ -161,6 +162,29 @@ def test_builtin_handles_pickle():
             assert np.array_equal(back.eval(p), h.eval(p))
             assert np.array_equal(back.jac(p), h.jac(p))
         assert np.array_equal(back.eval_many(pts), h.eval_many(pts))
+
+
+def test_jac_many_and_tangent_are_the_point_callables_bit_for_bit():
+    pts = grid_points()
+    # the grid spread over the model capsule, plus the model's band edges
+    model_pts = np.vstack([pts * [1.0, 2.0] - [2.0, 3.0],
+                           [[x1, x2] for x1 in (-5.0, 0.5)
+                            for x2 in (-1.0, 3.0, 5.0, 9.0)]])
+    f = lambda x: np.array([x[0] ** 2 - x[1], 0.5 * x[1] * x[0]])
+    cases = [(h, pts) for h in builtin_handles()] + [
+        (model_horseshoe_map(), model_pts), (user_map(f, 2), pts)]
+    for h, block in cases:
+        stacked = np.array([h.jac(p) for p in block])
+        assert h.jac_many(block).tobytes() == stacked.tobytes()
+        assert h.jac_many(block[:0]).shape == (0, 2, 2)
+        for p in block:
+            image, jac = h.tangent(p)
+            assert image.tobytes() == h.eval(p).tobytes()
+            assert jac.tobytes() == h.jac(p).tobytes()
+    for h in builtin_handles():
+        back = pickle.loads(pickle.dumps(h))
+        assert back.jac_many(pts).tobytes() == h.jac_many(pts).tobytes()
+        assert back.tangent(pts[5])[1].tobytes() == h.jac(pts[5]).tobytes()
 
 
 def scalar_form(step, tangent, h, pts):
