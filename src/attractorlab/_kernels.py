@@ -8,9 +8,9 @@ built over ``np.exp`` it is the NumPy form ``_np_step``/``_np_tangent``,
 which also takes column arrays.  ``_make_loops`` turns the scalar
 definition into the three kernel loops: the orbit loop calls ``step``,
 the norm-sum and QR loops call ``tangent`` once per step.
-``eval_point``/``eval_block``/``jac_point``/``jac_block``/``tangent_point``
-wrap the NumPy form as a built-in handle's ``eval``/``eval_many``/``jac``/
-``jac_many``/``tangent``.  Three lanes run the kernels:
+``builtin_eval`` wraps the NumPy form as a built-in handle's one
+``eval(x, with_jac)``, over a point or a block.  Three lanes run the
+kernels:
 
 * compiled: the loops ``njit``-ed over ``njit`` versions of ``_step``
   and ``_tangent``; used for built-in families when numba is importable
@@ -19,8 +19,8 @@ wrap the NumPy form as a built-in handle's ``eval``/``eval_many``/``jac``/
   interpreter.  Closed-form 2x2 arithmetic on floats, with no array or
   LAPACK call per step; used for built-in families whenever the
   compiled lane is not taken.
-* generic: loops over a handle's NumPy callables (``eval``/``jac``),
-  the only lane for user maps (``user_map``, the radial tent, the model
+* generic: loops over a handle's ``eval``, one call per step, the only
+  lane for user maps (``user_map``, the radial tent, the model
   horseshoe), which have no family code.
 
 Lane selection for built-in families:
@@ -136,36 +136,23 @@ _np_step, _np_tangent = map(np.errstate(over="ignore", invalid="ignore"),
                             _family(np.exp))
 
 
-def eval_point(fam, packed, x):
-    """Image of one point x, shape (2,), under built-in family ``fam``."""
-    return np.array(_np_step(fam, *packed, x[0], x[1]))
-
-
-def eval_block(fam, packed, pts):
-    """Images of an (n, 2) block of points under built-in family ``fam``."""
-    pts = np.asarray(pts, dtype=float)
-    return np.column_stack(_np_step(fam, *packed, pts[:, 0], pts[:, 1]))
-
-
-def tangent_point(fam, packed, x):
-    """Image and analytic (2, 2) Jacobian of built-in family ``fam`` at x."""
-    y1, y2, j11, j12, j21, j22 = _np_tangent(fam, *packed, x[0], x[1])
-    return np.array([y1, y2]), np.array([[j11, j12], [j21, j22]])
-
-
-def jac_point(fam, packed, x):
-    """Analytic (2, 2) Jacobian of built-in family ``fam`` at x."""
-    return tangent_point(fam, packed, x)[1]
-
-
-def jac_block(fam, packed, pts):
-    """Analytic (n, 2, 2) Jacobians of built-in family ``fam`` at an (n, 2)
-    block of points."""
-    pts = np.asarray(pts, dtype=float)
-    out = np.empty((len(pts), 2, 2))
-    (out[:, 0, 0], out[:, 0, 1], out[:, 1, 0],
-     out[:, 1, 1]) = _np_tangent(fam, *packed, pts[:, 0], pts[:, 1])[2:]
-    return out
+def builtin_eval(fam, packed, x, with_jac=False):
+    """Image of a (2,) point or an (n, 2) block under family ``fam``, and
+    with ``with_jac`` the Jacobian(s) too, from the same evaluation."""
+    x = np.asarray(x)
+    if x.ndim == 1:
+        # NumPy scalars: a point costs no per-entry array operation
+        if not with_jac:
+            return np.array(_np_step(fam, *packed, x[0], x[1]))
+        y1, y2, j11, j12, j21, j22 = _np_tangent(fam, *packed, x[0], x[1])
+        return np.array([y1, y2]), np.array([[j11, j12], [j21, j22]])
+    if not with_jac:
+        return np.column_stack(_np_step(fam, *packed, x[:, 0], x[:, 1]))
+    y1, y2, *entries = _np_tangent(fam, *packed, x[:, 0], x[:, 1])
+    jac = np.empty((len(x), 2, 2))
+    # item assignment broadcasts pioneer-mixed's scalar j12 = 0.0
+    jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1] = entries
+    return np.column_stack([y1, y2]), jac
 
 
 def _make_loops(step, tangent):
@@ -287,21 +274,21 @@ def warmup():
 # scalar Python call that overflowed
 
 
-def _orbit_generic(step_fn, x0, n_transient, n_keep):
+def _orbit_generic(eval_fn, x0, n_transient, n_keep):
     x = np.array(x0, dtype=float)
     # overflow en route to a caught divergence is expected; the compiled
     # lane never warns, so keep the lanes observably identical
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_transient):
-            x = step_fn(x)
+            x = eval_fn(x)
         out = np.empty((n_keep, x.size))
         for i in range(n_keep):
-            x = step_fn(x)
+            x = eval_fn(x)
             out[i] = x
     return out
 
 
-def _norm_sum_generic(step_fn, jac_fn, x0, n_transient, n, stride, trace):
+def _norm_sum_generic(eval_fn, x0, n_transient, n, stride, trace):
     x = np.array(x0, dtype=float)
     total = 0.0
     degenerate = False
@@ -309,10 +296,11 @@ def _norm_sum_generic(step_fn, jac_fn, x0, n_transient, n, stride, trace):
     # silent on overflow like _orbit_generic; callers test the result
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_transient):
-            x = step_fn(x)
+            x = eval_fn(x)
         for k in range(n):
+            y, jac = eval_fn(x, True)
             try:
-                nrm = np.linalg.norm(jac_fn(x), 2)
+                nrm = np.linalg.norm(jac, 2)
             except np.linalg.LinAlgError:
                 # the SVD rejects a non-finite Jacobian; the closed-form
                 # norm of the scalar lanes gives nan there
@@ -324,12 +312,12 @@ def _norm_sum_generic(step_fn, jac_fn, x0, n_transient, n, stride, trace):
             k_used = k + 1
             if k_used % stride == 0:
                 trace[k_used // stride - 1] = total / k_used
-            x = step_fn(x)
+            x = y
     value = total / k_used if k_used > 0 else 0.0
     return value, k_used, degenerate
 
 
-def _qr_generic(step_fn, jac_fn, x0, n_transient, n, stride, trace):
+def _qr_generic(eval_fn, x0, n_transient, n, stride, trace):
     x = np.array(x0, dtype=float)
     m = x.size
     q = np.eye(m)
@@ -340,9 +328,10 @@ def _qr_generic(step_fn, jac_fn, x0, n_transient, n, stride, trace):
     # rank-deficient step (r[i, i] == 0, i > 0) makes exponent i -inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(n_transient):
-            x = step_fn(x)
+            x = eval_fn(x)
         for k in range(n):
-            z = jac_fn(x) @ q
+            y, jac = eval_fn(x, True)
+            z = jac @ q
             q, r = np.linalg.qr(z)
             diag = np.abs(np.diag(r))
             degenerate |= diag == 0.0
@@ -352,13 +341,13 @@ def _qr_generic(step_fn, jac_fn, x0, n_transient, n, stride, trace):
             k_used = k + 1
             if k_used % stride == 0:
                 trace[k_used // stride - 1] = sums / k_used
-            x = step_fn(x)
+            x = y
     vals = sums / k_used if k_used > 0 else np.zeros(m)
     return vals, k_used, degenerate
 
 
 # ---------------------------------------------------------------------------
-# dispatch helpers; a handle is anything exposing family_code/packed/eval/jac
+# dispatch helpers; a handle is anything exposing spec/family_code/packed/eval
 
 
 def _builtin(handle):
@@ -396,9 +385,8 @@ def run_norm_sum(handle, x0, n_transient, n, stride, force_python=False):
                       n_transient, n, stride, trace)
     if res is None:
         trace.fill(np.nan)
-        res = _norm_sum_generic(
-            handle.eval, handle.jac, x0, n_transient, n, stride, trace
-        )
+        res = _norm_sum_generic(handle.eval, x0, n_transient, n, stride,
+                                trace)
     value, k_used, degenerate = res
     return value, k_used, degenerate, trace[: max(k_used // stride, 0)]
 
@@ -411,8 +399,7 @@ def run_qr(handle, x0, n_transient, n, stride, force_python=False):
     if res is None:
         trace.fill(np.nan)
         vals, k_used, degenerate = _qr_generic(
-            handle.eval, handle.jac, x0, n_transient, n, stride, trace
-        )
+            handle.eval, x0, n_transient, n, stride, trace)
     else:
         e1, e2, k_used, d1, d2 = res
         vals = np.array([e1, e2])

@@ -153,7 +153,7 @@ def _iterate_with_product(handle: MapHandle, x: np.ndarray, k: int):
     pts = [np.array(x, dtype=float)]
     prod = np.eye(x.size)
     for _ in range(k):
-        y, jac = handle.tangent(pts[-1])
+        y, jac = handle.eval(pts[-1], True)
         prod = jac @ prod
         pts.append(y)
     return np.array(pts), prod

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import MapHandle, user_map
+from .maps import MapHandle, MapSpec
 from .dynamics import (Cycle, DivergenceError, CycleSearchError, PointCloud,
                        find_cycle, classify_cycle, _iterate_with_product)
 
@@ -51,6 +51,17 @@ class RefinementExplosion(RuntimeError):
         self.partial = partial
 
 
+def _affine(m: np.ndarray, pts) -> np.ndarray:
+    """``pts @ m.T`` for a (2,) point or an (n, 2) block, in elementwise
+    arithmetic: a BLAS matmul rounds differently by block length, and a
+    point must map as its row in any block does."""
+    p = np.asarray(pts, dtype=float)
+    out = np.empty_like(p)
+    for i in (0, 1):
+        out[..., i] = p[..., 0] * m[i, 0] + p[..., 1] * m[i, 1]
+    return out
+
+
 @dataclass(frozen=True)
 class HorseshoeRegion:
     """Affine frame carrying the model capsule H* into the plane."""
@@ -70,10 +81,10 @@ class HorseshoeRegion:
         object.__setattr__(self, "inverse", np.linalg.inv(m))
 
     def to_world(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(pts, dtype=float) @ self.matrix.T + self.offset
+        return _affine(self.matrix, pts) + self.offset
 
     def to_model(self, pts: np.ndarray) -> np.ndarray:
-        return (np.asarray(pts, dtype=float) - self.offset) @ self.inverse.T
+        return _affine(self.inverse, pts - self.offset)
 
     # signed interior distances in model coordinates (positive inside)
 
@@ -198,13 +209,13 @@ class AHReport:
 
 def _model_jacobians(handle: MapHandle, region: HorseshoeRegion,
                      q: np.ndarray) -> np.ndarray:
-    return region.inverse @ handle.jac_many(region.to_world(q)) @ \
+    return region.inverse @ handle.eval(region.to_world(q), True)[1] @ \
         region.matrix
 
 
 def _map_model(handle: MapHandle, region: HorseshoeRegion,
                q: np.ndarray) -> np.ndarray:
-    return region.to_model(handle.eval_many(region.to_world(q)))
+    return region.to_model(handle.eval(region.to_world(q)))
 
 
 def verify_ah(handle: MapHandle, region: HorseshoeRegion,
@@ -305,7 +316,7 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
                    and float(region.inside_c0(q_model)[0]) > 0)
         orbit_pts = region.to_world(c0_pts)
         for _ in range(300):
-            orbit_pts = handle.eval_many(orbit_pts)
+            orbit_pts = handle.eval(orbit_pts)
         basin_err = float(np.max(np.linalg.norm(
             orbit_pts - fp.points[0], axis=1)))
         status = STATUS_PASS if sink_ok and basin_err < 1e-8 else STATUS_FAIL
@@ -407,7 +418,7 @@ def find_saddles(handle: MapHandle, search_box, k_max: int = 1,
 
 def _power_eval(handle: MapHandle, pts: np.ndarray, k: int) -> np.ndarray:
     for _ in range(k):
-        pts = handle.eval_many(pts)
+        pts = handle.eval(pts)
     return pts
 
 
@@ -549,7 +560,7 @@ def trellis(handle: MapHandle, saddle_cycle: Cycle,
     comps = [base.points]
     cur = base.points
     for _ in range(k - 1):
-        img = handle.eval_many(cur)
+        img = handle.eval(cur)
         if not np.all(np.isfinite(img)):
             raise DivergenceError("trellis image diverged")
         try:
@@ -587,8 +598,8 @@ def model_horseshoe_map(region: Optional[HorseshoeRegion] = None,
     land strictly inside the lower cap, which contracts onto the sink
     q = (0, -79/19).  The saddle at the origin has multipliers exactly
     (contraction, expansion).  A non-identity region conjugates the
-    model by its affine frame.  Images and Jacobians come from one block
-    function; the point callables evaluate a block of one row.
+    model by its affine frame.  Images and Jacobians come from one
+    function, which evaluates a point as a block of one row.
     """
     lam, mu = float(contraction), float(expansion)
     if not 0.0 < lam < 1.0 < mu:
@@ -611,9 +622,10 @@ def model_horseshoe_map(region: Optional[HorseshoeRegion] = None,
     const = np.array([[0.0, -4.0], [0.0, 0.0], [0.0, 0.0], [-3.2, 32.0],
                       [-3.2, -4.0]])
 
-    def model(pts, with_jac=False):
-        """World images of an (n, 2) block [and (n, 2, 2) Jacobians]."""
-        q = frame.to_model(np.atleast_2d(pts))
+    def model(x, with_jac=False):
+        """World image of a point or an (n, 2) block [and Jacobian(s)]."""
+        x = np.asarray(x, dtype=float)
+        q = frame.to_model(np.atleast_2d(x))
         band = cuts.searchsorted(q[:, 1])
         rate = scale.take(band, axis=0)
         out = rate * (q - origin.take(band, axis=0)) + const.take(band, axis=0)
@@ -625,7 +637,7 @@ def model_horseshoe_map(region: Optional[HorseshoeRegion] = None,
             c, s = np.cos(np.pi * t), np.sin(np.pi * t)
             out[fold] = np.column_stack([-1.6 + r_ell * c,
                                          12.0 + h_ell * s])
-        img = frame.to_world(out)
+        img = frame.to_world(out).reshape(x.shape)
         if not with_jac:
             return img
         j = np.zeros((len(q), 2, 2))
@@ -635,13 +647,10 @@ def model_horseshoe_map(region: Optional[HorseshoeRegion] = None,
             j[fold] = np.column_stack([
                 lam * c, -r_ell * np.pi * s / span,
                 0.025 * s, h_ell * np.pi * c / span]).reshape(-1, 2, 2)
-        return img, frame.matrix @ j @ frame.inverse
+        return img, (frame.matrix @ j @ frame.inverse).reshape(x.shape + (2,))
 
-    return user_map(lambda x: model(x)[0], 2, batch=model,
-                    jac=lambda x: model(x, True)[1][0],
-                    jac_many=lambda pts: model(pts, True)[1],
-                    tangent=lambda x: tuple(a[0] for a in model(x, True)),
-                    params={"contraction": lam, "expansion": mu})
+    params = {"contraction": lam, "expansion": mu}
+    return MapHandle(spec=MapSpec("user_table", params), eval=model)
 
 
 def model_strip_branches(contraction: float = 0.2):

@@ -105,7 +105,7 @@ def estimate_sup_norm(handle: MapHandle, search_radius: float,
     is not below M/10, which means the box may not contain the peak.
     """
     pts = _grid_points(handle, search_radius, grid)
-    vals = np.linalg.norm(handle.eval_many(pts), axis=1)
+    vals = np.linalg.norm(handle.eval(pts), axis=1)
     m_grid = float(vals.max())
     if m_grid == 0.0:
         return SupNorm(0.0, np.zeros(handle.dim), 0.0)
@@ -130,6 +130,16 @@ def estimate_sup_norm(handle: MapHandle, search_radius: float,
     return SupNorm(m_sup, argmax, r_m)
 
 
+def _sup_norm_search(handle: MapHandle, radius: float, grid: int) -> SupNorm:
+    """estimate_sup_norm at radius, doubled until its box holds the peak."""
+    for scale in (1.0, 2.0, 4.0):
+        try:
+            return estimate_sup_norm(handle, scale * radius, grid=grid)
+        except SupNormBoundaryError:
+            pass
+    return estimate_sup_norm(handle, 8.0 * radius, grid=grid)
+
+
 @dataclass(frozen=True)
 class DecayProfile:
     radii: np.ndarray
@@ -150,12 +160,12 @@ def az_decay_profile(handle: MapHandle, radii,
         raise ValueError("radii must be strictly increasing, length >= 2")
     dirs = _directions(handle, n_directions)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, handle.dim)
-    vals = np.linalg.norm(handle.eval_many(pts), axis=1)
+    vals = np.linalg.norm(handle.eval(pts), axis=1)
     profile = vals.reshape(len(radii), -1).max(axis=1)
     # reference magnitude: profile peak or an interior coarse-grid peak
     inner = _grid_points(handle, float(radii[0]), 64)
     m_ref = max(float(profile.max()),
-                float(np.linalg.norm(handle.eval_many(inner), axis=1).max()))
+                float(np.linalg.norm(handle.eval(inner), axis=1).max()))
     peak = int(profile.argmax())
     rising = np.flatnonzero(np.diff(profile[peak:]) > 1e-12 * max(m_ref, 1.0))
     if rising.size:
@@ -194,7 +204,7 @@ def ez_check(handle: MapHandle, r_candidates, tol: float = 1e-12) -> EZResult:
     for r in cands:
         shells = np.linspace(r, r_out, 33)
         pts = (shells[:, None, None] * dirs[None, :, :]).reshape(-1, handle.dim)
-        sup = float(np.linalg.norm(handle.eval_many(pts), axis=1).max())
+        sup = float(np.linalg.norm(handle.eval(pts), axis=1).max())
         if numeric is None and sup <= tol:
             numeric = r
         if strict is None and sup == 0.0:
@@ -233,7 +243,7 @@ def origin_contraction_check(handle: MapHandle, r_m: float,
     dirs = _directions(handle, 128)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, handle.dim)
     norms = np.linalg.norm(pts, axis=1)
-    ratios = np.linalg.norm(handle.eval_many(pts), axis=1) / norms
+    ratios = np.linalg.norm(handle.eval(pts), axis=1) / norms
     imax = int(ratios.argmax())
     max_ratio = float(ratios[imax])
     if max_ratio < 1.0 - _RATIO_TOL:
@@ -253,21 +263,12 @@ def attracting_set_sample(handle: MapHandle, n_iterates: int,
     """
     if n_iterates < 0:
         raise ValueError("n_iterates must be nonnegative")
-    m_sup = None
-    err: Exception = RuntimeError("sup-norm search did not run")
-    for radius in (8.0, 16.0, 32.0, 64.0):
-        try:
-            m_sup = estimate_sup_norm(handle, radius, grid=256).m_sup
-            break
-        except SupNormBoundaryError as exc:
-            err = exc
-    if m_sup is None:
-        raise err
+    m_sup = _sup_norm_search(handle, 8.0, grid=256).m_sup
     pts = _grid_points(handle, m_sup, grid)
     pts = pts[np.linalg.norm(pts, axis=1) <= m_sup]
     pts = np.vstack([pts, np.zeros(handle.dim)])
     for _ in range(n_iterates):
-        pts = handle.eval_many(pts)
+        pts = handle.eval(pts)
     if not np.all(np.isfinite(pts)):
         raise DivergenceError("attracting-set sample diverged")
     return PointCloud(pts, ordered=False,
@@ -305,20 +306,15 @@ def run_hypothesis_report(handle: MapHandle, search_radius: float = 8.0,
                           ) -> HypothesisReport:
     """Assemble the standard battery of checks into one report."""
     checks = []
-    sup = None
-    for radius in (search_radius, 2 * search_radius, 4 * search_radius,
-                   8 * search_radius):
-        try:
-            sup = estimate_sup_norm(handle, radius, grid=grid)
-            checks.append(CheckResult(
-                "sup_norm", STATUS_PASS,
-                f"M={sup.m_sup:.9g} R_M={sup.r_m:.9g}", 1e-6))
-            break
-        except SupNormBoundaryError as exc:
-            last_err = str(exc)
-    if sup is None:
-        checks.append(CheckResult("sup_norm", STATUS_INCONCLUSIVE,
-                                  last_err, 1e-6))
+    try:
+        sup = _sup_norm_search(handle, search_radius, grid=grid)
+        checks.append(CheckResult(
+            "sup_norm", STATUS_PASS,
+            f"M={sup.m_sup:.9g} R_M={sup.r_m:.9g}", 1e-6))
+    except SupNormBoundaryError as exc:
+        sup = None
+        checks.append(CheckResult("sup_norm", STATUS_INCONCLUSIVE, str(exc),
+                                  1e-6))
     if decay_radii is not None:
         decay = az_decay_profile(handle, np.asarray(decay_radii, dtype=float))
     else:

@@ -61,26 +61,19 @@ class MapSpec:
 
 @dataclass(frozen=True)
 class MapHandle:
-    """A built map: spec plus evaluation/Jacobian callables.
+    """A built map: spec plus its one evaluation function.
 
-    ``eval`` maps an (m,) point to an (m,) image; ``eval_many`` maps an
-    (n, m) block of points at once.  ``jac`` returns the (m, m) Jacobian
-    and ``jac_many`` the (n, m, m) Jacobians of an (n, m) block;
-    ``tangent`` returns a point's image and Jacobian from one evaluation.
-    For a built-in family they are partials of the module functions
-    ``_kernels.eval_point``/``eval_block``/``jac_point``/``jac_block``/
-    ``tangent_point`` over ``family_code`` and ``packed``, so built-in
-    handles pickle and are safe to share across worker processes.  A
-    user map's handle holds the callables it was given, and pickles only
-    if they do.
+    ``eval(x)`` maps an (m,) point or an (n, m) block to its image(s) of
+    the same shape; ``eval(x, True)`` also returns the (m, m) or
+    (n, m, m) Jacobians, from the same evaluation and with the same
+    images.  A built-in's ``eval`` is a partial of
+    ``_kernels.builtin_eval`` over ``family_code`` and ``packed``, so it
+    pickles and is safe to share across worker processes; a user map's
+    holds the callables it was given, and pickles only if they do.
     """
 
     spec: MapSpec
-    eval: Callable[[np.ndarray], np.ndarray]
-    eval_many: Callable[[np.ndarray], np.ndarray]
-    jac: Callable[[np.ndarray], np.ndarray]
-    jac_many: Callable[[np.ndarray], np.ndarray]
-    tangent: Callable[[np.ndarray], tuple]
+    eval: Callable[..., np.ndarray | tuple]
     jac_kind: str = "analytic"
     family_code: int = -1
     packed: tuple = ()
@@ -146,15 +139,9 @@ def build_map(spec: MapSpec, *, literal_eq: bool = False) -> MapHandle:
         cone = True
     else:
         raise MapDefinitionError("use user_map() to build user_table handles")
-    return MapHandle(
-        spec=spec,
-        eval=partial(_kernels.eval_point, code, packed),
-        eval_many=partial(_kernels.eval_block, code, packed),
-        jac=partial(_kernels.jac_point, code, packed),
-        jac_many=partial(_kernels.jac_block, code, packed),
-        tangent=partial(_kernels.tangent_point, code, packed),
-        jac_kind="analytic", family_code=code, packed=packed, cone=cone,
-    )
+    return MapHandle(spec=spec, eval=partial(_kernels.builtin_eval, code,
+                                             packed),
+                     family_code=code, packed=packed, cone=cone)
 
 
 def gauss_rotation(a: float, theta: float, *, literal_eq: bool = False) -> MapHandle:
@@ -189,29 +176,31 @@ def user_map(
     dim: int,
     jac: Callable[[np.ndarray], np.ndarray] | None = None,
     batch: Callable[[np.ndarray], np.ndarray] | None = None,
-    jac_many: Callable[[np.ndarray], np.ndarray] | None = None,
-    tangent: Callable[[np.ndarray], tuple] | None = None,
     params: Mapping[str, float] | None = None,
     cone: bool = False,
 ) -> MapHandle:
-    """Wrap an arbitrary callable as a MapHandle (family ``user_table``);
-    ``batch`` and ``jac_many`` default to a loop over the block's rows,
-    ``tangent`` to calling ``fn`` and the Jacobian."""
+    """Wrap an arbitrary callable as a MapHandle (family ``user_table``).
+
+    A point goes to ``fn`` and ``jac`` (central differences of ``fn`` by
+    default); an (n, dim) block goes to ``batch`` for its images when
+    given, and row by row to ``fn`` and ``jac`` otherwise.
+    """
     spec = MapSpec("user_table", dict(params or {}), dim=dim)
     validate_spec(spec)
-
-    def ev(x):
-        return np.asarray(fn(np.asarray(x, dtype=float)), dtype=float)
-
     jc = jac or partial(finite_difference_jacobian, fn)
-    ev_many = batch or (lambda pts: np.array(
-        [fn(p) for p in np.asarray(pts, dtype=float)], dtype=float))
-    jac_many = jac_many or (lambda pts: np.reshape(
-        [jc(p) for p in np.asarray(pts, dtype=float)], (-1, dim, dim)))
-    return MapHandle(
-        spec=spec, eval=ev, eval_many=ev_many, jac=jc, jac_many=jac_many,
-        tangent=tangent or (lambda x: (ev(x), jc(x))),
-        jac_kind="analytic" if jac else "finite_difference", cone=cone)
+
+    def ev(x, with_jac=False):
+        x = np.asarray(x, dtype=float)
+        point = x.ndim == 1
+        y = fn(x) if point else batch(x) if batch else [fn(p) for p in x]
+        y = np.asarray(y, dtype=float).reshape(x.shape)
+        if not with_jac:
+            return y
+        j = jc(x) if point else [jc(p) for p in x]
+        return y, np.asarray(j, dtype=float).reshape(x.shape + (dim,))
+
+    return MapHandle(spec=spec, eval=ev, cone=cone,
+                     jac_kind="analytic" if jac else "finite_difference")
 
 
 def eval_map(handle: MapHandle, x) -> np.ndarray:
@@ -229,4 +218,4 @@ def jacobian(handle: MapHandle, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input point")
-    return np.asarray(handle.jac(x), dtype=float)
+    return np.asarray(handle.eval(x, True)[1], dtype=float)

@@ -109,11 +109,11 @@ def radial_derivative(handle: MapHandle, x: np.ndarray) -> float:
     r = np.linalg.norm(x)
     if r == 0.0:
         raise ValueError("radial derivative undefined at the origin")
-    fx = handle.eval(x)
+    fx, jac = handle.eval(x, True)
     nf = np.linalg.norm(fx)
     if nf == 0.0:
         raise ValueError("radial derivative undefined where f vanishes")
-    grad = handle.jac(x).T @ (fx / nf)
+    grad = jac.T @ (fx / nf)
     return float(grad @ (x / r))
 
 
@@ -528,19 +528,17 @@ def radial_tent_map(slopes=(3.0, 3.0), zeta: float = 1.0, theta: float = 0.0,
     c, s = np.cos(2 * np.pi * theta), np.sin(2 * np.pi * theta)
     rot = np.array([[c, -s], [s, c]])
 
-    def fn(x):
-        r = np.linalg.norm(x)
-        if r == 0.0:
-            return np.zeros(2)
-        return rot @ (float(g(r)) / r * np.asarray(x, dtype=float))
-
-    def batch(pts):
-        pts = np.asarray(pts, dtype=float)
+    def image(x):
+        """Image of a point or an (n, 2) block, each row as its own point."""
+        x = np.asarray(x, dtype=float)
+        pts = x.reshape(-1, 2)
         r = np.linalg.norm(pts, axis=1)
         scale = np.zeros_like(r)
         nz = r > 0
         scale[nz] = g(r[nz]) / r[nz]
-        return (scale[:, None] * pts) @ rot.T
+        v1, v2 = scale * pts[:, 0], scale * pts[:, 1]
+        return np.column_stack([c * v1 - s * v2,
+                                s * v1 + c * v2]).reshape(x.shape)
 
     def jac(x):
         x = np.asarray(x, dtype=float)
@@ -553,7 +551,7 @@ def radial_tent_map(slopes=(3.0, 3.0), zeta: float = 1.0, theta: float = 0.0,
         radial = float(g(r)) / r * (np.eye(2) - uu) + float(gprime(r)) * uu
         return rot @ radial
 
-    handle = user_map(fn, 2, jac=jac, batch=batch,
+    handle = user_map(image, 2, jac=jac, batch=image,
                       params={"s_in": s_in, "s_out": s_out, "zeta": zeta,
                               "theta": theta, "mode": mode,
                               "alpha0": a0 if a0 is not None else np.nan})

@@ -76,7 +76,8 @@ def test_qr_keeps_lambda1_through_rank_deficient_steps(generic):
     # pioneer map, where j11 = j12 = 0, so every step has r22 == 0 exactly
     h = pioneer_climax_mixed(1.0, 1.0)
     if generic:
-        h = user_map(h.eval, 2, jac=h.jac, batch=h.eval_many, cone=h.cone)
+        h = user_map(h.eval, 2, jac=lambda x, h=h: h.eval(x, True)[1],
+                     batch=h.eval, cone=h.cone)
     qr = lyapunov_spectrum_qr(h, [0.05, 0.05], 1000, 50)
     ns = max_lyapunov_norm_sum(h, [0.05, 0.05], 1000, 50)
     assert qr.degenerate and qr.n_used == 1000

@@ -110,7 +110,7 @@ def test_verify_ah_block_checks_match_the_point_loops():
     report = verify_ah(handle, region, sampling=24)
 
     def model_jac(q):
-        return region.inverse @ handle.jac(region.to_world(q)) @ \
+        return region.inverse @ handle.eval(region.to_world(q), True)[1] @ \
             region.matrix
 
     c0 = region.sample("c0", 24)
@@ -119,7 +119,7 @@ def test_verify_ah_block_checks_match_the_point_loops():
     data = report.entry("sink_cap_contraction").data
     assert data["lipschitz"] == pytest.approx(lip, rel=1e-12)
     z = region.sample("z", 24)
-    img = region.to_model(handle.eval_many(region.to_world(z)))
+    img = region.to_model(handle.eval(region.to_world(z)))
     angles = [math.asin(min(1.0, abs(v[1]) / np.linalg.norm(v)))
               for v in (model_jac(q)[:, 1]
                         for q in z[region.inside_z(img) >= 0.0])]
@@ -192,7 +192,7 @@ def test_model_map_band_edges_follow_the_written_formulas():
             x = np.array([x1, x2])
             img, jac = band(x1, x2)
             np.testing.assert_array_equal(handle.eval(x), img)
-            np.testing.assert_array_equal(handle.jac(x), jac)
+            np.testing.assert_array_equal(handle.eval(x, True)[1], jac)
 
 
 def test_model_map_non_finite_rows_stay_non_finite():
@@ -204,12 +204,12 @@ def test_model_map_non_finite_rows_stay_non_finite():
             pts = rng.uniform([-6.0, -5.0], [2.0, 13.0], size=(8, 2))
             bad = rng.random(8) < 0.5
             pts[bad, rng.integers(0, 2, size=bad.sum())] = np.nan
-            img, jac = handle.eval_many(pts), handle.jac_many(pts)
+            img, jac = handle.eval(pts), handle.eval(pts, True)[1]
             assert np.array_equal(~np.isfinite(img).all(axis=1), bad)
             assert np.array_equal(~np.isfinite(jac).all(axis=(1, 2)), bad)
         for x in ([np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan]):
             assert not np.isfinite(handle.eval(np.array(x))).all()
-            assert not np.isfinite(handle.jac(np.array(x))).all()
+            assert not np.isfinite(handle.eval(np.array(x), True)[1]).all()
 
 
 def test_model_fold_injectivity_sampled():
@@ -217,7 +217,7 @@ def test_model_fold_injectivity_sampled():
     g1, g2 = np.meshgrid(np.linspace(-6.0, 2.0, 24),
                          np.linspace(3.0, 5.0, 24), indexing="ij")
     pts = np.column_stack([g1.ravel(), g2.ravel()])
-    img = handle.eval_many(pts)
+    img = handle.eval(pts)
     d2 = ((img[:, None, :] - img[None, :, :]) ** 2).sum(axis=2)
     d2[np.diag_indices(len(img))] = np.inf
     pre_d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
@@ -424,7 +424,7 @@ def test_trellis_components_and_cycle_exchange():
     assert np.min(np.linalg.norm(comp0 - p0, axis=1)) < 1e-9
     assert np.min(np.linalg.norm(comp1 - p1, axis=1)) < 1e-9
     # component 1 is the pointwise image of component 0 plus refinements
-    img0 = handle.eval_many(comp0[:50])
+    img0 = handle.eval(comp0[:50])
     d = np.linalg.norm(comp1[None, :, :] - img0[:, None, :], axis=2)
     assert d.min(axis=1).max() < 1e-9
 

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from attractorlab import hypotheses
 from attractorlab.maps import (GOLDEN_MEAN, gauss_rotation,
                                pioneer_climax_full, user_map)
-from attractorlab.hypotheses import (SupNormBoundaryError, attracting_set_sample,
+from attractorlab.hypotheses import (CheckResult, SupNormBoundaryError,
+                                     attracting_set_sample,
                                      az_decay_profile, estimate_sup_norm,
                                      ez_check, origin_contraction_check,
                                      run_hypothesis_report)
@@ -196,3 +198,24 @@ def test_report_pioneer_adaptive_decay():
     # exp(-0.2 r) tails need the adaptive profile extension to clear 1e-9
     assert by_name["decay_to_zero"] == "pass"
     assert by_name["origin_contraction"] == "fail"
+
+
+def test_sup_norm_search_doubles_the_radius_three_times(monkeypatch):
+    # both callers try the radius times 1, 2, 4 and 8, and give up with
+    # the last boundary error
+    calls = []
+
+    def boundary(handle, radius, grid=512):
+        calls.append((radius, grid))
+        raise SupNormBoundaryError(f"radius {radius}")
+
+    monkeypatch.setattr(hypotheses, "estimate_sup_norm", boundary)
+    h = gauss_rotation(2.7, GOLDEN_MEAN)
+    with pytest.raises(SupNormBoundaryError, match="radius 64.0"):
+        attracting_set_sample(h, 1)
+    assert calls == [(8.0, 256), (16.0, 256), (32.0, 256), (64.0, 256)]
+    calls.clear()
+    report = run_hypothesis_report(h, search_radius=3.0, grid=64)
+    assert calls == [(3.0, 64), (6.0, 64), (12.0, 64), (24.0, 64)]
+    assert report.checks[0] == CheckResult("sup_norm", "inconclusive",
+                                           "radius 24.0", 1e-6)

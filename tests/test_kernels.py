@@ -44,7 +44,8 @@ def start_for(h):
 
 def generic_twin(h):
     """The same map as a user map, which runs on the generic lane."""
-    return user_map(h.eval, 2, jac=h.jac, batch=h.eval_many, cone=h.cone)
+    return user_map(h.eval, 2, jac=lambda x, h=h: h.eval(x, True)[1],
+                     batch=h.eval, cone=h.cone)
 
 
 # a lane runs kernel(handle, *args) on one lane
@@ -146,12 +147,11 @@ def test_qr_scalar_vs_generic():
 
 
 def test_builtin_kernels_never_call_handle_callables():
-    def refuse(x):
-        raise AssertionError("a built-in kernel called the handle callable")
+    def refuse(x, with_jac=False):
+        raise AssertionError("a built-in kernel called the handle's eval")
 
     for h in handles():
-        bare = dataclasses.replace(h, eval=refuse, jac=refuse,
-                                   eval_many=refuse)
+        bare = dataclasses.replace(h, eval=refuse)
         x0 = start_for(h)
         for force_python in (False, True):
             out = _kernels.run_orbit(bare, x0, 10, 20,
@@ -161,6 +161,33 @@ def test_builtin_kernels_never_call_handle_callables():
                                          force_python=force_python)[1] == 100
             assert _kernels.run_qr(bare, x0, 10, 100, 10,
                                    force_python=force_python)[1] == 100
+
+
+def test_generic_lane_makes_one_handle_call_per_step():
+    # each step's image and Jacobian come from one eval(x, True) call, and
+    # the estimates are those of the built-in's own one-call evaluation
+    h = gauss_rotation(4.4, GOLDEN_MEAN)
+    twin = generic_twin(h)
+    calls = []
+
+    def counting_eval(x, with_jac=False):
+        calls.append(with_jac)
+        return twin.eval(x, with_jac)
+
+    counted = dataclasses.replace(twin, eval=counting_eval)
+    n_transient, n, stride = 30, 200, 10
+    for kernel, generic, trace in (
+            (_kernels.run_norm_sum, _kernels._norm_sum_generic,
+             np.empty(n // stride)),
+            (_kernels.run_qr, _kernels._qr_generic,
+             np.empty((n // stride, 2)))):
+        calls.clear()
+        got = kernel(counted, X0, n_transient, n, stride)
+        assert calls == [False] * n_transient + [True] * n
+        want = generic(h.eval, X0, n_transient, n, stride, trace)
+        assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
+        assert got[1] == want[1] == n
+        assert got[3].tobytes() == trace.tobytes()
 
 
 def test_tangent_loops_take_one_exp_per_factor_per_step():

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from attractorlab import _kernels
-from attractorlab.horseshoe import model_horseshoe_map
+from attractorlab.horseshoe import HorseshoeRegion, model_horseshoe_map
 from attractorlab.maps import (GOLDEN_MEAN, MapDefinitionError, MapSpec,
                                build_map, eval_map, finite_difference_jacobian,
                                gauss_rotation, jacobian, pioneer_climax_full,
                                pioneer_climax_mixed, user_map)
+from attractorlab.radial import radial_tent_map
 
 
 def rot(theta):
@@ -38,7 +39,7 @@ def test_gauss_literal_duplicates_components():
     y = h.eval(np.array([0.5, 0.2]))
     assert y[0] == y[1]
     assert h.literal
-    j = h.jac(np.array([0.5, 0.2]))
+    j = h.eval(np.array([0.5, 0.2]), True)[1]
     np.testing.assert_array_equal(j[0], j[1])
 
 
@@ -67,15 +68,6 @@ def test_axes_invariant_for_pioneer():
     assert on_x2[0] == 0.0
 
 
-def test_eval_many_matches_eval():
-    for h in (gauss_rotation(4.4, GOLDEN_MEAN), pioneer_climax_full(3, 3),
-              pioneer_climax_mixed(2, 3)):
-        pts = np.array([[0.3, 0.1], [1.0, 2.0], [0.0, 0.0], [-1.0, 0.5]])
-        block = h.eval_many(pts)
-        rows = np.array([h.eval(p) for p in pts])
-        np.testing.assert_allclose(block, rows, rtol=1e-15)
-
-
 def test_analytic_jacobian_matches_finite_difference():
     rng = np.random.default_rng(7)
     for h in (gauss_rotation(2.7, GOLDEN_MEAN),
@@ -95,10 +87,10 @@ def test_user_map_defaults():
     assert h.jac_kind == "finite_difference"
     x = np.array([1.2, -0.7])
     expected_j = np.array([[2 * 1.2, -1.0], [0.0, 0.5]])
-    np.testing.assert_allclose(h.jac(x), expected_j, atol=1e-7)
-    # loop fallback for eval_many
+    np.testing.assert_allclose(h.eval(x, True)[1], expected_j, atol=1e-7)
+    # a block without batch loops over its rows
     pts = np.array([[1.0, 2.0], [0.5, 0.5]])
-    np.testing.assert_allclose(h.eval_many(pts), [f(p) for p in pts])
+    np.testing.assert_allclose(h.eval(pts), [f(p) for p in pts])
 
 
 def test_user_map_dim_validation():
@@ -160,31 +152,61 @@ def test_builtin_handles_pickle():
                                   h.literal)
         for p in pts:
             assert np.array_equal(back.eval(p), h.eval(p))
-            assert np.array_equal(back.jac(p), h.jac(p))
-        assert np.array_equal(back.eval_many(pts), h.eval_many(pts))
+            assert np.array_equal(back.eval(p, True)[1], h.eval(p, True)[1])
+        assert np.array_equal(back.eval(pts), h.eval(pts))
 
 
-def test_jac_many_and_tangent_are_the_point_callables_bit_for_bit():
-    pts = grid_points()
+def handle_cases():
+    """Every kind of handle, each with a block of points in its domain."""
+    pts = np.vstack([grid_points(),
+                     [[0.3, 0.1], [1.0, 2.0], [0.0, 0.0], [-1.0, 0.5]]])
     # the grid spread over the model capsule, plus the model's band edges
     model_pts = np.vstack([pts * [1.0, 2.0] - [2.0, 3.0],
                            [[x1, x2] for x1 in (-5.0, 0.5)
                             for x2 in (-1.0, 3.0, 5.0, 9.0)]])
-    f = lambda x: np.array([x[0] ** 2 - x[1], 0.5 * x[1] * x[0]])
-    cases = [(h, pts) for h in builtin_handles()] + [
-        (model_horseshoe_map(), model_pts), (user_map(f, 2), pts)]
-    for h, block in cases:
-        stacked = np.array([h.jac(p) for p in block])
-        assert h.jac_many(block).tobytes() == stacked.tobytes()
-        assert h.jac_many(block[:0]).shape == (0, 2, 2)
-        for p in block:
-            image, jac = h.tangent(p)
+    framed = HorseshoeRegion([[0.7, -0.4], [0.2, 1.3]], [3.1, -2.2])
+    f = lambda x: np.array([x[0] * x[0] - x[1], 0.5 * x[1] * x[0]])
+    jac = lambda x: np.array([[2.0 * x[0], -1.0], [0.5 * x[1], 0.5 * x[0]]])
+    batch = lambda p: np.column_stack([p[:, 0] * p[:, 0] - p[:, 1],
+                                       0.5 * p[:, 1] * p[:, 0]])
+    return [(h, pts) for h in builtin_handles()] + [
+        (model_horseshoe_map(), model_pts),
+        (model_horseshoe_map(region=framed), framed.to_world(model_pts)),
+        (radial_tent_map((3.0, 2.5), theta=0.3).handle, pts / 4.0),
+        (user_map(f, 2), pts), (user_map(f, 2, jac=jac, batch=batch), pts)]
+
+
+def test_eval_of_a_block_is_its_point_evaluations_bit_for_bit():
+    for h, block in handle_cases():
+        images = h.eval(block)
+        assert images.shape == block.shape
+        assert images.tobytes() == np.array(
+            [h.eval(p) for p in block]).tobytes()
+        pairs = [h.eval(p, True) for p in block]
+        # the image that comes with the Jacobian is the one without it
+        for p, (image, _) in zip(block, pairs):
             assert image.tobytes() == h.eval(p).tobytes()
-            assert jac.tobytes() == h.jac(p).tobytes()
+        got_images, got_jacs = h.eval(block, True)
+        assert got_images.tobytes() == images.tobytes()
+        assert got_jacs.tobytes() == np.array(
+            [j for _, j in pairs]).tobytes()
+        assert h.eval(block[:0]).shape == (0, 2)
+        assert [a.shape for a in h.eval(block[:0], True)] == [(0, 2),
+                                                              (0, 2, 2)]
+    pts = grid_points()
     for h in builtin_handles():
         back = pickle.loads(pickle.dumps(h))
-        assert back.jac_many(pts).tobytes() == h.jac_many(pts).tobytes()
-        assert back.tangent(pts[5])[1].tobytes() == h.jac(pts[5]).tobytes()
+        for x in (pts, pts[5]):
+            for got, want in zip(back.eval(x, True), h.eval(x, True)):
+                assert got.tobytes() == want.tobytes()
+
+
+def test_user_map_empty_block_keeps_its_dimension():
+    f = lambda x: 0.5 * x
+    for h in (user_map(f, 3), user_map(f, 3, jac=lambda x: 0.5 * np.eye(3))):
+        empty = np.empty((0, 3))
+        assert h.eval(empty).shape == (0, 3)
+        assert [a.shape for a in h.eval(empty, True)] == [(0, 3), (0, 3, 3)]
 
 
 def scalar_form(step, tangent, h, pts):
@@ -202,8 +224,8 @@ def test_handle_callables_are_the_kernel_definition():
     np_step, np_tangent = _kernels._family(np.exp)
     for h in builtin_handles():
         ev = np.array([h.eval(p) for p in pts])
-        ev_many = h.eval_many(pts)
-        jc = np.array([h.jac(p) for p in pts])
+        ev_many = h.eval(pts)
+        jc = np.array([h.eval(p, True)[1] for p in pts])
         # over the same exponential, bit for bit the scalar definition
         images, jacs = scalar_form(np_step, np_tangent, h, pts)
         assert np.array_equal(ev, images)
