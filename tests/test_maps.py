@@ -176,21 +176,27 @@ def handle_cases():
         (user_map(f, 2), pts), (user_map(f, 2, jac=jac, batch=batch), pts)]
 
 
-def test_eval_of_a_block_is_its_point_evaluations_bit_for_bit():
+def test_eval_many_matches_eval():
+    # eval of an (n, m) block is its rows' point evaluations, bit for bit
     for h, block in handle_cases():
         images = h.eval(block)
         assert images.shape == block.shape
         assert images.tobytes() == np.array(
             [h.eval(p) for p in block]).tobytes()
+        assert h.eval(block[:0]).shape == (0, 2)
+
+
+def test_jac_many_and_tangent_are_the_point_callables_bit_for_bit():
+    # eval(x, True) returns the image without the Jacobian, and on a block
+    # the stacked point Jacobians, bit for bit
+    for h, block in handle_cases():
         pairs = [h.eval(p, True) for p in block]
-        # the image that comes with the Jacobian is the one without it
         for p, (image, _) in zip(block, pairs):
             assert image.tobytes() == h.eval(p).tobytes()
         got_images, got_jacs = h.eval(block, True)
-        assert got_images.tobytes() == images.tobytes()
+        assert got_images.tobytes() == h.eval(block).tobytes()
         assert got_jacs.tobytes() == np.array(
             [j for _, j in pairs]).tobytes()
-        assert h.eval(block[:0]).shape == (0, 2)
         assert [a.shape for a in h.eval(block[:0], True)] == [(0, 2),
                                                               (0, 2, 2)]
     pts = grid_points()
