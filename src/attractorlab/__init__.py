@@ -40,11 +40,11 @@ from .chaos import (
     max_lyapunov_norm_sum,
 )
 from .hypotheses import (
-    CheckResult,
+    Check,
     ContractionCheck,
     DecayProfile,
     EZResult,
-    HypothesisReport,
+    Report,
     SupNorm,
     attracting_set_sample,
     az_decay_profile,
@@ -71,8 +71,6 @@ from .radial import (
     shift_metric,
 )
 from .horseshoe import (
-    AHEntry,
-    AHReport,
     HorseshoeRegion,
     RefinementExplosion,
     find_saddles,

@@ -86,7 +86,7 @@ Type = namedtuple("Type", "name parse ok", defaults=(lambda value: True,))
 def _vec(n: int) -> Type:
     return Type(f"float[{n}]",
                 lambda text: np.array([float(t) for t in text.split(",")]),
-                lambda value: value.shape == (n,))
+                lambda v: v.shape == (n,) and np.isfinite(v).all())
 
 
 def _choice(*names: str) -> Type:
@@ -103,7 +103,8 @@ def _between(lo: int, hi: int) -> Type:
 
 _BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | \
     dict.fromkeys(("0", "false", "no", "off"), False)
-FLOAT, STR = Type("float", float), Type("str", str)
+FLOAT, STR = Type("float", float, math.isfinite), Type("str", str)
+POSITIVE = Type("finite float > 0", float, lambda v: 0 < v < math.inf)
 INT = Type("int", partial(int, base=10))
 BOOL = Type("bool", lambda text: _BOOLS[text.lower()])
 REQUIRED = object()
@@ -152,10 +153,12 @@ COMMON = {"map": Key(_choice(*FAMILIES)), "out": Key(STR, "runs"),
 # keys that several commands take
 _SCHEDULE = {"param": Key(Type("float key of map", str)),
              "start": Key(FLOAT), "stop": Key(FLOAT), "step": Key(FLOAT)}
-_ORBIT = {"n_transient": Key(INT, 10_000), "x0": Key(_vec(DIM), _start_point)}
+_ORBIT = {"n_transient": Key(_at_least(0), 10_000),
+          "x0": Key(_vec(DIM), _start_point)}
 _RASTER = {"resolution": Key(_between(1, MAX_RASTER_SIDE), 1024),
            **dict.fromkeys(BOUNDS, Key(FLOAT, None))}
-N_KEEP, LYAP_N = Key(INT, 100_000), Key(INT, 100_000)
+# lyap_n >= 100, the least horizon the Lyapunov estimators accept
+N_KEEP, LYAP_N = Key(_at_least(1), 100_000), Key(_at_least(100), 100_000)
 N_SCALES = Key(_between(5, MAX_SCALES), 8)
 
 
@@ -557,19 +560,19 @@ COMMANDS = {
     "boxdim": Command(run_boxdim, {**_ORBIT, "n_keep": N_KEEP,
                                    "n_scales": N_SCALES}),
     "hypothesis": Command(run_hypothesis, {
-        "search_radius": Key(Type("finite float > 0", float,
-                                  lambda v: 0 < v < math.inf), 8.0),
+        "search_radius": Key(POSITIVE, 8.0),
         "grid": Key(_at_least(2), 256)}),
     "horseshoe": Command(run_horseshoe, {
         "sampling": Key(_at_least(2), 48), "box": Key(_vec(4), None),
         "k_max": Key(_at_least(1), 1), "n_seeds": Key(_at_least(1), 12),
         **FRAME_KEYS}),
     "trellis": Command(run_trellis, {
-        "saddle_seed": Key(_vec(DIM)), "period": Key(INT, 1),
-        "arc_budget": Key(FLOAT, 50.0), "tol": Key(FLOAT, 1e-3), **_RASTER}),
+        "saddle_seed": Key(_vec(DIM)), "period": Key(_at_least(1), 1),
+        "arc_budget": Key(POSITIVE, 50.0), "tol": Key(POSITIVE, 1e-3),
+        **_RASTER}),
     "bifurcation": Command(run_bifurcation, {
-        **_SCHEDULE, "bif_transient": Key(INT, 1_000),
-        "bif_keep": Key(INT, 200), "x0": _ORBIT["x0"],
+        **_SCHEDULE, "bif_transient": Key(_at_least(0), 1_000),
+        "bif_keep": Key(_at_least(1), 200), "x0": _ORBIT["x0"],
         "projection": Key(_choice("norm", *map(str, range(DIM))), "norm")}),
 }
 

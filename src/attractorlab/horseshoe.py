@@ -28,10 +28,8 @@ import numpy as np
 from .maps import MapHandle, MapSpec
 from .dynamics import (Cycle, DivergenceError, CycleSearchError, PointCloud,
                        find_cycle, classify_cycle, _iterate_with_product)
-
-STATUS_PASS = "pass"
-STATUS_FAIL = "fail"
-STATUS_INCONCLUSIVE = "inconclusive"
+from .hypotheses import (STATUS_FAIL, STATUS_INCONCLUSIVE, STATUS_PASS, Check,
+                         Report, verdict)
 
 TRANSVERSALITY_MIN_ANGLE = 1e-2     # radians
 FOLIATION_STEP = 1e-5               # first-difference step, model coords
@@ -161,52 +159,6 @@ class HorseshoeRegion:
         return pts
 
 
-@dataclass(frozen=True)
-class AHEntry:
-    name: str
-    status: str
-    margin: float
-    witness: Optional[np.ndarray] = None
-    data: dict = field(default_factory=dict)
-
-    def line(self) -> str:
-        w = "" if self.witness is None else \
-            np.array2string(np.asarray(self.witness), precision=6)
-        return f"{self.name}\t{self.status}\t{self.margin:.9g}\t{w}"
-
-
-@dataclass(frozen=True)
-class AHReport:
-    entries: list
-
-    def entry(self, name: str) -> AHEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(e.status == STATUS_PASS for e in self.entries)
-
-    @property
-    def lambda_contr(self) -> float:
-        return self.entry("foliation_rates").data.get("lambda_contr",
-                                                      float("nan"))
-
-    @property
-    def mu_exp(self) -> float:
-        return self.entry("foliation_rates").data.get("mu_exp", float("nan"))
-
-    @property
-    def saddle(self) -> Optional[Cycle]:
-        return self.entry("band_saddle").data.get("saddle")
-
-    def as_text(self) -> str:
-        header = "condition\tstatus\tmargin\twitness"
-        return "\n".join([header] + [e.line() for e in self.entries]) + "\n"
-
-
 def _model_jacobians(handle: MapHandle, region: HorseshoeRegion,
                      q: np.ndarray) -> np.ndarray:
     return region.inverse @ handle.eval(region.to_world(q), True)[1] @ \
@@ -219,7 +171,7 @@ def _map_model(handle: MapHandle, region: HorseshoeRegion,
 
 
 def verify_ah(handle: MapHandle, region: HorseshoeRegion,
-              sampling: int = 48) -> AHReport:
+              sampling: int = 48) -> Report:
     """Sampled check of the attracting-horseshoe conditions.
 
     Every condition reports pass/fail/inconclusive with a margin and a
@@ -229,7 +181,7 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
     transversality is only enforced at samples whose image lands back
     in the core Z, where the horizontal foliation lives.
     """
-    entries = []
+    checks = []
     h_pts = region.sample("h", sampling, boundary=True)
     h_img = _map_model(handle, region, h_pts)
 
@@ -241,48 +193,41 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
     bad = img_close & pre_far
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
-        entries.append(AHEntry("injectivity", STATUS_FAIL, 0.0,
-                               region.to_world(sp[i]),
-                               {"collides_with": region.to_world(sp[i + 1])}))
+        checks.append(Check("injectivity", STATUS_FAIL,
+                            region.to_world(sp[i]), 0.0,
+                            data={"collides_with": region.to_world(sp[i + 1])}))
     else:
         img_gap = np.linalg.norm(np.diff(si, axis=0), axis=1)
         sep = float(np.min(img_gap[pre_far])) if np.any(pre_far) else \
             float("inf")
-        entries.append(AHEntry("injectivity", STATUS_PASS, sep, None))
+        checks.append(Check("injectivity", STATUS_PASS, None, sep))
 
-    # f(H) inside the open region
-    d = region.inside_h(h_img)
-    i = int(np.argmin(d))
-    entries.append(AHEntry(
-        "region_into_interior",
-        STATUS_PASS if d[i] > 0 else STATUS_FAIL,
-        float(d[i]), region.to_world(h_pts[i])))
+    def lands_inside(name, pts, depth):
+        """Pass when every image lies strictly inside its target piece;
+        depth is each image's signed distance inside it."""
+        i = int(np.argmin(depth))
+        checks.append(Check(name, verdict(depth[i] > 0),
+                            region.to_world(pts[i]), float(depth[i])))
 
-    # both caps into the open lower cap
+    # f(H) inside the open region, both caps into the open lower cap and
+    # the fold band into the open upper cap
+    lands_inside("region_into_interior", h_pts, region.inside_h(h_img))
     cap_pts = np.vstack([region.sample("c0", sampling),
                          region.sample("c1", sampling)])
-    d = region.inside_c0(_map_model(handle, region, cap_pts))
-    i = int(np.argmin(d))
-    entries.append(AHEntry(
-        "caps_into_sink_cap", STATUS_PASS if d[i] > 0 else STATUS_FAIL,
-        float(d[i]), region.to_world(cap_pts[i])))
-
-    # fold band into the open upper cap
+    lands_inside("caps_into_sink_cap", cap_pts,
+                 region.inside_c0(_map_model(handle, region, cap_pts)))
     fold_pts = region.sample("s_half", sampling)
-    d = region.inside_c1(_map_model(handle, region, fold_pts))
-    i = int(np.argmin(d))
-    entries.append(AHEntry(
-        "fold_band_into_top_cap", STATUS_PASS if d[i] > 0 else STATUS_FAIL,
-        float(d[i]), region.to_world(fold_pts[i])))
+    lands_inside("fold_band_into_top_cap", fold_pts,
+                 region.inside_c1(_map_model(handle, region, fold_pts)))
 
     # transversality of pushed vertical leaves, where images stay in Z
     z_pts = region.sample("z", sampling)
     z_img = _map_model(handle, region, z_pts)
     active = region.inside_z(z_img) >= 0.0
     if not np.any(active):
-        entries.append(AHEntry("vertical_transversality",
-                               STATUS_INCONCLUSIVE, 0.0, None,
-                               {"note": "no sample maps back into Z"}))
+        checks.append(Check("vertical_transversality", STATUS_INCONCLUSIVE,
+                            None, 0.0,
+                            data={"note": "no sample maps back into Z"}))
     else:
         q = z_pts[active]
         # the images v of e2; where v = 0 the angle is 0
@@ -291,12 +236,11 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
         ang = np.arcsin(np.minimum(1.0, np.abs(v[:, 1]) /
                                    np.where(nv == 0.0, 1.0, nv)))
         i = int(np.argmin(ang))
-        worst, wit = float(ang[i]), q[i]
-        entries.append(AHEntry(
+        worst = float(ang[i])
+        checks.append(Check(
             "vertical_transversality",
-            STATUS_PASS if worst > TRANSVERSALITY_MIN_ANGLE else STATUS_FAIL,
-            float(worst - TRANSVERSALITY_MIN_ANGLE), region.to_world(wit),
-            {"min_angle": float(worst)}))
+            verdict(worst > TRANSVERSALITY_MIN_ANGLE), region.to_world(q[i]),
+            worst - TRANSVERSALITY_MIN_ANGLE, data={"min_angle": worst}))
 
     # lower cap contracts onto an interior sink; the Lipschitz bound is
     # sampled strictly inside the cap so a world-coordinate roundtrip
@@ -308,7 +252,6 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
     q, d = np.sum(j * j, axis=(1, 2)), np.linalg.det(j)
     lip = float(np.max(np.sqrt(0.5 * (q + np.sqrt(np.maximum(
         q * q - 4.0 * d * d, 0.0))))))
-    sink_entry = None
     try:
         fp = find_cycle(handle, 1, region.to_world(_CAP0 + [0.0, -2.0]))
         q_model = region.to_model(fp.points)[0]
@@ -319,18 +262,17 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
             orbit_pts = handle.eval(orbit_pts)
         basin_err = float(np.max(np.linalg.norm(
             orbit_pts - fp.points[0], axis=1)))
-        status = STATUS_PASS if sink_ok and basin_err < 1e-8 else STATUS_FAIL
-        sink_entry = AHEntry(
-            "sink_cap_contraction", status, float(1.0 - lip), fp.points[0],
-            {"fixed_point": fp.points[0], "lipschitz": lip,
-             "basin_residual": basin_err})
+        checks.append(Check(
+            "sink_cap_contraction", verdict(sink_ok and basin_err < 1e-8),
+            fp.points[0], 1.0 - lip,
+            data={"fixed_point": fp.points[0], "lipschitz": lip,
+                  "basin_residual": basin_err}))
     except (CycleSearchError, DivergenceError) as exc:
-        sink_entry = AHEntry("sink_cap_contraction", STATUS_FAIL,
-                             float(1.0 - lip), None, {"error": str(exc)})
-    entries.append(sink_entry)
+        checks.append(Check("sink_cap_contraction", STATUS_FAIL, None,
+                            1.0 - lip, data={"error": str(exc)}))
 
     # saddle in the lower band with vertical unstable direction
-    saddle_entry = None
+    saddle_check = None
     seeds = region.sample("s0", 7)
     for seed in region.to_world(seeds):
         try:
@@ -348,18 +290,15 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
             continue
         w = region.inverse @ info.unstable_vectors[:, 0]
         ang = math.asin(min(1.0, abs(w[0]) / np.linalg.norm(w)))
-        status = STATUS_PASS if ang < TRANSVERSALITY_MIN_ANGLE else \
-            STATUS_FAIL
-        saddle_entry = AHEntry(
-            "band_saddle", status, float(region.inside_s0(qm)[0]),
-            cyc.points[0],
-            {"saddle": cyc, "unstable_angle_from_vertical": float(ang)})
-        if status == STATUS_PASS:
+        saddle_check = Check(
+            "band_saddle", verdict(ang < TRANSVERSALITY_MIN_ANGLE),
+            cyc.points[0], float(region.inside_s0(qm)[0]),
+            data={"saddle": cyc, "unstable_angle_from_vertical": ang})
+        if saddle_check.status == STATUS_PASS:
             break
-    if saddle_entry is None:
-        saddle_entry = AHEntry("band_saddle", STATUS_FAIL, 0.0, None,
-                               {"note": "no saddle found in lower band"})
-    entries.append(saddle_entry)
+    checks.append(saddle_check or Check(
+        "band_saddle", STATUS_FAIL, None, 0.0,
+        data={"note": "no saddle found in lower band"}))
 
     # contraction along horizontal leaves, expansion along vertical ones
     eps = FOLIATION_STEP
@@ -375,13 +314,12 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
     dv = _map_model(handle, region, band_in + [0.0, eps]) - \
         _map_model(handle, region, band_in)
     mu_exp = float(np.min(np.linalg.norm(dv, axis=1))) / eps
-    ok = 0.0 < lam_contr < 1.0 < mu_exp
-    entries.append(AHEntry(
-        "foliation_rates", STATUS_PASS if ok else STATUS_FAIL,
-        float(min(1.0 - lam_contr, mu_exp - 1.0)), None,
-        {"lambda_contr": lam_contr, "mu_exp": mu_exp}))
+    checks.append(Check(
+        "foliation_rates", verdict(0.0 < lam_contr < 1.0 < mu_exp), None,
+        min(1.0 - lam_contr, mu_exp - 1.0),
+        data={"lambda_contr": lam_contr, "mu_exp": mu_exp}))
 
-    return AHReport(entries=entries)
+    return Report(("condition", "status", "margin", "witness"), checks)
 
 
 def find_saddles(handle: MapHandle, search_box, k_max: int = 1,

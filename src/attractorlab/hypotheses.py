@@ -9,6 +9,9 @@ of the ball B_M(0) forward.
 Maps flagged cone-restricted (``handle.cone``) are sampled on the
 nonnegative orthant only; their decay property holds on that cone, not
 on all of R^m.
+
+Every verdict here and in ``horseshoe.verify_ah`` is a :class:`Check`
+collected in a :class:`Report`.
 """
 
 from __future__ import annotations
@@ -27,6 +30,56 @@ STATUS_INCONCLUSIVE = "inconclusive"
 
 _RATIO_TOL = 1e-9        # equality band for the contraction ratio
 _ORIGIN_FIXED_TOL = 1e-12
+
+
+def verdict(ok: bool) -> str:
+    return STATUS_PASS if ok else STATUS_FAIL
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verdict with its evidence; witness is a point, a text or None."""
+    name: str
+    status: str
+    witness: object = None
+    margin: Optional[float] = None
+    tolerance: Optional[float] = None
+    data: dict = field(default_factory=dict)
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, np.ndarray):
+        return np.array2string(value, precision=6)
+    return f"{value:.9g}"
+
+
+@dataclass(frozen=True)
+class Report:
+    """Checks in order; columns is the header row, and its entries after
+    name and status name the Check fields that as_text prints."""
+    columns: tuple
+    checks: list
+
+    def check(self, name: str) -> Check:
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
+
+    @property
+    def all_pass(self) -> bool:
+        return all(c.status == STATUS_PASS for c in self.checks)
+
+    def as_text(self) -> str:
+        rows = [self.columns] + [
+            (c.name, c.status, *(_cell(getattr(c, f))
+                                  for f in self.columns[2:]))
+            for c in self.checks]
+        return "".join("\t".join(row) + "\n" for row in rows)
 
 
 class SupNormBoundaryError(RuntimeError):
@@ -276,45 +329,21 @@ def attracting_set_sample(handle: MapHandle, n_iterates: int,
                             "n_iterates": int(n_iterates), "grid": int(grid)})
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str
-    witness: str
-    tolerance: float
-
-    def line(self) -> str:
-        return f"{self.name}\t{self.status}\t{self.witness}\t{self.tolerance:g}"
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    checks: list = field(default_factory=list)
-
-    def as_text(self) -> str:
-        header = "check\tstatus\twitness\ttolerance"
-        return "\n".join([header] + [c.line() for c in self.checks]) + "\n"
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.status == STATUS_PASS for c in self.checks)
-
-
 def run_hypothesis_report(handle: MapHandle, search_radius: float = 8.0,
                           grid: int = 256, decay_radii=None,
                           ez_candidates=None, ez_tol: float = 1e-12,
-                          ) -> HypothesisReport:
+                          ) -> Report:
     """Assemble the standard battery of checks into one report."""
     checks = []
     try:
         sup = _sup_norm_search(handle, search_radius, grid=grid)
-        checks.append(CheckResult(
-            "sup_norm", STATUS_PASS,
-            f"M={sup.m_sup:.9g} R_M={sup.r_m:.9g}", 1e-6))
+        checks.append(Check("sup_norm", STATUS_PASS,
+                            f"M={sup.m_sup:.9g} R_M={sup.r_m:.9g}",
+                            tolerance=1e-6))
     except SupNormBoundaryError as exc:
         sup = None
-        checks.append(CheckResult("sup_norm", STATUS_INCONCLUSIVE, str(exc),
-                                  1e-6))
+        checks.append(Check("sup_norm", STATUS_INCONCLUSIVE, str(exc),
+                            tolerance=1e-6))
     if decay_radii is not None:
         decay = az_decay_profile(handle, np.asarray(decay_radii, dtype=float))
     else:
@@ -329,33 +358,26 @@ def run_hypothesis_report(handle: MapHandle, search_radius: float = 8.0,
             if decay.verdict == STATUS_PASS or not final_only or end >= 400:
                 break
             end *= 2
-    checks.append(CheckResult(
+    checks.append(Check(
         "decay_to_zero", decay.verdict,
-        "profile ok" if decay.witness is None else repr(decay.witness), 1e-9))
+        "profile ok" if decay.witness is None else repr(decay.witness),
+        tolerance=1e-9))
     cands = (list(ez_candidates) if ez_candidates is not None
              else [2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0])
     ez = ez_check(handle, cands, tol=ez_tol)
-    checks.append(CheckResult(
-        "cutoff_strict",
-        STATUS_PASS if ez.strict_radius is not None else STATUS_FAIL,
-        "not EZ" if ez.strict_radius is None else f"R={ez.strict_radius}",
-        0.0))
-    checks.append(CheckResult(
-        "cutoff_numeric",
-        STATUS_PASS if ez.numeric_radius is not None else STATUS_FAIL,
-        "not EZ" if ez.numeric_radius is None else f"R={ez.numeric_radius}",
-        ez_tol))
+    for kind, radius, tol in (("strict", ez.strict_radius, 0.0),
+                              ("numeric", ez.numeric_radius, ez_tol)):
+        checks.append(Check(f"cutoff_{kind}", verdict(radius is not None),
+                            "not EZ" if radius is None else f"R={radius}",
+                            tolerance=tol))
     if sup is not None:
         try:
             con = origin_contraction_check(handle, sup.r_m, grid=grid)
-            witness = ("" if con.witness is None
-                       else np.array2string(con.witness, precision=6))
-            checks.append(CheckResult(
+            checks.append(Check(
                 "origin_contraction", con.status,
-                f"max_ratio={con.max_ratio:.9g} {witness}".strip(),
-                con.tolerance))
+                f"max_ratio={con.max_ratio:.9g} {_cell(con.witness)}".strip(),
+                tolerance=con.tolerance))
         except ValueError as exc:
-            checks.append(CheckResult("origin_contraction",
-                                      STATUS_INCONCLUSIVE, str(exc),
-                                      _RATIO_TOL))
-    return HypothesisReport(checks=checks)
+            checks.append(Check("origin_contraction", STATUS_INCONCLUSIVE,
+                                str(exc), tolerance=_RATIO_TOL))
+    return Report(("check", "status", "witness", "tolerance"), checks)

@@ -243,8 +243,9 @@ def test_origin_contraction_and_cycle_containment():
 def test_attracting_horseshoe_fixture():
     report = verify_ah(model_horseshoe_map(), HorseshoeRegion())
     assert report.all_pass, report.as_text()
-    assert report.lambda_contr == pytest.approx(0.2, abs=1e-6)
-    assert report.mu_exp == pytest.approx(4.0, abs=1e-6)
+    rates = report.check("foliation_rates").data
+    assert rates["lambda_contr"] == pytest.approx(0.2, abs=1e-6)
+    assert rates["mu_exp"] == pytest.approx(4.0, abs=1e-6)
 
     for depth in range(0, 9):
         assert leaf_component_count(depth, n_samples=1 << 21) == 2 ** depth
@@ -254,7 +255,7 @@ def test_attracting_horseshoe_fixture():
     region = HorseshoeRegion()
     report = verify_ah(ident, region)
     assert not report.all_pass
-    entry = report.entry("region_into_interior")
+    entry = report.check("region_into_interior")
     assert entry.status == "fail" and entry.margin <= 0.0
     gap = region.inside_h(region.to_model(entry.witness[None, :]))[0]
     assert abs(gap) < 1e-9

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from attractorlab import _kernels, chaos
@@ -263,8 +263,9 @@ def test_boxdim_counts_invariant_under_dyadic_scaling_and_permutation(
     assert np.array_equal(got.scales, want.scales * 2.0 ** k)
 
 
-# QR oracles on the closed-form tangent loops, over gauss and pioneer
-# parameters and start points
+# QR oracles over gauss and pioneer parameters and start points, on the
+# closed-form tangent loops of a built-in handle and on the generic loops
+# of the same map wrapped as a user map
 @st.composite
 def tangent_orbits(draw):
     if draw(st.booleans()):
@@ -275,6 +276,9 @@ def tangent_orbits(draw):
                                        pioneer_climax_mixed]))
         h = family(draw(st.floats(1.0, 3.5)), draw(st.floats(1.0, 3.5)))
         x0 = draw(st.tuples(*[st.floats(0.05, 3.0)] * 2))
+    if draw(st.booleans()):
+        h = user_map(h.eval, 2, jac=lambda x, h=h: h.eval(x, True)[1],
+                     cone=h.cone)
     return h, np.array(x0)
 
 
@@ -283,14 +287,14 @@ N_TRANSIENT, N_QR = 50, 1000
 
 def jacobians_along(h, x0, n_transient, n):
     """(j11, j12, j21, j22) at the n orbit points after n_transient steps,
-    the points at which the tangent loops take their Jacobians."""
+    the points at which the handle's lane takes its Jacobians."""
     path = _kernels.run_orbit(h, x0, 0, n_transient + n)
     pts = np.vstack([x0, path])[n_transient:n_transient + n]
-    return _kernels._np_tangent(h.family_code, *h.packed,
-                                pts[:, 0], pts[:, 1])[2:]
+    return h.eval(pts, True)[1].reshape(n, 4).T
 
 
 @given(tangent_orbits())
+@settings(deadline=None)  # the generic lane takes about 0.1 s a case
 def test_qr_spectrum_sum_is_mean_log_abs_det(case):
     # r11 * r22 = |det J| at every Gram-Schmidt step, so lambda1 + lambda2
     # is the mean of log|det J| along the same orbit.  Gram-Schmidt
@@ -307,6 +311,7 @@ def test_qr_spectrum_sum_is_mean_log_abs_det(case):
 
 
 @given(tangent_orbits())
+@settings(deadline=None)  # the generic lane takes about 0.1 s a case
 def test_norm_sum_bounds_every_qr_exponent(case):
     # ||J q|| <= ||J|| for any unit q, step by step, on the same orbit
     h, x0 = case

@@ -646,6 +646,16 @@ def test_sweep_config_errors_stop_before_any_value(tmp_path, capsys):
     ("hypothesis", PIONEER + "search_radius = inf\n"),
     ("hypothesis", PIONEER + "grid = 1\n"),
     ("orbit", PIONEER + "xmin = -5\nxmax = 5\nymin = -5\n"),
+    ("sweep", CONTRACT["sweep"][0] + "lyap_n = 50\n"),
+    ("lyapunov", PIONEER + "lyap_n = 50\n"),
+    ("trellis", CONTRACT["trellis"][0] + "tol = 0\n"),
+    ("trellis", CONTRACT["trellis"][0] + "arc_budget = -4\n"),
+    ("trellis", CONTRACT["trellis"][0] + "period = 0\n"),
+    ("orbit", PIONEER + "n_transient = -1\n"),
+    ("orbit", PIONEER + "n_keep = 0\n"),
+    ("orbit", "map = gauss_rotation\na = nan\ntheta = 0.5\n"),
+    ("orbit", PIONEER + "x0 = nan,0.1\n"),
+    ("horseshoe", "map = model_horseshoe\nframe = nan,0,0,1\n"),
 ])
 def test_config_errors_exit_1(tmp_path, capsys, command, text):
     out = tmp_path / "run"

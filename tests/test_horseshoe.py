@@ -75,12 +75,13 @@ def test_verify_ah_model_passes_with_exact_rates():
     handle = model_horseshoe_map()
     report = verify_ah(handle, HorseshoeRegion())
     assert report.all_pass, report.as_text()
-    assert report.lambda_contr == pytest.approx(0.2, abs=1e-6)
-    assert report.mu_exp == pytest.approx(4.0, abs=1e-6)
-    saddle = report.saddle
+    rates = report.check("foliation_rates").data
+    assert rates["lambda_contr"] == pytest.approx(0.2, abs=1e-6)
+    assert rates["mu_exp"] == pytest.approx(4.0, abs=1e-6)
+    saddle = report.check("band_saddle").data["saddle"]
     assert saddle is not None and saddle.period == 1
     np.testing.assert_allclose(saddle.points[0], [0.0, 0.0], atol=1e-9)
-    names = [e.name for e in report.entries]
+    names = [e.name for e in report.checks]
     assert names == ["injectivity", "region_into_interior",
                      "caps_into_sink_cap", "fold_band_into_top_cap",
                      "vertical_transversality", "sink_cap_contraction",
@@ -96,8 +97,9 @@ def test_verify_ah_framed_region():
     handle = model_horseshoe_map(region=region)
     report = verify_ah(handle, region, sampling=32)
     assert report.all_pass, report.as_text()
-    assert report.lambda_contr == pytest.approx(0.2, abs=1e-6)
-    assert report.mu_exp == pytest.approx(4.0, abs=1e-6)
+    rates = report.check("foliation_rates").data
+    assert rates["lambda_contr"] == pytest.approx(0.2, abs=1e-6)
+    assert rates["mu_exp"] == pytest.approx(4.0, abs=1e-6)
 
 
 def test_verify_ah_block_checks_match_the_point_loops():
@@ -116,7 +118,7 @@ def test_verify_ah_block_checks_match_the_point_loops():
     c0 = region.sample("c0", 24)
     lip = max(np.linalg.norm(model_jac(q), 2)
               for q in c0[region.inside_c0(c0) > 1e-9])
-    data = report.entry("sink_cap_contraction").data
+    data = report.check("sink_cap_contraction").data
     assert data["lipschitz"] == pytest.approx(lip, rel=1e-12)
     z = region.sample("z", 24)
     img = region.to_model(handle.eval(region.to_world(z)))
@@ -124,7 +126,7 @@ def test_verify_ah_block_checks_match_the_point_loops():
               for v in (model_jac(q)[:, 1]
                         for q in z[region.inside_z(img) >= 0.0])]
     assert len(angles) > 100
-    data = report.entry("vertical_transversality").data
+    data = report.check("vertical_transversality").data
     assert data["min_angle"] == pytest.approx(min(angles), abs=1e-12)
 
 
@@ -134,16 +136,16 @@ def test_verify_ah_identity_fails_with_boundary_witness():
     region = HorseshoeRegion()
     report = verify_ah(ident, region)
     assert not report.all_pass
-    into = report.entry("region_into_interior")
+    into = report.check("region_into_interior")
     assert into.status == "fail"
     assert into.margin <= 0.0
     # worst witness sits on the capsule boundary, which maps onto itself
     wd = region.inside_h(region.to_model(into.witness[None, :]))[0]
     assert abs(wd) < 1e-9
-    assert report.entry("caps_into_sink_cap").status == "fail"
-    assert report.entry("foliation_rates").status == "fail"
+    assert report.check("caps_into_sink_cap").status == "fail"
+    assert report.check("foliation_rates").status == "fail"
     with pytest.raises(KeyError):
-        report.entry("nonexistent")
+        report.check("nonexistent")
 
 
 def test_model_map_validation_and_seams():

@@ -8,7 +8,7 @@ import pytest
 from attractorlab import hypotheses
 from attractorlab.maps import (GOLDEN_MEAN, gauss_rotation,
                                pioneer_climax_full, user_map)
-from attractorlab.hypotheses import (CheckResult, SupNormBoundaryError,
+from attractorlab.hypotheses import (Check, SupNormBoundaryError,
                                      attracting_set_sample,
                                      az_decay_profile, estimate_sup_norm,
                                      ez_check, origin_contraction_check,
@@ -217,5 +217,5 @@ def test_sup_norm_search_doubles_the_radius_three_times(monkeypatch):
     calls.clear()
     report = run_hypothesis_report(h, search_radius=3.0, grid=64)
     assert calls == [(3.0, 64), (6.0, 64), (12.0, 64), (24.0, 64)]
-    assert report.checks[0] == CheckResult("sup_norm", "inconclusive",
-                                           "radius 24.0", 1e-6)
+    assert report.checks[0] == Check("sup_norm", "inconclusive",
+                                     "radius 24.0", tolerance=1e-6)
