@@ -263,9 +263,11 @@ def _round_scaled(a, e):
 def _float_fields(x) -> np.ndarray:
     """FLOAT_FMT of each float64 of x as (24, len(x)) uint8 fields: from the
     17 digits of round(|x| * 10**(16 - E)) where the rounded exponent E is
-    in [-4, 16] (%g's fixed notation), else by FLOAT_FMT itself."""
+    in [-4, 16] (%g's fixed notation), '0' after the sign for +-0, else by
+    FLOAT_FMT itself."""
     a = np.abs(x)
     fast = (a >= 9e-5) & (a < 1e17)
+    zero = a == 0.0
     a = np.where(fast, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
     d = _round_scaled(a, e)
@@ -273,6 +275,7 @@ def _float_fields(x) -> np.ndarray:
     e = e + up - down
     d[up | down] = _round_scaled(a[up | down], e[up | down])
     fast &= (e >= -4) & (e <= 16)  # one retry puts d in [1e16, 1e17)
+    d[zero] = 0  # with e = 0 from a = 1.0, the fields below read '0'
     # the 21 digits of d * 10**4, with the units digit of x at row p, then
     # '.', then the fraction; leading and trailing zeros become NUL
     p = (4 + e).astype(np.int8)
@@ -287,8 +290,8 @@ def _float_fields(x) -> np.ndarray:
     for j in range(20, -1, -1):
         keep[j] |= keep[j + 1]
     body *= (keep | left) & (_ROW >= np.minimum(p, 4))
-    out[0] = 45 * (x < 0)
-    slow = ~fast
+    out[0] = 45 * np.signbit(x)
+    slow = ~(fast | zero)
     out[:, slow] = _text_fields(x[slow], FLOAT_FMT, 24)
     return out
 

@@ -9,6 +9,7 @@ Jacobian product, then reduced to their minimal period.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -159,6 +160,25 @@ def _iterate_with_product(handle: MapHandle, x: np.ndarray, k: int):
     return np.array(pts), prod
 
 
+def _condition_number(amat: np.ndarray) -> float:
+    """2-norm condition number of a square matrix.  A 2x2 one takes the
+    closed form (q + sqrt(q^2 - 4 det^2)) / (2 |det|), q the squared
+    Frobenius norm, and inf when it is singular."""
+    if amat.shape != (2, 2):
+        return float(np.linalg.cond(amat))
+    entries = amat.ravel().tolist()
+    # the ratio is scale-free; dividing by the largest entry keeps q^2 finite
+    scale = max(map(abs, entries))
+    if scale == 0.0:
+        return math.inf
+    a, b, c, d = (e / scale for e in entries)
+    det = abs(a * d - b * c)
+    if det == 0.0:
+        return math.inf
+    q = a * a + b * b + c * c + d * d
+    return (q + math.sqrt(max(q * q - 4.0 * det * det, 0.0))) / (2.0 * det)
+
+
 def find_cycle(handle: MapHandle, period: int, seed) -> Cycle:
     """Newton search for a k-periodic point starting from ``seed``.
 
@@ -187,10 +207,9 @@ def find_cycle(handle: MapHandle, period: int, seed) -> Cycle:
         try:
             delta = np.linalg.solve(amat, -fval)
         except np.linalg.LinAlgError:
-            raise CycleSearchError(
-                "singular Newton matrix",
-                condition=float(np.linalg.cond(amat))) from None
-        cond = float(np.linalg.cond(amat))
+            raise CycleSearchError("singular Newton matrix",
+                                   condition=_condition_number(amat)) from None
+        cond = _condition_number(amat)
         if not np.isfinite(delta).all() or cond > 1e14:
             raise CycleSearchError("ill-conditioned Newton matrix",
                                    condition=cond)

@@ -257,11 +257,16 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
         q_model = region.to_model(fp.points)[0]
         sink_ok = (lip < 1.0 and fp.stability == "sink"
                    and float(region.inside_c0(q_model)[0]) > 0)
+        # push the cap samples until all are within 1e-8 of the sink, or
+        # 300 steps; escaping samples overflow quietly to inf or nan
         orbit_pts = region.to_world(c0_pts)
-        for _ in range(300):
-            orbit_pts = handle.eval(orbit_pts)
-        basin_err = float(np.max(np.linalg.norm(
-            orbit_pts - fp.points[0], axis=1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(300):
+                orbit_pts = handle.eval(orbit_pts)
+                basin_err = float(np.max(np.linalg.norm(
+                    orbit_pts - fp.points[0], axis=1)))
+                if basin_err < 1e-8:
+                    break
         checks.append(Check(
             "sink_cap_contraction", verdict(sink_ok and basin_err < 1e-8),
             fp.points[0], 1.0 - lip,
@@ -362,21 +367,27 @@ def _power_eval(handle: MapHandle, pts: np.ndarray, k: int) -> np.ndarray:
 
 def _refine_segment(handle: MapHandle, k: int, pre: np.ndarray,
                     img: np.ndarray, tol: float, cap: int):
-    """Insert preimage midpoints until image gaps are below tol."""
+    """Cut each image gap above tol into ceil(gap / tol) equal preimage
+    steps, round by round, until no image gap is above tol."""
     for _ in range(60):
         gaps = np.linalg.norm(np.diff(img, axis=0), axis=1)
         big = np.flatnonzero(gaps > tol)
         if big.size == 0:
             return pre, img
-        if len(pre) + big.size > cap:
+        parts = np.ceil(gaps[big] / tol)
+        if len(pre) + np.sum(parts - 1.0) > cap:
             raise _CapReached(pre, img)
-        mid_pre = 0.5 * (pre[big] + pre[big + 1])
-        mid_img = _power_eval(handle, mid_pre, k)
-        if not np.all(np.isfinite(mid_img)):
+        new = parts.astype(np.int64) - 1  # points added in each gap
+        at = np.repeat(big, new)
+        # the new points of a gap sit at j / parts of it, j = 1 .. new
+        j = np.arange(1, len(at) + 1) - np.repeat(np.cumsum(new) - new, new)
+        t = (j / np.repeat(parts, new))[:, None]
+        cut_pre = pre[at] + t * (pre[at + 1] - pre[at])
+        cut_img = _power_eval(handle, cut_pre, k)
+        if not np.all(np.isfinite(cut_img)):
             raise DivergenceError("manifold refinement diverged")
-        insert_at = big + 1
-        pre = np.insert(pre, insert_at, mid_pre, axis=0)
-        img = np.insert(img, insert_at, mid_img, axis=0)
+        pre = np.insert(pre, at + 1, cut_pre, axis=0)
+        img = np.insert(img, at + 1, cut_img, axis=0)
     raise _CapReached(pre, img)
 
 
@@ -391,10 +402,14 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
                       tol: float = 1e-3) -> PointCloud:
     """Trace the 1-D unstable manifold of a saddle as an ordered polyline.
 
-    A fundamental segment of length 1e-6 along the unstable eigenvector
-    is iterated under f^k (k the saddle period), inserting preimage
-    midpoints wherever consecutive image points separate by more than
-    tol.  Each branch stops for one of these reasons:
+    A fundamental segment, from a point on the unstable eigenvector to
+    its image, about 1e-6 long, is iterated under f^k (k the saddle
+    period), or under f^2k when the unstable multiplier mu is negative,
+    since each f^k image lands on the other side of the saddle; each
+    image starts where the one before it ends.  Wherever consecutive
+    image points separate by more than tol, the preimage gap is cut into
+    equal steps.  Only the part of an iterate that the arc budget keeps
+    is refined.  Each branch stops for one of these reasons:
 
     * ``"arc_budget"``: it has accumulated arc_budget/2 of arclength;
       the last image is cut at its first point that reaches it, so the
@@ -408,8 +423,9 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
       the partial cloud, a backstop for unbounded folding.
 
     meta["stop_reasons"], meta["branch_arclength"] and
-    meta["branch_iterations"] are (minus, plus) pairs ordered like
-    meta["branch_sizes"].
+    meta["branch_iterations"] (iterations of f^k, or of f^2k when
+    mu < 0) are (minus, plus) pairs ordered like meta["branch_sizes"];
+    meta["period"] and meta["multiplier"] are the saddle's k and mu.
     """
     mults = np.asarray(saddle.multipliers)
     unstable_idx = np.flatnonzero(np.abs(mults) > 1.0)
@@ -427,13 +443,17 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
     v = np.real(vecs[:, iu])
     v = v / np.linalg.norm(v)
 
-    a = 1e-6 / (abs(mu) - 1.0)
-    seg = np.linspace(a, a * abs(mu), 33)
+    # the branch grows under f^m, whose multiplier lam is positive
+    m, lam = (k, mu) if mu > 0.0 else (2 * k, mu * mu)
+    a = 1e-6 / (lam - 1.0)
     half = arc_budget / 2.0
     branches, stops = [], []
     total = 0
     for sign in (1.0, -1.0):
-        pre = p + sign * seg[:, None] * v
+        # the fundamental segment ends at f^m of its start, so each image
+        # starts exactly where the image before it ends
+        start = (p + sign * a * v)[None, :]
+        pre = np.linspace(start[0], _power_eval(handle, start, m)[0], 33)
         chunks = [pre.copy()]
         arc = prev_gain = 0.0
         reason = "arc_budget"
@@ -441,11 +461,16 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
             while arc < half:
                 if total + len(pre) > POINT_CAP:
                     raise _CapReached(pre, pre[:0])
-                img = _power_eval(handle, pre, k)
+                img = _power_eval(handle, pre, m)
                 if not np.all(np.isfinite(img)):
                     raise DivergenceError("unstable manifold diverged")
-                _, img = _refine_segment(handle, k, pre, img, tol,
-                                         POINT_CAP - total)
+                # refine only what the budget keeps: a refined gap is never
+                # shorter than its chord, and each gap refines on its own
+                reach = arc + np.cumsum(
+                    np.linalg.norm(np.diff(img, axis=0), axis=1))
+                keep = int(reach.searchsorted(half)) + 2
+                _, img = _refine_segment(handle, m, pre[:keep], img[:keep],
+                                         tol, POINT_CAP - total)
                 gaps = np.linalg.norm(np.diff(img, axis=0), axis=1)
                 gain = float(np.sum(gaps))
                 if arc + gain < half:
@@ -454,8 +479,7 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
                     reach = arc + np.cumsum(gaps)
                     cut = min(int(reach.searchsorted(half)), len(gaps) - 1)
                     img, arc = img[:cut + 2], float(reach[cut])
-                # img[0] duplicates the previous chunk's endpoint (both are
-                # f^k of the fundamental segment's matched ends); drop it
+                # img[0] is the previous chunk's endpoint; drop it
                 chunks.append(img[1:])
                 total += len(img) - 1
                 pre = img

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attractorlab.maps import GOLDEN_MEAN, gauss_rotation, pioneer_climax_full, user_map
 from attractorlab.dynamics import (Cycle, CycleSearchError, DivergenceError,
-                                   PointCloud, classify_cycle, detect_period,
-                                   find_cycle, orbit)
+                                   PointCloud, _condition_number,
+                                   classify_cycle, detect_period, find_cycle,
+                                   orbit)
 from attractorlab.chaos import lyapunov_spectrum_qr, max_lyapunov_norm_sum
 
 
@@ -106,6 +108,28 @@ def test_find_cycle_singular_search_fails():
                  batch=lambda p: p + 1.0)
     with pytest.raises(CycleSearchError):
         find_cycle(h, 1, [0.0, 0.0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=8, max_size=8),
+       st.integers(0, 20))
+def test_closed_form_condition_number_matches_numpy(e, decade):
+    # a rank-one matrix plus a perturbation 10**-decade times as large,
+    # so that the examples run from well- to ill-conditioned; both forms
+    # err by about eps * cond, so agreement is asked only where that is
+    # small, and the Newton threshold 1e14 only away from it
+    amat = np.outer(e[:2], e[2:4]) + 10.0 ** -decade * np.reshape(e[4:],
+                                                                  (2, 2))
+    ours, ref = _condition_number(amat), float(np.linalg.cond(amat))
+    if ref < 1e8:
+        assert ours == pytest.approx(ref, rel=1e-6)
+    if not 1e12 <= ref <= 1e16:
+        assert (ours > 1e14) == (ref > 1e14)
+
+
+def test_condition_number_of_other_sizes_is_numpys():
+    amat = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]])
+    assert _condition_number(amat) == float(np.linalg.cond(amat))
 
 
 def test_classify_cycle_saddle_vectors():

@@ -411,6 +411,82 @@ def test_refinement_explosion_carries_partial(monkeypatch):
     assert partial.ordered
 
 
+MANIFOLD_FRAME = HorseshoeRegion(matrix=[[0.7, -0.4], [0.2, 1.3]],
+                                 offset=[3.1, -2.2])
+
+# name: (map, period, saddle seed, arc_budget, tol, unstable multiplier)
+MANIFOLD_FIXTURES = {
+    "model": (model_horseshoe_map, 1, (0.05, 0.02), 50.0, 1e-3, 4.0),
+    "model_framed": (lambda: model_horseshoe_map(MANIFOLD_FRAME), 1,
+                     MANIFOLD_FRAME.to_world(np.array([0.05, 0.02])), 20.0,
+                     1e-3, 4.0),
+    "pioneer": (lambda: pioneer_climax_full(3.0, 3.0), 1, (2.498, 5.007),
+                40.0, 2e-3, -2.3952),
+    # the same saddle, to the last bits Newton gives from this seed: a
+    # fundamental segment laid along the eigenvector misses the image of
+    # its start by about 7e-4 once grown, so each image begins away from
+    # where the one before it ends (gaps up to 1.3 tol)
+    "pioneer_seed_2": (lambda: pioneer_climax_full(3.0, 3.0), 1, (2.49, 5.0),
+                       40.0, 2e-3, -2.3952),
+    "model_period_2": (model_horseshoe_map, 2, (-3.0, 1.9), 1.0, 1e-3,
+                       -16.0),
+}
+
+
+def manifold_fixture(name):
+    make, period, seed, arc_budget, tol, mu = MANIFOLD_FIXTURES[name]
+    handle = make()
+    saddle = find_cycle(handle, period, np.array(seed))
+    assert saddle.period == period
+    return handle, saddle, arc_budget, tol, mu
+
+
+@pytest.mark.parametrize("name", MANIFOLD_FIXTURES)
+def test_trellis_gaps_are_at_most_tol(name):
+    # catches growth under f^k when mu < 0, whose images alternate sides
+    # of the saddle (pioneer gaps up to 12.3, period-2 gaps up to 0.14),
+    # and a refinement that stops cutting before every gap is within tol
+    handle, saddle, arc_budget, tol, mu = manifold_fixture(name)
+    cloud = trellis(handle, saddle, arc_budget, tol)
+    assert cloud.meta["period"] == saddle.period
+    assert cloud.meta["multiplier"] == pytest.approx(mu, abs=1e-4)
+    for start, stop in cloud.meta["component_slices"]:
+        gaps = np.linalg.norm(np.diff(cloud.points[start:stop], axis=0),
+                              axis=1)
+        assert gaps.max() <= tol
+
+
+@pytest.mark.parametrize("name", MANIFOLD_FIXTURES)
+def test_manifold_length_is_the_branch_arclength(name):
+    # catches the f^k zigzag when mu < 0 (pioneer: 113.1 against 40.0)
+    # and an arclength that counts the part of the last iterate cut away
+    handle, saddle, arc_budget, tol, _ = manifold_fixture(name)
+    cloud = unstable_manifold(handle, saddle, arc_budget, tol)
+    length = np.linalg.norm(np.diff(cloud.points, axis=0), axis=1).sum()
+    assert length == pytest.approx(sum(cloud.meta["branch_arclength"]),
+                                   abs=1e-5)
+
+
+def manifold_branches(cloud):
+    """The (minus, plus) branches, each from the saddle outward."""
+    n_minus = cloud.meta["branch_sizes"][0]
+    return cloud.points[:n_minus][::-1], cloud.points[n_minus + 1:]
+
+
+@pytest.mark.parametrize("name", MANIFOLD_FIXTURES)
+def test_smaller_budget_branches_are_a_prefix(name):
+    # catches refining less of the last iterate than the budget keeps
+    # (slicing the coarse image at searchsorted(half) + 1): the cut then
+    # falls short and the branch grows on from a truncated image
+    handle, saddle, arc_budget, tol, _ = manifold_fixture(name)
+    large = unstable_manifold(handle, saddle, arc_budget, tol)
+    small = unstable_manifold(handle, saddle, arc_budget / 2.0, tol)
+    for short, full in zip(manifold_branches(small),
+                           manifold_branches(large)):
+        assert len(short) <= len(full)
+        assert np.array_equal(short, full[:len(short)])
+
+
 def test_trellis_components_and_cycle_exchange():
     handle = model_horseshoe_map()
     two = find_cycle(handle, 2, np.array([-3.0, 1.9]))
