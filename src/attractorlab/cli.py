@@ -338,7 +338,9 @@ def render_raster(points: np.ndarray, bounds, resolution, path) -> None:
     """Binary PGM (P5) density plot with a log(1 + count) tone map.
 
     bounds is ((xmin, xmax), (ymin, ymax)); points outside are dropped.
-    An empty cloud renders uniform black and emits a warning.
+    An empty cloud renders uniform black and emits a warning.  Only the
+    occupied cells are counted and tone-mapped, so memory is one byte per
+    pixel plus O(points) at any resolution.
     """
     if np.isscalar(resolution):
         w = h = int(resolution)
@@ -351,7 +353,7 @@ def render_raster(points: np.ndarray, bounds, resolution, path) -> None:
     if not (xmax > xmin and ymax > ymin):
         raise ConfigError("raster bounds must have positive extent")
     pts = np.atleast_2d(points)
-    counts = np.zeros((h, w), dtype=np.int64)
+    cells = np.empty(0, dtype=np.int64)
     if len(pts) and pts.shape[1] >= 2:
         x, y = pts[:, 0], pts[:, 1]
         keep = (x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)
@@ -360,23 +362,21 @@ def render_raster(points: np.ndarray, bounds, resolution, path) -> None:
                       0, w - 1)
         row = np.clip(((ymax - y) / (ymax - ymin) * h).astype(np.int64),
                       0, h - 1)
-        counts = np.bincount(row * w + col,
-                             minlength=h * w).reshape(h, w)
-    total = int(counts.sum())
-    if total == 0:
+        cells = row * w + col
+    gray = np.zeros(h * w, dtype=np.uint8)
+    if len(cells) == 0:
         warnings.warn("raster rendered from an empty cloud")
-        gray = np.zeros((h, w), dtype=np.uint8)
     else:
-        # in place, in the order of tone / tone.max() * 255.0, so that at
-        # most two full-size float arrays are alive at once
+        cells, counts = np.unique(cells, return_counts=True)
+        # an empty cell tones to log1p(0) = 0, so mapping only the
+        # occupied cells, in the order of the full-size map, gives its bytes
         tone = np.log1p(counts)
-        del counts
         tone /= tone.max()
         tone *= 255.0
-        gray = np.round(tone, out=tone).astype(np.uint8)
+        gray[cells] = np.round(tone, out=tone).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(gray.tobytes())
+        fh.write(gray)
 
 
 def _cloud_bounds(points: np.ndarray, cfg: dict):

@@ -16,7 +16,7 @@ collected in a :class:`Report`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -45,6 +45,31 @@ class Check:
     margin: Optional[float] = None
     tolerance: Optional[float] = None
     data: dict = field(default_factory=dict)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _same(self, other)
+
+
+def _same(a, b) -> bool:
+    """Field-wise equality: arrays by np.array_equal, recursing into
+    dicts, tuples, lists and dataclasses (where == on an array field
+    would raise or answer elementwise)."""
+    if a is b:
+        return True
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if type(a) is not type(b):
+        return bool(a == b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name))
+                   for f in fields(a))
+    return bool(a == b)
 
 
 def _cell(value) -> str:

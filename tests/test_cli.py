@@ -1,10 +1,15 @@
 """End-to-end command tests through main(); artifact and exit-code checks."""
 
+import importlib
+import importlib.util
+import inspect
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from attractorlab import cli, horseshoe
 from attractorlab.cli import (ConfigError, main, parse_config, render_raster,
@@ -70,6 +75,84 @@ def test_render_raster_geometry(tmp_path):
     with pytest.raises(ConfigError):
         render_raster(np.array([[0.0, 0.0]]), ((1, 1), (0, 1)), 8,
                       tmp_path / "flat.pgm")
+
+
+def dense_raster(points, bounds, w, h) -> bytes:
+    """Reference PGM: count and tone-map every pixel of the window."""
+    (xmin, xmax), (ymin, ymax) = bounds
+    x, y = points[:, 0], points[:, 1]
+    keep = (x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)
+    x, y = x[keep], y[keep]
+    col = np.clip(((x - xmin) / (xmax - xmin) * w).astype(np.int64), 0, w - 1)
+    row = np.clip(((ymax - y) / (ymax - ymin) * h).astype(np.int64), 0, h - 1)
+    counts = np.bincount(row * w + col, minlength=h * w)
+    tone = np.log1p(counts)
+    if counts.sum():
+        tone /= tone.max()
+        tone *= 255.0
+    header = f"P5\n{w} {h}\n255\n".encode("ascii")
+    return header + np.round(tone).astype(np.uint8).tobytes()
+
+
+RASTER_BOUNDS = ((-1.0, 1.0), (-2.0, 3.0))
+# window edges, non-finite values and points just outside, so that draws
+# land exactly on xmax/ymin, off the window and on repeated cells
+raster_coords = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([-1.0, 1.0, -2.0, 3.0, 1.0000000000000002, -2.5,
+                     float("nan"), float("inf"), float("-inf")]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(raster_coords, raster_coords), max_size=30),
+       st.integers(1, 4), st.integers(1, 9), st.integers(1, 9))
+@example([(0.25, 0.5)], 1, 4, 7)
+@example([(1.0, -2.0)], 3, 5, 2)
+@example([(5.0, 0.0), (0.0, float("nan")), (float("inf"), 1.0)], 1, 6, 6)
+def test_render_raster_matches_the_dense_reference(tmp_path_factory, pts,
+                                                    repeat, w, h):
+    cloud = np.repeat(np.array(pts, dtype=float).reshape(-1, 2), repeat,
+                      axis=0)
+    path = tmp_path_factory.getbasetemp() / "parity.pgm"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        render_raster(cloud, RASTER_BOUNDS, (w, h), path)
+    assert path.read_bytes() == dense_raster(cloud, RASTER_BOUNDS, w, h)
+    (xmin, xmax), (ymin, ymax) = RASTER_BOUNDS
+    inside = ((cloud[:, 0] >= xmin) & (cloud[:, 0] <= xmax)
+              & (cloud[:, 1] >= ymin) & (cloud[:, 1] <= ymax)).any()
+    assert [str(c.message) for c in caught] == (
+        [] if inside else ["raster rendered from an empty cloud"])
+
+
+def test_render_raster_memory_is_one_byte_per_pixel(tmp_path):
+    side = 2048
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (1000, 2))
+    tracemalloc.start()
+    try:
+        render_raster(pts, ((-1.0, 1.0), (-1.0, 1.0)), side,
+                      tmp_path / "big.pgm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * side * side
+    assert (tmp_path / "big.pgm").stat().st_size == 17 + side * side
+
+
+def test_traced_names_are_attractorlab_functions():
+    # perfbench wraps these by name; a rename must fail here, not in the
+    # benchmark's traced passes
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing",
+        Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for mod_name, attr, _, _ in tracing.TRACED:
+        module = importlib.import_module(f"attractorlab.{mod_name}")
+        fn = getattr(module, attr, None)
+        assert inspect.isfunction(fn), (mod_name, attr)
+        assert fn.__module__ == module.__name__, (mod_name, attr)
 
 
 def test_orbit_command_artifacts(tmp_path):

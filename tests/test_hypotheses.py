@@ -1,11 +1,14 @@
 """Hypothesis-check battery: sup norm, decay, cutoff, contraction."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from attractorlab import hypotheses
+from attractorlab.horseshoe import (HorseshoeRegion, model_horseshoe_map,
+                                    verify_ah)
 from attractorlab.maps import (GOLDEN_MEAN, gauss_rotation,
                                pioneer_climax_full, user_map)
 from attractorlab.hypotheses import (Check, SupNormBoundaryError,
@@ -219,3 +222,25 @@ def test_sup_norm_search_doubles_the_radius_three_times(monkeypatch):
     assert calls == [(3.0, 64), (6.0, 64), (12.0, 64), (24.0, 64)]
     assert report.checks[0] == Check("sup_norm", "inconclusive",
                                      "radius 24.0", tolerance=1e-6)
+
+
+def test_checks_compare_field_by_field():
+    # point witnesses and array-valued data (band_saddle's Cycle) compare
+    # by value, so == answers instead of raising on an array's truth value
+    def ah():
+        return verify_ah(model_horseshoe_map(), HorseshoeRegion(), sampling=8)
+
+    first, second = ah(), ah()
+    assert first == second
+    saddle = first.check("band_saddle")
+    assert saddle == second.check("band_saddle")
+    moved = saddle.witness + np.array([0.0, 1e-12])
+    assert dataclasses.replace(saddle, witness=moved) != saddle
+    cycle = saddle.data["saddle"]
+    other = dataclasses.replace(cycle, points=cycle.points + 1e-12)
+    assert dataclasses.replace(
+        saddle, data={**saddle.data, "saddle": other}) != saddle
+    assert saddle != first.check("foliation_rates")
+    assert saddle != "band_saddle"
+    assert run_hypothesis_report(bump_map()) == run_hypothesis_report(
+        bump_map())
