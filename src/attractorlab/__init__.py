@@ -13,10 +13,8 @@ from .maps import (
     MapHandle,
     MapSpec,
     build_map,
-    eval_map,
     finite_difference_jacobian,
     gauss_rotation,
-    jacobian,
     pioneer_climax_full,
     pioneer_climax_mixed,
     user_map,

@@ -3,33 +3,36 @@
 Each built-in planar family is defined once, by the step and the
 tangent (image plus analytic Jacobian, sharing each exponential) in
 ``_family`` below, which takes the exponential as an argument.  Built
-over ``math.exp`` it is the scalar definition ``_step``/``_tangent``;
-built over ``np.exp`` it is the NumPy form ``_np_step``/``_np_tangent``,
-which also takes column arrays.  ``_make_loops`` turns the scalar
-definition into the three kernel loops: the orbit loop calls ``step``,
-the norm-sum and QR loops call ``tangent`` once per step.
-``builtin_eval`` wraps the NumPy form as a built-in handle's one
-``eval(x, with_jac)``, over a point or a block.  Three lanes run the
-kernels:
+over ``math.exp`` its step is the loops' scalar ``_step``; built over
+``np.exp`` it is the NumPy form ``_np_step``/``_np_tangent``, which
+also takes column arrays.  ``builtin_eval`` wraps the NumPy form
+as a built-in handle's one ``eval(x, with_jac)``, over a point or a
+block.
 
-* compiled: the loops ``njit``-ed over ``njit`` versions of ``_step``
-  and ``_tangent``; used for built-in families when numba is importable
-  and not disabled.
-* scalar Python: the same loops over the plain functions, run by the
-  interpreter.  Closed-form 2x2 arithmetic on floats, with no array or
-  LAPACK call per step; used for built-in families whenever the
-  compiled lane is not taken.
-* generic: loops over a handle's ``eval``, one call per step, the only
-  lane for user maps (``user_map``, the radial tent, the model
-  horseshoe), which have no family code.
+The orbit kernel is one loop over ``step``.  Both Lyapunov estimators
+share one walk: the orbit loop advances the trajectory a block of
+``_BLOCK`` points at a time, one evaluation gives the block's Jacobians,
+and one NumPy reduction per block gives its per-step log terms, summed
+by a ``cumsum`` seeded with the running total, so value and trace are
+those of a sequential sum.  Norm-sum takes the closed-form 2x2 spectral
+norm.  In the plane QR carries only the first Gram-Schmidt column (the
+``qr1`` loop), since lambda1 + lambda2 is the mean of log|det J|; other
+dimensions take a Householder QR per step.  Three lanes run the loops:
 
-Lane selection for built-in families:
+* compiled: the orbit and ``qr1`` loops ``njit``-ed over an ``njit``
+  ``_step``; used for built-in families when numba is importable and
+  not disabled.
+* scalar Python: the same loops run by the interpreter, ``qr1`` over
+  Python lists; a block's Jacobians come from one ``_np_tangent`` call.
+  Used for built-in families whenever the compiled lane is not taken.
+* generic: the orbit and the walk over a handle's ``eval``, one call
+  per step, the only lane for user maps (``user_map``, the radial tent,
+  the model horseshoe), which have no family code.
 
-* ``ATTRACTORLAB_NO_NUMBA=1`` (or ``true``/``yes``) switches the
-  compiled lane off, so built-ins run on the scalar Python lane.
-* Without numba the same happens automatically.
-* ``force_python=True`` on a dispatch helper selects the scalar Python
-  lane for that call, so both lanes can be timed in one process.
+Built-ins run on the scalar Python lane without numba or under
+``ATTRACTORLAB_NO_NUMBA=1`` (or ``true``/``yes``).  ``force_python=True``
+on a dispatch helper selects it for one call, so both lanes can be timed
+in one process.
 
 ``math.exp`` raises ``OverflowError`` where NumPy and numba return
 ``inf`` (a pioneer orbit started outside its positivity cone).  A scalar
@@ -60,7 +63,7 @@ _DISABLED = os.environ.get("ATTRACTORLAB_NO_NUMBA", "").strip().lower() in (
 )
 USE_NUMBA = HAVE_NUMBA and not _DISABLED
 
-# family codes of the built-in families, dispatched on inside _step/_tangent
+# family codes of the built-in families, dispatched on inside _family
 FAM_GAUSS_LITERAL = 0
 FAM_GAUSS = 1
 FAM_PIONEER_FULL = 2
@@ -129,7 +132,7 @@ def _family(exp):
     return step, tangent
 
 
-_step, _tangent = _family(math.exp)
+_step = _family(math.exp)[0]
 # the handle callables use np.exp: inf instead of OverflowError, so Newton
 # steps that wander far out degrade gracefully, without RuntimeWarnings
 _np_step, _np_tangent = map(np.errstate(over="ignore", invalid="ignore"),
@@ -155,11 +158,15 @@ def builtin_eval(fam, packed, x, with_jac=False):
     return np.column_stack([y1, y2]), jac
 
 
-def _make_loops(step, tangent):
-    """The orbit, norm-sum and QR loops over one step/tangent definition.
+# points per block of the Lyapunov walk: memory stays O(_BLOCK) at any n
+_BLOCK = 2048
 
-    Called with the scalar ``_step``/``_tangent`` for the scalar Python lane
-    and with their ``njit`` versions for the compiled lane.
+
+def _make_loops(step):
+    """The orbit loop over one step definition, and the 2-D QR loop.
+
+    Called with the scalar ``_step`` for the scalar Python lane and with
+    its ``njit`` version for the compiled lane.
     """
 
     def orbit(fam, pa, pb, pc, x1, x2, n_transient, n_keep, out):
@@ -172,106 +179,164 @@ def _make_loops(step, tangent):
             col2[i] = x2
         return out
 
-    def norm_sum(fam, pa, pb, pc, x1, x2, n_transient, n, stride, trace):
-        for _ in range(n_transient):
-            x1, x2 = step(fam, pa, pb, pc, x1, x2)
-        total = 0.0
-        degenerate = False
-        k_used = 0
-        for k in range(n):
-            y1, y2, j11, j12, j21, j22 = tangent(fam, pa, pb, pc, x1, x2)
-            # spectral norm (largest singular value), closed form
-            q = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
-            d = j11 * j22 - j12 * j21
-            nrm = math.sqrt(0.5 * (q + math.sqrt(max(q * q - 4.0 * d * d,
-                                                     0.0))))
-            if nrm <= 0.0:
-                degenerate = True
+    def qr1(j11, j12, j21, j22, q1, q2, r):
+        # the first Gram-Schmidt column (q1, q2) carried over a block of
+        # Jacobians: r[k] = |J_k q|, q <- J_k q / r[k]; stops at r[k] == 0
+        for k in range(len(r)):
+            v1 = j11[k] * q1 + j12[k] * q2
+            v2 = j21[k] * q1 + j22[k] * q2
+            rk = math.sqrt(v1 * v1 + v2 * v2)
+            r[k] = rk
+            if rk == 0.0:
                 break
-            total += math.log(nrm)
-            k_used = k + 1
-            if k_used % stride == 0:
-                trace[k_used // stride - 1] = total / k_used
-            x1, x2 = y1, y2
-        value = total / k_used if k_used > 0 else 0.0
-        return value, k_used, degenerate
+            q1 = v1 / rk
+            q2 = v2 / rk
+        return q1, q2
 
-    def qr(fam, pa, pb, pc, x1, x2, n_transient, n, stride, trace):
-        for _ in range(n_transient):
-            x1, x2 = step(fam, pa, pb, pc, x1, x2)
-        # orthonormal frame carried along the orbit, re-orthonormalized
-        # each step by closed-form 2x2 Gram-Schmidt
-        q11, q21 = 1.0, 0.0
-        q12, q22 = 0.0, 1.0
-        s1 = 0.0
-        s2 = 0.0
-        deg1 = False
-        deg2 = False
-        k_used = 0
-        for k in range(n):
-            y1, y2, j11, j12, j21, j22 = tangent(fam, pa, pb, pc, x1, x2)
-            v11 = j11 * q11 + j12 * q21
-            v21 = j21 * q11 + j22 * q21
-            v12 = j11 * q12 + j12 * q22
-            v22 = j21 * q12 + j22 * q22
-            r11 = math.sqrt(v11 * v11 + v21 * v21)
-            if r11 == 0.0:
-                deg1 = True
-                deg2 = True
-                break
-            q11 = v11 / r11
-            q21 = v21 / r11
-            r12 = q11 * v12 + q21 * v22
-            w1 = v12 - r12 * q11
-            w2 = v22 - r12 * q21
-            r22 = math.sqrt(w1 * w1 + w2 * w2)
-            s1 += math.log(r11)
-            if r22 == 0.0:
-                # rank-deficient: lambda2 = -inf from now on, q2 is q1's normal
-                deg2 = True
-                s2 = -math.inf
-                q12 = -q21
-                q22 = q11
-            else:
-                q12 = w1 / r22
-                q22 = w2 / r22
-                s2 += math.log(r22)
-            k_used = k + 1
-            if k_used % stride == 0:
-                trace[k_used // stride - 1, 0] = s1 / k_used
-                trace[k_used // stride - 1, 1] = s2 / k_used
-            x1, x2 = y1, y2
-        e1 = s1 / k_used if k_used > 0 else 0.0
-        e2 = s2 / k_used if k_used > 0 else 0.0
-        return e1, e2, k_used, deg1, deg2
-
-    return {"orbit": orbit, "norm_sum": norm_sum, "qr": qr}
+    return {"orbit": orbit, "qr1": qr1}
 
 
-_PY_LOOPS = _make_loops(_step, _tangent)
+_PY_LOOPS = _make_loops(_step)
 
 if HAVE_NUMBA:
-    _NB_LOOPS = {
-        name: njit(cache=True)(loop)
-        for name, loop in _make_loops(
-            njit(cache=True)(_step), njit(cache=True)(_tangent)
-        ).items()
-    }
+    _NB_LOOPS = {name: njit(cache=True)(loop) for name, loop
+                 in _make_loops(njit(cache=True)(_step)).items()}
 
 
 def warmup():
     """Trigger JIT compilation of the compiled lane (no-op without numba)."""
     if not HAVE_NUMBA:
         return
-    args = (FAM_GAUSS, 1.0, 1.0, 0.0, 0.1, 0.1, 1)
-    _NB_LOOPS["orbit"](*args, 1, np.empty((1, 2)))
-    _NB_LOOPS["norm_sum"](*args, 1, 1, np.empty(1))
-    _NB_LOOPS["qr"](*args, 1, 1, np.empty((1, 2)))
+    # the walk's layouts: a row slice and the entry rows of a (n, 2, 2)
+    _NB_LOOPS["orbit"](FAM_GAUSS, 1.0, 1.0, 0.0, 0.1, 0.1, 1, 1,
+                       np.empty((2, 2))[1:])
+    _NB_LOOPS["qr1"](*np.zeros((1, 2, 2)).reshape(-1, 4).T, 1.0, 0.0,
+                     np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
-# generic callable-based loops: the lane for user maps, and the rerun of a
-# scalar Python call that overflowed
+# the Lyapunov walk: Jacobian blocks (nb, m, m) at the n points after the
+# transient, on the built-in or the generic lane
+
+
+def _walk_builtin(handle, x0, n_transient, n, orbit):
+    fam, packed = handle.family_code, handle.packed
+    # row 0 holds the block's first point, rows 1..nb its images
+    buf = np.empty((min(n, _BLOCK) + 1, 2))
+    buf[0] = x0
+    if n_transient:
+        orbit(fam, *packed, float(x0[0]), float(x0[1]), n_transient - 1, 1,
+              buf)
+    for k in range(0, n, _BLOCK):
+        nb = min(_BLOCK, n - k)
+        orbit(fam, *packed, float(buf[0, 0]), float(buf[0, 1]), 0, nb,
+              buf[1:])
+        yield builtin_eval(fam, packed, buf[:nb], True)[1]
+        buf[0] = buf[nb]
+
+
+def _walk_generic(eval_fn, x0, n_transient, n):
+    x = np.array(x0, dtype=float)
+    for _ in range(n_transient):
+        x = eval_fn(x)
+    for k in range(0, n, _BLOCK):
+        jac = np.empty((min(_BLOCK, n - k), x.size, x.size))
+        for i in range(len(jac)):
+            x, jac[i] = eval_fn(x, True)
+        yield jac
+
+
+# per-step terms: for each block, (log terms, zero flags), both (nb, c);
+# the walk stops before the first step whose column-0 flag is set
+
+
+def _norm_terms(blocks, loops):
+    for jac in blocks:
+        if jac.shape[1] == 2:
+            # spectral norm (largest singular value), closed form
+            j11, j12, j21, j22 = jac.reshape(-1, 4).T
+            q = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
+            d = j11 * j22 - j12 * j21
+            nrm = np.sqrt(0.5 * (q + np.sqrt(np.maximum(q * q - 4.0 * d * d,
+                                                        0.0))))
+        else:
+            # the SVD rejects a non-finite Jacobian: nan there
+            nrm = np.full(len(jac), np.nan)
+            ok = np.isfinite(jac).all(axis=(1, 2))
+            nrm[ok] = np.linalg.norm(jac[ok], 2, axis=(1, 2))
+        yield np.log(nrm)[:, None], (nrm <= 0.0)[:, None]
+
+
+def _qr_terms(blocks, loops):
+    # 2-D: log r11 from the carried first column, and log|det J|, whose
+    # running mean is lambda1 + lambda2 (r11 * r22 = |det J|); det == 0
+    # makes lambda2 -inf
+    q1, q2 = 1.0, 0.0
+    # the scalar loop runs fastest over Python floats
+    feed = np.ndarray.tolist if loops is _PY_LOOPS else np.asarray
+    for jac in blocks:
+        j = jac.reshape(-1, 4).T
+        r = feed(np.zeros(len(jac)))
+        q1, q2 = loops["qr1"](*feed(j), q1, q2, r)
+        terms = np.column_stack([r, np.abs(j[0] * j[3] - j[1] * j[2])])
+        yield np.log(terms), terms == 0.0
+
+
+def _householder_terms(blocks, loops):
+    # m != 2: log|r_ii| of a Householder QR of J q per step
+    q = None
+    for jac in blocks:
+        q = np.eye(jac.shape[1]) if q is None else q
+        diag = np.zeros(jac.shape[:2])
+        for i, jk in enumerate(jac):
+            q, r = np.linalg.qr(jk @ q)
+            diag[i] = np.abs(np.diag(r))  # rows past a zero r11 go unused
+        yield np.log(diag), diag == 0.0
+
+
+def _accumulate(terms, stride, trace):
+    """Sequential running sums of the walk's terms.
+
+    Writes every ``stride``-th running mean into ``trace`` and returns the
+    sums, the number of steps used and the per-column flags of the used
+    steps and the stopping one.
+    """
+    sums = np.zeros(trace.shape[1])
+    degenerate = np.zeros(trace.shape[1], dtype=bool)
+    k_used = 0
+    for logs, zero in terms:
+        stop = np.flatnonzero(zero[:, 0])
+        nb = stop[0] if stop.size else len(logs)
+        degenerate |= zero[:nb + 1].any(axis=0)
+        if nb:
+            logs = logs[:nb]
+            logs[0] += sums
+            np.cumsum(logs, axis=0, out=logs)
+            rows = np.arange(-(k_used + 1) % stride, nb, stride)
+            ks = k_used + 1 + rows
+            trace[ks // stride - 1] = logs[rows] / ks[:, None]
+            sums = logs[-1]
+            k_used += int(nb)
+        if stop.size:
+            break
+    return sums, k_used, degenerate
+
+
+# ---------------------------------------------------------------------------
+# dispatch helpers; a handle is anything exposing spec/family_code/packed/eval
+
+
+def _builtin(handle):
+    return getattr(handle, "family_code", -1) >= 0 and handle.spec.dim == 2
+
+
+def _lane(handle, force_python):
+    """True when a call on ``handle`` runs on the compiled lane."""
+    return not force_python and USE_NUMBA and _builtin(handle)
+
+
+def _loops(handle, force_python):
+    return _NB_LOOPS if _lane(handle, force_python) else _PY_LOOPS
 
 
 def _orbit_generic(eval_fn, x0, n_transient, n_keep):
@@ -288,120 +353,50 @@ def _orbit_generic(eval_fn, x0, n_transient, n_keep):
     return out
 
 
-def _norm_sum_generic(eval_fn, x0, n_transient, n, stride, trace):
-    x = np.array(x0, dtype=float)
-    total = 0.0
-    degenerate = False
-    k_used = 0
-    # silent on overflow like _orbit_generic; callers test the result
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_transient):
-            x = eval_fn(x)
-        for k in range(n):
-            y, jac = eval_fn(x, True)
-            try:
-                nrm = np.linalg.norm(jac, 2)
-            except np.linalg.LinAlgError:
-                # the SVD rejects a non-finite Jacobian; the closed-form
-                # norm of the scalar lanes gives nan there
-                nrm = math.nan
-            if nrm <= 0.0:
-                degenerate = True
-                break
-            total += math.log(nrm)
-            k_used = k + 1
-            if k_used % stride == 0:
-                trace[k_used // stride - 1] = total / k_used
-            x = y
-    value = total / k_used if k_used > 0 else 0.0
-    return value, k_used, degenerate
-
-
-def _qr_generic(eval_fn, x0, n_transient, n, stride, trace):
-    x = np.array(x0, dtype=float)
-    m = x.size
-    q = np.eye(m)
-    sums = np.zeros(m)
-    degenerate = np.zeros(m, dtype=bool)
-    k_used = 0
-    # silent on overflow like _orbit_generic; callers test the result.  A
-    # rank-deficient step (r[i, i] == 0, i > 0) makes exponent i -inf
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(n_transient):
-            x = eval_fn(x)
-        for k in range(n):
-            y, jac = eval_fn(x, True)
-            z = jac @ q
-            q, r = np.linalg.qr(z)
-            diag = np.abs(np.diag(r))
-            degenerate |= diag == 0.0
-            if diag[0] == 0.0:
-                break
-            sums += np.log(diag)
-            k_used = k + 1
-            if k_used % stride == 0:
-                trace[k_used // stride - 1] = sums / k_used
-            x = y
-    vals = sums / k_used if k_used > 0 else np.zeros(m)
-    return vals, k_used, degenerate
-
-
-# ---------------------------------------------------------------------------
-# dispatch helpers; a handle is anything exposing spec/family_code/packed/eval
-
-
-def _builtin(handle):
-    return getattr(handle, "family_code", -1) >= 0 and handle.spec.dim == 2
-
-
-def _lane(handle, force_python):
-    """True when a call on ``handle`` runs on the compiled lane."""
-    return not force_python and USE_NUMBA and _builtin(handle)
-
-
-def _run_scalar(kernel, handle, x0, force_python, *args):
-    """Run a scalar-lane loop; None when the generic lane must run instead."""
-    if not _builtin(handle):
-        return None
-    loops = _NB_LOOPS if _lane(handle, force_python) else _PY_LOOPS
-    try:
-        return loops[kernel](handle.family_code, *handle.packed,
-                             float(x0[0]), float(x0[1]), *args)
-    except OverflowError:
-        return None  # math.exp overflowed; the generic lane yields inf
-
-
 def run_orbit(handle, x0, n_transient, n_keep, force_python=False):
-    out = _run_scalar("orbit", handle, x0, force_python,
-                      n_transient, n_keep, np.empty((n_keep, 2)))
-    if out is None:
-        out = _orbit_generic(handle.eval, x0, n_transient, n_keep)
-    return out
+    if _builtin(handle):
+        try:
+            return _loops(handle, force_python)["orbit"](
+                handle.family_code, *handle.packed, float(x0[0]),
+                float(x0[1]), n_transient, n_keep, np.empty((n_keep, 2)))
+        except OverflowError:
+            pass  # math.exp overflowed; the generic lane yields inf
+    return _orbit_generic(handle.eval, x0, n_transient, n_keep)
+
+
+def _estimate(terms, handle, x0, n_transient, n, stride, trace,
+              force_python):
+    # silent on overflow and log(0) like every lane; callers test the result
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if _builtin(handle):
+            loops = _loops(handle, force_python)
+            try:
+                return _accumulate(terms(_walk_builtin(
+                    handle, x0, n_transient, n, loops["orbit"]), loops),
+                    stride, trace)
+            except OverflowError:
+                trace.fill(np.nan)  # rerun on the generic lane
+        return _accumulate(terms(_walk_generic(
+            handle.eval, x0, n_transient, n), _PY_LOOPS), stride, trace)
 
 
 def run_norm_sum(handle, x0, n_transient, n, stride, force_python=False):
-    trace = np.full(max(n // stride, 1), np.nan)
-    res = _run_scalar("norm_sum", handle, x0, force_python,
-                      n_transient, n, stride, trace)
-    if res is None:
-        trace.fill(np.nan)
-        res = _norm_sum_generic(handle.eval, x0, n_transient, n, stride,
-                                trace)
-    value, k_used, degenerate = res
-    return value, k_used, degenerate, trace[: max(k_used // stride, 0)]
+    trace = np.full((max(n // stride, 1), 1), np.nan)
+    sums, k_used, degenerate = _estimate(_norm_terms, handle, x0, n_transient,
+                                         n, stride, trace, force_python)
+    value = float(sums[0]) / k_used if k_used > 0 else 0.0
+    return value, k_used, bool(degenerate[0]), trace[:k_used // stride, 0]
 
 
 def run_qr(handle, x0, n_transient, n, stride, force_python=False):
     m = handle.spec.dim
     trace = np.full((max(n // stride, 1), m), np.nan)
-    res = _run_scalar("qr", handle, x0, force_python,
-                      n_transient, n, stride, trace)
-    if res is None:
-        trace.fill(np.nan)
-        vals, k_used, degenerate = _qr_generic(
-            handle.eval, x0, n_transient, n, stride, trace)
-    else:
-        e1, e2, k_used, d1, d2 = res
-        vals = np.array([e1, e2])
-        degenerate = np.array([d1, d2])
-    return vals, k_used, degenerate, trace[: max(k_used // stride, 0)]
+    sums, k_used, degenerate = _estimate(
+        _qr_terms if m == 2 else _householder_terms, handle, x0, n_transient,
+        n, stride, trace, force_python)
+    vals = sums / k_used if k_used > 0 else np.zeros(m)
+    if m == 2:
+        # the det column holds lambda1 + lambda2
+        vals[1] -= vals[0]
+        trace[:, 1] -= trace[:, 0]
+    return vals, k_used, degenerate, trace[:k_used // stride]

@@ -71,9 +71,12 @@ def lyapunov_spectrum_qr(handle: MapHandle, x0, n: int,
                          n_transient: int = 0) -> LyapunovEstimate:
     """QR tangent-space spectrum: re-orthonormalize a frame every step.
 
-    Rank-deficient Jacobian steps mark the affected exponents with a
-    -inf sentinel and stop the accumulation.  Any other non-finite
-    exponent means the orbit diverged and raises :class:`DivergenceError`.
+    In the plane only the first frame vector is carried, and lambda2 is
+    the mean of log|det J| minus lambda1; one step with det J = 0 makes
+    lambda2 the -inf sentinel.  A step that maps the first frame vector
+    to 0 marks every exponent it zeroes with -inf and stops the
+    accumulation.  Any other non-finite exponent means the orbit diverged
+    and raises :class:`DivergenceError`.
     """
     x0 = _check_lyapunov_args(handle, x0, n, n_transient)
     vals, k_used, deg, trace = _kernels.run_qr(

@@ -41,7 +41,7 @@ from .horseshoe import (HorseshoeRegion, RefinementExplosion,
 MAX_RASTER_SIDE = 8192
 BOUNDS = ("xmin", "xmax", "ymin", "ymax")  # the raster window, if set
 FLOAT_FMT = "%.17g"
-CSV_CHUNK_ROWS = 1 << 14  # rows per block: bounds the writer's memory
+CSV_CHUNK_ROWS = 1 << 13  # rows per block: bounds the writer's memory
 SUMMARY_COLUMNS = ("param", "period", "lyap_normsum", "lyap_qr_max",
                    "boxdim", "boxdim_r2", "status", "seconds")
 DIM = 2  # every map family the CLI builds is planar
@@ -352,22 +352,42 @@ def render_raster(points: np.ndarray, bounds, resolution, path) -> None:
     (xmin, xmax), (ymin, ymax) = bounds
     if not (xmax > xmin and ymax > ymin):
         raise ConfigError("raster bounds must have positive extent")
-    pts = np.atleast_2d(points)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     cells = np.empty(0, dtype=np.int64)
     if len(pts) and pts.shape[1] >= 2:
         x, y = pts[:, 0], pts[:, 1]
         keep = (x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)
         x, y = x[keep], y[keep]
-        col = np.clip(((x - xmin) / (xmax - xmin) * w).astype(np.int64),
-                      0, w - 1)
-        row = np.clip(((ymax - y) / (ymax - ymin) * h).astype(np.int64),
-                      0, h - 1)
-        cells = row * w + col
+        # the cell index row * w + col, each operation done in place
+        x -= xmin
+        x /= xmax - xmin
+        x *= w
+        cells = x.astype(np.int64)
+        del x
+        np.clip(cells, 0, w - 1, out=cells)
+        np.subtract(ymax, y, out=y)
+        y /= ymax - ymin
+        y *= h
+        row = y.astype(np.int64)
+        del y
+        np.clip(row, 0, h - 1, out=row)
+        row *= w
+        cells += row
+        del row
     gray = np.zeros(h * w, dtype=np.uint8)
     if len(cells) == 0:
         warnings.warn("raster rendered from an empty cloud")
     else:
-        cells, counts = np.unique(cells, return_counts=True)
+        # sorted in place, equal cells form runs: count them by their starts
+        cells.sort()
+        first = np.empty(len(cells), dtype=bool)
+        first[0] = True
+        np.not_equal(cells[1:], cells[:-1], out=first[1:])
+        counts = np.flatnonzero(first)
+        n_kept = len(cells)
+        cells = cells[counts]
+        counts[:-1] = np.diff(counts)
+        counts[-1] = n_kept - counts[-1]
         # an empty cell tones to log1p(0) = 0, so mapping only the
         # occupied cells, in the order of the full-size map, gives its bytes
         tone = np.log1p(counts)

@@ -201,21 +201,3 @@ def user_map(
 
     return MapHandle(spec=spec, eval=ev, cone=cone,
                      jac_kind="analytic" if jac else "finite_difference")
-
-
-def eval_map(handle: MapHandle, x) -> np.ndarray:
-    """Evaluate f(x) with input validation."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (handle.dim,):
-        raise ValueError(f"expected shape ({handle.dim},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite input point")
-    return handle.eval(x)
-
-
-def jacobian(handle: MapHandle, x) -> np.ndarray:
-    """Jacobian f'(x): analytic for built-ins, finite differences otherwise."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite input point")
-    return np.asarray(handle.eval(x, True)[1], dtype=float)

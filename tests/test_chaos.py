@@ -293,21 +293,59 @@ def jacobians_along(h, x0, n_transient, n):
     return h.eval(pts, True)[1].reshape(n, 4).T
 
 
-@given(tangent_orbits())
-@settings(deadline=None)  # the generic lane takes about 0.1 s a case
-def test_qr_spectrum_sum_is_mean_log_abs_det(case):
-    # r11 * r22 = |det J| at every Gram-Schmidt step, so lambda1 + lambda2
-    # is the mean of log|det J| along the same orbit.  Gram-Schmidt
-    # rounds log r22 by about eps * cond(J), so orbits through nearly
-    # singular Jacobians (superstable cycles) are left out.
-    h, x0 = case
-    est = lyapunov_spectrum_qr(h, x0, N_QR, N_TRANSIENT)
-    j11, j12, j21, j22 = jacobians_along(h, x0, N_TRANSIENT, N_QR)
-    det = np.abs(j11 * j22 - j12 * j21)
-    assume(not est.degenerate and det.min() > 0.0)
-    assume(np.mean((j11**2 + j12**2 + j21**2 + j22**2) / det) < 1e3)
-    assert est.spectrum.sum() == pytest.approx(np.mean(np.log(det)),
-                                               abs=1e-12)
+def henon():
+    """A 2-D user map with a constant det J = -0.3."""
+    return user_map(lambda x: np.array([1.0 - 1.4 * x[0] ** 2 + x[1],
+                                        0.3 * x[0]]), 2,
+                    jac=lambda x: np.array([[-2.8 * x[0], 1.0], [0.3, 0.0]]))
+
+
+QR_CASES = {"gauss": lambda: gauss_rotation(4.4, GOLDEN_MEAN),
+            "gauss_literal": lambda: gauss_rotation(2.7, GOLDEN_MEAN,
+                                                    literal_eq=True),
+            "pioneer_full": lambda: pioneer_climax_full(3.0, 3.0),
+            "pioneer_mixed": lambda: pioneer_climax_mixed(3.0, 3.0),
+            "henon": henon}
+
+
+@pytest.mark.parametrize("name", QR_CASES)
+def test_qr_spectrum_matches_householder_reference(name):
+    # lambda1 comes from the carried first Gram-Schmidt column and lambda2
+    # from mean log|det J| - lambda1; a Householder QR of the whole frame
+    # along the same orbit gives both.  Where det J is exactly 0 (the
+    # literal form) lambda2 is -inf, and Householder's r22 is rounding noise
+    h = QR_CASES[name]()
+    x0 = np.array([0.5, 0.5]) if h.cone else np.array([0.3, 0.1])
+    n = 100
+    vals, k_used, degenerate, _ = _kernels.run_qr(h, x0, N_TRANSIENT, n, 10)
+    j11, j12, j21, j22 = jacobians_along(h, x0, N_TRANSIENT, n)
+    q, sums = np.eye(2), np.zeros(2)
+    for jac in np.stack([j11, j12, j21, j22], axis=1).reshape(n, 2, 2):
+        q, r = np.linalg.qr(jac @ q)
+        sums += np.log(np.abs(np.diag(r)))
+    want = sums / n
+    assert k_used == n
+    assert vals[0] == pytest.approx(want[0], rel=1e-12, abs=1e-13)
+    if name == "gauss_literal":
+        assert (j11 * j22 - j12 * j21 == 0.0).all()
+        assert list(degenerate) == [False, True] and vals[1] == -np.inf
+    else:
+        assert not degenerate.any()
+        assert vals[1] == pytest.approx(want[1], rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("generic", [False, True])
+def test_literal_gauss_second_exponent_is_minus_inf(generic):
+    # both components of the literal form share one formula, so det J = 0
+    # at every step and lambda2 is the -inf sentinel
+    h = gauss_rotation(2.7, GOLDEN_MEAN, literal_eq=True)
+    if generic:
+        h = user_map(h.eval, 2, jac=lambda x, h=h: h.eval(x, True)[1])
+    est = lyapunov_spectrum_qr(h, [0.3, 0.1], 2000, 100)
+    assert est.degenerate
+    assert np.isfinite(est.max_exponent)
+    assert est.spectrum[1] == -np.inf
+    assert _kernels.run_qr(h, np.array([0.3, 0.1]), 100, 2000, 100)[2][1]
 
 
 @given(tangent_orbits())

@@ -7,9 +7,9 @@ checks compare two different lanes only when numba is present; the
 scalar-vs-generic checks always do, by wrapping a built-in handle's
 callables as a user map.
 
-The lanes evaluate the same recurrences but not in bit-identical order
-(``math.exp`` against ``np.exp``, Gram-Schmidt against Householder QR),
-so a positive Lyapunov exponent amplifies one-ulp differences
+The lanes evaluate the same recurrences but not bit for bit (the scalar
+lane's orbit uses ``math.exp``, the generic lane's ``np.exp``), so a
+positive Lyapunov exponent amplifies one-ulp differences
 exponentially.  Parity is therefore asserted over short horizons for
 chaotic parameters and over long horizons only where the dynamics do not
 amplify rounding (contracting or neutral regimes).
@@ -17,6 +17,7 @@ amplify rounding (contracting or neutral regimes).
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -102,10 +103,10 @@ def check_qr(lane_a, lane_b):
         a = lane_a(_kernels.run_qr, h, x0, 0, 60, 10)
         b = lane_b(_kernels.run_qr, h, x0, 0, 60, 10)
         if h.literal:
-            # duplicated-component form has a rank-1 Jacobian: the second
-            # QR exponent is log of rounding noise, floored near log(eps)
+            # duplicated-component form has det J = 0 at every step: the
+            # second QR exponent is the -inf sentinel on both lanes
             assert a[0][0] == pytest.approx(b[0][0], rel=1e-6)
-            assert a[0][1] < -30 and b[0][1] < -30
+            assert a[0][1] == b[0][1] == -np.inf
         else:
             np.testing.assert_allclose(a[0], b[0], rtol=1e-6, atol=1e-9)
     h = gauss_rotation(2.7, GOLDEN_MEAN)
@@ -175,43 +176,86 @@ def test_generic_lane_makes_one_handle_call_per_step():
         return twin.eval(x, with_jac)
 
     counted = dataclasses.replace(twin, eval=counting_eval)
+    # without a family code the built-in runs the generic lane on its eval
+    own = dataclasses.replace(h, family_code=-1)
     n_transient, n, stride = 30, 200, 10
-    for kernel, generic, trace in (
-            (_kernels.run_norm_sum, _kernels._norm_sum_generic,
-             np.empty(n // stride)),
-            (_kernels.run_qr, _kernels._qr_generic,
-             np.empty((n // stride, 2)))):
+    for kernel in (_kernels.run_norm_sum, _kernels.run_qr):
         calls.clear()
         got = kernel(counted, X0, n_transient, n, stride)
         assert calls == [False] * n_transient + [True] * n
-        want = generic(h.eval, X0, n_transient, n, stride, trace)
-        assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
-        assert got[1] == want[1] == n
-        assert got[3].tobytes() == trace.tobytes()
+        want = kernel(own, X0, n_transient, n, stride)
+        for g, w in zip(got, want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        assert got[1] == n
 
 
-def test_tangent_loops_take_one_exp_per_factor_per_step():
-    # norm-sum and QR advance with the image that tangent computes along
-    # with the Jacobian, so each step evaluates each exp factor once:
-    # one per step for the gauss families, two for the pioneer ones
-    calls = []
+def test_tangent_loops_take_one_exp_per_factor_per_step(monkeypatch):
+    # the Lyapunov walk advances with the orbit loop, one math.exp per exp
+    # factor per step, and takes a block's Jacobians from one _np_tangent
+    # call, one np.exp per factor over the block: one factor for the gauss
+    # families, two for the pioneer ones
+    scalar, blocks = [], []
 
     def counting_exp(v):
-        calls.append(v)
+        scalar.append(v)
         return math.exp(v)
 
-    loops = _kernels._make_loops(*_kernels._family(counting_exp))
+    def counting_np_exp(v):
+        blocks.append(np.size(v))
+        return np.exp(v)
+
+    step = _kernels._family(counting_exp)[0]
+    monkeypatch.setattr(_kernels, "_PY_LOOPS", _kernels._make_loops(step))
+    monkeypatch.setattr(_kernels, "_np_tangent",
+                        _kernels._family(counting_np_exp)[1])
+    monkeypatch.setattr(_kernels, "_BLOCK", 64)
     n_transient, n, stride = 30, 200, 10
     for h in handles():
         per_step = 2 if h.cone else 1
-        # k_used is item 1 of the norm-sum result and item 2 of the QR one
-        for name, trace, k_at in (("norm_sum", np.empty(n // stride), 1),
-                                  ("qr", np.empty((n // stride, 2)), 2)):
-            calls.clear()
-            res = loops[name](h.family_code, *h.packed, *start_for(h),
-                              n_transient, n, stride, trace)
-            assert res[k_at] == n
-            assert len(calls) == per_step * (n_transient + n)
+        for kernel in (_kernels.run_norm_sum, _kernels.run_qr):
+            scalar.clear()
+            blocks.clear()
+            res = kernel(h, start_for(h), n_transient, n, stride,
+                         force_python=True)
+            assert res[1] == n
+            assert len(scalar) == per_step * (n_transient + n)
+            assert blocks == [nb for nb in (64, 64, 64, 8)
+                              for _ in range(per_step)]
+
+
+def test_lyapunov_walk_is_block_invariant(monkeypatch):
+    # running sums are sequential and the points and Jacobians do not
+    # depend on the block, so a walk over 5 blocks + 7 points gives the
+    # bits of a walk one point at a time, on the scalar and generic lanes
+    # (one and two exp factors; the other family codes differ only in
+    # elementwise arithmetic)
+    n = 5 * _kernels._BLOCK + 7
+    gauss, pioneer = handles()[0], handles()[2]
+    cases = [(gauss, True), (pioneer, True), (generic_twin(gauss), False)]
+    want = [[kernel(h, start_for(h), 30, n, 100, force_python=fp)
+             for kernel in (_kernels.run_norm_sum, _kernels.run_qr)]
+            for h, fp in cases]
+    monkeypatch.setattr(_kernels, "_BLOCK", 1)
+    for (h, fp), ref in zip(cases, want):
+        for kernel, w in zip((_kernels.run_norm_sum, _kernels.run_qr), ref):
+            got = kernel(h, start_for(h), 30, n, 100, force_python=fp)
+            assert got[1] == n
+            for g, v in zip(got, w):
+                assert np.asarray(g).tobytes() == np.asarray(v).tobytes()
+
+
+def test_qr_memory_does_not_grow_with_n():
+    # the walk holds one block at a time; only the trace grows with n
+    h = gauss_rotation(4.4, GOLDEN_MEAN)
+    peaks = []
+    for n in (40_000, 400_000):
+        tracemalloc.start()
+        try:
+            _kernels.run_qr(h, X0, 0, n, 100)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
 
 
 def test_builtin_overflow_reruns_on_generic_lane():

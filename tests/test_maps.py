@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from attractorlab import _kernels
+from attractorlab.dynamics import initial_point
 from attractorlab.horseshoe import HorseshoeRegion, model_horseshoe_map
 from attractorlab.maps import (GOLDEN_MEAN, MapDefinitionError, MapSpec,
-                               build_map, eval_map, finite_difference_jacobian,
-                               gauss_rotation, jacobian, pioneer_climax_full,
+                               build_map, finite_difference_jacobian,
+                               gauss_rotation, pioneer_climax_full,
                                pioneer_climax_mixed, user_map)
 from attractorlab.radial import radial_tent_map
 
@@ -27,7 +28,8 @@ def test_gauss_rotation_formula():
     h = gauss_rotation(a, theta)
     x = np.array([0.4, -0.3])
     expected = a * np.exp(-np.dot(x, x)) * rot(theta) @ x
-    np.testing.assert_allclose(eval_map(h, x), expected, rtol=1e-14)
+    np.testing.assert_allclose(h.eval(initial_point(h, x)), expected,
+                               rtol=1e-14)
     # norm depends only on |x|
     r = np.linalg.norm(x)
     assert np.linalg.norm(h.eval(x)) == pytest.approx(
@@ -75,7 +77,7 @@ def test_analytic_jacobian_matches_finite_difference():
               pioneer_climax_full(3, 3), pioneer_climax_mixed(2, 3)):
         for _ in range(25):
             x = rng.uniform(-3, 3, size=2)
-            ja = jacobian(h, x)
+            ja = h.eval(x, True)[1]
             jf = finite_difference_jacobian(h.eval, x)
             scale = max(np.linalg.norm(ja), 1e-12)
             assert np.linalg.norm(ja - jf) / scale < 1e-6
@@ -113,12 +115,12 @@ def test_spec_validation_errors():
                           {"a": float("nan"), "b": 1.0}))
 
 
-def test_eval_map_input_checks():
+def test_initial_point_input_checks():
     h = gauss_rotation(2.7, 0.3)
     with pytest.raises(ValueError):
-        eval_map(h, [1.0, 2.0, 3.0])
+        initial_point(h, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        eval_map(h, [float("inf"), 0.0])
+        initial_point(h, [float("inf"), 0.0])
 
 
 def test_far_points_decay_toward_zero():
@@ -237,10 +239,10 @@ def test_handle_callables_are_the_kernel_definition():
         assert np.array_equal(ev, images)
         assert np.array_equal(ev_many, images)
         assert np.array_equal(jc, jacs)
-        # the kernel loops' _step/_tangent use math.exp, which differs from
+        # the orbit loop's step uses math.exp, which differs from
         # np.exp by one ulp on some arguments; exp is a factor of every
         # entry, so the gap stays within a few ulps
-        images, jacs = scalar_form(_kernels._step, _kernels._tangent, h, pts)
+        images, jacs = scalar_form(*_kernels._family(math.exp), h, pts)
         np.testing.assert_allclose(ev, images, rtol=1e-15, atol=0)
         np.testing.assert_allclose(ev_many, images, rtol=1e-15, atol=0)
         np.testing.assert_allclose(jc, jacs, rtol=1e-15, atol=0)
@@ -248,8 +250,8 @@ def test_handle_callables_are_the_kernel_definition():
 
 @pytest.mark.parametrize("exp", [math.exp, np.exp])
 def test_tangent_image_is_the_step_bit_for_bit(exp):
-    # the norm-sum and QR loops advance with tangent's image, so it must
-    # be the orbit loop's step exactly, for every family code
+    # eval(x, True) returns tangent's image and eval(x) step's, so the two
+    # must agree exactly, for every family code and either exponential
     step, tangent = _kernels._family(exp)
     pts = grid_points()
     assert sorted(h.family_code for h in builtin_handles()) == [0, 1, 2, 3]
