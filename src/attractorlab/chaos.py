@@ -8,7 +8,6 @@ tangent-space spectrum.  Exponents are per-iterate natural logs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,6 @@ from .maps import MapHandle
 from .dynamics import DivergenceError, PointCloud, initial_point
 
 TRACE_STRIDE = 100
-MAX_SCALES = 61     # the finest box index must fit in int64
 MIN_BOX_POINTS = 1000
 
 
@@ -107,13 +105,23 @@ def _check_lyapunov_args(handle, x0, n: int, n_transient: int) -> np.ndarray:
     return initial_point(handle, x0)
 
 
+def max_scales(m: int) -> int:
+    """Longest box-count ladder of an m-axis cloud: the m finest box indices,
+    each below 2^(n_scales + 2), interleave into one int64 Morton key."""
+    return 63 // m - 2
+
+
 def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:
     """Box-counting slope over a geometric scale ladder (ratio 2).
 
     The ladder starts at (bounding-box diagonal)/4 and stops before the
     saturated regime N(eps) > n_points/10.  The grid is anchored at the
     bounding-box corner, which makes counts deterministic and monotone
-    across the ladder.  n_scales runs from 5 to MAX_SCALES.
+    across the ladder.  The rungs halve exactly, so rung i's box index is
+    the finest one shifted right by n_scales-1-i; one sort of the finest
+    indices' Morton key counts every rung.  n_scales runs from 5 to
+    max_scales(m): 29 in the plane, 19 in 3-D, and no ladder fits a cloud
+    of 10 or more axes.
     """
     pts = getattr(cloud, "points", None)
     if pts is None:
@@ -121,11 +129,9 @@ def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:
     n_pts, m = pts.shape
     if n_pts < MIN_BOX_POINTS:
         raise ValueError(f"cloud too small for box counting: {n_pts} points")
-    if n_scales < 5:
-        raise ValueError("need at least 5 scales")
-    if n_scales > MAX_SCALES:
-        # the finest box index reaches 2^(n_scales + 1)
-        raise ValueError(f"at most {MAX_SCALES} scales")
+    if not 5 <= n_scales <= max_scales(m):
+        raise ValueError(f"n_scales must be in 5..{max_scales(m)} for "
+                         f"{m} axes, got {n_scales}")
     mins = pts.min(axis=0)
     diag = float(np.linalg.norm(pts.max(axis=0) - mins))
     if diag == 0.0:
@@ -134,22 +140,12 @@ def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:
                               scale_window=np.empty(0, int), degenerate=True)
     scales = diag / 4.0 / (2.0 ** np.arange(n_scales))
     counts = np.empty(n_scales, dtype=np.int64)
-    # the rungs halve exactly, so rung i's box index is the finest one
-    # shifted right by n_scales-1-i, and the distinct shifted Morton keys
-    # of one sort count every rung; the finest index is < 2^(n_scales+2)
-    morton = m * (n_scales + 2) <= 63
-    if morton:
-        key = np.sort(_morton_key(
-            np.floor((pts - mins) / scales[-1]).astype(np.int64),
-            n_scales + 2))
+    key = np.sort(_morton_key(
+        np.floor((pts - mins) / scales[-1]).astype(np.int64), n_scales + 2))
     kept = []
-    for i, eps in enumerate(scales):
-        if morton:
-            shift = m * (n_scales - 1 - i)
-            counts[i] = 1 + np.count_nonzero(np.diff(key >> shift))
-        else:
-            idx = np.floor((pts - mins) / eps).astype(np.int64)
-            counts[i] = _occupied_boxes(idx)
+    for i in range(n_scales):
+        shift = m * (n_scales - 1 - i)
+        counts[i] = 1 + np.count_nonzero(np.diff(key >> shift))
         if counts[i] > n_pts / 10:
             counts = counts[:i + 1]
             scales = scales[:i + 1]
@@ -168,23 +164,6 @@ def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:
     dimension = float(min(max(slope, 0.0), m))
     return BoxCountResult(scales=scales, counts=counts, dimension=dimension,
                           r2=r2, scale_window=window)
-
-
-def _occupied_boxes(idx: np.ndarray) -> int:
-    """Number of distinct rows of a nonnegative (n, m) int64 box index.
-
-    Each row is packed into one mixed-radix int64 key, which is far
-    cheaper to make unique than rows; when the key space would overflow
-    int64 (many axes or very fine boxes) the rows are compared directly.
-    """
-    sizes = [int(v) + 1 for v in idx.max(axis=0)]
-    if math.prod(sizes) > 2 ** 63:
-        return len(np.unique(idx, axis=0))
-    key = idx[:, 0].copy()
-    for j in range(1, idx.shape[1]):
-        key *= sizes[j]
-        key += idx[:, j]
-    return len(np.unique(key))
 
 
 def _morton_key(idx: np.ndarray, bits: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from .maps import (MapHandle, gauss_rotation, pioneer_climax_full,
 from .dynamics import (DivergenceError, CycleSearchError, orbit,
                        detect_period, find_cycle)
 from .chaos import (max_lyapunov_norm_sum, lyapunov_spectrum_qr,
-                    box_counting_dimension, MAX_SCALES, MIN_BOX_POINTS)
+                    box_counting_dimension, max_scales, MIN_BOX_POINTS)
 from .hypotheses import run_hypothesis_report
 from .radial import radial_tent_map, MODE_SOURCE, MODE_SINK
 from .horseshoe import (HorseshoeRegion, RefinementExplosion,
@@ -39,6 +39,7 @@ from .horseshoe import (HorseshoeRegion, RefinementExplosion,
                         trellis as trace_trellis)
 
 MAX_RASTER_SIDE = 8192
+MAX_SCHEDULE = 1_000_000  # values of a sweep or bifurcation schedule
 BOUNDS = ("xmin", "xmax", "ymin", "ymax")  # the raster window, if set
 FLOAT_FMT = "%.17g"
 CSV_CHUNK_ROWS = 1 << 13  # rows per block: bounds the writer's memory
@@ -101,10 +102,14 @@ def _between(lo: int, hi: int) -> Type:
     return Type(f"int {lo}..{hi}", INT.parse, range(lo, hi + 1).__contains__)
 
 
+def _above(lo: float) -> Type:
+    return Type(f"finite float > {lo:g}", float, lambda v: lo < v < math.inf)
+
+
 _BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | \
     dict.fromkeys(("0", "false", "no", "off"), False)
 FLOAT, STR = Type("float", float, math.isfinite), Type("str", str)
-POSITIVE = Type("finite float > 0", float, lambda v: 0 < v < math.inf)
+POSITIVE = _above(0)
 INT = Type("int", partial(int, base=10))
 BOOL = Type("bool", lambda text: _BOOLS[text.lower()])
 REQUIRED = object()
@@ -116,7 +121,7 @@ FAMILIES = {
     "gauss_rotation": Family(
         lambda cfg: gauss_rotation(cfg["a"], cfg["theta"],
                                    literal_eq=cfg["literal_rotation"]),
-        {"a": Key(FLOAT), "theta": Key(FLOAT),
+        {"a": Key(POSITIVE), "theta": Key(FLOAT),
          "literal_rotation": Key(BOOL, False)}, (0.3, 0.1)),
     "pioneer_climax_full": Family(
         lambda cfg: pioneer_climax_full(cfg["a"], cfg["b"]), _AB, (0.5, 0.5)),
@@ -128,8 +133,8 @@ FAMILIES = {
             (cfg["slope_in"], cfg["slope_out"]),
             **{k: cfg[k] for k in ("zeta", "theta", "mode", "alpha0")}).handle,
         {"mode": Key(_choice(MODE_SOURCE, MODE_SINK), MODE_SOURCE),
-         "alpha0": Key(FLOAT, None), "slope_in": Key(FLOAT, 3.0),
-         "slope_out": Key(FLOAT, 3.0), "zeta": Key(FLOAT, 1.0),
+         "alpha0": Key(FLOAT, None), "slope_in": Key(_above(1), 3.0),
+         "slope_out": Key(_above(1), 3.0), "zeta": Key(POSITIVE, 1.0),
          "theta": Key(FLOAT, 0.0)}, (0.3, 0.1)),
     "model_horseshoe": Family(
         lambda cfg: model_horseshoe_map(region=_region_from(cfg)),
@@ -159,7 +164,7 @@ _RASTER = {"resolution": Key(_between(1, MAX_RASTER_SIDE), 1024),
            **dict.fromkeys(BOUNDS, Key(FLOAT, None))}
 # lyap_n >= 100, the least horizon the Lyapunov estimators accept
 N_KEEP, LYAP_N = Key(_at_least(1), 100_000), Key(_at_least(100), 100_000)
-N_SCALES = Key(_between(5, MAX_SCALES), 8)
+N_SCALES = Key(_between(5, max_scales(DIM)), 8)
 
 
 def resolve(command: str, raw: dict) -> dict:
@@ -195,11 +200,13 @@ def resolve(command: str, raw: dict) -> dict:
                                                  if near else ""))
     if "param" in keys:  # it names a float key of the map family
         keys["param"] = Key(_choice(*(k for k, key in family.keys.items()
-                                      if key.type is FLOAT)))
+                                      if key.type.parse is float)))
     for name, key in keys.items():
         cfg[name] = value(name, key)
     if 0 < sum(cfg.get(k) is not None for k in BOUNDS) < len(BOUNDS):
         raise ConfigError("set all or none of xmin, xmax, ymin and ymax")
+    if "param" in keys:
+        _schedule(cfg)
     return cfg
 
 
@@ -220,7 +227,11 @@ def _schedule(cfg: dict, minimum: int = 1) -> tuple:
         raise ConfigError("schedule step must be positive")
     if stop < start:
         raise ConfigError("schedule stop must be at least start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_SCHEDULE:  # an infinite span too
+        raise ConfigError(f"schedule must contain at most {MAX_SCHEDULE} "
+                          f"values; (stop - start) / step is {span:.6g}")
+    count = int(span) + 1
     values = start + step * np.arange(count)
     if count < minimum:
         raise ConfigError(f"schedule must contain at least {minimum} "

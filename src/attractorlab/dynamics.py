@@ -198,7 +198,8 @@ def find_cycle(handle: MapHandle, period: int, seed) -> Cycle:
             raise CycleSearchError("iterate escaped to non-finite values "
                                    "during Newton search")
         fval = pts[-1] - x
-        residual = float(np.linalg.norm(fval))
+        with np.errstate(over="ignore"):  # a finite fval near 1e200 gives inf
+            residual = float(np.linalg.norm(fval))
         if residual <= NEWTON_RESIDUAL:
             break
         amat = prod - np.eye(x.size)

@@ -180,13 +180,12 @@ def estimate_sup_norm(handle: MapHandle, search_radius: float,
     R_M is the largest norm among the polished maximizers (all points
     whose refined value ties M within 1e-7 relative).  Raises
     :class:`SupNormBoundaryError` when |f| on the search-box boundary
-    is not below M/10, which means the box may not contain the peak.
+    is not below M/10, which means the box may not contain the peak; a
+    grid that sees only |f| = 0 raises too.
     """
     pts = _grid_points(handle, search_radius, grid)
     vals = np.linalg.norm(handle.eval(pts), axis=1)
     m_grid = float(vals.max())
-    if m_grid == 0.0:
-        return SupNorm(0.0, np.zeros(handle.dim), 0.0)
     edge = np.any(np.abs(pts) >= search_radius * (1 - 1e-12), axis=1)
     boundary_max = float(vals[edge].max())
     if boundary_max >= m_grid / 10.0:

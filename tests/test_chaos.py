@@ -183,50 +183,41 @@ def test_boxdim_counts_match_row_unique_reference(m):
     assert list(res.counts) == row_unique_counts(pts, res.scales)
 
 
-def test_boxdim_counts_when_box_keys_overflow_int64():
-    # 50 distinct points never saturate the ladder, so all 40 rungs run;
-    # the finest grids have more boxes than an int64 key can number
-    pts = np.tile(np.random.default_rng(7).uniform(size=(50, 2)), (20, 1))
-    res = box_counting_dimension(pts, n_scales=40)
-    assert len(res.counts) == 40
-    finest = np.floor((pts - pts.min(axis=0)) / res.scales[-1])
-    assert math.prod(int(v) + 1 for v in finest.max(axis=0)) > 2 ** 63
-    assert list(res.counts) == row_unique_counts(pts, res.scales)
-
-
-def test_occupied_boxes_does_not_wrap_int64_keys():
-    # a mixed-radix key would map rows (0, 0) and (4, 0) both to
-    # 4 * 2**62 = 2**64 = 0 (mod 2**64); the row path keeps them apart
-    idx = np.array([[0, 0], [4, 0], [0, 2 ** 62 - 1]], dtype=np.int64)
-    assert chaos._occupied_boxes(idx) == 3
-
-
 def test_boxdim_rejects_ladders_past_int64_box_indices():
-    # the finest box index reaches 2^(n_scales + 1); from 62 scales on it
-    # would overflow int64 and wrap the counts
-    pts = np.tile(np.random.default_rng(7).uniform(size=(50, 2)), (20, 1))
-    for n_scales in (62, 70):
-        with pytest.raises(ValueError):
+    # m finest box indices, each below 2^(n_scales + 2), must interleave
+    # into one int64 key: 29 scales in the plane, 19 in 3-D, none from 10
+    # axes on
+    assert [chaos.max_scales(m) for m in (2, 3, 10)] == [29, 19, 4]
+    rng = np.random.default_rng(7)
+    for m in (2, 3):
+        pts = np.tile(rng.uniform(size=(50, m)), (20, 1))
+        limit = chaos.max_scales(m)
+        box_counting_dimension(pts, n_scales=limit)
+        for n_scales in (4, limit + 1, 62, 70):
+            with pytest.raises(ValueError, match=f"5..{limit} for {m} axes"):
+                box_counting_dimension(pts, n_scales=n_scales)
+    pts = rng.uniform(size=(1000, 10))
+    for n_scales in range(5, 62):
+        with pytest.raises(ValueError, match="5..4 for 10 axes"):
             box_counting_dimension(pts, n_scales=n_scales)
 
 
 def test_boxdim_finest_allowed_ladder_counts_stay_exact():
     x = np.tile(np.random.default_rng(3).uniform(size=50), 20)
     pts = np.column_stack([x, np.zeros_like(x)])
-    res = box_counting_dimension(pts, n_scales=chaos.MAX_SCALES)
-    assert len(res.counts) == 61
+    res = box_counting_dimension(pts, n_scales=chaos.max_scales(2))
+    assert len(res.counts) == 29
     assert np.all(np.diff(res.counts) >= 0)
     assert res.counts.max() <= 50
     assert res.counts[-1] == 50
 
 
 # Box-counting oracles.  A cloud is either up to 40 points repeated to
-# 1000 rows, which never saturates, so every rung of even a very fine
-# ladder is counted, or a random normal cloud, which saturates.
-# Ladders are drawn on both sides of the switch from one Morton sort
-# (m * (n_scales + 2) <= 63 bits) to the per-rung path: 29 | 30 scales in
-# 2-D and 19 | 20 in 3-D.
-LADDERS = {2: [5, 8, 29, 30], 3: [5, 8, 19, 20]}
+# 1000 rows, which never saturates, so every rung of even the finest
+# ladder is counted, or a random normal cloud, which saturates.  Ladders
+# are drawn up to and at the Morton key's limit: 29 scales in 2-D and 19
+# in 3-D.
+LADDERS = {m: [5, 8, chaos.max_scales(m)] for m in (2, 3)}
 
 
 @st.composite

@@ -52,6 +52,13 @@ def test_schedule_counts():
         _schedule({"param": "a", "start": 1.0, "stop": 2.0, "step": 0.0})
     with pytest.raises(ConfigError):
         _schedule({"param": "a", "start": 3.0, "stop": 2.0, "step": 1.0})
+    most = cli.MAX_SCHEDULE
+    _, vals = _schedule({"param": "a", "start": 0.0, "stop": most - 1.0,
+                         "step": 1.0})
+    assert len(vals) == most
+    with pytest.raises(ConfigError, match=f"at most {most} values"):
+        _schedule({"param": "a", "start": 0.0, "stop": float(most),
+                   "step": 1.0})
 
 
 def test_render_raster_geometry(tmp_path):
@@ -485,6 +492,17 @@ def test_horseshoe_on_a_population_map_prints_no_warnings(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_saddle_census_with_huge_newton_residuals_prints_no_warnings(
+        tmp_path, capsys):
+    # a period-2 Newton step on the mixed pioneer map leaves a finite
+    # residual near 1e200, whose norm overflows to inf
+    cfg = write_cfg(tmp_path, "hs.cfg", "map = pioneer_climax_mixed\na = 3\n"
+                    "b = 3\nbox = 0,8,0,8\nk_max = 2\n")
+    assert main(["horseshoe", "--config", cfg, "--out", str(tmp_path / "run"),
+                 "--jobs", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_bifurcation_csv_matches_per_value_format(tmp_path):
     text = CONTRACT["bifurcation"][0] + "projection = 1\n"
     out = tmp_path / "run"
@@ -798,6 +816,14 @@ def test_sweep_config_errors_stop_before_any_value(tmp_path, capsys):
     ("orbit", "map = gauss_rotation\na = nan\ntheta = 0.5\n"),
     ("orbit", PIONEER + "x0 = nan,0.1\n"),
     ("horseshoe", "map = model_horseshoe\nframe = nan,0,0,1\n"),
+    # schedules too long to hold, and family ranges the library states
+    ("sweep", "map = gauss_rotation\ntheta = 0.5\nparam = a\n"
+              "start = -1e308\nstop = 1e308\nstep = 1\n"),
+    ("sweep", "map = gauss_rotation\ntheta = 0.5\nparam = a\n"
+              "start = 0\nstop = 1\nstep = 1e-300\n"),
+    ("orbit", "map = radial_tent\nslope_in = 0\n"),
+    ("orbit", "map = radial_tent\nzeta = 0\n"),
+    ("orbit", "map = gauss_rotation\na = -1\ntheta = 0.5\n"),
 ])
 def test_config_errors_exit_1(tmp_path, capsys, command, text):
     out = tmp_path / "run"
@@ -806,6 +832,17 @@ def test_config_errors_exit_1(tmp_path, capsys, command, text):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_param_may_name_a_float_key_with_a_range():
+    # the schedule sets a swept key, so a value out of its range fails
+    # that value only (CONTRACT's sweep "numeric" case sweeps a < 0)
+    for family, key in [("gauss_rotation", "a"), ("radial_tent", "slope_in"),
+                        ("radial_tent", "slope_out"), ("radial_tent", "zeta")]:
+        cfg = cli.resolve("sweep", {"map": family, "theta": "0.5",
+                                    "param": key, "start": "0", "stop": "1",
+                                    "step": "1"})
+        assert cfg["param"] == key
 
 
 def test_flags_go_through_the_config_checks(tmp_path, capsys):
@@ -871,12 +908,13 @@ def test_readme_config_table_matches_schema():
 
 
 @pytest.mark.parametrize("command, n_scales", [
-    ("sweep", 3), ("sweep", 62), ("boxdim", 4), ("boxdim", 100)])
+    ("sweep", 3), ("sweep", 30), ("sweep", 62), ("boxdim", 4),
+    ("boxdim", 30), ("boxdim", 100)])
 def test_n_scales_out_of_range_exits_1_before_any_work(tmp_path, capsys,
                                                       command, n_scales):
     out = tmp_path / "run"
     text = CONTRACT[command][0] + f"n_scales = {n_scales}\n"
     assert main([command, "--config", write_cfg(tmp_path, "c.cfg", text),
                  "--out", str(out)]) == 1
-    assert "'n_scales' must be int 5..61" in capsys.readouterr().err
+    assert "'n_scales' must be int 5..29" in capsys.readouterr().err
     assert not out.exists()

@@ -60,6 +60,16 @@ def test_sup_norm_boundary_guard():
             estimate_sup_norm(pioneer_climax_full(3.0, 3.0), radius)
 
 
+def test_sup_norm_grid_that_sees_only_zeros_is_inconclusive():
+    # a 2-point grid at radius 1e300 samples |f| only where gauss has
+    # underflowed to 0; M = 0 would be a false pass (the true M is 1.2866)
+    h = gauss_rotation(3.0, 0.3)
+    with pytest.raises(SupNormBoundaryError, match="grid max 0"):
+        estimate_sup_norm(h, 1e300, grid=2)
+    report = run_hypothesis_report(h, search_radius=1e300, grid=2)
+    assert report.check("sup_norm").status == "inconclusive"
+
+
 def test_decay_profile_gauss_passes():
     prof = az_decay_profile(gauss_rotation(2.7, GOLDEN_MEAN),
                             np.linspace(0.5, 12.0, 24))

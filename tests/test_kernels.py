@@ -229,6 +229,7 @@ def test_lyapunov_walk_is_block_invariant(monkeypatch):
     # bits of a walk one point at a time, on the scalar and generic lanes
     # (one and two exp factors; the other family codes differ only in
     # elementwise arithmetic)
+    monkeypatch.setattr(_kernels, "_BLOCK", 64)
     n = 5 * _kernels._BLOCK + 7
     gauss, pioneer = handles()[0], handles()[2]
     cases = [(gauss, True), (pioneer, True), (generic_twin(gauss), False)]
@@ -244,11 +245,12 @@ def test_lyapunov_walk_is_block_invariant(monkeypatch):
                 assert np.asarray(g).tobytes() == np.asarray(v).tobytes()
 
 
-def test_qr_memory_does_not_grow_with_n():
+def test_qr_memory_does_not_grow_with_n(monkeypatch):
     # the walk holds one block at a time; only the trace grows with n
+    monkeypatch.setattr(_kernels, "_BLOCK", 128)
     h = gauss_rotation(4.4, GOLDEN_MEAN)
     peaks = []
-    for n in (40_000, 400_000):
+    for n in (4_000, 40_000):
         tracemalloc.start()
         try:
             _kernels.run_qr(h, X0, 0, n, 100)
