@@ -1,28 +1,29 @@
-"""Hot iteration kernels: orbit, norm-sum Lyapunov and QR Lyapunov.
+"""Hot iteration kernels: orbit, norm-sum and QR Lyapunov.
 
-Each built-in planar family is defined once, by the step and the
+Each built-in planar family is defined once, by the orbit loop and the
 tangent (image plus analytic Jacobian, sharing each exponential) in
-``_family`` below, which takes the exponential as an argument.  Built
-over ``math.exp`` its step is the loops' scalar ``_step``; built over
-``np.exp`` it is the NumPy form ``_np_step``/``_np_tangent``, which
-also takes column arrays.  ``builtin_eval`` wraps the NumPy form
-as a built-in handle's one ``eval(x, with_jac)``, over a point or a
-block.
+``_family`` below, which takes the exponential as an argument.  The loop
+branches on the family inside its body, so the image formula is written
+once and a step costs no Python call.  Built over ``math.exp`` the loop
+is the scalar lane's orbit; built over ``np.exp`` it is the NumPy form
+``_np_orbit``/``_np_tangent``, which also takes column arrays and so runs
+many starts in lockstep.  ``builtin_eval`` wraps the NumPy form (the loop
+run for one transient step) as a built-in handle's one
+``eval(x, with_jac)``, over a point or a block.
 
-The orbit kernel is one loop over ``step``.  Both Lyapunov estimators
-share one walk: the orbit loop advances the trajectory a block of
-``_BLOCK`` points at a time, one evaluation gives the block's Jacobians,
-and one NumPy reduction per block gives its per-step log terms, summed
-by a ``cumsum`` seeded with the running total, so value and trace are
-those of a sequential sum.  Norm-sum takes the closed-form 2x2 spectral
-norm.  In the plane QR carries only the first Gram-Schmidt column (the
-``qr1`` loop), since lambda1 + lambda2 is the mean of log|det J|; other
-dimensions take a Householder QR per step.  Three lanes run the loops:
+Both Lyapunov estimators share one walk: the orbit loop advances the
+trajectory a block of ``_BLOCK`` points at a time, one evaluation gives
+the block's Jacobians, and one NumPy reduction per block gives its
+per-step log terms, summed by a ``cumsum`` seeded with the running total,
+so value and trace are those of a sequential sum.  Norm-sum takes the
+closed-form 2x2 spectral norm.  In the plane QR carries only the first
+Gram-Schmidt column (the ``qr1`` loop), since lambda1 + lambda2 is the
+mean of log|det J|; other dimensions take a Householder QR per step.
+Three lanes run the loops:
 
-* compiled: the orbit and ``qr1`` loops ``njit``-ed over an ``njit``
-  ``_step``; used for built-in families when numba is importable and
-  not disabled.
-* scalar Python: the same loops run by the interpreter, ``qr1`` over
+* compiled: the ``math.exp`` orbit loop and ``qr1``, ``njit``-ed; used
+  for built-in families when numba is importable and not disabled.
+* scalar Python: the same two loops run by the interpreter, ``qr1`` over
   Python lists; a block's Jacobians come from one ``_np_tangent`` call.
   Used for built-in families whenever the compiled lane is not taken.
 * generic: the orbit and the walk over a handle's ``eval``, one call
@@ -71,39 +72,46 @@ FAM_PIONEER_MIXED = 3
 
 
 def _family(exp):
-    """The built-in families' step and tangent over ``exp``.
+    """The built-in families' orbit loop and tangent over ``exp``.
 
-    ``step(fam, pa, pb, pc, x1, x2)`` returns the image (y1, y2) and
-    ``tangent`` the image and the Jacobian entries (y1, y2, j11, j12, j21,
-    j22), bit for bit the same image as ``step``.  With ``math.exp``
-    they are the scalar definition run by the kernel loops; with
-    ``np.exp`` the same code also takes column arrays for x1/x2 and
-    returns ``inf`` where ``math.exp`` raises ``OverflowError``.
+    ``orbit(fam, pa, pb, pc, x1, x2, n_transient, n_keep, out)`` runs
+    steps ``-n_transient .. n_keep - 1`` from (x1, x2), writes step
+    ``i >= 0`` to row ``i`` of ``out`` and returns the final point; run for
+    one transient step it is the one-step image.  ``tangent`` returns the
+    image and the Jacobian entries (y1, y2, j11, j12, j21, j22), bit for
+    bit the same image as a step of ``orbit``.  With ``math.exp`` they are
+    the scalar definition run by the kernel loops; with ``np.exp`` the
+    same code also takes column arrays for x1/x2 (and rows of ``out`` of
+    their shape) and returns ``inf`` where ``math.exp`` raises
+    ``OverflowError``.
     """
 
-    def step(fam, pa, pb, pc, x1, x2):
+    def orbit(fam, pa, pb, pc, x1, x2, n_transient, n_keep, out):
         # pa/pb/pc packing: gauss -> (a, cos(2*pi*theta), sin(2*pi*theta)),
         # pioneer -> (a, b, unused)
-        if fam == FAM_GAUSS:
-            w = pa * exp(-(x1 * x1 + x2 * x2))
-            return w * (x1 * pb - x2 * pc), w * (x1 * pc + x2 * pb)
-        if fam == FAM_GAUSS_LITERAL:
-            # degenerate variant: both components share the first formula
-            w = pa * exp(-(x1 * x1 + x2 * x2))
-            t = x1 * pb - x2 * pc
-            return w * t, w * t
-        if fam == FAM_PIONEER_FULL:
-            y1 = x1 * exp(pa - 0.8 * x1 - 0.2 * x2)
-            y2 = x2 * (0.2 * x1 + 0.8 * x2) * exp(pb - 0.2 * x1 - 0.8 * x2)
-            return y1, y2
-        # FAM_PIONEER_MIXED
-        y1 = x1 * exp(pa - 0.8 * x1)
-        y2 = x2 * (0.2 * x1 + 0.8 * x2) * exp(pb - 0.2 * x1 - 0.8 * x2)
-        return y1, y2
+        if n_keep > 0:  # the one-step form makes no views
+            col1, col2 = out[:, 0], out[:, 1]
+        for i in range(-n_transient, n_keep):
+            if fam == FAM_GAUSS:
+                w = pa * exp(-(x1 * x1 + x2 * x2))
+                x1, x2 = w * (x1 * pb - x2 * pc), w * (x1 * pc + x2 * pb)
+            elif fam == FAM_GAUSS_LITERAL:
+                # degenerate variant: both components share the first formula
+                w = pa * exp(-(x1 * x1 + x2 * x2))
+                x1 = x2 = w * (x1 * pb - x2 * pc)
+            else:  # the pioneer families differ in the first exponent
+                e1 = exp(pa - 0.8 * x1 - 0.2 * x2 if fam == FAM_PIONEER_FULL
+                         else pa - 0.8 * x1)
+                x1, x2 = (x1 * e1, x2 * (0.2 * x1 + 0.8 * x2)
+                          * exp(pb - 0.2 * x1 - 0.8 * x2))
+            if i >= 0:
+                col1[i] = x1
+                col2[i] = x2
+        return x1, x2
 
     def tangent(fam, pa, pb, pc, x1, x2):
         # one exp per factor serves both the image and the Jacobian; the
-        # image is computed by the same operations as ``step``
+        # image is computed by the same operations as a step of ``orbit``
         if fam == FAM_GAUSS:
             w = pa * exp(-(x1 * x1 + x2 * x2))
             u1 = x1 * pb - x2 * pc
@@ -129,14 +137,13 @@ def _family(exp):
                 e1 * (1.0 - 0.8 * x1), j12,
                 0.2 * x2 * e2 * (1.0 - p), e2 * (p + 0.8 * x2 * (1.0 - p)))
 
-    return step, tangent
+    return orbit, tangent
 
 
-_step = _family(math.exp)[0]
 # the handle callables use np.exp: inf instead of OverflowError, so Newton
 # steps that wander far out degrade gracefully, without RuntimeWarnings
-_np_step, _np_tangent = map(np.errstate(over="ignore", invalid="ignore"),
-                            _family(np.exp))
+_np_orbit, _np_tangent = map(np.errstate(over="ignore", invalid="ignore"),
+                             _family(np.exp))
 
 
 def builtin_eval(fam, packed, x, with_jac=False):
@@ -144,13 +151,16 @@ def builtin_eval(fam, packed, x, with_jac=False):
     with ``with_jac`` the Jacobian(s) too, from the same evaluation."""
     x = np.asarray(x)
     if x.ndim == 1:
-        # NumPy scalars: a point costs no per-entry array operation
+        # Python floats: a point costs no per-entry array operation, and
+        # float arithmetic rounds as NumPy's does
+        x1, x2 = x.tolist()
         if not with_jac:
-            return np.array(_np_step(fam, *packed, x[0], x[1]))
-        y1, y2, j11, j12, j21, j22 = _np_tangent(fam, *packed, x[0], x[1])
+            return np.array(_np_orbit(fam, *packed, x1, x2, 1, 0, None))
+        y1, y2, j11, j12, j21, j22 = _np_tangent(fam, *packed, x1, x2)
         return np.array([y1, y2]), np.array([[j11, j12], [j21, j22]])
     if not with_jac:
-        return np.column_stack(_np_step(fam, *packed, x[:, 0], x[:, 1]))
+        return np.column_stack(_np_orbit(fam, *packed, x[:, 0], x[:, 1], 1, 0,
+                                         None))
     y1, y2, *entries = _np_tangent(fam, *packed, x[:, 0], x[:, 1])
     jac = np.empty((len(x), 2, 2))
     # item assignment broadcasts pioneer-mixed's scalar j12 = 0.0
@@ -162,45 +172,26 @@ def builtin_eval(fam, packed, x, with_jac=False):
 _BLOCK = 2048
 
 
-def _make_loops(step):
-    """The orbit loop over one step definition, and the 2-D QR loop.
-
-    Called with the scalar ``_step`` for the scalar Python lane and with
-    its ``njit`` version for the compiled lane.
-    """
-
-    def orbit(fam, pa, pb, pc, x1, x2, n_transient, n_keep, out):
-        for _ in range(n_transient):
-            x1, x2 = step(fam, pa, pb, pc, x1, x2)
-        col1, col2 = out[:, 0], out[:, 1]
-        for i in range(n_keep):
-            x1, x2 = step(fam, pa, pb, pc, x1, x2)
-            col1[i] = x1
-            col2[i] = x2
-        return out
-
-    def qr1(j11, j12, j21, j22, q1, q2, r):
-        # the first Gram-Schmidt column (q1, q2) carried over a block of
-        # Jacobians: r[k] = |J_k q|, q <- J_k q / r[k]; stops at r[k] == 0
-        for k in range(len(r)):
-            v1 = j11[k] * q1 + j12[k] * q2
-            v2 = j21[k] * q1 + j22[k] * q2
-            rk = math.sqrt(v1 * v1 + v2 * v2)
-            r[k] = rk
-            if rk == 0.0:
-                break
-            q1 = v1 / rk
-            q2 = v2 / rk
-        return q1, q2
-
-    return {"orbit": orbit, "qr1": qr1}
+def _qr1(j11, j12, j21, j22, q1, q2, r):
+    # the first Gram-Schmidt column (q1, q2) carried over a block of
+    # Jacobians: r[k] = |J_k q|, q <- J_k q / r[k]; stops at r[k] == 0
+    for k in range(len(r)):
+        v1 = j11[k] * q1 + j12[k] * q2
+        v2 = j21[k] * q1 + j22[k] * q2
+        rk = math.sqrt(v1 * v1 + v2 * v2)
+        r[k] = rk
+        if rk == 0.0:
+            break
+        q1 = v1 / rk
+        q2 = v2 / rk
+    return q1, q2
 
 
-_PY_LOOPS = _make_loops(_step)
+_PY_LOOPS = {"orbit": _family(math.exp)[0], "qr1": _qr1}
 
 if HAVE_NUMBA:
-    _NB_LOOPS = {name: njit(cache=True)(loop) for name, loop
-                 in _make_loops(njit(cache=True)(_step)).items()}
+    _NB_LOOPS = {name: njit(cache=True)(loop)
+                 for name, loop in _PY_LOOPS.items()}
 
 
 def warmup():
@@ -355,10 +346,12 @@ def _orbit_generic(eval_fn, x0, n_transient, n_keep):
 
 def run_orbit(handle, x0, n_transient, n_keep, force_python=False):
     if _builtin(handle):
+        out = np.empty((n_keep, 2))
         try:
-            return _loops(handle, force_python)["orbit"](
+            _loops(handle, force_python)["orbit"](
                 handle.family_code, *handle.packed, float(x0[0]),
-                float(x0[1]), n_transient, n_keep, np.empty((n_keep, 2)))
+                float(x0[1]), n_transient, n_keep, out)
+            return out
         except OverflowError:
             pass  # math.exp overflowed; the generic lane yields inf
     return _orbit_generic(handle.eval, x0, n_transient, n_keep)

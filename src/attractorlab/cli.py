@@ -110,6 +110,9 @@ _BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | \
     dict.fromkeys(("0", "false", "no", "off"), False)
 FLOAT, STR = Type("float", float, math.isfinite), Type("str", str)
 POSITIVE = _above(0)
+# a search box of positive extent: each axis's lo, hi with lo < hi
+BOX = Type("float[4] lo,hi,lo,hi with lo < hi", _vec(4).parse,
+           lambda v: _vec(4).ok(v) and bool((v[::2] < v[1::2]).all()))
 INT = Type("int", partial(int, base=10))
 BOOL = Type("bool", lambda text: _BOOLS[text.lower()])
 REQUIRED = object()
@@ -133,7 +136,7 @@ FAMILIES = {
             (cfg["slope_in"], cfg["slope_out"]),
             **{k: cfg[k] for k in ("zeta", "theta", "mode", "alpha0")}).handle,
         {"mode": Key(_choice(MODE_SOURCE, MODE_SINK), MODE_SOURCE),
-         "alpha0": Key(FLOAT, None), "slope_in": Key(_above(1), 3.0),
+         "alpha0": Key(POSITIVE, None), "slope_in": Key(_above(1), 3.0),
          "slope_out": Key(_above(1), 3.0), "zeta": Key(POSITIVE, 1.0),
          "theta": Key(FLOAT, 0.0)}, (0.3, 0.1)),
     "model_horseshoe": Family(
@@ -206,7 +209,7 @@ def resolve(command: str, raw: dict) -> dict:
     if 0 < sum(cfg.get(k) is not None for k in BOUNDS) < len(BOUNDS):
         raise ConfigError("set all or none of xmin, xmax, ymin and ymax")
     if "param" in keys:
-        _schedule(cfg)
+        _schedule(cfg, COMMANDS[command].min_values)
     return cfg
 
 
@@ -575,7 +578,7 @@ def _bifurcation_value(args):
 
 
 def run_bifurcation(cfg: dict, out: Path) -> int:
-    name, values = _schedule(cfg, minimum=100)
+    name, values = _schedule(cfg)
     chunks = _map_values(_bifurcation_value,
                          [(cfg, name, float(v)) for v in values], cfg["jobs"])
     _write_rows(out / "bifurcation.csv", "param,value",
@@ -583,8 +586,9 @@ def run_bifurcation(cfg: dict, out: Path) -> int:
     return 0
 
 
-# run(cfg, out) carries out the command and returns its exit code
-Command = namedtuple("Command", "run keys")
+# run(cfg, out) carries out the command and returns its exit code; its
+# schedule, if it takes one, holds at least min_values values
+Command = namedtuple("Command", "run keys min_values", defaults=(1,))
 COMMANDS = {
     "sweep": Command(run_sweep, {
         **_SCHEDULE, **_ORBIT, "n_keep": N_KEEP, "lyap_n": LYAP_N,
@@ -597,7 +601,7 @@ COMMANDS = {
         "search_radius": Key(POSITIVE, 8.0),
         "grid": Key(_at_least(2), 256)}),
     "horseshoe": Command(run_horseshoe, {
-        "sampling": Key(_at_least(2), 48), "box": Key(_vec(4), None),
+        "sampling": Key(_at_least(2), 48), "box": Key(BOX, None),
         "k_max": Key(_at_least(1), 1), "n_seeds": Key(_at_least(1), 12),
         **FRAME_KEYS}),
     "trellis": Command(run_trellis, {
@@ -607,7 +611,8 @@ COMMANDS = {
     "bifurcation": Command(run_bifurcation, {
         **_SCHEDULE, "bif_transient": Key(_at_least(0), 1_000),
         "bif_keep": Key(_at_least(1), 200), "x0": _ORBIT["x0"],
-        "projection": Key(_choice("norm", *map(str, range(DIM))), "norm")}),
+        "projection": Key(_choice("norm", *map(str, range(DIM))), "norm")},
+        min_values=100),
 }
 
 

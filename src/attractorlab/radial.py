@@ -500,8 +500,9 @@ def radial_tent_map(slopes=(3.0, 3.0), zeta: float = 1.0, theta: float = 0.0,
         a0 = zeta / 4.0 if alpha0 is None else float(alpha0)
         alpha = a0 + (zeta - a0) / s_in
         apex = (s_out * zeta + (s_in - 1.0) * a0) / (s_in + s_out)
-        if not a0 < alpha < apex:
-            raise ValueError("alpha0 too large for these slopes")
+        if not 0 < a0 < alpha < apex:
+            raise ValueError("alpha0 must be positive and small enough for "
+                             "these slopes")
     elif mode == MODE_SOURCE:
         a0 = None
         alpha = zeta / s_in

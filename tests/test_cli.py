@@ -824,6 +824,13 @@ def test_sweep_config_errors_stop_before_any_value(tmp_path, capsys):
     ("orbit", "map = radial_tent\nslope_in = 0\n"),
     ("orbit", "map = radial_tent\nzeta = 0\n"),
     ("orbit", "map = gauss_rotation\na = -1\ntheta = 0.5\n"),
+    ("orbit", "map = radial_tent\nmode = sink_origin\nalpha0 = 0\n"),
+    ("orbit", "map = radial_tent\nmode = sink_origin\nalpha0 = -0.1\n"),
+    ("horseshoe", "map = model_horseshoe\nbox = 0,0,0,0\n"),
+    ("horseshoe", "map = model_horseshoe\nbox = 0,1,1,0\n"),
+    # a bifurcation schedule of fewer than 100 values, before any work
+    ("bifurcation", "map = gauss_rotation\ntheta = 0.5\nparam = a\n"
+                    "start = 2\nstop = 2.5\nstep = 0.1\n"),
 ])
 def test_config_errors_exit_1(tmp_path, capsys, command, text):
     out = tmp_path / "run"
@@ -838,7 +845,8 @@ def test_param_may_name_a_float_key_with_a_range():
     # the schedule sets a swept key, so a value out of its range fails
     # that value only (CONTRACT's sweep "numeric" case sweeps a < 0)
     for family, key in [("gauss_rotation", "a"), ("radial_tent", "slope_in"),
-                        ("radial_tent", "slope_out"), ("radial_tent", "zeta")]:
+                        ("radial_tent", "slope_out"), ("radial_tent", "zeta"),
+                        ("radial_tent", "alpha0")]:
         cfg = cli.resolve("sweep", {"map": family, "theta": "0.5",
                                     "param": key, "start": "0", "stop": "1",
                                     "step": "1"})

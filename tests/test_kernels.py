@@ -204,8 +204,8 @@ def test_tangent_loops_take_one_exp_per_factor_per_step(monkeypatch):
         blocks.append(np.size(v))
         return np.exp(v)
 
-    step = _kernels._family(counting_exp)[0]
-    monkeypatch.setattr(_kernels, "_PY_LOOPS", _kernels._make_loops(step))
+    monkeypatch.setattr(_kernels, "_PY_LOOPS", {
+        **_kernels._PY_LOOPS, "orbit": _kernels._family(counting_exp)[0]})
     monkeypatch.setattr(_kernels, "_np_tangent",
                         _kernels._family(counting_np_exp)[1])
     monkeypatch.setattr(_kernels, "_BLOCK", 64)
@@ -221,6 +221,27 @@ def test_tangent_loops_take_one_exp_per_factor_per_step(monkeypatch):
             assert len(scalar) == per_step * (n_transient + n)
             assert blocks == [nb for nb in (64, 64, 64, 8)
                               for _ in range(per_step)]
+
+
+def test_numpy_orbit_loop_runs_starts_in_lockstep():
+    # over column arrays of starts the np.exp form of the orbit loop
+    # advances each start as its own single-column run does, bit for bit,
+    # for every family code; rows of out hold the columns of each step
+    rng = np.random.default_rng(7)
+    n_transient, n_keep = 25, 40
+    for h in handles():
+        starts = start_for(h) + rng.uniform(-0.2, 0.2, (5, 2))
+        out = np.empty((n_keep, 2, len(starts)))
+        last = _kernels._np_orbit(h.family_code, *h.packed, *starts.T,
+                                  n_transient, n_keep, out)
+        for j, (u, v) in enumerate(starts):
+            one = np.empty((n_keep, 2, 1))
+            end = _kernels._np_orbit(h.family_code, *h.packed,
+                                     np.array([u]), np.array([v]),
+                                     n_transient, n_keep, one)
+            assert out[:, :, j].tobytes() == one[:, :, 0].tobytes()
+            assert np.array(last)[:, j].tobytes() == \
+                np.array(end)[:, 0].tobytes()
 
 
 def test_lyapunov_walk_is_block_invariant(monkeypatch):

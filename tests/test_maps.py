@@ -217,9 +217,11 @@ def test_user_map_empty_block_keeps_its_dimension():
         assert [a.shape for a in h.eval(empty, True)] == [(0, 3), (0, 3, 3)]
 
 
-def scalar_form(step, tangent, h, pts):
-    """A definition evaluated one Python-float point at a time."""
-    images = np.array([step(h.family_code, *h.packed, float(u), float(v))
+def scalar_form(orbit, tangent, h, pts):
+    """A definition evaluated one Python-float point at a time; the image
+    is one transient step of the orbit loop."""
+    images = np.array([orbit(h.family_code, *h.packed, float(u), float(v),
+                             1, 0, None)
                        for u, v in pts])
     jacs = np.array([tangent(h.family_code, *h.packed,
                              float(u), float(v))[2:]
@@ -229,13 +231,13 @@ def scalar_form(step, tangent, h, pts):
 
 def test_handle_callables_are_the_kernel_definition():
     pts = grid_points()
-    np_step, np_tangent = _kernels._family(np.exp)
+    np_orbit, np_tangent = _kernels._family(np.exp)
     for h in builtin_handles():
         ev = np.array([h.eval(p) for p in pts])
         ev_many = h.eval(pts)
         jc = np.array([h.eval(p, True)[1] for p in pts])
         # over the same exponential, bit for bit the scalar definition
-        images, jacs = scalar_form(np_step, np_tangent, h, pts)
+        images, jacs = scalar_form(np_orbit, np_tangent, h, pts)
         assert np.array_equal(ev, images)
         assert np.array_equal(ev_many, images)
         assert np.array_equal(jc, jacs)
@@ -250,13 +252,15 @@ def test_handle_callables_are_the_kernel_definition():
 
 @pytest.mark.parametrize("exp", [math.exp, np.exp])
 def test_tangent_image_is_the_step_bit_for_bit(exp):
-    # eval(x, True) returns tangent's image and eval(x) step's, so the two
-    # must agree exactly, for every family code and either exponential
-    step, tangent = _kernels._family(exp)
+    # eval(x, True) returns tangent's image and eval(x) one step of the
+    # orbit loop's, so the two must agree exactly, for every family code
+    # and either exponential
+    orbit, tangent = _kernels._family(exp)
     pts = grid_points()
     assert sorted(h.family_code for h in builtin_handles()) == [0, 1, 2, 3]
     for h in builtin_handles():
         for u, v in pts:
             args = (h.family_code, *h.packed, float(u), float(v))
             image = np.array(tangent(*args)[:2], dtype=float)
-            assert image.tobytes() == np.array(step(*args)).tobytes()
+            assert image.tobytes() == \
+                np.array(orbit(*args, 1, 0, None)).tobytes()

@@ -230,8 +230,9 @@ def test_radial_tent_validation():
         radial_tent_map((3.0, 3.0), zeta=0.0)
     with pytest.raises(ValueError):
         radial_tent_map((3.0, 3.0), mode="other")
-    with pytest.raises(ValueError):
-        radial_tent_map((3.0, 3.0), mode=MODE_SINK, alpha0=0.9)
+    for alpha0 in (0.9, 0.0, -0.1):
+        with pytest.raises(ValueError):
+            radial_tent_map((3.0, 3.0), mode=MODE_SINK, alpha0=alpha0)
 
 
 def test_radial_tent_jacobian_matches_fd():
