@@ -1,4 +1,4 @@
-"""Hot iteration kernels: orbit, norm-sum and QR Lyapunov.
+"""Hot iteration kernels: orbit, norm-sum Lyapunov and QR Lyapunov.
 
 Each built-in planar family is defined once, by the orbit loop and the
 tangent (image plus analytic Jacobian, sharing each exponential) in
