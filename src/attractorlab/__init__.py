@@ -39,9 +39,6 @@ from .chaos import (
 )
 from .hypotheses import (
     Check,
-    ContractionCheck,
-    DecayProfile,
-    EZResult,
     Report,
     SupNorm,
     attracting_set_sample,

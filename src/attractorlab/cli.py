@@ -208,6 +208,9 @@ def resolve(command: str, raw: dict) -> dict:
         cfg[name] = value(name, key)
     if 0 < sum(cfg.get(k) is not None for k in BOUNDS) < len(BOUNDS):
         raise ConfigError("set all or none of xmin, xmax, ymin and ymax")
+    if cfg.get("xmin") is not None and not (
+            cfg["xmin"] < cfg["xmax"] and cfg["ymin"] < cfg["ymax"]):
+        raise ConfigError("raster bounds need xmin < xmax and ymin < ymax")
     if "param" in keys:
         _schedule(cfg, COMMANDS[command].min_values)
     return cfg

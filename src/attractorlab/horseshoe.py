@@ -642,31 +642,18 @@ def leaf_strip_intervals(depth: int, contraction: float = 0.2) -> np.ndarray:
     return intervals[np.argsort(intervals[:, 0])]
 
 
-def count_components(member: np.ndarray) -> int:
-    """Number of runs of consecutive True entries."""
-    member = np.asarray(member, dtype=bool)
-    if member.size == 0:
-        return 0
-    starts = member & ~np.concatenate([[False], member[:-1]])
-    return int(np.sum(starts))
-
-
 def leaf_component_count(depth: int, x2_level: float = 1.0,
-                         n_samples: int = 1 << 21,
                          contraction: float = 0.2) -> int:
     """Components of the model's depth-n region cut by a horizontal leaf.
 
-    Samples the leaf densely across the core and counts runs of samples
-    inside the iterated strip footprint.  Valid for leaf levels strictly
+    The leaf meets each vertical strip in its x1 footprint, so the count
+    is one plus the number of positive gaps between consecutive sorted
+    footprints (touching ones merge).  Valid for leaf levels strictly
     inside the core's vertical extent.
     """
     if not _BANDS[0] < x2_level < _BANDS[3]:
         raise ValueError("leaf level must lie inside the core")
-    intervals = leaf_strip_intervals(depth, contraction)
-    xs = np.linspace(-6.0, 2.0, n_samples)
-    edges = intervals.ravel()
-    if np.any(np.diff(edges) < 0):
+    steps = np.diff(leaf_strip_intervals(depth, contraction).ravel())
+    if np.any(steps < 0):
         raise RuntimeError("strip intervals overlap; cannot count")
-    idx = np.searchsorted(edges, xs)
-    member = (idx % 2) == 1
-    return count_components(member)
+    return 1 + int(np.count_nonzero(steps[1::2] > 0))

@@ -30,6 +30,9 @@ STATUS_INCONCLUSIVE = "inconclusive"
 
 _RATIO_TOL = 1e-9        # equality band for the contraction ratio
 _ORIGIN_FIXED_TOL = 1e-12
+_DECAY_TOL = 1e-9        # final profile value relative to the peak
+_N_DIRECTIONS = 256      # sphere directions of the decay and EZ checks
+_EZ_CANDIDATES = (2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0)
 
 
 def verdict(ok: bool) -> str:
@@ -130,6 +133,15 @@ def _directions(handle: MapHandle, n: int) -> np.ndarray:
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
+def _shells(handle: MapHandle, radii: np.ndarray,
+            n_directions: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points r u over radii x directions (flat), |f| there by radius."""
+    dirs = _directions(handle, n_directions)
+    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, handle.dim)
+    vals = np.linalg.norm(handle.eval(pts), axis=1)
+    return pts, vals.reshape(len(radii), -1)
+
+
 def _grid_points(handle: MapHandle, radius: float, grid: int) -> np.ndarray:
     lo = 0.0 if handle.cone else -radius
     axis = np.linspace(lo, radius, grid)
@@ -139,12 +151,12 @@ def _grid_points(handle: MapHandle, radius: float, grid: int) -> np.ndarray:
     return np.column_stack([g1.ravel(), g2.ravel()])
 
 
-def _golden_polish(handle: MapHandle, x: np.ndarray, h: float,
-                   sweeps: int = 3, iters: int = 48) -> np.ndarray:
-    """Coordinate-wise golden-section ascent of |f| around x."""
+def _golden_polish(handle: MapHandle, x: np.ndarray, h: float) -> np.ndarray:
+    """Coordinate-wise golden-section ascent of |f| around x: 3 sweeps
+    of 48 section steps, the bracket shrinking fourfold per sweep."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     x = x.astype(float).copy()
-    for _ in range(sweeps):
+    for _ in range(3):
         for i in range(x.size):
             lo, hi = x[i] - h, x[i] + h
             if handle.cone:
@@ -157,7 +169,7 @@ def _golden_polish(handle: MapHandle, x: np.ndarray, h: float,
             xc[i], xd[i] = c, d
             fc = np.linalg.norm(handle.eval(xc))
             fd = np.linalg.norm(handle.eval(xd))
-            for _ in range(iters):
+            for _ in range(48):
                 if fc > fd:
                     hi, d, fd = d, c, fc
                     c = hi - inv_phi * (hi - lo)
@@ -217,122 +229,108 @@ def _sup_norm_search(handle: MapHandle, radius: float, grid: int) -> SupNorm:
     return estimate_sup_norm(handle, 8.0 * radius, grid=grid)
 
 
-@dataclass(frozen=True)
-class DecayProfile:
-    radii: np.ndarray
-    values: np.ndarray          # max over directions of |f(r u)|
-    verdict: str                # pass / fail
-    witness: Optional[tuple] = None
-
-
-def az_decay_profile(handle: MapHandle, radii,
-                     n_directions: int = 256) -> DecayProfile:
+def az_decay_profile(handle: MapHandle, radii) -> Check:
     """Directional max of |f| over spheres of increasing radius.
 
     Passes when the profile is monotone nonincreasing past its peak and
     the last value has decayed below 1e-9 of the reference magnitude.
+    ``data`` holds the radii, the profile values, the witness tuple and
+    the failure reason: None, ``"rising"`` (the profile rises past its
+    peak) or ``"final"`` (the last value has not decayed).
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) < 2 or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly increasing, length >= 2")
-    dirs = _directions(handle, n_directions)
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, handle.dim)
-    vals = np.linalg.norm(handle.eval(pts), axis=1)
-    profile = vals.reshape(len(radii), -1).max(axis=1)
+    profile = _shells(handle, radii, _N_DIRECTIONS)[1].max(axis=1)
     # reference magnitude: profile peak or an interior coarse-grid peak
     inner = _grid_points(handle, float(radii[0]), 64)
     m_ref = max(float(profile.max()),
                 float(np.linalg.norm(handle.eval(inner), axis=1).max()))
     peak = int(profile.argmax())
     rising = np.flatnonzero(np.diff(profile[peak:]) > 1e-12 * max(m_ref, 1.0))
+    reason = witness = None
     if rising.size:
         i = peak + int(rising[0])
-        return DecayProfile(radii, profile, STATUS_FAIL,
-                            witness=(float(radii[i]), float(radii[i + 1]),
-                                     float(profile[i]), float(profile[i + 1])))
-    if profile[-1] > 1e-9 * m_ref:
-        return DecayProfile(radii, profile, STATUS_FAIL,
-                            witness=(float(radii[-1]), float(profile[-1])))
-    return DecayProfile(radii, profile, STATUS_PASS)
+        reason, witness = "rising", (float(radii[i]), float(radii[i + 1]),
+                                     float(profile[i]), float(profile[i + 1]))
+    elif profile[-1] > _DECAY_TOL * m_ref:
+        reason, witness = "final", (float(radii[-1]), float(profile[-1]))
+    return Check("decay_to_zero", verdict(reason is None),
+                 "profile ok" if witness is None else repr(witness),
+                 tolerance=_DECAY_TOL,
+                 data={"radii": radii, "values": profile, "witness": witness,
+                       "reason": reason})
 
 
-@dataclass(frozen=True)
-class EZResult:
-    strict_radius: Optional[float]   # smallest candidate with |f| == 0 beyond
-    numeric_radius: Optional[float]  # smallest candidate with |f| <= tol
-    tol: float
-
-
-def ez_check(handle: MapHandle, r_candidates, tol: float = 1e-12) -> EZResult:
+def ez_check(handle: MapHandle, r_candidates,
+             tol: float = 1e-12) -> tuple[Check, Check]:
     """Sampled sup of |f| on shells beyond each candidate radius.
 
-    ``strict_radius`` requires exact zeros (cutoff behavior);
-    ``numeric_radius`` accepts decay below ``tol``.  Either is None when
-    no candidate qualifies.
+    Returns the checks ``cutoff_strict``, which requires exact zeros
+    (cutoff behavior), and ``cutoff_numeric``, which accepts decay below
+    ``tol``.  Each one's ``data["radius"]`` is the smallest candidate
+    that qualifies, or None when none does.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     cands = sorted(float(r) for r in r_candidates)
     if not cands or cands[0] <= 0:
         raise ValueError("need positive candidate radii")
-    dirs = _directions(handle, 256)
     r_out = cands[-1] + 4.0
     strict = numeric = None
     for r in cands:
-        shells = np.linspace(r, r_out, 33)
-        pts = (shells[:, None, None] * dirs[None, :, :]).reshape(-1, handle.dim)
-        sup = float(np.linalg.norm(handle.eval(pts), axis=1).max())
+        shells = _shells(handle, np.linspace(r, r_out, 33), _N_DIRECTIONS)
+        sup = float(shells[1].max())
         if numeric is None and sup <= tol:
             numeric = r
         if strict is None and sup == 0.0:
             strict = r
         if strict is not None:
             break
-    return EZResult(strict_radius=strict, numeric_radius=numeric, tol=tol)
-
-
-@dataclass(frozen=True)
-class ContractionCheck:
-    status: str
-    max_ratio: float
-    witness: Optional[np.ndarray]
-    tolerance: float = _RATIO_TOL
+    return tuple(Check(f"cutoff_{kind}", verdict(radius is not None),
+                       "not EZ" if radius is None else f"R={radius}",
+                       tolerance=t, data={"radius": radius})
+                 for kind, radius, t in (("strict", strict, 0.0),
+                                         ("numeric", numeric, tol)))
 
 
 def origin_contraction_check(handle: MapHandle, r_m: float,
-                             grid: int = 512) -> ContractionCheck:
+                             grid: int = 512) -> Check:
     """Check |f(x)| < |x| on 0 < |x| <= R_M by dense radial sampling.
 
     The radial ladder mixes a uniform grid with a geometric descent
     toward 0 so the limiting ratio at the origin is probed.  Ratios
     within 1e-9 of 1 give an inconclusive verdict rather than a forced
-    pass or fail.
+    pass or fail; so does an origin that is not fixed.  ``data`` holds
+    the largest sampled ratio |f(x)|/|x| and, unless the check passes,
+    the point where it occurs.
     """
     if r_m <= 0:
         raise ValueError("r_m must be positive")
     origin_image = np.linalg.norm(handle.eval(np.zeros(handle.dim)))
     if origin_image > _ORIGIN_FIXED_TOL:
-        raise ValueError(
-            f"origin is not fixed (|f(0)| = {origin_image:.3e}); "
-            "contraction check not applicable")
+        return Check("origin_contraction", STATUS_INCONCLUSIVE,
+                     f"origin is not fixed (|f(0)| = {origin_image:.3e}); "
+                     "contraction check not applicable",
+                     tolerance=_RATIO_TOL)
     radii = np.union1d(np.linspace(r_m / grid, r_m, grid),
                        r_m * 2.0 ** -np.arange(46, dtype=float))
-    dirs = _directions(handle, 128)
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, handle.dim)
-    norms = np.linalg.norm(pts, axis=1)
-    ratios = np.linalg.norm(handle.eval(pts), axis=1) / norms
+    pts, vals = _shells(handle, radii, 128)
+    ratios = vals.ravel() / np.linalg.norm(pts, axis=1)
     imax = int(ratios.argmax())
     max_ratio = float(ratios[imax])
-    if max_ratio < 1.0 - _RATIO_TOL:
-        return ContractionCheck(STATUS_PASS, max_ratio, None)
-    if max_ratio > 1.0 + _RATIO_TOL:
-        return ContractionCheck(STATUS_FAIL, max_ratio, pts[imax])
-    return ContractionCheck(STATUS_INCONCLUSIVE, max_ratio, pts[imax])
+    status = (STATUS_PASS if max_ratio < 1.0 - _RATIO_TOL else
+              STATUS_FAIL if max_ratio > 1.0 + _RATIO_TOL else
+              STATUS_INCONCLUSIVE)
+    point = None if status == STATUS_PASS else pts[imax]
+    return Check("origin_contraction", status,
+                 f"max_ratio={max_ratio:.9g} {_cell(point)}".strip(),
+                 tolerance=_RATIO_TOL,
+                 data={"max_ratio": max_ratio, "point": point})
 
 
-def attracting_set_sample(handle: MapHandle, n_iterates: int,
-                          grid: int = 128) -> PointCloud:
-    """Push a grid sample of the ball B_M(0) forward n_iterates times.
+def attracting_set_sample(handle: MapHandle, n_iterates: int) -> PointCloud:
+    """Push a 128 x 128 grid sample of B_M(0) forward n_iterates times.
 
     The returned cloud is a finite-sample outer approximation of the
     compact globally attracting set.  The origin is included in the
@@ -341,7 +339,7 @@ def attracting_set_sample(handle: MapHandle, n_iterates: int,
     if n_iterates < 0:
         raise ValueError("n_iterates must be nonnegative")
     m_sup = _sup_norm_search(handle, 8.0, grid=256).m_sup
-    pts = _grid_points(handle, m_sup, grid)
+    pts = _grid_points(handle, m_sup, 128)
     pts = pts[np.linalg.norm(pts, axis=1) <= m_sup]
     pts = np.vstack([pts, np.zeros(handle.dim)])
     for _ in range(n_iterates):
@@ -350,58 +348,33 @@ def attracting_set_sample(handle: MapHandle, n_iterates: int,
         raise DivergenceError("attracting-set sample diverged")
     return PointCloud(pts, ordered=False,
                       meta={"spec": handle.spec, "m_sup": m_sup,
-                            "n_iterates": int(n_iterates), "grid": int(grid)})
+                            "n_iterates": int(n_iterates), "grid": 128})
 
 
 def run_hypothesis_report(handle: MapHandle, search_radius: float = 8.0,
-                          grid: int = 256, decay_radii=None,
-                          ez_candidates=None, ez_tol: float = 1e-12,
-                          ) -> Report:
+                          grid: int = 256,
+                          ez_candidates=_EZ_CANDIDATES) -> Report:
     """Assemble the standard battery of checks into one report."""
-    checks = []
     try:
         sup = _sup_norm_search(handle, search_radius, grid=grid)
-        checks.append(Check("sup_norm", STATUS_PASS,
-                            f"M={sup.m_sup:.9g} R_M={sup.r_m:.9g}",
-                            tolerance=1e-6))
+        checks = [Check("sup_norm", STATUS_PASS,
+                        f"M={sup.m_sup:.9g} R_M={sup.r_m:.9g}",
+                        tolerance=1e-6, data=sup._asdict())]
     except SupNormBoundaryError as exc:
         sup = None
-        checks.append(Check("sup_norm", STATUS_INCONCLUSIVE, str(exc),
-                            tolerance=1e-6))
-    if decay_radii is not None:
-        decay = az_decay_profile(handle, np.asarray(decay_radii, dtype=float))
-    else:
-        # slow directional decay (e.g. exp(-0.2 r)) needs a long profile;
-        # extend while only the final-value condition fails
-        end = 12.0
-        while True:
-            decay = az_decay_profile(
-                handle, np.linspace(0.5, end, max(24, int(end * 2))))
-            final_only = (decay.witness is not None
-                          and len(decay.witness) == 2)
-            if decay.verdict == STATUS_PASS or not final_only or end >= 400:
-                break
-            end *= 2
-    checks.append(Check(
-        "decay_to_zero", decay.verdict,
-        "profile ok" if decay.witness is None else repr(decay.witness),
-        tolerance=1e-9))
-    cands = (list(ez_candidates) if ez_candidates is not None
-             else [2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0])
-    ez = ez_check(handle, cands, tol=ez_tol)
-    for kind, radius, tol in (("strict", ez.strict_radius, 0.0),
-                              ("numeric", ez.numeric_radius, ez_tol)):
-        checks.append(Check(f"cutoff_{kind}", verdict(radius is not None),
-                            "not EZ" if radius is None else f"R={radius}",
-                            tolerance=tol))
+        checks = [Check("sup_norm", STATUS_INCONCLUSIVE, str(exc),
+                        tolerance=1e-6)]
+    # slow directional decay (e.g. exp(-0.2 r)) needs a long profile;
+    # extend while only the final-value condition fails
+    end = 12.0
+    while True:
+        decay = az_decay_profile(
+            handle, np.linspace(0.5, end, max(24, int(end * 2))))
+        if decay.data["reason"] != "final" or end >= 400:
+            break
+        end *= 2
+    checks.append(decay)
+    checks.extend(ez_check(handle, ez_candidates))
     if sup is not None:
-        try:
-            con = origin_contraction_check(handle, sup.r_m, grid=grid)
-            checks.append(Check(
-                "origin_contraction", con.status,
-                f"max_ratio={con.max_ratio:.9g} {_cell(con.witness)}".strip(),
-                tolerance=con.tolerance))
-        except ValueError as exc:
-            checks.append(Check("origin_contraction", STATUS_INCONCLUSIVE,
-                                str(exc), tolerance=_RATIO_TOL))
+        checks.append(origin_contraction_check(handle, sup.r_m, grid=grid))
     return Report(("check", "status", "witness", "tolerance"), checks)

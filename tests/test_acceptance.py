@@ -201,7 +201,7 @@ def test_origin_contraction_and_cycle_containment():
     bad = gauss_rotation(2.0, GOLDEN_MEAN)
     check = origin_contraction_check(bad, estimate_sup_norm(bad, 8.0).m_sup)
     assert check.status == "fail"
-    assert check.witness is not None and check.max_ratio > 1.0
+    assert check.data["point"] is not None and check.data["max_ratio"] > 1.0
 
     # cycles of the swept families stay inside the trapping ball, and the
     # cycles a finite forward sample can resolve (sinks, plus the origin
@@ -247,8 +247,9 @@ def test_attracting_horseshoe_fixture():
     assert rates["lambda_contr"] == pytest.approx(0.2, abs=1e-6)
     assert rates["mu_exp"] == pytest.approx(4.0, abs=1e-6)
 
-    for depth in range(0, 9):
-        assert leaf_component_count(depth, n_samples=1 << 21) == 2 ** depth
+    # depths 9-12 have strips narrower than any affordable leaf sampling
+    for depth in range(0, 13):
+        assert leaf_component_count(depth) == 2 ** depth
 
     ident = user_map(lambda x: x, 2, jac=lambda x: np.eye(2),
                      batch=lambda p: p)

@@ -382,6 +382,40 @@ grid = 128
                      "cutoff_numeric", "origin_contraction"]
 
 
+HEADER = "check\tstatus\twitness\ttolerance\n"
+
+
+@pytest.mark.parametrize("text,report", [
+    ("map = radial_tent\n", HEADER +
+     "sup_norm\tpass\tM=1.5 R_M=0.5\t1e-06\n"
+     "decay_to_zero\tpass\tprofile ok\t1e-09\n"
+     "cutoff_strict\tpass\tR=2.0\t0\n"
+     "cutoff_numeric\tpass\tR=2.0\t1e-12\n"
+     "origin_contraction\tfail\tmax_ratio=3 [-0.425511  0.201252]\t1e-09\n"),
+    ("map = radial_tent\nmode = sink_origin\nalpha0 = 0.2\n", HEADER +
+     "sup_norm\tpass\tM=1.3 R_M=0.566666667\t1e-06\n"
+     "decay_to_zero\tpass\tprofile ok\t1e-09\n"
+     "cutoff_strict\tpass\tR=2.0\t0\n"
+     "cutoff_numeric\tpass\tR=2.0\t1e-12\n"
+     "origin_contraction\tfail\tmax_ratio=2.29411765 "
+     "[-0.38055   0.419872]\t1e-09\n"),
+    # the sup-norm search sees only underflowed zeros: inconclusive, and
+    # no contraction check without R_M
+    ("map = gauss_rotation\na = 2.7\ntheta = 0.3\nsearch_radius = 1e300\n"
+     "grid = 2\n", HEADER +
+     "sup_norm\tinconclusive\t|f| reaches 0 on the radius-8e+300 box "
+     "boundary (grid max 0); enlarge search_radius\t1e-06\n"
+     "decay_to_zero\tpass\tprofile ok\t1e-09\n"
+     "cutoff_strict\tfail\tnot EZ\t0\n"
+     "cutoff_numeric\tpass\tR=6.0\t1e-12\n"),
+])
+def test_hypothesis_report_text_is_pinned(tmp_path, text, report):
+    out = tmp_path / "run"
+    assert main(["hypothesis", "--config", write_cfg(tmp_path, "h.cfg", text),
+                 "--out", str(out)]) == 0
+    assert (out / "hypothesis.txt").read_text() == report
+
+
 def test_horseshoe_command(tmp_path):
     cfg = write_cfg(tmp_path, "hs.cfg", """
 map = model_horseshoe
@@ -828,6 +862,13 @@ def test_sweep_config_errors_stop_before_any_value(tmp_path, capsys):
     ("orbit", "map = radial_tent\nmode = sink_origin\nalpha0 = -0.1\n"),
     ("horseshoe", "map = model_horseshoe\nbox = 0,0,0,0\n"),
     ("horseshoe", "map = model_horseshoe\nbox = 0,1,1,0\n"),
+    # a raster window of reversed bounds, before any output
+    ("orbit", CONTRACT["orbit"][0]
+     + "xmin = 1\nxmax = 0\nymin = 0\nymax = 1\n"),
+    ("sweep", CONTRACT["sweep"][0]
+     + "xmin = 1\nxmax = 0\nymin = 0\nymax = 1\n"),
+    ("trellis", CONTRACT["trellis"][0]
+     + "xmin = 0\nxmax = 1\nymin = 1\nymax = 1\n"),
     # a bifurcation schedule of fewer than 100 values, before any work
     ("bifurcation", "map = gauss_rotation\ntheta = 0.5\nparam = a\n"
                     "start = 2\nstop = 2.5\nstep = 0.1\n"),

@@ -7,8 +7,8 @@ import pytest
 
 from attractorlab import horseshoe
 from attractorlab.horseshoe import (HorseshoeRegion, RefinementExplosion,
-                                    count_components, find_saddles,
-                                    leaf_component_count, leaf_strip_intervals,
+                                    find_saddles, leaf_component_count,
+                                    leaf_strip_intervals,
                                     model_horseshoe_map, trellis,
                                     unstable_manifold, verify_ah)
 from attractorlab.dynamics import find_cycle
@@ -517,14 +517,11 @@ def test_leaf_strip_intervals_and_component_counts():
         assert any(plo - 1e-12 <= lo and hi <= phi + 1e-12
                    for plo, phi in lvl1)
     for depth in range(7):
-        count = leaf_component_count(depth, n_samples=1 << 18)
-        assert count == 2 ** depth
+        assert leaf_component_count(depth) == 2 ** depth
     with pytest.raises(ValueError):
         leaf_component_count(-1)
     with pytest.raises(ValueError):
         leaf_component_count(2, x2_level=20.0)
-    assert count_components(np.array([True, True, False, True])) == 2
-    assert count_components(np.array([], dtype=bool)) == 0
 
 
 def test_norm_sum_exact_at_model_saddle():

@@ -11,6 +11,7 @@ from attractorlab.horseshoe import (HorseshoeRegion, model_horseshoe_map,
                                     verify_ah)
 from attractorlab.maps import (GOLDEN_MEAN, gauss_rotation,
                                pioneer_climax_full, user_map)
+from attractorlab.radial import MODE_SINK, radial_tent_map
 from attractorlab.hypotheses import (Check, SupNormBoundaryError,
                                      attracting_set_sample,
                                      az_decay_profile, estimate_sup_norm,
@@ -73,9 +74,9 @@ def test_sup_norm_grid_that_sees_only_zeros_is_inconclusive():
 def test_decay_profile_gauss_passes():
     prof = az_decay_profile(gauss_rotation(2.7, GOLDEN_MEAN),
                             np.linspace(0.5, 12.0, 24))
-    assert prof.verdict == "pass"
-    assert prof.witness is None
-    assert prof.values[-1] < 1e-9
+    assert prof.status == "pass"
+    assert prof.data["witness"] is None
+    assert prof.data["values"][-1] < 1e-9
 
 
 def test_decay_profile_rising_tail_fails_with_witness():
@@ -89,17 +90,17 @@ def test_decay_profile_rising_tail_fails_with_witness():
 
     prof = az_decay_profile(user_map(step, 2, batch=batch),
                             np.linspace(0.5, 12.0, 48))
-    assert prof.verdict == "fail"
-    assert prof.witness is not None and len(prof.witness) == 4
-    r_lo, r_hi, v_lo, v_hi = prof.witness
+    assert prof.status == "fail"
+    assert prof.data["witness"] is not None and len(prof.data["witness"]) == 4
+    r_lo, r_hi, v_lo, v_hi = prof.data["witness"]
     assert r_lo < r_hi and v_hi > v_lo
 
 
 def test_decay_profile_slow_tail_fails_on_final_value():
     ident = user_map(lambda x: x, 2, batch=lambda p: p)
     prof = az_decay_profile(ident, np.linspace(0.5, 12.0, 24))
-    assert prof.verdict == "fail"
-    assert len(prof.witness) == 2
+    assert prof.status == "fail"
+    assert len(prof.data["witness"]) == 2
 
 
 def test_decay_profile_validates_radii():
@@ -111,20 +112,20 @@ def test_decay_profile_validates_radii():
 
 
 def test_ez_check_gauss_numeric_not_strict():
-    ez = ez_check(gauss_rotation(2.7, GOLDEN_MEAN),
-                  [2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0])
-    assert ez.strict_radius is None
+    strict, numeric = ez_check(gauss_rotation(2.7, GOLDEN_MEAN),
+                               [2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0])
+    assert strict.data["radius"] is None
     # a r exp(-r^2) first drops below 1e-12 past r = 6 on this ladder
-    assert ez.numeric_radius == 6.0
+    assert numeric.data["radius"] == 6.0
 
 
 def test_ez_check_compact_support_is_strict():
     # at the exact support radius, |u| = 1 up to one ulp leaves crumbs of
     # order 1e-17 on the shell, so numeric detects r = 1 but strict needs
     # the first candidate with true zeros everywhere
-    ez = ez_check(bump_map(), [0.5, 1.0, 2.0])
-    assert ez.strict_radius == 2.0
-    assert ez.numeric_radius == 1.0
+    strict, numeric = ez_check(bump_map(), [0.5, 1.0, 2.0])
+    assert strict.data["radius"] == 2.0
+    assert numeric.data["radius"] == 1.0
 
 
 def test_ez_check_validation():
@@ -141,23 +142,24 @@ def test_origin_contraction_pass_and_fail():
     ok = origin_contraction_check(gauss_rotation(0.5, GOLDEN_MEAN),
                                   1 / math.sqrt(2))
     assert ok.status == "pass"
-    assert ok.max_ratio == pytest.approx(0.5, abs=1e-3)
-    assert ok.witness is None
+    assert ok.data["max_ratio"] == pytest.approx(0.5, abs=1e-3)
+    assert ok.data["point"] is None
 
     bad = origin_contraction_check(gauss_rotation(2.0, GOLDEN_MEAN),
                                    1 / math.sqrt(2))
     assert bad.status == "fail"
     # ratio a exp(-r^2) approaches a = 2 along the geometric descent
-    assert bad.max_ratio == pytest.approx(2.0, abs=1e-6)
-    assert bad.witness is not None
-    assert np.linalg.norm(bad.witness) < math.sqrt(math.log(2.0))
+    assert bad.data["max_ratio"] == pytest.approx(2.0, abs=1e-6)
+    assert bad.data["point"] is not None
+    assert np.linalg.norm(bad.data["point"]) < math.sqrt(math.log(2.0))
 
 
 def test_origin_contraction_requires_fixed_origin():
     shifted = user_map(lambda x: 0.5 * x + 1.0, 2,
                        batch=lambda p: 0.5 * p + 1.0)
-    with pytest.raises(ValueError):
-        origin_contraction_check(shifted, 1.0)
+    check = origin_contraction_check(shifted, 1.0)
+    assert check.status == "inconclusive"
+    assert check.witness.startswith("origin is not fixed")
     with pytest.raises(ValueError):
         origin_contraction_check(gauss_rotation(0.5, GOLDEN_MEAN), 0.0)
 
@@ -211,6 +213,46 @@ def test_report_pioneer_adaptive_decay():
     # exp(-0.2 r) tails need the adaptive profile extension to clear 1e-9
     assert by_name["decay_to_zero"] == "pass"
     assert by_name["origin_contraction"] == "fail"
+
+
+@pytest.mark.parametrize("handle", [
+    gauss_rotation(2.7, GOLDEN_MEAN), pioneer_climax_full(3.0, 3.0),
+    radial_tent_map((3.0, 3.0)).handle,
+    radial_tent_map((3.0, 3.0), mode=MODE_SINK, alpha0=0.2).handle,
+    bump_map()])
+def test_report_check_data_formats_to_its_witness(handle):
+    rep = run_hypothesis_report(handle)
+    sup = rep.check("sup_norm").data
+    assert rep.check("sup_norm").witness == (
+        f"M={sup['m_sup']:.9g} R_M={sup['r_m']:.9g}")
+    assert np.linalg.norm(handle.eval(sup["argmax"])) == sup["m_sup"]
+    decay = rep.check("decay_to_zero")
+    assert decay.witness == ("profile ok" if decay.data["witness"] is None
+                             else repr(decay.data["witness"]))
+    assert (decay.data["reason"] is None) == (decay.status == "pass")
+    for name in ("cutoff_strict", "cutoff_numeric"):
+        cut = rep.check(name)
+        radius = cut.data["radius"]
+        assert cut.witness == ("not EZ" if radius is None else f"R={radius}")
+    con = rep.check("origin_contraction")
+    point = con.data["point"]
+    assert con.witness == (f"max_ratio={con.data['max_ratio']:.9g} " + (
+        "" if point is None else np.array2string(point, precision=6))).strip()
+
+
+def test_report_origin_not_fixed_is_inconclusive():
+    # a decaying bump centred off the origin: R_M exists, f(0) != 0
+    c = np.array([0.5, 0.0])
+
+    def batch(p):
+        return np.exp(-((p - c) ** 2).sum(axis=1))[:, None] * (p - c + 1.0)
+
+    rep = run_hypothesis_report(user_map(lambda x: batch(x[None])[0], 2,
+                                         batch=batch))
+    assert rep.check("sup_norm").status == "pass"
+    con = rep.check("origin_contraction")
+    assert con.status == "inconclusive" and con.tolerance == 1e-9
+    assert con.witness.startswith("origin is not fixed (|f(0)| = ")
 
 
 def test_sup_norm_search_doubles_the_radius_three_times(monkeypatch):
