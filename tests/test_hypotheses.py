@@ -11,12 +11,12 @@ from attractorlab.horseshoe import (HorseshoeRegion, model_horseshoe_map,
                                     verify_ah)
 from attractorlab.maps import (GOLDEN_MEAN, gauss_rotation,
                                pioneer_climax_full, user_map)
-from attractorlab.radial import MODE_SINK, radial_tent_map
 from attractorlab.hypotheses import (Check, SupNormBoundaryError,
                                      attracting_set_sample,
                                      az_decay_profile, estimate_sup_norm,
                                      ez_check, origin_contraction_check,
                                      run_hypothesis_report)
+from attractorlab.radial import MODE_SINK, radial_tent_map
 
 # |f(x)| = a r exp(-r^2) peaks at r = 1/sqrt(2), closed form below
 GAUSS_M = 2.7 * math.exp(-0.5) / math.sqrt(2)
