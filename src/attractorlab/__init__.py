@@ -24,8 +24,6 @@ from .dynamics import (
     CycleSearchError,
     DivergenceError,
     PointCloud,
-    StabilityInfo,
-    classify_cycle,
     detect_period,
     find_cycle,
     orbit,

@@ -237,6 +237,15 @@ def _walk_generic(eval_fn, x0, n_transient, n):
         yield jac
 
 
+def spectral_norm2(jac):
+    """Largest singular value of each matrix of an (n, 2, 2) block, in
+    closed form from its squared Frobenius norm q and determinant d."""
+    j11, j12, j21, j22 = jac.reshape(-1, 4).T
+    q = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
+    d = j11 * j22 - j12 * j21
+    return np.sqrt(0.5 * (q + np.sqrt(np.maximum(q * q - 4.0 * d * d, 0.0))))
+
+
 # per-step terms: for each block, (log terms, zero flags), both (nb, c);
 # the walk stops before the first step whose column-0 flag is set
 
@@ -244,12 +253,7 @@ def _walk_generic(eval_fn, x0, n_transient, n):
 def _norm_terms(blocks, loops):
     for jac in blocks:
         if jac.shape[1] == 2:
-            # spectral norm (largest singular value), closed form
-            j11, j12, j21, j22 = jac.reshape(-1, 4).T
-            q = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
-            d = j11 * j22 - j12 * j21
-            nrm = np.sqrt(0.5 * (q + np.sqrt(np.maximum(q * q - 4.0 * d * d,
-                                                        0.0))))
+            nrm = spectral_norm2(jac)
         else:
             # the SVD rejects a non-finite Jacobian: nan there
             nrm = np.full(len(jac), np.nan)

@@ -211,6 +211,8 @@ def resolve(command: str, raw: dict) -> dict:
     if cfg.get("xmin") is not None and not (
             cfg["xmin"] < cfg["xmax"] and cfg["ymin"] < cfg["ymax"]):
         raise ConfigError("raster bounds need xmin < xmax and ymin < ymax")
+    if cfg.get("frame") is not None:
+        _region_from(cfg)  # a singular frame is a ConfigError
     if "param" in keys:
         _schedule(cfg, COMMANDS[command].min_values)
     return cfg
@@ -484,9 +486,8 @@ def run_sweep(cfg: dict, out: Path) -> int:
     return 0 if all(r["status"] == "ok" for r in rows) else 2
 
 
-def run_orbit(cfg: dict, out: Path) -> int:
-    cloud = orbit(build_handle(cfg), cfg["x0"], cfg["n_transient"],
-                  cfg["n_keep"])
+def run_orbit(handle: MapHandle, cfg: dict, out: Path) -> int:
+    cloud = orbit(handle, cfg["x0"], cfg["n_transient"], cfg["n_keep"])
     write_cloud_csv(out / "orbit.csv", cloud.points)
     render_raster(cloud.points, _cloud_bounds(cloud.points, cfg),
                   cfg["resolution"], out / "orbit.pgm")
@@ -498,8 +499,7 @@ def run_orbit(cfg: dict, out: Path) -> int:
     return 0
 
 
-def run_lyapunov(cfg: dict, out: Path) -> int:
-    handle = build_handle(cfg)
+def run_lyapunov(handle: MapHandle, cfg: dict, out: Path) -> int:
     ns = max_lyapunov_norm_sum(handle, cfg["x0"], cfg["lyap_n"],
                                cfg["n_transient"])
     qr = lyapunov_spectrum_qr(handle, cfg["x0"], cfg["lyap_n"],
@@ -511,9 +511,8 @@ def run_lyapunov(cfg: dict, out: Path) -> int:
     return 0
 
 
-def run_boxdim(cfg: dict, out: Path) -> int:
-    cloud = orbit(build_handle(cfg), cfg["x0"], cfg["n_transient"],
-                  cfg["n_keep"])
+def run_boxdim(handle: MapHandle, cfg: dict, out: Path) -> int:
+    cloud = orbit(handle, cfg["x0"], cfg["n_transient"], cfg["n_keep"])
     box = box_counting_dimension(cloud, cfg["n_scales"])
     used = np.isin(np.arange(len(box.counts)), box.scale_window)
     _write_rows(out / "boxdim.csv", "eps,count,used",
@@ -524,16 +523,14 @@ def run_boxdim(cfg: dict, out: Path) -> int:
     return 0
 
 
-def run_hypothesis(cfg: dict, out: Path) -> int:
-    report = run_hypothesis_report(build_handle(cfg),
-                                   search_radius=cfg["search_radius"],
+def run_hypothesis(handle: MapHandle, cfg: dict, out: Path) -> int:
+    report = run_hypothesis_report(handle, search_radius=cfg["search_radius"],
                                    grid=cfg["grid"])
     (out / "hypothesis.txt").write_text(report.as_text())
     return 0
 
 
-def run_horseshoe(cfg: dict, out: Path) -> int:
-    handle = build_handle(cfg)
+def run_horseshoe(handle: MapHandle, cfg: dict, out: Path) -> int:
     report = verify_ah(handle, _region_from(cfg), sampling=cfg["sampling"])
     (out / "ahreport.txt").write_text(report.as_text())
     if cfg["box"] is not None:
@@ -548,8 +545,7 @@ def run_horseshoe(cfg: dict, out: Path) -> int:
     return 0
 
 
-def run_trellis(cfg: dict, out: Path) -> int:
-    handle = build_handle(cfg)
+def run_trellis(handle: MapHandle, cfg: dict, out: Path) -> int:
     cycle = find_cycle(handle, cfg["period"], cfg["saddle_seed"])
     if cycle.stability != "saddle":
         raise DivergenceError("seed did not converge to a saddle")
@@ -589,8 +585,9 @@ def run_bifurcation(cfg: dict, out: Path) -> int:
     return 0
 
 
-# run(cfg, out) carries out the command and returns its exit code; its
-# schedule, if it takes one, holds at least min_values values
+# run(cfg, out) carries out a command with a schedule of at least
+# min_values values, and run(handle, cfg, out) one without; both return
+# the exit code
 Command = namedtuple("Command", "run keys min_values", defaults=(1,))
 COMMANDS = {
     "sweep": Command(run_sweep, {
@@ -635,9 +632,17 @@ def main(argv=None) -> int:
         raw.update((k, v) for k in ("out", "jobs", "literal_rotation")
                    if (v := getattr(args, k)) is not None)
         cfg = resolve(args.command, raw)
+        run = COMMANDS[args.command].run
+        # a command without a schedule builds its map before any output,
+        # so a value only the family rejects is a config error
+        if "param" not in cfg:
+            try:
+                run = partial(run, build_handle(cfg))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         out = Path(cfg["out"])
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command].run(cfg, out)
+        return run(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

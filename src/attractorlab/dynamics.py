@@ -76,14 +76,17 @@ class Cycle:
     """A periodic orbit: k ordered points, its multipliers, and stability.
 
     ``multipliers`` are the eigenvalues of the derivative of the k-th
-    iterate at ``points[0]``; ``stability`` is one of ``sink``,
-    ``source``, ``saddle``, ``nonhyperbolic``.
+    iterate at ``points[0]``, and the columns of ``vectors`` their unit
+    eigenvectors, in the same order (complex for a complex pair);
+    ``stability`` is one of ``sink``, ``source``, ``saddle``,
+    ``nonhyperbolic``.
     """
 
     points: np.ndarray
     period: int
     multipliers: np.ndarray
     stability: str
+    vectors: np.ndarray
 
 
 def _classify_multipliers(multipliers: np.ndarray) -> str:
@@ -96,16 +99,6 @@ def _classify_multipliers(multipliers: np.ndarray) -> str:
             and np.any(moduli > 1.0 + HYPERBOLICITY_MARGIN)):
         return "saddle"
     return "nonhyperbolic"
-
-
-@dataclass(frozen=True)
-class StabilityInfo:
-    """Classification plus eigen-directions (populated for saddles)."""
-
-    label: str
-    stable_vectors: np.ndarray
-    unstable_vectors: np.ndarray
-    multipliers: np.ndarray
 
 
 def initial_point(handle: MapHandle, x0) -> np.ndarray:
@@ -183,8 +176,8 @@ def find_cycle(handle: MapHandle, period: int, seed) -> Cycle:
     """Newton search for a k-periodic point starting from ``seed``.
 
     The returned cycle carries its minimal period (a divisor of
-    ``period`` when the root has one) and the multipliers of the
-    corresponding iterate.
+    ``period`` when the root has one) and the eigenvalues and
+    eigenvectors of the corresponding iterate's derivative.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
@@ -192,33 +185,36 @@ def find_cycle(handle: MapHandle, period: int, seed) -> Cycle:
     if not np.all(np.isfinite(x)):
         raise ValueError("seed must be finite")
     residual = np.inf
-    for _ in range(NEWTON_MAX_STEPS):
-        pts, prod = _iterate_with_product(handle, x, period)
-        if not np.isfinite(pts[-1]).all():
-            raise CycleSearchError("iterate escaped to non-finite values "
-                                   "during Newton search")
-        fval = pts[-1] - x
-        with np.errstate(over="ignore"):  # a finite fval near 1e200 gives inf
+    # an escaping iterate, or a finite fval near 1e200, turns non-finite
+    # quietly; each step checks what it uses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAX_STEPS):
+            pts, prod = _iterate_with_product(handle, x, period)
+            if not np.isfinite(pts[-1]).all():
+                raise CycleSearchError("iterate escaped to non-finite values "
+                                       "during Newton search")
+            fval = pts[-1] - x
             residual = float(np.linalg.norm(fval))
-        if residual <= NEWTON_RESIDUAL:
-            break
-        amat = prod - np.eye(x.size)
-        if not np.isfinite(amat).all():
-            raise CycleSearchError("Newton matrix has non-finite entries")
-        try:
-            delta = np.linalg.solve(amat, -fval)
-        except np.linalg.LinAlgError:
-            raise CycleSearchError("singular Newton matrix",
-                                   condition=_condition_number(amat)) from None
-        cond = _condition_number(amat)
-        if not np.isfinite(delta).all() or cond > 1e14:
-            raise CycleSearchError("ill-conditioned Newton matrix",
-                                   condition=cond)
-        x = x + delta
-    else:
-        raise CycleSearchError(
-            f"no convergence within {NEWTON_MAX_STEPS} Newton steps "
-            f"(residual {residual:.3e})", residual=residual)
+            if residual <= NEWTON_RESIDUAL:
+                break
+            amat = prod - np.eye(x.size)
+            if not np.isfinite(amat).all():
+                raise CycleSearchError("Newton matrix has non-finite entries")
+            try:
+                delta = np.linalg.solve(amat, -fval)
+            except np.linalg.LinAlgError:
+                raise CycleSearchError(
+                    "singular Newton matrix",
+                    condition=_condition_number(amat)) from None
+            cond = _condition_number(amat)
+            if not np.isfinite(delta).all() or cond > 1e14:
+                raise CycleSearchError("ill-conditioned Newton matrix",
+                                       condition=cond)
+            x = x + delta
+        else:
+            raise CycleSearchError(
+                f"no convergence within {NEWTON_MAX_STEPS} Newton steps "
+                f"(residual {residual:.3e})", residual=residual)
 
     # minimal-period reduction: the smallest divisor j of k that already
     # closes.  The converged step holds f^j(x) for every j, and the
@@ -227,36 +223,9 @@ def find_cycle(handle: MapHandle, period: int, seed) -> Cycle:
                   np.linalg.norm(pts[j] - x) <= MINIMAL_PERIOD_TOL), period)
     if k_min < period:
         _, prod = _iterate_with_product(handle, x, k_min)
-    mult = np.linalg.eigvals(prod)
+    mult, vecs = np.linalg.eig(prod)
     return Cycle(points=pts[:k_min], period=k_min, multipliers=mult,
-                 stability=_classify_multipliers(mult))
-
-
-def classify_cycle(handle: MapHandle, cycle: Cycle) -> StabilityInfo:
-    """Recompute multipliers at cycle.points[0] and attach eigenvectors.
-
-    Saddles get real stable/unstable directions (columns); other classes
-    get empty direction arrays.
-    """
-    x = cycle.points[0]
-    _, prod = _iterate_with_product(handle, x, cycle.period)
-    vals, vecs = np.linalg.eig(prod)
-    label = _classify_multipliers(vals)
-    m = x.size
-    stable = np.empty((m, 0))
-    unstable = np.empty((m, 0))
-    if label == "saddle":
-        # mixed moduli forces real eigenvalues in the plane; take real parts
-        s_cols = [i for i in range(len(vals))
-                  if abs(vals[i]) < 1.0 - HYPERBOLICITY_MARGIN]
-        u_cols = [i for i in range(len(vals))
-                  if abs(vals[i]) > 1.0 + HYPERBOLICITY_MARGIN]
-        stable = np.real(vecs[:, s_cols])
-        unstable = np.real(vecs[:, u_cols])
-        stable /= np.linalg.norm(stable, axis=0, keepdims=True)
-        unstable /= np.linalg.norm(unstable, axis=0, keepdims=True)
-    return StabilityInfo(label=label, stable_vectors=stable,
-                         unstable_vectors=unstable, multipliers=vals)
+                 stability=_classify_multipliers(mult), vectors=vecs)
 
 
 def detect_period(cloud, max_period: int = 64):

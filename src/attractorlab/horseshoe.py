@@ -25,9 +25,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import _kernels
 from .maps import MapHandle, MapSpec
 from .dynamics import (Cycle, DivergenceError, CycleSearchError, PointCloud,
-                       find_cycle, classify_cycle, _iterate_with_product)
+                       find_cycle)
 from .hypotheses import (STATUS_FAIL, STATUS_INCONCLUSIVE, STATUS_PASS, Check,
                          Report, verdict)
 
@@ -247,11 +248,8 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
     # cannot flip a seam sample onto the neighbouring band's derivative
     c0_pts = region.sample("c0", sampling)
     c0_in = c0_pts[region.inside_c0(c0_pts) > 1e-9]
-    # largest singular value of each Jacobian, in closed form
-    j = _model_jacobians(handle, region, c0_in)
-    q, d = np.sum(j * j, axis=(1, 2)), np.linalg.det(j)
-    lip = float(np.max(np.sqrt(0.5 * (q + np.sqrt(np.maximum(
-        q * q - 4.0 * d * d, 0.0))))))
+    lip = float(np.max(_kernels.spectral_norm2(
+        _model_jacobians(handle, region, c0_in))))
     try:
         fp = find_cycle(handle, 1, region.to_world(_CAP0 + [0.0, -2.0]))
         q_model = region.to_model(fp.points)[0]
@@ -289,11 +287,8 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
         qm = region.to_model(cyc.points)[0]
         if float(region.inside_s0(qm)[0]) < -1e-9:
             continue
-        info = classify_cycle(handle, cyc)
-        if info.unstable_vectors is None or \
-                info.unstable_vectors.shape[1] != 1:
-            continue
-        w = region.inverse @ info.unstable_vectors[:, 0]
+        # a saddle of the plane has one real unstable multiplier
+        w = region.inverse @ cyc.vectors[:, np.abs(cyc.multipliers) > 1][:, 0]
         ang = math.asin(min(1.0, abs(w[0]) / np.linalg.norm(w)))
         saddle_check = Check(
             "band_saddle", verdict(ang < TRANSVERSALITY_MIN_ANGLE),
@@ -332,8 +327,8 @@ def find_saddles(handle: MapHandle, search_box, k_max: int = 1,
     """Multi-start Newton cycle search over a box; deduplicated cycles.
 
     Returns every cycle found (any stability class) whose orbit touches
-    the box, sorted by period then position.  Eigen-directions come
-    from dynamics.classify_cycle on the returned cycles.
+    the box, sorted by period then position, each with its
+    eigen-directions in ``Cycle.vectors``.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -433,14 +428,11 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
         raise ValueError("saddle must have exactly one unstable multiplier")
     k = saddle.period
     p = saddle.points[0]
-    _, jac_prod = _iterate_with_product(handle, p, k)
-    vals, vecs = np.linalg.eig(jac_prod)
-    iu = int(np.argmax(np.abs(vals)))
-    mu = vals[iu]
+    mu = mults[unstable_idx[0]]
     if abs(mu.imag) > 1e-9:
         raise ValueError("unstable multiplier must be real")
     mu = float(mu.real)
-    v = np.real(vecs[:, iu])
+    v = np.real(saddle.vectors[:, unstable_idx[0]])
     v = v / np.linalg.norm(v)
 
     # the branch grows under f^m, whose multiplier lam is positive

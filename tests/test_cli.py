@@ -862,6 +862,16 @@ def test_sweep_config_errors_stop_before_any_value(tmp_path, capsys):
     ("orbit", "map = radial_tent\nmode = sink_origin\nalpha0 = -0.1\n"),
     ("horseshoe", "map = model_horseshoe\nbox = 0,0,0,0\n"),
     ("horseshoe", "map = model_horseshoe\nbox = 0,1,1,0\n"),
+    # values that only a family builder or the frame rejects, before any
+    # output: a singular frame, an alpha0 too large for the slopes
+    ("orbit", "map = model_horseshoe\nframe = 1,2,2,4\n"),
+    ("horseshoe", "map = model_horseshoe\nframe = 1,2,2,4\n"),
+    ("trellis", "map = model_horseshoe\nframe = 1,2,2,4\n"
+                "saddle_seed = 0.05,0.02\n"),
+    ("horseshoe", "map = gauss_rotation\na = 2.7\ntheta = 0.5\n"
+                  "frame = 1,2,2,4\n"),
+    ("orbit", "map = radial_tent\nmode = sink_origin\nalpha0 = 0.9\n"),
+    ("hypothesis", "map = radial_tent\nmode = sink_origin\nalpha0 = 0.9\n"),
     # a raster window of reversed bounds, before any output
     ("orbit", CONTRACT["orbit"][0]
      + "xmin = 1\nxmax = 0\nymin = 0\nymax = 1\n"),

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from attractorlab.maps import GOLDEN_MEAN, gauss_rotation, pioneer_climax_full, user_map
 from attractorlab.dynamics import (Cycle, CycleSearchError, DivergenceError,
                                    PointCloud, _condition_number,
-                                   classify_cycle, detect_period, find_cycle,
-                                   orbit)
+                                   detect_period, find_cycle, orbit)
 from attractorlab.chaos import lyapunov_spectrum_qr, max_lyapunov_norm_sum
 
 
@@ -132,14 +131,14 @@ def test_condition_number_of_other_sizes_is_numpys():
     assert _condition_number(amat) == float(np.linalg.cond(amat))
 
 
-def test_classify_cycle_saddle_vectors():
+def test_find_cycle_saddle_vectors():
     h = linear_map(2.0, 0.5)
     c = find_cycle(h, 1, [1e-6, 1e-6])
-    info = classify_cycle(h, c)
-    assert info.label == "saddle"
-    v = info.unstable_vectors[:, 0]
+    assert c.stability == "saddle"
+    moduli = np.abs(c.multipliers)
+    v = c.vectors[:, moduli > 1][:, 0].real
     assert abs(abs(v[0]) - 1.0) < 1e-12 and abs(v[1]) < 1e-12
-    w = info.stable_vectors[:, 0]
+    w = c.vectors[:, moduli < 1][:, 0].real
     assert abs(w[0]) < 1e-12 and abs(abs(w[1]) - 1.0) < 1e-12
 
 

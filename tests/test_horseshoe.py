@@ -276,6 +276,42 @@ def test_find_cycle_reduced_period_has_the_maps_multipliers():
     assert cyc.stability == "saddle"
 
 
+def _period_product(handle, cycle):
+    """The derivative of f^k at the cycle's first point, multiplied out
+    from the handle's Jacobians along the orbit."""
+    x, prod = cycle.points[0], np.eye(2)
+    for _ in range(cycle.period):
+        x, jac = handle.eval(x, True)
+        prod = jac @ prod
+    return prod
+
+
+@pytest.mark.parametrize("make, box", [
+    (lambda: pioneer_climax_full(3.0, 3.0), [(0.0, 8.0), (0.0, 8.0)]),
+    (model_horseshoe_map, [(-6.0, 2.0), (-5.0, 13.0)])])
+def test_cycle_vectors_are_unit_eigenvectors_of_the_period_product(make,
+                                                                   box):
+    handle = make()
+    cycles = find_saddles(handle, box, k_max=2)
+    assert len(cycles) >= 4
+    for c in cycles:
+        jac = _period_product(handle, c)
+        assert c.vectors.shape == (2, 2)
+        for mu, v in zip(c.multipliers, c.vectors.T):
+            assert np.linalg.norm(jac @ v - mu * v) <= \
+                1e-9 * np.linalg.norm(jac, 2)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    if make is model_horseshoe_map:
+        # every band of the model is diagonal, so are its cycles' products
+        for c in cycles:
+            assert np.sort(np.abs(c.vectors).ravel()) == \
+                pytest.approx([0.0, 0.0, 1.0, 1.0], abs=1e-12)
+            assert abs(np.linalg.det(c.vectors)) == pytest.approx(1.0)
+        origin = [c for c in cycles if np.linalg.norm(c.points[0]) < 1e-9][0]
+        up = origin.vectors[:, np.abs(origin.multipliers) > 1][:, 0]
+        assert np.abs(up) == pytest.approx([0.0, 1.0], abs=1e-12)
+
+
 def test_find_saddles_translation_finds_nothing():
     shift = user_map(lambda x: x + np.array([0.3, 0.0]), 2,
                      batch=lambda p: p + np.array([0.3, 0.0]))
@@ -485,6 +521,17 @@ def test_smaller_budget_branches_are_a_prefix(name):
                            manifold_branches(large)):
         assert len(short) <= len(full)
         assert np.array_equal(short, full[:len(short)])
+
+
+@pytest.mark.parametrize("name", MANIFOLD_FIXTURES)
+def test_manifold_leaves_the_saddle_along_its_unstable_vector(name):
+    handle, saddle, arc_budget, tol, _ = manifold_fixture(name)
+    cloud = unstable_manifold(handle, saddle, arc_budget, tol)
+    u = saddle.vectors[:, np.abs(saddle.multipliers) > 1][:, 0].real
+    for sign, branch in zip((-1.0, 1.0), manifold_branches(cloud)):
+        step = branch[0] - saddle.points[0]
+        assert step / np.linalg.norm(step) == \
+            pytest.approx(sign * u, abs=1e-6)
 
 
 def test_trellis_components_and_cycle_exchange():
