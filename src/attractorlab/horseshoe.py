@@ -348,8 +348,9 @@ def find_saddles(handle: MapHandle, search_box, k_max: int = 1,
                                     (pts <= box[:, 1] + 1e-9), axis=1))
             if not touches:
                 continue
-            anchor = pts[np.lexsort(pts.T[::-1])][0]
-            key = (cyc.period, tuple(np.round(anchor, 6)))
+            # one key for last-bit copies of an orbit; + 0.0 folds -0 into 0
+            pts = np.round(pts, 6) + 0.0
+            key = (cyc.period, tuple(pts[np.lexsort(pts.T[::-1])][0]))
             found.setdefault(key, cyc)
     return [found[k] for k in sorted(found)]
 

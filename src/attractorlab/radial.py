@@ -100,21 +100,24 @@ class ShellSpec:
         return np.asarray(u, dtype=float) * 0.0
 
 
-def radial_derivative(handle: MapHandle, x: np.ndarray) -> float:
-    """Derivative of |f| along the outward radial direction at x.
+def radial_derivative(handle: MapHandle,
+                      x: np.ndarray) -> float | np.ndarray:
+    """Derivative of |f| along the outward radial direction.
 
-    Undefined where x = 0 or f(x) = 0; both raise ValueError.
+    ``x`` is a point, giving a float, or an (n, 2) block, giving an
+    (n,) array from one ``eval(x, True)`` call.  Undefined where x = 0
+    or f(x) = 0; either anywhere in the block raises ValueError.
     """
     x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x)
-    if r == 0.0:
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    if np.any(r == 0.0):
         raise ValueError("radial derivative undefined at the origin")
     fx, jac = handle.eval(x, True)
-    nf = np.linalg.norm(fx)
-    if nf == 0.0:
+    nf = np.linalg.norm(fx, axis=-1, keepdims=True)
+    if np.any(nf == 0.0):
         raise ValueError("radial derivative undefined where f vanishes")
-    grad = jac.T @ (fx / nf)
-    return float(grad @ (x / r))
+    d = np.einsum("...i,...ij,...j->...", fx / nf, jac, x / r)
+    return float(d) if x.ndim == 1 else d
 
 
 def estimate_radial_bounds(handle: MapHandle, shells: ShellSpec,
@@ -125,43 +128,28 @@ def estimate_radial_bounds(handle: MapHandle, shells: ShellSpec,
     min/max of |d_r| over both regions and violations collects sample
     points with the wrong sign (inner must be positive, outer negative)
     plus a ratio entry when m_big/m_small >= lam_hat.  Violations are
-    data, not errors.
+    data, not errors.  All 2 * grid * n_angles samples, angle by angle
+    with the inner radii first, go through one radial_derivative call.
     """
     shells.validate(n_angles)
     angles = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
-    lam_hat, mu_hat = np.inf, 0.0
-    violations = []
-    for ang in angles:
-        a = float(shells.alpha(ang))
-        b = float(shells.beta(ang))
-        z = float(shells.zeta(ang))
-        lo = float(np.asarray(shells.inner_floor(ang)))
-        inner = (np.linspace(lo, a, grid + 1)[1:] if lo == 0.0
-                 else np.linspace(lo, a, grid))
-        outer = np.linspace(b, z, grid, endpoint=False)
-        u = np.array([np.cos(ang), np.sin(ang)])
-        for radii, sign in ((inner, 1.0), (outer, -1.0)):
-            for r in radii:
-                d = radial_derivative(handle, r * u)
-                if d * sign <= 0.0:
-                    violations.append((r * u, "sign", d))
-                    continue
-                lam_hat = min(lam_hat, abs(d))
-                mu_hat = max(mu_hat, abs(d))
+    lo, a, b, z = (fn(angles) for fn in (shells.inner_floor, shells.alpha,
+                                         shells.beta, shells.zeta))
+    inner = (np.linspace(lo, a, grid + 1, axis=1)[:, 1:]
+             if shells.mode == MODE_SOURCE
+             else np.linspace(lo, a, grid, axis=1))
+    outer = np.linspace(b, z, grid, endpoint=False, axis=1)
+    radii = np.concatenate([inner, outer], axis=1)
+    u = np.column_stack([np.cos(angles), np.sin(angles)])
+    pts = (radii[:, :, None] * u[:, None, :]).reshape(-1, 2)
+    d = radial_derivative(handle, pts)
+    wrong = d * np.tile(np.repeat([1.0, -1.0], grid), n_angles) <= 0.0
+    violations = [(p, "sign", float(v)) for p, v in zip(pts[wrong], d[wrong])]
+    lam_hat = float(np.min(np.abs(d[~wrong]), initial=np.inf))
+    mu_hat = float(np.max(np.abs(d[~wrong]), initial=0.0))
     if lam_hat <= shells.m_big / shells.m_small:
         violations.append((None, "ratio_condition", lam_hat))
-    return float(lam_hat), float(mu_hat), violations
-
-
-def _vector_return_map(return_map: Callable) -> Callable:
-    """Accept scalar-only return maps by wrapping with np.vectorize."""
-    try:
-        probe = return_map(np.array([0.1, 0.2]), np.array([0.0, 0.0]))
-        if np.shape(probe) == (2,):
-            return return_map
-    except Exception:
-        pass
-    return np.vectorize(return_map, otypes=[float])
+    return lam_hat, mu_hat, violations
 
 
 def _bisect_many(g, lo, hi, target, angles):
@@ -288,20 +276,20 @@ def cantor_shells(return_map: Callable, shells: ShellSpec, depth: int,
                   angle_grid: int = 256) -> ShellPartition:
     """Build the nested shell partition to the requested depth.
 
-    ``return_map(r, angle)`` is the 1-D radius map; it must be monotone
-    increasing on the inner branch and decreasing on the outer one.
-    Preimages of the deleted band are found by bisection (vectorized
-    over angles and cells).  Angle-independent maps are detected and
-    stored with a single angle column.
+    ``return_map(r, angle)`` is the 1-D radius map, evaluated on arrays
+    of radii and angles of one shape; it must be monotone increasing on
+    the inner branch and decreasing on the outer one.  Preimages of the
+    deleted band are found by bisection (vectorized over angles and
+    cells).  Angle-independent maps are detected and stored with a
+    single angle column.
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in [1, {MAX_DEPTH}]")
     shells.validate(max(angle_grid, 8))
-    g = _vector_return_map(return_map)
     angles = np.linspace(0.0, 2 * np.pi, angle_grid, endpoint=False)
 
     probe_r = np.linspace(0.05, 0.95, 8)[:, None] * shells.zeta(angles)[None, :]
-    probe = g(probe_r, np.broadcast_to(angles, probe_r.shape))
+    probe = return_map(probe_r, np.broadcast_to(angles, probe_r.shape))
     angle_free = bool(np.all(np.ptp(probe, axis=1) == 0.0))
     for fn in (shells.alpha, shells.beta, shells.zeta, shells.alpha0):
         if fn is not None:
@@ -315,9 +303,7 @@ def cantor_shells(return_map: Callable, shells: ShellSpec, depth: int,
     def prof(fn):
         return np.asarray(fn(store), dtype=float)
 
-    root_lo = prof(shells.alpha0) if shells.mode == MODE_SINK else \
-        np.zeros(n_store)
-    levels = [(root_lo[:, None].copy(), prof(shells.zeta)[:, None])]
+    levels = [(prof(shells.inner_floor)[:, None], prof(shells.zeta)[:, None])]
     bands = [(prof(shells.alpha)[:, None], prof(shells.beta)[:, None])]
     # img[i]: index of the cell one level up that g maps cell i onto.
     # Radial order reverses under g on the outer (decreasing) branch,
@@ -349,7 +335,7 @@ def cantor_shells(return_map: Callable, shells: ShellSpec, depth: int,
         hi2 = np.concatenate([nhi, nhi], axis=1)
         targets = np.concatenate([t_lo, t_hi], axis=1)
         ang2 = np.broadcast_to(store[:, None], lo2.shape)
-        roots, bad = _bisect_many(g, lo2, hi2, targets, ang2)
+        roots, bad = _bisect_many(return_map, lo2, hi2, targets, ang2)
         if roots is None:
             ia, ic = np.argwhere(bad)[0]
             addr = format(int(ic) % n_cells, f"0{j + 1}b")
@@ -489,7 +475,7 @@ def radial_tent_map(slopes=(3.0, 3.0), zeta: float = 1.0, theta: float = 0.0,
     attracting with basin radius alpha0.
 
     All shell hypotheses hold by construction; returns the handle, the
-    matching ShellSpec, and the scalar return map g(r, angle).
+    matching ShellSpec, and the return map g(r, angle).
     """
     s_in, s_out = float(slopes[0]), float(slopes[1])
     if s_in <= 1 or s_out <= 1:
@@ -506,25 +492,24 @@ def radial_tent_map(slopes=(3.0, 3.0), zeta: float = 1.0, theta: float = 0.0,
     elif mode == MODE_SOURCE:
         a0 = None
         alpha = zeta / s_in
-        apex = s_out * zeta / (s_in + s_out)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     beta = zeta * (1.0 - 1.0 / s_out)
 
-    def g(r, angle=0.0):
+    def g(r, angle=0.0, slope=False):
+        """Radius map, or its r-derivative (same branch) with ``slope``."""
         r = np.asarray(r, dtype=float)
-        rise = s_in * r if a0 is None else np.where(
-            r < a0, r * r / a0, a0 + s_in * (r - a0))
-        out = np.minimum(rise, s_out * (zeta - r))
-        return np.maximum(out, 0.0) + np.asarray(angle) * 0.0
-
-    def gprime(r):
-        r = np.asarray(r, dtype=float)
-        d = np.where(r < apex,
-                     s_in if a0 is None else np.where(r < a0, 2 * r / a0,
-                                                      s_in),
-                     -s_out)
-        return np.where(r >= zeta, 0.0, d)
+        if a0 is None:
+            rise, d_rise = s_in * r, s_in
+        else:
+            core = r < a0
+            rise = np.where(core, r * r / a0, a0 + s_in * (r - a0))
+            d_rise = np.where(core, 2 * r / a0, s_in)
+        fall = s_out * (zeta - r)
+        up = rise <= fall
+        out = (np.where(fall > 0.0, np.where(up, d_rise, -s_out), 0.0)
+               if slope else np.maximum(np.where(up, rise, fall), 0.0))
+        return out + np.asarray(angle) * 0.0
 
     c, s = np.cos(2 * np.pi * theta), np.sin(2 * np.pi * theta)
     rot = np.array([[c, -s], [s, c]])
@@ -545,11 +530,11 @@ def radial_tent_map(slopes=(3.0, 3.0), zeta: float = 1.0, theta: float = 0.0,
         x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x)
         if r == 0.0:
-            lead = 0.0 if a0 is not None else s_in
-            return rot * lead
+            return rot * g(0.0, slope=True)
         u = x / r
         uu = np.outer(u, u)
-        radial = float(g(r)) / r * (np.eye(2) - uu) + float(gprime(r)) * uu
+        radial = (float(g(r)) / r * (np.eye(2) - uu)
+                  + float(g(r, slope=True)) * uu)
         return rot @ radial
 
     handle = user_map(image, 2, jac=jac, batch=image,
@@ -563,4 +548,4 @@ def radial_tent_map(slopes=(3.0, 3.0), zeta: float = 1.0, theta: float = 0.0,
                      mode=mode,
                      alpha0=None if a0 is None else _const_profile(a0))
     return RadialTent(handle=handle, shells=spec,
-                      return_map=lambda r, angle=0.0: g(r, angle))
+                      return_map=g)

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import inspect
+import re
 import sys
 import tracemalloc
 import warnings
@@ -964,6 +965,13 @@ def test_readme_config_table_matches_schema():
             assert default == spec.default.__doc__, (owner, key)
         else:
             assert spec.type.parse(default) == spec.default, (owner, key)
+
+
+def test_readme_csv_block_size_matches_the_writer():
+    text = " ".join((Path(__file__).parents[1] / "README.md").read_text()
+                    .split())
+    sizes = re.findall(r"(\d[\d ]*) rows per block", text)
+    assert [int(n.replace(" ", "")) for n in sizes] == [cli.CSV_CHUNK_ROWS]
 
 
 @pytest.mark.parametrize("command, n_scales", [

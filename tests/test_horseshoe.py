@@ -286,9 +286,12 @@ def _period_product(handle, cycle):
     return prod
 
 
-@pytest.mark.parametrize("make, box", [
+_CYCLE_CENSUS = [
     (lambda: pioneer_climax_full(3.0, 3.0), [(0.0, 8.0), (0.0, 8.0)]),
-    (model_horseshoe_map, [(-6.0, 2.0), (-5.0, 13.0)])])
+    (model_horseshoe_map, [(-6.0, 2.0), (-5.0, 13.0)])]
+
+
+@pytest.mark.parametrize("make, box", _CYCLE_CENSUS)
 def test_cycle_vectors_are_unit_eigenvectors_of_the_period_product(make,
                                                                    box):
     handle = make()
@@ -310,6 +313,16 @@ def test_cycle_vectors_are_unit_eigenvectors_of_the_period_product(make,
         origin = [c for c in cycles if np.linalg.norm(c.points[0]) < 1e-9][0]
         up = origin.vectors[:, np.abs(origin.multipliers) > 1][:, 0]
         assert np.abs(up) == pytest.approx([0.0, 1.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("make, box", _CYCLE_CENSUS)
+def test_find_saddles_returns_each_orbit_once(make, box):
+    # seeds that converge to one orbit may land a last bit apart (or on
+    # -0.0 against 0.0); the orbit must still come back once
+    cycles = find_saddles(make(), box, k_max=2)
+    keys = [(c.period, frozenset(map(tuple, np.round(c.points, 6) + 0.0)))
+            for c in cycles]
+    assert len(set(keys)) == len(keys)
 
 
 def test_find_saddles_translation_finds_nothing():

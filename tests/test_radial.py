@@ -1,13 +1,15 @@
 """Shell partitions, symbolic coding, and the radial tent ground truth."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from attractorlab.maps import finite_difference_jacobian
+from attractorlab.maps import (GOLDEN_MEAN, finite_difference_jacobian,
+                               gauss_rotation)
 from attractorlab.radial import (MODE_SINK, MODE_SOURCE, RadialTent,
                                  ShellConstructionError, ShellSpec, SymbolCode,
                                  cantor_shells, estimate_radial_bounds,
@@ -57,6 +59,27 @@ def test_radial_derivative_on_tent():
         radial_derivative(tent.handle, [2.0, 0.0])
 
 
+def _counting(handle):
+    """The handle with an eval that records each call's with_jac flag."""
+    calls = []
+
+    def counting(x, with_jac=False):
+        calls.append(with_jac)
+        return handle.eval(x, with_jac)
+
+    return dataclasses.replace(handle, eval=counting), calls
+
+
+def _tent_case(slopes, **kw):
+    tent = radial_tent_map(slopes, **kw)
+    return tent.handle, tent.shells
+
+
+def _gauss_case():
+    return (gauss_rotation(2.7, GOLDEN_MEAN),
+            ShellSpec(const(1.0), const(1.5), const(2.5), 1.0, 1.5, 2.0, 3.0))
+
+
 def test_estimate_radial_bounds_exact_slopes():
     tent = radial_tent_map((2.5, 4.0))
     lam_hat, mu_hat, violations = estimate_radial_bounds(
@@ -69,12 +92,78 @@ def test_estimate_radial_bounds_exact_slopes():
 def test_estimate_radial_bounds_flags_sign_violations():
     # |f| = a r exp(-r^2) turns over at r = 1/sqrt(2), inside this
     # deliberately oversized inner region
-    from attractorlab.maps import GOLDEN_MEAN, gauss_rotation
-    h = gauss_rotation(2.7, GOLDEN_MEAN)
-    spec = ShellSpec(const(1.0), const(1.5), const(2.5), 1.0, 1.5, 2.0, 3.0)
+    h, spec = _gauss_case()
     _, _, violations = estimate_radial_bounds(h, spec, grid=32, n_angles=8)
     kinds = {v[1] for v in violations}
     assert "sign" in kinds
+
+
+# lam_hat, mu_hat and violation kinds pinned from a one-sample-at-a-time
+# evaluation.  The sink tent's first inner sample sits on the alpha0
+# kink, where the r^2/alpha0 core's slope 2 meets the rise's slope 3.
+@pytest.mark.parametrize("make, grid, n_angles, lam, mu, kinds", [
+    (lambda: _tent_case((2.5, 4.0), theta=0.15), 64, 16,
+     2.4999999999999996, 4.000000000000003, []),
+    (lambda: _tent_case((3.0, 5.0), mode=MODE_SINK, theta=0.3), 64, 16,
+     2.0, 5.000000000000003, []),
+    (_gauss_case, 32, 8, 0.06811872501445615, 2.692096278118891,
+     ["sign"] * 80 + ["ratio_condition"]),
+], ids=["tent_source", "tent_sink", "gauss"])
+def test_estimate_radial_bounds_makes_one_eval_call(make, grid, n_angles,
+                                                    lam, mu, kinds):
+    handle, spec = make()
+    spy, calls = _counting(handle)
+    lam_hat, mu_hat, violations = estimate_radial_bounds(
+        spy, spec, grid=grid, n_angles=n_angles)
+    assert calls == [True]
+    assert lam_hat == pytest.approx(lam, rel=1e-12)
+    assert mu_hat == pytest.approx(mu, rel=1e-12)
+    assert [v[1] for v in violations] == kinds
+
+
+def test_radial_derivative_of_a_block_is_its_rows():
+    tent = radial_tent_map((2.5, 4.0), theta=0.15)
+    rng = np.random.default_rng(5)
+    r = rng.uniform(0.05, 0.95, 40)
+    phi = rng.uniform(0.0, 2 * np.pi, 40)
+    block = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+    d = radial_derivative(tent.handle, block)
+    assert d.shape == (40,)
+    np.testing.assert_allclose(
+        d, [radial_derivative(tent.handle, p) for p in block], rtol=1e-15)
+    for bad in ([0.0, 0.0], [2.0, 0.0]):
+        with pytest.raises(ValueError):
+            radial_derivative(tent.handle, np.vstack([block, bad]))
+
+
+@given(st.floats(1.0, 6.0, exclude_min=True),
+       st.floats(1.0, 6.0, exclude_min=True),
+       st.floats(0.5, 3.0), st.floats(0.0, 1.0),
+       st.sampled_from([MODE_SOURCE, MODE_SINK]), st.floats(0.05, 0.5),
+       st.floats(0.0, 1.0), st.floats(0.0, 2 * np.pi))
+def test_radial_tent_slope_matches_a_central_difference(
+        s_in, s_out, zeta, theta, mode, a0_frac, r_frac, phi):
+    a0 = a0_frac * zeta if mode == MODE_SINK else None
+    try:
+        tent = radial_tent_map((s_in, s_out), zeta, theta, mode, a0)
+    except ValueError:
+        assume(False)
+    lift = 0.0 if a0 is None else (s_in - 1.0) * a0
+    apex = (s_out * zeta + lift) / (s_in + s_out)
+    kinks = [0.0, apex, zeta] + ([] if a0 is None else [a0])
+    r = r_frac * zeta
+    assume(min(abs(r - k) for k in kinks) >= 1e-6)
+    u = np.array([np.cos(phi), np.sin(phi)])
+    h = 1e-7
+    fd = (np.linalg.norm(tent.handle.eval((r + h) * u))
+          - np.linalg.norm(tent.handle.eval((r - h) * u))) / (2 * h)
+    assert radial_derivative(tent.handle, r * u) == pytest.approx(fd,
+                                                                  abs=1e-6)
+    c, s = np.cos(2 * np.pi * theta), np.sin(2 * np.pi * theta)
+    lead = s_in if a0 is None else 0.0
+    np.testing.assert_allclose(tent.handle.eval(np.zeros(2), True)[1],
+                               lead * np.array([[c, -s], [s, c]]),
+                               rtol=0, atol=1e-15)
 
 
 def test_cantor_shells_middle_thirds_exact():
