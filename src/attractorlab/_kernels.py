@@ -16,9 +16,9 @@ trajectory a block of ``_BLOCK`` points at a time, one evaluation gives
 the block's Jacobians, and one NumPy reduction per block gives its
 per-step log terms, summed by a ``cumsum`` seeded with the running total,
 so value and trace are those of a sequential sum.  Norm-sum takes the
-closed-form 2x2 spectral norm.  In the plane QR carries only the first
-Gram-Schmidt column (the ``qr1`` loop), since lambda1 + lambda2 is the
-mean of log|det J|; other dimensions take a Householder QR per step.
+closed-form 2x2 spectral norm.  QR carries only the first Gram-Schmidt
+column (the ``qr1`` loop), since lambda1 + lambda2 is the mean of
+log|det J|.
 Three lanes run the loops:
 
 * compiled: the ``math.exp`` orbit loop and ``qr1``, ``njit``-ed; used
@@ -206,7 +206,7 @@ def warmup():
 
 
 # ---------------------------------------------------------------------------
-# the Lyapunov walk: Jacobian blocks (nb, m, m) at the n points after the
+# the Lyapunov walk: Jacobian blocks (nb, 2, 2) at the n points after the
 # transient, on the built-in or the generic lane
 
 
@@ -231,7 +231,7 @@ def _walk_generic(eval_fn, x0, n_transient, n):
     for _ in range(n_transient):
         x = eval_fn(x)
     for k in range(0, n, _BLOCK):
-        jac = np.empty((min(_BLOCK, n - k), x.size, x.size))
+        jac = np.empty((min(_BLOCK, n - k), 2, 2))
         for i in range(len(jac)):
             x, jac[i] = eval_fn(x, True)
         yield jac
@@ -252,18 +252,12 @@ def spectral_norm2(jac):
 
 def _norm_terms(blocks, loops):
     for jac in blocks:
-        if jac.shape[1] == 2:
-            nrm = spectral_norm2(jac)
-        else:
-            # the SVD rejects a non-finite Jacobian: nan there
-            nrm = np.full(len(jac), np.nan)
-            ok = np.isfinite(jac).all(axis=(1, 2))
-            nrm[ok] = np.linalg.norm(jac[ok], 2, axis=(1, 2))
+        nrm = spectral_norm2(jac)
         yield np.log(nrm)[:, None], (nrm <= 0.0)[:, None]
 
 
 def _qr_terms(blocks, loops):
-    # 2-D: log r11 from the carried first column, and log|det J|, whose
+    # log r11 from the carried first column, and log|det J|, whose
     # running mean is lambda1 + lambda2 (r11 * r22 = |det J|); det == 0
     # makes lambda2 -inf
     q1, q2 = 1.0, 0.0
@@ -275,18 +269,6 @@ def _qr_terms(blocks, loops):
         q1, q2 = loops["qr1"](*feed(j), q1, q2, r)
         terms = np.column_stack([r, np.abs(j[0] * j[3] - j[1] * j[2])])
         yield np.log(terms), terms == 0.0
-
-
-def _householder_terms(blocks, loops):
-    # m != 2: log|r_ii| of a Householder QR of J q per step
-    q = None
-    for jac in blocks:
-        q = np.eye(jac.shape[1]) if q is None else q
-        diag = np.zeros(jac.shape[:2])
-        for i, jk in enumerate(jac):
-            q, r = np.linalg.qr(jk @ q)
-            diag[i] = np.abs(np.diag(r))  # rows past a zero r11 go unused
-        yield np.log(diag), diag == 0.0
 
 
 def _accumulate(terms, stride, trace):
@@ -322,7 +304,7 @@ def _accumulate(terms, stride, trace):
 
 
 def _builtin(handle):
-    return getattr(handle, "family_code", -1) >= 0 and handle.spec.dim == 2
+    return getattr(handle, "family_code", -1) >= 0
 
 
 def _lane(handle, force_python):
@@ -341,7 +323,7 @@ def _orbit_generic(eval_fn, x0, n_transient, n_keep):
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_transient):
             x = eval_fn(x)
-        out = np.empty((n_keep, x.size))
+        out = np.empty((n_keep, 2))
         for i in range(n_keep):
             x = eval_fn(x)
             out[i] = x
@@ -386,14 +368,11 @@ def run_norm_sum(handle, x0, n_transient, n, stride, force_python=False):
 
 
 def run_qr(handle, x0, n_transient, n, stride, force_python=False):
-    m = handle.spec.dim
-    trace = np.full((max(n // stride, 1), m), np.nan)
-    sums, k_used, degenerate = _estimate(
-        _qr_terms if m == 2 else _householder_terms, handle, x0, n_transient,
-        n, stride, trace, force_python)
-    vals = sums / k_used if k_used > 0 else np.zeros(m)
-    if m == 2:
-        # the det column holds lambda1 + lambda2
-        vals[1] -= vals[0]
-        trace[:, 1] -= trace[:, 0]
+    trace = np.full((max(n // stride, 1), 2), np.nan)
+    sums, k_used, degenerate = _estimate(_qr_terms, handle, x0, n_transient,
+                                         n, stride, trace, force_python)
+    vals = sums / k_used if k_used > 0 else np.zeros(2)
+    # the det column holds lambda1 + lambda2
+    vals[1] -= vals[0]
+    trace[:, 1] -= trace[:, 0]
     return vals, k_used, degenerate, trace[:k_used // stride]

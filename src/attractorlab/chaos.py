@@ -49,7 +49,7 @@ def max_lyapunov_norm_sum(handle: MapHandle, x0, n: int,
     raising.  A non-finite sum otherwise means the orbit diverged and
     raises :class:`DivergenceError`.
     """
-    x0 = _check_lyapunov_args(handle, x0, n, n_transient)
+    x0 = _check_lyapunov_args(x0, n, n_transient)
     value, k_used, degenerate, trace = _kernels.run_norm_sum(
         handle, x0, n_transient, n, TRACE_STRIDE)
     if degenerate:
@@ -76,7 +76,7 @@ def lyapunov_spectrum_qr(handle: MapHandle, x0, n: int,
     accumulation.  Any other non-finite exponent means the orbit diverged
     and raises :class:`DivergenceError`.
     """
-    x0 = _check_lyapunov_args(handle, x0, n, n_transient)
+    x0 = _check_lyapunov_args(x0, n, n_transient)
     vals, k_used, deg, trace = _kernels.run_qr(
         handle, x0, n_transient, n, TRACE_STRIDE)
     vals = np.asarray(vals, dtype=float).copy()
@@ -97,12 +97,12 @@ def lyapunov_spectrum_qr(handle: MapHandle, x0, n: int,
         degenerate=bool(deg.any()))
 
 
-def _check_lyapunov_args(handle, x0, n: int, n_transient: int) -> np.ndarray:
+def _check_lyapunov_args(x0, n: int, n_transient: int) -> np.ndarray:
     if n < 100:
         raise ValueError("need n >= 100 iterates for a Lyapunov estimate")
     if n_transient < 0:
         raise ValueError("n_transient must be nonnegative")
-    return initial_point(handle, x0)
+    return initial_point(x0)
 
 
 def max_scales(m: int) -> int:

@@ -1,4 +1,5 @@
-"""Orbit generation, periodic-orbit search, and stability classification.
+"""Orbit generation, periodic-orbit search, and stability classification
+for planar maps.
 
 Orbits of built-in families run through the scalar kernels in
 :mod:`attractorlab._kernels` (compiled when numba is present); everything
@@ -101,12 +102,11 @@ def _classify_multipliers(multipliers: np.ndarray) -> str:
     return "nonhyperbolic"
 
 
-def initial_point(handle: MapHandle, x0) -> np.ndarray:
-    """``x0`` as a float array; ValueError unless finite, of shape (dim,)."""
+def initial_point(x0) -> np.ndarray:
+    """``x0`` as a float array; ValueError unless finite, of shape (2,)."""
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (handle.dim,):
-        raise ValueError(f"initial point must have shape ({handle.dim},), "
-                         f"got {x0.shape}")
+    if x0.shape != (2,):
+        raise ValueError(f"initial point must have shape (2,), got {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial point must be finite")
     return x0
@@ -120,11 +120,11 @@ def orbit(handle: MapHandle, x0, n_transient: int, n_keep: int) -> PointCloud:
     for user maps and for cone-restricted built-ins started outside
     their positivity domain).
     """
-    x0 = initial_point(handle, x0)
+    x0 = initial_point(x0)
     if n_transient < 0 or n_keep < 0:
         raise ValueError("iteration counts must be nonnegative")
     if n_keep == 0:
-        return PointCloud(np.empty((0, x0.size)), ordered=True,
+        return PointCloud(np.empty((0, 2)), ordered=True,
                           meta=_orbit_meta(handle, x0, n_transient, n_keep))
     pts = _kernels.run_orbit(handle, x0, n_transient, n_keep)
     if not np.all(np.isfinite(pts)):
@@ -145,7 +145,7 @@ def _iterate_with_product(handle: MapHandle, x: np.ndarray, k: int):
     """Return the iterates x, f(x), ..., f^k(x) as the k + 1 rows of an
     array, and the product of the Jacobians along the k steps."""
     pts = [np.array(x, dtype=float)]
-    prod = np.eye(x.size)
+    prod = np.eye(2)
     for _ in range(k):
         y, jac = handle.eval(pts[-1], True)
         prod = jac @ prod
@@ -154,11 +154,9 @@ def _iterate_with_product(handle: MapHandle, x: np.ndarray, k: int):
 
 
 def _condition_number(amat: np.ndarray) -> float:
-    """2-norm condition number of a square matrix.  A 2x2 one takes the
-    closed form (q + sqrt(q^2 - 4 det^2)) / (2 |det|), q the squared
-    Frobenius norm, and inf when it is singular."""
-    if amat.shape != (2, 2):
-        return float(np.linalg.cond(amat))
+    """2-norm condition number of a 2x2 matrix, in closed form:
+    (q + sqrt(q^2 - 4 det^2)) / (2 |det|), q the squared Frobenius norm,
+    and inf when it is singular."""
     entries = amat.ravel().tolist()
     # the ratio is scale-free; dividing by the largest entry keeps q^2 finite
     scale = max(map(abs, entries))
@@ -197,7 +195,7 @@ def find_cycle(handle: MapHandle, period: int, seed) -> Cycle:
             residual = float(np.linalg.norm(fval))
             if residual <= NEWTON_RESIDUAL:
                 break
-            amat = prod - np.eye(x.size)
+            amat = prod - np.eye(2)
             if not np.isfinite(amat).all():
                 raise CycleSearchError("Newton matrix has non-finite entries")
             try:

@@ -7,8 +7,8 @@ fixed origin, and samples the globally attracting set by pushing a grid
 of the ball B_M(0) forward.
 
 Maps flagged cone-restricted (``handle.cone``) are sampled on the
-nonnegative orthant only; their decay property holds on that cone, not
-on all of R^m.
+nonnegative quadrant only; their decay property holds on that cone,
+not on the whole plane.
 
 Every verdict here and in ``horseshoe.verify_ah`` is a :class:`Check`
 collected in a :class:`Report`.
@@ -122,22 +122,16 @@ class SupNorm(NamedTuple):
 
 def _directions(handle: MapHandle, n: int) -> np.ndarray:
     """Unit directions; restricted to the first quadrant for cone maps."""
-    if handle.dim == 2:
-        top = np.pi / 2 if handle.cone else 2 * np.pi
-        ang = np.linspace(0.0, top, n, endpoint=handle.cone)
-        return np.column_stack([np.cos(ang), np.sin(ang)])
-    rng = np.random.default_rng(0)
-    u = rng.normal(size=(n, handle.dim))
-    if handle.cone:
-        u = np.abs(u)
-    return u / np.linalg.norm(u, axis=1, keepdims=True)
+    top = np.pi / 2 if handle.cone else 2 * np.pi
+    ang = np.linspace(0.0, top, n, endpoint=handle.cone)
+    return np.column_stack([np.cos(ang), np.sin(ang)])
 
 
 def _shells(handle: MapHandle, radii: np.ndarray,
             n_directions: int) -> tuple[np.ndarray, np.ndarray]:
     """Points r u over radii x directions (flat), |f| there by radius."""
     dirs = _directions(handle, n_directions)
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, handle.dim)
+    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
     vals = np.linalg.norm(handle.eval(pts), axis=1)
     return pts, vals.reshape(len(radii), -1)
 
@@ -145,8 +139,6 @@ def _shells(handle: MapHandle, radii: np.ndarray,
 def _grid_points(handle: MapHandle, radius: float, grid: int) -> np.ndarray:
     lo = 0.0 if handle.cone else -radius
     axis = np.linspace(lo, radius, grid)
-    if handle.dim != 2:
-        raise ValueError("grid search implemented for 2-D maps only")
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     return np.column_stack([g1.ravel(), g2.ravel()])
 
@@ -307,7 +299,7 @@ def origin_contraction_check(handle: MapHandle, r_m: float,
     """
     if r_m <= 0:
         raise ValueError("r_m must be positive")
-    origin_image = np.linalg.norm(handle.eval(np.zeros(handle.dim)))
+    origin_image = np.linalg.norm(handle.eval(np.zeros(2)))
     if origin_image > _ORIGIN_FIXED_TOL:
         return Check("origin_contraction", STATUS_INCONCLUSIVE,
                      f"origin is not fixed (|f(0)| = {origin_image:.3e}); "
@@ -341,7 +333,7 @@ def attracting_set_sample(handle: MapHandle, n_iterates: int) -> PointCloud:
     m_sup = _sup_norm_search(handle, 8.0, grid=256).m_sup
     pts = _grid_points(handle, m_sup, 128)
     pts = pts[np.linalg.norm(pts, axis=1) <= m_sup]
-    pts = np.vstack([pts, np.zeros(handle.dim)])
+    pts = np.vstack([pts, np.zeros(2)])
     for _ in range(n_iterates):
         pts = handle.eval(pts)
     if not np.all(np.isfinite(pts)):

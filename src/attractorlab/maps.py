@@ -21,8 +21,8 @@ absorbs every orbit after one step.  Three closed-form families are built in:
 Each built-in formula and its analytic Jacobian are written once, in
 ``_kernels._family``; a built-in handle evaluates the NumPy form of that
 definition, which the kernel lanes run in scalar form.  Arbitrary maps of
-R^m enter through :func:`user_map`; their Jacobians default to central
-finite differences.
+the plane enter through :func:`user_map`; their Jacobians default to
+central finite differences.
 """
 
 from __future__ import annotations
@@ -52,20 +52,19 @@ class MapDefinitionError(ValueError):
 
 @dataclass(frozen=True)
 class MapSpec:
-    """Declarative description of a map: family name, parameters, dimension."""
+    """Declarative description of a map: family name and parameters."""
 
     family: str
     params: Mapping[str, float]
-    dim: int = 2
 
 
 @dataclass(frozen=True)
 class MapHandle:
     """A built map: spec plus its one evaluation function.
 
-    ``eval(x)`` maps an (m,) point or an (n, m) block to its image(s) of
-    the same shape; ``eval(x, True)`` also returns the (m, m) or
-    (n, m, m) Jacobians, from the same evaluation and with the same
+    ``eval(x)`` maps a (2,) point or an (n, 2) block to its image(s) of
+    the same shape; ``eval(x, True)`` also returns the (2, 2) or
+    (n, 2, 2) Jacobians, from the same evaluation and with the same
     images.  A built-in's ``eval`` is a partial of
     ``_kernels.builtin_eval`` over ``family_code`` and ``packed``, so it
     pickles and is safe to share across worker processes; a user map's
@@ -78,10 +77,6 @@ class MapHandle:
     family_code: int = -1
     packed: tuple = ()
     cone: bool = False  # natural domain restricted to the nonnegative orthant
-
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
 
     @property
     def literal(self) -> bool:
@@ -107,11 +102,7 @@ def validate_spec(spec: MapSpec) -> None:
             f"unknown family {spec.family!r}; known: {sorted(_FAMILY_PARAMS)}"
         )
     if spec.family == "user_table":
-        if spec.dim < 1:
-            raise MapDefinitionError("user_table maps need dim >= 1")
         return
-    if spec.dim != 2:
-        raise MapDefinitionError(f"{spec.family} is two-dimensional")
     _require_finite_params(spec.params, _FAMILY_PARAMS[spec.family])
     if spec.family == "gauss_rotation" and not spec.params["a"] > 0:
         raise MapDefinitionError("gauss_rotation needs a > 0")
@@ -173,19 +164,18 @@ def finite_difference_jacobian(fn, x, h_scale: float = 1e-6) -> np.ndarray:
 
 def user_map(
     fn: Callable[[np.ndarray], np.ndarray],
-    dim: int,
     jac: Callable[[np.ndarray], np.ndarray] | None = None,
     batch: Callable[[np.ndarray], np.ndarray] | None = None,
     params: Mapping[str, float] | None = None,
     cone: bool = False,
 ) -> MapHandle:
-    """Wrap an arbitrary callable as a MapHandle (family ``user_table``).
+    """Wrap a map of the plane as a MapHandle (family ``user_table``).
 
-    A point goes to ``fn`` and ``jac`` (central differences of ``fn`` by
-    default); an (n, dim) block goes to ``batch`` for its images when
+    A (2,) point goes to ``fn`` and ``jac`` (central differences of ``fn``
+    by default); an (n, 2) block goes to ``batch`` for its images when
     given, and row by row to ``fn`` and ``jac`` otherwise.
     """
-    spec = MapSpec("user_table", dict(params or {}), dim=dim)
+    spec = MapSpec("user_table", dict(params or {}))
     validate_spec(spec)
     jc = jac or partial(finite_difference_jacobian, fn)
 
@@ -197,7 +187,7 @@ def user_map(
         if not with_jac:
             return y
         j = jc(x) if point else [jc(p) for p in x]
-        return y, np.asarray(j, dtype=float).reshape(x.shape + (dim,))
+        return y, np.asarray(j, dtype=float).reshape(x.shape + (2,))
 
     return MapHandle(spec=spec, eval=ev, cone=cone,
                      jac_kind="analytic" if jac else "finite_difference")

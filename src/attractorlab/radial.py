@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .maps import MapHandle, user_map
+from .maps import MapHandle, MapSpec
 from .dynamics import PointCloud
 
 MODE_SOURCE = "source_origin"
@@ -128,16 +128,16 @@ def estimate_radial_bounds(handle: MapHandle, shells: ShellSpec,
     min/max of |d_r| over both regions and violations collects sample
     points with the wrong sign (inner must be positive, outer negative)
     plus a ratio entry when m_big/m_small >= lam_hat.  Violations are
-    data, not errors.  All 2 * grid * n_angles samples, angle by angle
-    with the inner radii first, go through one radial_derivative call.
+    data, not errors.  Each region's grid leaves out its inner end (the
+    origin, or the alpha0 kink in sink mode).  All 2 * grid * n_angles
+    samples, angle by angle with the inner radii first, go through one
+    radial_derivative call.
     """
     shells.validate(n_angles)
     angles = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
     lo, a, b, z = (fn(angles) for fn in (shells.inner_floor, shells.alpha,
                                          shells.beta, shells.zeta))
-    inner = (np.linspace(lo, a, grid + 1, axis=1)[:, 1:]
-             if shells.mode == MODE_SOURCE
-             else np.linspace(lo, a, grid, axis=1))
+    inner = np.linspace(lo, a, grid + 1, axis=1)[:, 1:]
     outer = np.linspace(b, z, grid, endpoint=False, axis=1)
     radii = np.concatenate([inner, outer], axis=1)
     u = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -352,17 +352,19 @@ def cantor_shells(return_map: Callable, shells: ShellSpec, depth: int,
                           levels=levels, bands=bands)
 
 
-def hausdorff_bounds(lam: float, mu: float, m: int = 2):
-    """Dimension bound pair (m-1+log2/log(1+mu), m-1+log2/log(1+lam))."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+def hausdorff_bounds(lam: float, mu: float):
+    """Dimension bound pair (1 + log2/log(mu), 1 + log2/log(lam)).
+
+    ``lam`` and ``mu`` are the least and greatest radial slopes |d_r|, as
+    ``ShellSpec.lam``/``.mu`` and ``estimate_radial_bounds`` give them;
+    the planar set of circles over a radial Cantor set has dimension
+    between the two.  Needs 1 < lam <= mu.
+    """
+    if lam <= 1:
+        raise ValueError("lam must exceed 1")
     if mu < lam:
         raise ValueError("need lam <= mu")
-    if m < 1:
-        raise ValueError("m must be a positive dimension")
-    lower = m - 1 + math.log(2) / math.log(1 + mu)
-    upper = m - 1 + math.log(2) / math.log(1 + lam)
-    return lower, upper
+    return 1 + math.log(2) / math.log(mu), 1 + math.log(2) / math.log(lam)
 
 
 # binary shift space with exact metric
@@ -514,8 +516,8 @@ def radial_tent_map(slopes=(3.0, 3.0), zeta: float = 1.0, theta: float = 0.0,
     c, s = np.cos(2 * np.pi * theta), np.sin(2 * np.pi * theta)
     rot = np.array([[c, -s], [s, c]])
 
-    def image(x):
-        """Image of a point or an (n, 2) block, each row as its own point."""
+    def tent(x, with_jac=False):
+        """Image of a point or an (n, 2) block [and Jacobian(s)]."""
         x = np.asarray(x, dtype=float)
         pts = x.reshape(-1, 2)
         r = np.linalg.norm(pts, axis=1)
@@ -523,24 +525,22 @@ def radial_tent_map(slopes=(3.0, 3.0), zeta: float = 1.0, theta: float = 0.0,
         nz = r > 0
         scale[nz] = g(r[nz]) / r[nz]
         v1, v2 = scale * pts[:, 0], scale * pts[:, 1]
-        return np.column_stack([c * v1 - s * v2,
-                                s * v1 + c * v2]).reshape(x.shape)
+        img = np.column_stack([c * v1 - s * v2,
+                               s * v1 + c * v2]).reshape(x.shape)
+        if not with_jac:
+            return img
+        # J = rot (g(r)/r (I - u u^T) + g'(r) u u^T), u = x/r; at r = 0,
+        # where u = 0, the tangential factor takes g'(0) in place of g/r
+        d_r = g(r, slope=True)
+        u = pts / np.where(nz, r, 1.0)[:, None]
+        uu = u[:, :, None] * u[:, None, :]
+        tangential = np.where(nz, scale, d_r)[:, None, None]
+        radial = tangential * (np.eye(2) - uu) + d_r[:, None, None] * uu
+        return img, (rot @ radial).reshape(x.shape + (2,))
 
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x)
-        if r == 0.0:
-            return rot * g(0.0, slope=True)
-        u = x / r
-        uu = np.outer(u, u)
-        radial = (float(g(r)) / r * (np.eye(2) - uu)
-                  + float(g(r, slope=True)) * uu)
-        return rot @ radial
-
-    handle = user_map(image, 2, jac=jac, batch=image,
-                      params={"s_in": s_in, "s_out": s_out, "zeta": zeta,
-                              "theta": theta, "mode": mode,
-                              "alpha0": a0 if a0 is not None else np.nan})
+    params = {"s_in": s_in, "s_out": s_out, "zeta": zeta, "theta": theta,
+              "mode": mode, "alpha0": a0 if a0 is not None else np.nan}
+    handle = MapHandle(spec=MapSpec("user_table", params), eval=tent)
     m_small, m_big = alpha, beta
     spec = ShellSpec(alpha=_const_profile(alpha), beta=_const_profile(beta),
                      zeta=_const_profile(zeta), m_small=m_small,

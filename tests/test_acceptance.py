@@ -113,7 +113,7 @@ def test_cantor_shell_dimension():
 
     target = 1.0 + math.log(2.0) / math.log(3.0)
     assert bd.dimension == pytest.approx(target, abs=0.05)
-    lo, hi = hausdorff_bounds(2.0, 2.0, 2)
+    lo, hi = hausdorff_bounds(tent.shells.lam, tent.shells.mu)
     # lam == mu collapses the bounds to a point; the estimator tolerance
     # carries over to the interval comparison
     assert lo == pytest.approx(target, abs=1e-12)
@@ -124,7 +124,7 @@ def test_cantor_shell_dimension():
 
 def test_lyapunov_oracles():
     dmat = np.diag([2.0, 0.5])
-    h = user_map(lambda x: dmat @ x, 2, jac=lambda x: dmat)
+    h = user_map(lambda x: dmat @ x, jac=lambda x: dmat)
     expect = math.log(2.0)
 
     est = lyapunov_spectrum_qr(h, (0.0, 0.0), 10000)
@@ -251,7 +251,7 @@ def test_attracting_horseshoe_fixture():
     for depth in range(0, 13):
         assert leaf_component_count(depth) == 2 ** depth
 
-    ident = user_map(lambda x: x, 2, jac=lambda x: np.eye(2),
+    ident = user_map(lambda x: x, jac=lambda x: np.eye(2),
                      batch=lambda p: p)
     region = HorseshoeRegion()
     report = verify_ah(ident, region)

@@ -17,7 +17,7 @@ from attractorlab.chaos import (box_counting_dimension, lyapunov_spectrum_qr,
 
 def diag_map(sx, sy):
     d = np.array([sx, sy])
-    return user_map(lambda x: d * x, 2, jac=lambda x: np.diag(d),
+    return user_map(lambda x: d * x, jac=lambda x: np.diag(d),
                     batch=lambda p: p * d)
 
 
@@ -63,7 +63,7 @@ def test_lyapunov_argument_validation():
 
 def test_degenerate_orbit_reports_instead_of_raising():
     # orbit collapses to the origin where the Jacobian vanishes
-    h = user_map(lambda x: 0.0 * x, 2, jac=lambda x: np.zeros((2, 2)),
+    h = user_map(lambda x: 0.0 * x, jac=lambda x: np.zeros((2, 2)),
                  batch=lambda p: 0.0 * p)
     est = max_lyapunov_norm_sum(h, [0.5, 0.5], 1000, 0)
     assert est.degenerate
@@ -76,7 +76,7 @@ def test_qr_keeps_lambda1_through_rank_deficient_steps(generic):
     # pioneer map, where j11 = j12 = 0, so every step has r22 == 0 exactly
     h = pioneer_climax_mixed(1.0, 1.0)
     if generic:
-        h = user_map(h.eval, 2, jac=lambda x, h=h: h.eval(x, True)[1],
+        h = user_map(h.eval, jac=lambda x, h=h: h.eval(x, True)[1],
                      batch=h.eval, cone=h.cone)
     qr = lyapunov_spectrum_qr(h, [0.05, 0.05], 1000, 50)
     ns = max_lyapunov_norm_sum(h, [0.05, 0.05], 1000, 50)
@@ -268,7 +268,7 @@ def tangent_orbits(draw):
         h = family(draw(st.floats(1.0, 3.5)), draw(st.floats(1.0, 3.5)))
         x0 = draw(st.tuples(*[st.floats(0.05, 3.0)] * 2))
     if draw(st.booleans()):
-        h = user_map(h.eval, 2, jac=lambda x, h=h: h.eval(x, True)[1],
+        h = user_map(h.eval, jac=lambda x, h=h: h.eval(x, True)[1],
                      cone=h.cone)
     return h, np.array(x0)
 
@@ -287,7 +287,7 @@ def jacobians_along(h, x0, n_transient, n):
 def henon():
     """A 2-D user map with a constant det J = -0.3."""
     return user_map(lambda x: np.array([1.0 - 1.4 * x[0] ** 2 + x[1],
-                                        0.3 * x[0]]), 2,
+                                        0.3 * x[0]]),
                     jac=lambda x: np.array([[-2.8 * x[0], 1.0], [0.3, 0.0]]))
 
 
@@ -331,7 +331,7 @@ def test_literal_gauss_second_exponent_is_minus_inf(generic):
     # at every step and lambda2 is the -inf sentinel
     h = gauss_rotation(2.7, GOLDEN_MEAN, literal_eq=True)
     if generic:
-        h = user_map(h.eval, 2, jac=lambda x, h=h: h.eval(x, True)[1])
+        h = user_map(h.eval, jac=lambda x, h=h: h.eval(x, True)[1])
     est = lyapunov_spectrum_qr(h, [0.3, 0.1], 2000, 100)
     assert est.degenerate
     assert np.isfinite(est.max_exponent)

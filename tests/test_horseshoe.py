@@ -131,7 +131,7 @@ def test_verify_ah_block_checks_match_the_point_loops():
 
 
 def test_verify_ah_identity_fails_with_boundary_witness():
-    ident = user_map(lambda x: x, 2, jac=lambda x: np.eye(2),
+    ident = user_map(lambda x: x, jac=lambda x: np.eye(2),
                      batch=lambda p: p)
     region = HorseshoeRegion()
     report = verify_ah(ident, region)
@@ -326,7 +326,7 @@ def test_find_saddles_returns_each_orbit_once(make, box):
 
 
 def test_find_saddles_translation_finds_nothing():
-    shift = user_map(lambda x: x + np.array([0.3, 0.0]), 2,
+    shift = user_map(lambda x: x + np.array([0.3, 0.0]),
                      batch=lambda p: p + np.array([0.3, 0.0]))
     assert find_saddles(shift, [(-1.0, 1.0), (-1.0, 1.0)], n_seeds=4) == []
 
@@ -449,7 +449,7 @@ def test_refinement_explosion_carries_partial(monkeypatch):
     def jac(x):
         return np.array([[0.5, 0.1], [0.0, 3.9 * (1.0 - 2.0 * x[1])]])
 
-    handle = user_map(step, 2, jac=jac, batch=batch)
+    handle = user_map(step, jac=jac, batch=batch)
     saddle = find_cycle(handle, 1, np.array([0.01, 0.01]))
     assert saddle.stability == "saddle"
     monkeypatch.setattr(horseshoe, "POINT_CAP", 20_000)

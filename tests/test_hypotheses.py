@@ -36,7 +36,7 @@ def bump_map(scale=0.4):
         w = np.maximum(0.0, 1.0 - (p * p).sum(axis=1))
         return scale * p * w[:, None]
 
-    return user_map(step, 2, batch=batch)
+    return user_map(step, batch=batch)
 
 
 def test_sup_norm_gauss_closed_form():
@@ -88,7 +88,7 @@ def test_decay_profile_rising_tail_fails_with_witness():
         r = np.linalg.norm(p, axis=1)
         return (1.1 + np.sin(r))[:, None] * p
 
-    prof = az_decay_profile(user_map(step, 2, batch=batch),
+    prof = az_decay_profile(user_map(step, batch=batch),
                             np.linspace(0.5, 12.0, 48))
     assert prof.status == "fail"
     assert prof.data["witness"] is not None and len(prof.data["witness"]) == 4
@@ -97,7 +97,7 @@ def test_decay_profile_rising_tail_fails_with_witness():
 
 
 def test_decay_profile_slow_tail_fails_on_final_value():
-    ident = user_map(lambda x: x, 2, batch=lambda p: p)
+    ident = user_map(lambda x: x, batch=lambda p: p)
     prof = az_decay_profile(ident, np.linspace(0.5, 12.0, 24))
     assert prof.status == "fail"
     assert len(prof.data["witness"]) == 2
@@ -155,7 +155,7 @@ def test_origin_contraction_pass_and_fail():
 
 
 def test_origin_contraction_requires_fixed_origin():
-    shifted = user_map(lambda x: 0.5 * x + 1.0, 2,
+    shifted = user_map(lambda x: 0.5 * x + 1.0,
                        batch=lambda p: 0.5 * p + 1.0)
     check = origin_contraction_check(shifted, 1.0)
     assert check.status == "inconclusive"
@@ -247,7 +247,7 @@ def test_report_origin_not_fixed_is_inconclusive():
     def batch(p):
         return np.exp(-((p - c) ** 2).sum(axis=1))[:, None] * (p - c + 1.0)
 
-    rep = run_hypothesis_report(user_map(lambda x: batch(x[None])[0], 2,
+    rep = run_hypothesis_report(user_map(lambda x: batch(x[None])[0],
                                          batch=batch))
     assert rep.check("sup_norm").status == "pass"
     con = rep.check("origin_contraction")

@@ -45,7 +45,7 @@ def start_for(h):
 
 def generic_twin(h):
     """The same map as a user map, which runs on the generic lane."""
-    return user_map(h.eval, 2, jac=lambda x, h=h: h.eval(x, True)[1],
+    return user_map(h.eval, jac=lambda x, h=h: h.eval(x, True)[1],
                      batch=h.eval, cone=h.cone)
 
 
@@ -313,7 +313,7 @@ def test_generic_lane_overflows_silently():
 
 def test_generic_lane_used_for_user_maps():
     # user maps have no family code; both lanes are the generic one
-    h = user_map(lambda x: 0.5 * x, 2, jac=lambda x: 0.5 * np.eye(2),
+    h = user_map(lambda x: 0.5 * x, jac=lambda x: 0.5 * np.eye(2),
                  batch=lambda p: 0.5 * p)
     out = _kernels.run_orbit(h, np.array([1.0, 1.0]), 3, 4)
     np.testing.assert_allclose(out[0], [0.0625, 0.0625])

@@ -98,17 +98,21 @@ def test_estimate_radial_bounds_flags_sign_violations():
     assert "sign" in kinds
 
 
-# lam_hat, mu_hat and violation kinds pinned from a one-sample-at-a-time
-# evaluation.  The sink tent's first inner sample sits on the alpha0
-# kink, where the r^2/alpha0 core's slope 2 meets the rise's slope 3.
+# lam_hat, mu_hat and violation kinds: a tent reads its slopes (in sink
+# mode the inner grid starts one step above the alpha0 kink, so the
+# r^2/alpha0 core is never sampled); the gauss row is pinned from a
+# one-sample-at-a-time evaluation.
 @pytest.mark.parametrize("make, grid, n_angles, lam, mu, kinds", [
     (lambda: _tent_case((2.5, 4.0), theta=0.15), 64, 16,
      2.4999999999999996, 4.000000000000003, []),
     (lambda: _tent_case((3.0, 5.0), mode=MODE_SINK, theta=0.3), 64, 16,
-     2.0, 5.000000000000003, []),
+     3.0, 5.000000000000003, []),
+    (lambda: _tent_case((6.0, 6.0), mode=MODE_SINK), 64, 16, 6.0, 6.0, []),
+    (lambda: _tent_case((5.0, 5.0), mode=MODE_SINK), 64, 16, 5.0, 5.0, []),
     (_gauss_case, 32, 8, 0.06811872501445615, 2.692096278118891,
      ["sign"] * 80 + ["ratio_condition"]),
-], ids=["tent_source", "tent_sink", "gauss"])
+], ids=["tent_source", "tent_sink", "tent_sink_6_6", "tent_sink_5_5",
+        "gauss"])
 def test_estimate_radial_bounds_makes_one_eval_call(make, grid, n_angles,
                                                     lam, mu, kinds):
     handle, spec = make()
@@ -339,19 +343,17 @@ def test_radial_tent_jacobian_matches_fd():
 
 
 def test_hausdorff_bounds_formula_and_errors():
-    lo, hi = hausdorff_bounds(2.0, 2.0, m=2)
+    # lam and mu are the radial slopes, as ShellSpec carries them
+    lo, hi = hausdorff_bounds(3.0, 3.0)
     assert lo == pytest.approx(1 + math.log(2) / math.log(3), abs=1e-12)
     assert hi == lo
-    lo, hi = hausdorff_bounds(1.5, 4.0, m=2)
+    lo, hi = hausdorff_bounds(2.5, 5.0)
     assert lo == pytest.approx(1 + math.log(2) / math.log(5), abs=1e-12)
     assert hi == pytest.approx(1 + math.log(2) / math.log(2.5), abs=1e-12)
     assert lo < hi
-    with pytest.raises(ValueError):
-        hausdorff_bounds(0.0, 2.0)
-    with pytest.raises(ValueError):
-        hausdorff_bounds(3.0, 2.0)
-    with pytest.raises(ValueError):
-        hausdorff_bounds(2.0, 2.0, m=0)
+    for lam, mu in ((0.0, 2.0), (1.0, 2.0), (3.0, 2.0)):
+        with pytest.raises(ValueError):
+            hausdorff_bounds(lam, mu)
 
 
 def test_symbol_code_canonical_forms():
