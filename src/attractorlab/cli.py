@@ -426,7 +426,10 @@ def _cloud_bounds(points: np.ndarray, cfg: dict):
         return ((0.0, 1.0), (0.0, 1.0))
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    pad = np.maximum(0.05 * (hi - lo), 1e-9)
+    # the floor scales with the coordinates, so a cloud collapsed far from
+    # the origin still gets bounds of positive extent
+    pad = np.maximum(0.05 * (hi - lo),
+                     1e-9 * np.maximum(1.0, np.maximum(abs(lo), abs(hi))))
     return ((float(lo[0] - pad[0]), float(hi[0] + pad[0])),
             (float(lo[1] - pad[1]), float(hi[1] + pad[1])))
 

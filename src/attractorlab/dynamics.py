@@ -179,9 +179,7 @@ def find_cycle(handle: MapHandle, period: int, seed) -> Cycle:
     """
     if period < 1:
         raise ValueError("period must be >= 1")
-    x = np.asarray(seed, dtype=float).copy()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("seed must be finite")
+    x = initial_point(seed)
     residual = np.inf
     # an escaping iterate, or a finite fval near 1e200, turns non-finite
     # quietly; each step checks what it uses

@@ -3,14 +3,14 @@
 The model region H* is a radius-4 capsule around the segment from
 (-2, -1) to (-2, 9): a rectangular core Z* (two expansion bands S0*,
 S1* around a fold band S1/2*) with half-disk caps C0* below and C1*
-above.  An affine frame carries the model into the plane.  verify_ah
-samples the defining conditions of an attracting horseshoe on that
-geometry: the region maps into its own interior, both caps and the
-fold band land in the proper caps, pushed-forward vertical leaves stay
-transverse to horizontal ones inside the core, the lower cap is a
-contracting sink region, a saddle with vertical unstable direction
-sits in the lower band, and the foliation contraction/expansion rates
-bracket 1.
+above, each piece's box written once in one table.  An affine frame
+carries the model into the plane.  verify_ah samples the defining
+conditions of an attracting horseshoe on that geometry: the region
+maps into its own interior, both caps and the fold band land in the
+proper caps, pushed-forward vertical leaves stay transverse to
+horizontal ones inside the core, the lower cap is a contracting sink
+region, a saddle with vertical unstable direction sits in the lower
+band, and the foliation contraction/expansion rates bracket 1.
 
 The built-in model map realizes all of it with exact rates (0.2, 4);
 its fold sends the middle band onto a family of nested ellipse arcs
@@ -41,6 +41,19 @@ _CAP1 = np.array([-2.0, 9.0])
 _RADIUS = 4.0
 _BANDS = (-1.0, 3.0, 5.0, 9.0)      # S0 / fold / S1 limits in x2
 
+# the x1 span every piece of H* shares, and each piece's x2 span
+_X1 = (_CAP0[0] - _RADIUS, _CAP0[0] + _RADIUS)
+_PIECES = {"h": (_CAP0[1] - _RADIUS, _CAP1[1] + _RADIUS), "z": _BANDS[::3],
+           "c0": (_CAP0[1] - _RADIUS, _CAP0[1]),
+           "c1": (_CAP1[1], _CAP1[1] + _RADIUS),
+           "s0": _BANDS[0:2], "s_half": _BANDS[1:3], "s1": _BANDS[2:4]}
+
+
+def _span(piece: str) -> tuple:
+    if piece not in _PIECES:
+        raise ValueError(f"unknown piece {piece!r}")
+    return _PIECES[piece]
+
 
 class RefinementExplosion(RuntimeError):
     """Manifold refinement exceeded the point budget; .partial saved."""
@@ -63,7 +76,7 @@ def _affine(m: np.ndarray, pts) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HorseshoeRegion:
-    """Affine frame carrying the model capsule H* into the plane."""
+    """Affine frame carrying H* and its pieces into the plane."""
     matrix: np.ndarray = None
     offset: np.ndarray = None
     inverse: np.ndarray = field(init=False, repr=False, compare=False)
@@ -85,67 +98,35 @@ class HorseshoeRegion:
     def to_model(self, pts: np.ndarray) -> np.ndarray:
         return _affine(self.inverse, pts - self.offset)
 
-    # signed interior distances in model coordinates (positive inside)
-
-    @staticmethod
-    def inside_h(q: np.ndarray) -> np.ndarray:
+    def inside(self, piece: str, q) -> np.ndarray:
+        """Signed distance of model points q inside a piece of H*: "h",
+        "z" (Z*), the caps "c0", "c1" or the bands "s0", "s_half", "s1"."""
+        lo, hi = _span(piece)
         q = np.atleast_2d(q)
-        x2 = np.clip(q[:, 1], _CAP0[1], _CAP1[1])
-        seg = np.column_stack([np.full(len(q), -2.0), x2])
-        return _RADIUS - np.linalg.norm(q - seg, axis=1)
-
-    @staticmethod
-    def inside_z(q: np.ndarray, lo: float = _BANDS[0],
-                 hi: float = _BANDS[3]) -> np.ndarray:
-        """Distance inside the core Z, or inside its band lo <= x2 <= hi."""
-        q = np.atleast_2d(q)
-        return np.minimum.reduce([_RADIUS - np.abs(q[:, 0] + 2.0),
+        if piece == "h":
+            axis = np.column_stack([np.full(len(q), _CAP0[0]),
+                                    np.clip(q[:, 1], _CAP0[1], _CAP1[1])])
+            return _RADIUS - np.linalg.norm(q - axis, axis=1)
+        if piece == "c0":
+            return np.minimum(_RADIUS - np.linalg.norm(q - _CAP0, axis=1),
+                              hi - q[:, 1])
+        if piece == "c1":
+            return np.minimum(_RADIUS - np.linalg.norm(q - _CAP1, axis=1),
+                              q[:, 1] - lo)
+        return np.minimum.reduce([_RADIUS - np.abs(q[:, 0] - _CAP0[0]),
                                   q[:, 1] - lo, hi - q[:, 1]])
 
-    @staticmethod
-    def _inside_cap(q, center, below: bool) -> np.ndarray:
-        q = np.atleast_2d(q)
-        ball = _RADIUS - np.linalg.norm(q - center, axis=1)
-        side = center[1] - q[:, 1] if below else q[:, 1] - center[1]
-        return np.minimum(ball, side)
-
-    def inside_c0(self, q):
-        return self._inside_cap(q, _CAP0, below=True)
-
-    def inside_c1(self, q):
-        return self._inside_cap(q, _CAP1, below=False)
-
-    def inside_s0(self, q):
-        return self.inside_z(q, _BANDS[0], _BANDS[1])
-
-    def inside_s_half(self, q):
-        return self.inside_z(q, _BANDS[1], _BANDS[2])
-
-    def inside_s1(self, q):
-        return self.inside_z(q, _BANDS[2], _BANDS[3])
-
     def sample(self, piece: str, n: int, boundary: bool = False):
-        """Model-coordinate grid sample of one piece of H*.
+        """Model-coordinate grid sample of one piece of H*, on its box.
 
         boundary=True appends points on the capsule boundary (only
         meaningful for piece='h').
         """
-        tests = {"h": self.inside_h, "z": self.inside_z,
-                 "c0": self.inside_c0, "c1": self.inside_c1,
-                 "s0": self.inside_s0, "s_half": self.inside_s_half,
-                 "s1": self.inside_s1}
-        boxes = {"h": (-6, 2, -5, 13), "z": (-6, 2, -1, 9),
-                 "c0": (-6, 2, -5, -1), "c1": (-6, 2, 9, 13),
-                 "s0": (-6, 2, -1, 3), "s_half": (-6, 2, 3, 5),
-                 "s1": (-6, 2, 5, 9)}
-        if piece not in tests:
-            raise ValueError(f"unknown piece {piece!r}")
-        x0, x1, y0, y1 = boxes[piece]
-        gx = np.linspace(x0, x1, n)
-        gy = np.linspace(y0, y1, n)
-        g1, g2 = np.meshgrid(gx, gy, indexing="ij")
+        lo, hi = _span(piece)
+        g1, g2 = np.meshgrid(np.linspace(*_X1, n), np.linspace(lo, hi, n),
+                             indexing="ij")
         pts = np.column_stack([g1.ravel(), g2.ravel()])
-        pts = pts[tests[piece](pts) >= 0.0]
+        pts = pts[self.inside(piece, pts) >= 0.0]
         if boundary:
             t = np.linspace(0.0, 1.0, 4 * n)
             ang = np.pi * t
@@ -154,9 +135,9 @@ class HorseshoeRegion:
             top = _CAP1 + _RADIUS * np.column_stack([np.cos(ang),
                                                      np.sin(ang)])
             wall_y = _BANDS[0] + (_BANDS[3] - _BANDS[0]) * t
-            left = np.column_stack([np.full_like(wall_y, -6.0), wall_y])
-            right = np.column_stack([np.full_like(wall_y, 2.0), wall_y])
-            pts = np.vstack([pts, bottom, top, left, right])
+            walls = [np.column_stack([np.full_like(wall_y, x), wall_y])
+                     for x in _X1]
+            pts = np.vstack([pts, bottom, top, *walls])
         return pts
 
 
@@ -212,19 +193,19 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
 
     # f(H) inside the open region, both caps into the open lower cap and
     # the fold band into the open upper cap
-    lands_inside("region_into_interior", h_pts, region.inside_h(h_img))
+    lands_inside("region_into_interior", h_pts, region.inside("h", h_img))
     cap_pts = np.vstack([region.sample("c0", sampling),
                          region.sample("c1", sampling)])
     lands_inside("caps_into_sink_cap", cap_pts,
-                 region.inside_c0(_map_model(handle, region, cap_pts)))
+                 region.inside("c0", _map_model(handle, region, cap_pts)))
     fold_pts = region.sample("s_half", sampling)
     lands_inside("fold_band_into_top_cap", fold_pts,
-                 region.inside_c1(_map_model(handle, region, fold_pts)))
+                 region.inside("c1", _map_model(handle, region, fold_pts)))
 
     # transversality of pushed vertical leaves, where images stay in Z
     z_pts = region.sample("z", sampling)
     z_img = _map_model(handle, region, z_pts)
-    active = region.inside_z(z_img) >= 0.0
+    active = region.inside("z", z_img) >= 0.0
     if not np.any(active):
         checks.append(Check("vertical_transversality", STATUS_INCONCLUSIVE,
                             None, 0.0,
@@ -247,14 +228,14 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
     # sampled strictly inside the cap so a world-coordinate roundtrip
     # cannot flip a seam sample onto the neighbouring band's derivative
     c0_pts = region.sample("c0", sampling)
-    c0_in = c0_pts[region.inside_c0(c0_pts) > 1e-9]
+    c0_in = c0_pts[region.inside("c0", c0_pts) > 1e-9]
     lip = float(np.max(_kernels.spectral_norm2(
         _model_jacobians(handle, region, c0_in))))
     try:
         fp = find_cycle(handle, 1, region.to_world(_CAP0 + [0.0, -2.0]))
         q_model = region.to_model(fp.points)[0]
         sink_ok = (lip < 1.0 and fp.stability == "sink"
-                   and float(region.inside_c0(q_model)[0]) > 0)
+                   and float(region.inside("c0", q_model)[0]) > 0)
         # push the cap samples until all are within 1e-8 of the sink, or
         # 300 steps; escaping samples overflow quietly to inf or nan
         orbit_pts = region.to_world(c0_pts)
@@ -285,14 +266,14 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
         if cyc.stability != "saddle":
             continue
         qm = region.to_model(cyc.points)[0]
-        if float(region.inside_s0(qm)[0]) < -1e-9:
+        if float(region.inside("s0", qm)[0]) < -1e-9:
             continue
         # a saddle of the plane has one real unstable multiplier
         w = region.inverse @ cyc.vectors[:, np.abs(cyc.multipliers) > 1][:, 0]
         ang = math.asin(min(1.0, abs(w[0]) / np.linalg.norm(w)))
         saddle_check = Check(
             "band_saddle", verdict(ang < TRANSVERSALITY_MIN_ANGLE),
-            cyc.points[0], float(region.inside_s0(qm)[0]),
+            cyc.points[0], float(region.inside("s0", qm)[0]),
             data={"saddle": cyc, "unstable_angle_from_vertical": ang})
         if saddle_check.status == STATUS_PASS:
             break
@@ -302,14 +283,14 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
 
     # contraction along horizontal leaves, expansion along vertical ones
     eps = FOLIATION_STEP
-    z_in = z_pts[(region.inside_z(z_pts) > 2 * eps)]
+    z_in = z_pts[(region.inside("z", z_pts) > 2 * eps)]
     dh = _map_model(handle, region, z_in + [eps, 0.0]) - \
         _map_model(handle, region, z_in)
     lam_contr = float(np.max(np.linalg.norm(dh, axis=1))) / eps
     band_pts = np.vstack([region.sample("s0", sampling),
                           region.sample("s1", sampling)])
-    keep = (region.inside_s0(band_pts) > 2 * eps) | \
-        (region.inside_s1(band_pts) > 2 * eps)
+    keep = (region.inside("s0", band_pts) > 2 * eps) | \
+        (region.inside("s1", band_pts) > 2 * eps)
     band_in = band_pts[keep]
     dv = _map_model(handle, region, band_in + [0.0, eps]) - \
         _map_model(handle, region, band_in)
@@ -332,10 +313,12 @@ def find_saddles(handle: MapHandle, search_box, k_max: int = 1,
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    box = np.asarray(search_box, dtype=float).reshape(-1, 2)
-    axes = [np.linspace(lo, hi, n_seeds) for lo, hi in box]
-    grids = np.meshgrid(*axes, indexing="ij")
-    seeds = np.column_stack([g.ravel() for g in grids])
+    box = np.asarray(search_box, dtype=float)
+    if box.shape != (2, 2):
+        raise ValueError(f"search box must have shape (2, 2), got {box.shape}")
+    g1, g2 = np.meshgrid(*np.linspace(box[:, 0], box[:, 1], n_seeds).T,
+                         indexing="ij")
+    seeds = np.column_stack([g1.ravel(), g2.ravel()])
     found = {}
     for k in range(1, k_max + 1):
         for seed in seeds:
@@ -608,30 +591,21 @@ def model_horseshoe_map(region: Optional[HorseshoeRegion] = None,
     return MapHandle(spec=MapSpec("user_table", params), eval=model)
 
 
-def model_strip_branches(contraction: float = 0.2):
-    """Horizontal actions of the model's two expansion bands."""
-    lam = float(contraction)
-    return (lambda x: lam * np.asarray(x, dtype=float),
-            lambda x: -lam * np.asarray(x, dtype=float) - 3.2)
-
-
 def leaf_strip_intervals(depth: int, contraction: float = 0.2) -> np.ndarray:
     """x1 footprints of the 2^depth vertical strips of the iterated model.
 
     Every binary word is admissible because each band's image spans the
     full height of the core, so the intervals are the images of the
-    core's x1 span under all depth-fold branch compositions.
+    core's x1 span under all depth-fold compositions of the two bands'
+    horizontal actions, lam * x1 (S0) and -lam * x1 - 3.2 (S1).
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    branches = model_strip_branches(contraction)
-    intervals = np.array([[-6.0, 2.0]])
+    lam = float(contraction)
+    intervals = np.array([_X1])
     for _ in range(depth):
-        images = []
-        for br in branches:
-            img = br(intervals)
-            images.append(np.sort(img, axis=1))
-        intervals = np.vstack(images)
+        intervals = np.sort(np.vstack([lam * intervals,
+                                       -lam * intervals - 3.2]), axis=1)
     return intervals[np.argsort(intervals[:, 0])]
 
 

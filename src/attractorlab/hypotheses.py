@@ -305,8 +305,10 @@ def origin_contraction_check(handle: MapHandle, r_m: float,
                      f"origin is not fixed (|f(0)| = {origin_image:.3e}); "
                      "contraction check not applicable",
                      tolerance=_RATIO_TOL)
-    radii = np.union1d(np.linspace(r_m / grid, r_m, grid),
-                       r_m * 2.0 ** -np.arange(46, dtype=float))
+    # not np.union1d, which imports numpy.ma; a repeated radius only
+    # repeats its samples
+    radii = np.sort(np.concatenate([np.linspace(r_m / grid, r_m, grid),
+                                    r_m * 2.0 ** -np.arange(46, dtype=float)]))
     pts, vals = _shells(handle, radii, 128)
     ratios = vals.ravel() / np.linalg.norm(pts, axis=1)
     imax = int(ratios.argmax())

@@ -305,10 +305,6 @@ def cantor_shells(return_map: Callable, shells: ShellSpec, depth: int,
 
     levels = [(prof(shells.inner_floor)[:, None], prof(shells.zeta)[:, None])]
     bands = [(prof(shells.alpha)[:, None], prof(shells.beta)[:, None])]
-    # img[i]: index of the cell one level up that g maps cell i onto.
-    # Radial order reverses under g on the outer (decreasing) branch,
-    # so the image index is not a plain address shift.
-    img = np.zeros(1, dtype=int)
 
     for j in range(depth):
         clo, chi = levels[j]
@@ -319,17 +315,13 @@ def cantor_shells(return_map: Callable, shells: ShellSpec, depth: int,
         nlo[:, ::2], nhi[:, ::2] = clo, blo
         nlo[:, 1::2], nhi[:, 1::2] = bhi, chi
         levels.append((nlo, nhi))
-        if j == 0:
-            img_child = np.zeros(2, dtype=int)
-        else:
-            inc_par = (np.arange(n_par) >> (j - 1)) == 0
-            img_child = np.empty(2 * n_par, dtype=int)
-            img_child[::2] = 2 * img + np.where(inc_par, 0, 1)
-            img_child[1::2] = 2 * img + np.where(inc_par, 1, 0)
-        img = img_child
         if j + 1 == depth:
             break
         n_cells = 2 * n_par
+        # g maps cell i onto cell min(i, n_cells - 1 - i) one level up:
+        # radial order reverses on the outer (decreasing) branch
+        cell = np.arange(n_cells)
+        img = np.minimum(cell, n_cells - 1 - cell)
         t_lo, t_hi = blo[:, img], bhi[:, img]
         lo2 = np.concatenate([nlo, nlo], axis=1)
         hi2 = np.concatenate([nhi, nhi], axis=1)
@@ -343,7 +335,7 @@ def cantor_shells(return_map: Callable, shells: ShellSpec, depth: int,
                 f"no sign change bracketing the band preimage at level "
                 f"{j + 1}", float(store[ia]), addr)
         r_lo, r_hi = roots[:, :n_cells], roots[:, n_cells:]
-        inc_child = (np.arange(n_cells) >> j) == 0
+        inc_child = cell < n_par
         new_blo = np.where(inc_child, r_lo, r_hi)
         new_bhi = np.where(inc_child, r_hi, r_lo)
         bands.append((new_blo, new_bhi))

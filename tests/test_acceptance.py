@@ -258,7 +258,7 @@ def test_attracting_horseshoe_fixture():
     assert not report.all_pass
     entry = report.check("region_into_interior")
     assert entry.status == "fail" and entry.margin <= 0.0
-    gap = region.inside_h(region.to_model(entry.witness[None, :]))[0]
+    gap = region.inside("h", region.to_model(entry.witness[None, :]))[0]
     assert abs(gap) < 1e-9
 
 

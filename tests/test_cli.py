@@ -417,6 +417,37 @@ def test_hypothesis_report_text_is_pinned(tmp_path, text, report):
     assert (out / "hypothesis.txt").read_text() == report
 
 
+AH_HEADER = "condition\tstatus\tmargin\twitness\n"
+
+
+@pytest.mark.parametrize("text,report", [
+    ("", AH_HEADER +
+     "injectivity\tpass\t0.0100186551\t\n"
+     "region_into_interior\tpass\t0.120172549\t[2.       3.126984]\n"
+     "caps_into_sink_cap\tpass\t0.149274239\t[ 1.466667 -2.866667]\n"
+     "fold_band_into_top_cap\tpass\t0.119532052\t[2.       3.133333]\n"
+     "vertical_transversality\tpass\t1.56079633\t[-6.        0.333333]\n"
+     "sink_cap_contraction\tpass\t0.8\t[ 0.       -4.157895]\n"
+     "band_saddle\tpass\t1\t[-8.881784e-16 -5.551115e-17]\n"
+     "foliation_rates\tpass\t0.8\t\n"),
+    ("frame = 0.3,0.1,-0.2,0.5\nframe_offset = 1.5,-2.0\n", AH_HEADER +
+     "injectivity\tpass\t0.0103815606\t\n"
+     "region_into_interior\tpass\t0.120172549\t[ 2.412698 -0.836508]\n"
+     "caps_into_sink_cap\tpass\t0.149274239\t[ 1.653333 -3.726667]\n"
+     "fold_band_into_top_cap\tpass\t0.119532052\t[ 2.413333 -0.833333]\n"
+     "vertical_transversality\tpass\t1.56079633\t[-0.266667 -0.633333]\n"
+     "sink_cap_contraction\tpass\t0.8\t[ 1.084211 -4.078947]\n"
+     "band_saddle\tpass\t1\t[ 1.5 -2. ]\n"
+     "foliation_rates\tpass\t0.8\t\n"),
+], ids=["identity", "framed"])
+def test_horseshoe_report_text_is_pinned(tmp_path, text, report):
+    cfg = write_cfg(tmp_path, "hs.cfg",
+                    "map = model_horseshoe\nsampling = 16\n" + text)
+    out = tmp_path / "run"
+    assert main(["horseshoe", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "ahreport.txt").read_text() == report
+
+
 def test_horseshoe_command(tmp_path):
     cfg = write_cfg(tmp_path, "hs.cfg", """
 map = model_horseshoe
@@ -514,6 +545,33 @@ resolution = 8
     assert (out / "orbit.txt").read_text() == "period=undetermined\n"
     assert len((out / "orbit.csv").read_text().splitlines()) == 1 + 191
     assert (out / "orbit.pgm").is_file()
+
+
+def test_orbit_renders_a_cloud_collapsed_at_a_far_point(tmp_path):
+    # the framed model's sink sits near (1e8, 1e8), where an absolute
+    # 1e-9 pad is lost in rounding and left the raster no extent
+    cfg = write_cfg(tmp_path, "far.cfg", """
+map = model_horseshoe
+frame_offset = 1e8,1e8
+n_keep = 300
+resolution = 8
+""")
+    out = tmp_path / "run"
+    assert main(["orbit", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "orbit.txt").read_text() == "period=1\n"
+    pgm = (out / "orbit.pgm").read_bytes()
+    assert pgm.startswith(b"P5\n8 8\n255\n") and pgm[-64:].count(255) == 1
+
+
+@pytest.mark.parametrize("point", [(0.5, -0.25), (1e8, 1e8), (-3e15, 7.0),
+                                   (1e300, -1e300)])
+def test_bounds_of_a_collapsed_cloud_have_positive_extent(point):
+    (x0, x1), (y0, y1) = cli._cloud_bounds(np.array([point] * 3),
+                                           {"xmin": None})
+    assert x0 < point[0] < x1 and y0 < point[1] < y1
+    if max(map(abs, point)) <= 1.0:  # unit clouds keep the 1e-9 pad
+        assert (x0, x1, y0, y1) == (point[0] - 1e-9, point[0] + 1e-9,
+                                    point[1] - 1e-9, point[1] + 1e-9)
 
 
 def test_horseshoe_on_a_population_map_prints_no_warnings(tmp_path, capsys):

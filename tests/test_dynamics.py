@@ -34,11 +34,13 @@ def test_orbit_detects_divergence():
 @pytest.mark.parametrize("x0", [[0.3], [0.3, 0.1, 0.5], 0.3, [[0.3, 0.1]]])
 def test_initial_point_must_have_the_map_dimension(x0):
     # a 3-vector used to lose its last coordinate on the scalar lane, and
-    # a 1-vector raised IndexError
+    # a 1-vector raised IndexError; a Newton seed of the wrong shape
+    # failed inside the unpacking or np.linalg.solve
     h = gauss_rotation(2.7, GOLDEN_MEAN)
     for run in (lambda: orbit(h, x0, 10, 300),
                 lambda: max_lyapunov_norm_sum(h, x0, 200, 10),
-                lambda: lyapunov_spectrum_qr(h, x0, 200, 10)):
+                lambda: lyapunov_spectrum_qr(h, x0, 200, 10),
+                lambda: find_cycle(h, 1, x0)):
         with pytest.raises(ValueError, match=r"shape \(2,\)"):
             run()
 

@@ -19,13 +19,22 @@ from attractorlab.maps import (gauss_rotation, pioneer_climax_full,
 SINK_Y = -79.0 / 19.0
 
 
+# a known point of each piece of H* and its signed distance inside it
+_PIECE_POINTS = [("h", [-2.0, 4.0], 4.0), ("h", [5.0, 4.0], -3.0),
+                 ("z", [-3.0, 4.0], 3.0), ("c0", [-2.0, -3.0], 2.0),
+                 ("c1", [-2.0, 11.0], 2.0), ("s0", [-2.0, 1.0], 2.0),
+                 ("s_half", [-2.0, 4.0], 1.0), ("s1", [-2.0, 7.0], 2.0),
+                 ("s0", [-2.0, 4.0], -1.0), ("c1", [-2.0, 8.0], -1.0)]
+
+
 def test_region_membership_and_frame_roundtrip():
     region = HorseshoeRegion()
-    assert region.inside_h(np.array([[-2.0, 4.0]]))[0] == pytest.approx(4.0)
-    assert region.inside_h(np.array([[5.0, 4.0]]))[0] == pytest.approx(-3.0)
-    assert region.inside_c0(np.array([[-2.0, -3.0]]))[0] == pytest.approx(2.0)
-    assert region.inside_c1(np.array([[-2.0, 11.0]]))[0] == pytest.approx(2.0)
-    assert region.inside_s_half(np.array([[-2.0, 4.0]]))[0] == pytest.approx(1.0)
+    for piece, q, depth in _PIECE_POINTS:
+        assert region.inside(piece, np.array([q]))[0] == pytest.approx(depth)
+    assert {piece for piece, _, _ in _PIECE_POINTS} == {
+        "h", "z", "c0", "c1", "s0", "s_half", "s1"}
+    with pytest.raises(ValueError, match="unknown piece"):
+        region.inside("annulus", np.zeros(2))
 
     framed = HorseshoeRegion(matrix=[[0.3, 0.1], [-0.2, 0.5]],
                              offset=[1.5, -2.0])
@@ -63,11 +72,11 @@ def test_region_sampling():
         pts = region.sample(piece, 16)
         assert len(pts) > 0
     z = region.sample("z", 16)
-    assert np.all(region.inside_z(z) >= 0)
+    assert np.all(region.inside("z", z) >= 0)
     with pytest.raises(ValueError):
         region.sample("annulus", 8)
     hb = region.sample("h", 8, boundary=True)
-    d = region.inside_h(hb)
+    d = region.inside("h", hb)
     assert d.min() > -1e-9 and abs(d.min()) < 1e-9
 
 
@@ -117,14 +126,14 @@ def test_verify_ah_block_checks_match_the_point_loops():
 
     c0 = region.sample("c0", 24)
     lip = max(np.linalg.norm(model_jac(q), 2)
-              for q in c0[region.inside_c0(c0) > 1e-9])
+              for q in c0[region.inside("c0", c0) > 1e-9])
     data = report.check("sink_cap_contraction").data
     assert data["lipschitz"] == pytest.approx(lip, rel=1e-12)
     z = region.sample("z", 24)
     img = region.to_model(handle.eval(region.to_world(z)))
     angles = [math.asin(min(1.0, abs(v[1]) / np.linalg.norm(v)))
               for v in (model_jac(q)[:, 1]
-                        for q in z[region.inside_z(img) >= 0.0])]
+                        for q in z[region.inside("z", img) >= 0.0])]
     assert len(angles) > 100
     data = report.check("vertical_transversality").data
     assert data["min_angle"] == pytest.approx(min(angles), abs=1e-12)
@@ -140,7 +149,7 @@ def test_verify_ah_identity_fails_with_boundary_witness():
     assert into.status == "fail"
     assert into.margin <= 0.0
     # worst witness sits on the capsule boundary, which maps onto itself
-    wd = region.inside_h(region.to_model(into.witness[None, :]))[0]
+    wd = region.inside("h", region.to_model(into.witness[None, :]))[0]
     assert abs(wd) < 1e-9
     assert report.check("caps_into_sink_cap").status == "fail"
     assert report.check("foliation_rates").status == "fail"
@@ -248,6 +257,13 @@ def test_find_saddles_model_inventory():
     assert two.stability == "saddle"
     with pytest.raises(ValueError):
         find_saddles(handle, [(-1, 1), (-1, 1)], k_max=0)
+
+
+@pytest.mark.parametrize("box", [[(-1, 1), (-1, 1), (-1, 1)], [-1, 1, -1, 1],
+                                 [(-1, 1)]])
+def test_find_saddles_needs_a_two_axis_box(box):
+    with pytest.raises(ValueError, match=r"box must have shape \(2, 2\)"):
+        find_saddles(model_horseshoe_map(), box)
 
 
 @pytest.mark.parametrize("period, seed", [

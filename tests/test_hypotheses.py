@@ -2,10 +2,15 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import attractorlab
 from attractorlab import hypotheses
 from attractorlab.horseshoe import (HorseshoeRegion, model_horseshoe_map,
                                     verify_ah)
@@ -296,3 +301,20 @@ def test_checks_compare_field_by_field():
     assert saddle != "band_saddle"
     assert run_hypothesis_report(bump_map()) == run_hypothesis_report(
         bump_map())
+
+
+def test_battery_does_not_import_numpy_ma():
+    # np.union1d (through np.unique) imports numpy.ma, about 15 ms of
+    # every hypothesis run; a fresh interpreter shows what the battery
+    # itself pulls in
+    code = ("import sys\n"
+            "from attractorlab.maps import pioneer_climax_full\n"
+            "from attractorlab.hypotheses import run_hypothesis_report\n"
+            "report = run_hypothesis_report(pioneer_climax_full(3.0, 3.0))\n"
+            "assert report.check('origin_contraction').status\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(attractorlab.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          check=True)
+    assert done.stdout == "False\n"
