@@ -300,15 +300,18 @@ def _float_fields(x) -> np.ndarray:
     p = (4 + e).astype(np.int8)
     digits = np.full((22, len(x)), 48, np.uint8)
     _digits(d, digits[4:21])
-    left, dot = _ROW <= p, _ROW == p + 1
     out = np.zeros((24, len(x)), np.uint8)
-    body = out[1:23]
-    body[1:] = digits[:21] * (_ROW[1:] > p + 1)
-    body += digits * left + np.uint8(46) * dot
+    body = out[1:23]  # each (22, n) term is added in place, then dropped
+    np.multiply(digits[:21], _ROW[1:] > p + 1, out=body[1:])
+    body += np.multiply(digits, _ROW <= p, out=digits)
+    del digits
+    body += np.uint8(46) * (_ROW == p + 1)  # '.'
     keep = body > 48  # a nonzero digit at or after this row
     for j in range(20, -1, -1):
         keep[j] |= keep[j + 1]
-    body *= (keep | left) & (_ROW >= np.minimum(p, 4))
+    keep |= _ROW <= p
+    keep &= _ROW >= np.minimum(p, 4)
+    body *= keep
     out[0] = 45 * np.signbit(x)
     slow = ~(fast | zero)
     out[:, slow] = _text_fields(x[slow], FLOAT_FMT, 24)
@@ -331,20 +334,29 @@ def _fields(column: np.ndarray) -> np.ndarray:
     return out
 
 
-def _write_rows(path: Path, header: str, columns) -> None:
-    """Write a CSV of equal-length columns: per chunk, stack each column's
-    fields and a ',' or newline row, transpose, drop the NUL padding."""
-    columns = [np.asarray(c) for c in columns]
-    n = len(columns[0]) if columns else 0
+def _write_rows(path: Path, header: str, columns=(), blocks=None) -> None:
+    """Write a CSV of equal-length columns, or of the column blocks from
+    blocks as each arrives: per block of CSV_CHUNK_ROWS rows or fewer, stack
+    each column's fields and a ',' or newline row, transpose, drop the NUL
+    padding.  A failure, in making a block too, removes the file."""
+    if blocks is None:
+        columns = [np.asarray(c) for c in columns]
+        n = len(columns[0]) if columns else 0
+        blocks = ([c[k:k + CSV_CHUNK_ROWS] for c in columns]
+                  for k in range(0, n, CSV_CHUNK_ROWS))
     with open(path, "wb") as fh:
-        fh.write(f"{header}\n".encode())
-        for k in range(0, n, CSV_CHUNK_ROWS):
-            m = min(CSV_CHUNK_ROWS, n - k)
-            sep = np.full((len(columns), 1, m), 44, np.uint8)
-            sep[-1] = 10
-            block = [part for c, s in zip(columns, sep)
-                     for part in (_fields(c[k:k + m]), s)]
-            fh.write(np.vstack(block).T.tobytes().translate(None, b"\0"))
+        try:
+            fh.write(f"{header}\n".encode())
+            for block in blocks:
+                sep = np.full((len(block), 1, len(block[0])), 44, np.uint8)
+                sep[-1] = 10
+                fh.write(np.vstack([part for c, s in zip(block, sep)
+                                    for part in (_fields(c), s)])
+                         .T.tobytes().translate(None, b"\0"))
+        except BaseException:
+            fh.close()  # some platforms cannot remove an open file
+            path.unlink()
+            raise
 
 
 def write_cloud_csv(path, points: np.ndarray) -> None:
@@ -437,11 +449,12 @@ def _cloud_bounds(points: np.ndarray, cfg: dict):
 # per-command drivers ----------------------------------------------------
 
 
-def _map_values(fn, tasks: list, jobs: int) -> list:
+def _map_values(fn, tasks, jobs: int):
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+            yield from pool.map(fn, tasks)
+    else:
+        yield from map(fn, tasks)
 
 
 def _sweep_value(args) -> dict:
@@ -481,9 +494,9 @@ def _sweep_value(args) -> dict:
 
 def run_sweep(cfg: dict, out: Path) -> int:
     name, values = _schedule(cfg)
-    rows = _map_values(_sweep_value, [(cfg, name, float(v), i, str(out))
-                                      for i, v in enumerate(values)],
-                       cfg["jobs"])
+    rows = [*_map_values(_sweep_value, [(cfg, name, float(v), i, str(out))
+                                        for i, v in enumerate(values)],
+                         cfg["jobs"])]
     _write_rows(out / "summary.csv", ",".join(SUMMARY_COLUMNS),
                 [[r[c] for r in rows] for c in SUMMARY_COLUMNS])
     return 0 if all(r["status"] == "ok" for r in rows) else 2
@@ -579,12 +592,27 @@ def _bifurcation_value(args):
     return np.column_stack((np.full(len(proj), float(value)), proj))
 
 
+def _row_blocks(parts):
+    """(rows, 2) arrays regrouped as blocks of two columns of CSV_CHUNK_ROWS
+    rows, the last one shorter.  Every block is a view of one buffer, so
+    read it before asking for the next."""
+    block, m = np.empty((2, CSV_CHUNK_ROWS)), 0
+    for part in parts:
+        while len(part):
+            take = min(CSV_CHUNK_ROWS - m, len(part))
+            block[:, m:m + take], part = part[:take].T, part[take:]
+            if (m := (m + take) % CSV_CHUNK_ROWS) == 0:
+                yield block
+    if m:
+        yield block[:, :m]
+
+
 def run_bifurcation(cfg: dict, out: Path) -> int:
     name, values = _schedule(cfg)
-    chunks = _map_values(_bifurcation_value,
-                         [(cfg, name, float(v)) for v in values], cfg["jobs"])
+    parts = _map_values(_bifurcation_value,
+                        ((cfg, name, float(v)) for v in values), cfg["jobs"])
     _write_rows(out / "bifurcation.csv", "param,value",
-                np.concatenate(chunks).T)
+                blocks=_row_blocks(parts))
     return 0
 
 

@@ -532,16 +532,18 @@ def model_horseshoe_map(region: Optional[HorseshoeRegion] = None,
 
     Both bands are affine (horizontal rate = contraction, vertical
     rate = expansion); the fold band maps onto nested ellipse arcs in
-    the open upper cap, so the whole map is injective on H*; both caps
-    land strictly inside the lower cap, which contracts onto the sink
+    the open upper cap.  The bands' images, x1 in c·[-6, 2] and in
+    -3.2 + c·[-2, 6] for contraction c, are disjoint as c < 4/15 is
+    required, so the whole map is injective on H*; both caps land
+    strictly inside the lower cap, which contracts onto the sink
     q = (0, -79/19).  The saddle at the origin has multipliers exactly
     (contraction, expansion).  A non-identity region conjugates the
     model by its affine frame.  Images and Jacobians come from one
     function, which evaluates a point as a block of one row.
     """
     lam, mu = float(contraction), float(expansion)
-    if not 0.0 < lam < 1.0 < mu:
-        raise ValueError("need 0 < contraction < 1 < expansion")
+    if not (0.0 < lam < 4 / 15 and mu > 1.0):
+        raise ValueError("need 0 < contraction < 4/15 and expansion > 1")
     frame = region if region is not None else HorseshoeRegion()
 
     bot, s0_top, fold_top, top = _BANDS

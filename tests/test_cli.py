@@ -640,6 +640,70 @@ step = 0.01
                  "--out", str(tmp_path / "r2")]) == 1
 
 
+def test_row_blocks_regroup_parts_into_whole_chunks(tmp_path):
+    # parts smaller than, straddling and longer than a block, and empty
+    rng = np.random.default_rng(5)
+    n = cli.CSV_CHUNK_ROWS
+    parts = [rng.normal(size=(k, 2)) for k in (3, n - 3, 5, 2 * n + 7, 0, 9)]
+    sizes = [b.shape[1] for b in cli._row_blocks(iter(parts))]
+    assert sizes == [n, n, n, 21]
+    path = tmp_path / "rows.csv"
+    cli._write_rows(path, "p,v", blocks=cli._row_blocks(iter(parts)))
+    assert path.read_bytes() == per_value_csv(
+        "p,v", [tuple(map(float, r)) for r in np.concatenate(parts)])
+
+
+BIF_STREAM = ("map = gauss_rotation\ntheta = 0.6180339887498949\nparam = a\n"
+              "start = 2.7\nbif_transient = 10\n")
+
+
+def test_bifurcation_jobs_write_the_same_bytes(tmp_path):
+    # 100 values of 200 rows: values straddle the block boundaries
+    cfg = write_cfg(tmp_path, "b.cfg",
+                    BIF_STREAM + "stop = 3.69\nstep = 0.01\n")
+    runs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"run{jobs}"
+        assert main(["bifurcation", "--config", cfg, "--out", str(out),
+                     "--jobs", jobs]) == 0
+        runs.append((out / "bifurcation.csv").read_bytes())
+    assert runs[0] == runs[1]
+    assert runs[0].count(b"\n") == 1 + 100 * 200
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("schedule", [
+    "start = 2\nstop = 3\nstep = 0.01\n",  # the first value diverges
+    # a <= 0 stays finite: 101 values, two whole blocks, are written first
+    "start = -10\nstop = 0.5\nstep = 0.1\n"], ids=["first", "later"])
+def test_bifurcation_divergence_leaves_no_csv(tmp_path, capsys, schedule,
+                                              jobs):
+    cfg = write_cfg(tmp_path, "div.cfg", "map = pioneer_climax_full\nb = 3\n"
+                    "param = a\nx0 = -0.01,0.5\n" + schedule)
+    out = tmp_path / "run"
+    assert main(["bifurcation", "--config", cfg, "--out", str(out),
+                 "--jobs", jobs]) == 2
+    assert capsys.readouterr().err.startswith("numeric failure: ")
+    assert out.is_dir() and not (out / "bifurcation.csv").exists()
+
+
+def test_bifurcation_memory_is_flat_in_the_schedule(tmp_path):
+    # rows are written a block at a time as values finish, so ten times
+    # the values over the same range must not take ten times the memory
+    peaks = []
+    for step in ("0.01", "0.001"):  # 200 and 2000 values
+        cfg = write_cfg(tmp_path, "b.cfg",
+                        BIF_STREAM + f"stop = 4.6995\nstep = {step}\n")
+        tracemalloc.start()
+        try:
+            assert main(["bifurcation", "--config", cfg, "--out",
+                         str(tmp_path / "run"), "--jobs", "1"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
 SWEEP_CFG = """
 map = gauss_rotation
 theta = 0.6180339887498949

@@ -162,6 +162,13 @@ def test_model_map_validation_and_seams():
         model_horseshoe_map(contraction=1.2)
     with pytest.raises(ValueError):
         model_horseshoe_map(expansion=0.9)
+    # from contraction 4/15 on, the images of S0 and S1 overlap: at 0.27,
+    # (-5.9, 1) and (-5.9519, 7) both map to about (-1.593, 4)
+    with pytest.raises(ValueError, match="4/15"):
+        model_horseshoe_map(contraction=0.27)
+    report = verify_ah(model_horseshoe_map(contraction=0.26),
+                       HorseshoeRegion())
+    assert all(c.status == "pass" for c in report.checks), report.as_text()
     handle = model_horseshoe_map()
     # continuity across the four seams
     for seam in (-1.0, 3.0, 5.0, 9.0):
