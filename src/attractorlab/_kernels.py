@@ -237,6 +237,14 @@ def _walk_generic(eval_fn, x0, n_transient, n):
         yield jac
 
 
+def row_norms(v):
+    """Euclidean length of each row of an (..., 2) array, sqrt(x*x + y*y):
+    the operations of ``np.linalg.norm(v, axis=-1)``, so the same bits,
+    without its general reduction."""
+    x, y = v[..., 0], v[..., 1]
+    return np.sqrt(x * x + y * y)
+
+
 def spectral_norm2(jac):
     """Largest singular value of each matrix of an (n, 2, 2) block, in
     closed form from its squared Frobenius norm q and determinant d."""

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .maps import (MapHandle, gauss_rotation, pioneer_climax_full,
                    pioneer_climax_mixed)
 from .dynamics import (DivergenceError, CycleSearchError, orbit,
@@ -587,7 +588,7 @@ def _bifurcation_value(args):
     cloud = orbit(build_handle(cfg), cfg["x0"], cfg["bif_transient"],
                   cfg["bif_keep"])
     pts = cloud.points
-    proj = np.linalg.norm(pts, axis=1) if cfg["projection"] == "norm" \
+    proj = _kernels.row_norms(pts) if cfg["projection"] == "norm" \
         else pts[:, int(cfg["projection"])]
     return np.column_stack((np.full(len(proj), float(value)), proj))
 

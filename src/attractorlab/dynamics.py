@@ -242,7 +242,7 @@ def detect_period(cloud, max_period: int = 64):
     window = 2 * max_period
     for k in range(1, max_period + 1):
         tail = pts[n - (window + k):]
-        gaps = np.linalg.norm(tail[k:k + window] - tail[:window], axis=1)
+        gaps = _kernels.row_norms(tail[k:k + window] - tail[:window])
         if gaps.max() <= PERIOD_DETECT_TOL:
             return k
     return "aperiodic"

@@ -35,6 +35,7 @@ from .hypotheses import (STATUS_FAIL, STATUS_INCONCLUSIVE, STATUS_PASS, Check,
 TRANSVERSALITY_MIN_ANGLE = 1e-2     # radians
 FOLIATION_STEP = 1e-5               # first-difference step, model coords
 POINT_CAP = 10_000_000
+_IMAGE_BLOCK = 4096                # rows imaged per call in manifold growth
 
 _CAP0 = np.array([-2.0, -1.0])
 _CAP1 = np.array([-2.0, 9.0])
@@ -68,10 +69,7 @@ def _affine(m: np.ndarray, pts) -> np.ndarray:
     arithmetic: a BLAS matmul rounds differently by block length, and a
     point must map as its row in any block does."""
     p = np.asarray(pts, dtype=float)
-    out = np.empty_like(p)
-    for i in (0, 1):
-        out[..., i] = p[..., 0] * m[i, 0] + p[..., 1] * m[i, 1]
-    return out
+    return p[..., :1] * m[:, 0] + p[..., 1:] * m[:, 1]
 
 
 @dataclass(frozen=True)
@@ -106,12 +104,12 @@ class HorseshoeRegion:
         if piece == "h":
             axis = np.column_stack([np.full(len(q), _CAP0[0]),
                                     np.clip(q[:, 1], _CAP0[1], _CAP1[1])])
-            return _RADIUS - np.linalg.norm(q - axis, axis=1)
+            return _RADIUS - _kernels.row_norms(q - axis)
         if piece == "c0":
-            return np.minimum(_RADIUS - np.linalg.norm(q - _CAP0, axis=1),
+            return np.minimum(_RADIUS - _kernels.row_norms(q - _CAP0),
                               hi - q[:, 1])
         if piece == "c1":
-            return np.minimum(_RADIUS - np.linalg.norm(q - _CAP1, axis=1),
+            return np.minimum(_RADIUS - _kernels.row_norms(q - _CAP1),
                               q[:, 1] - lo)
         return np.minimum.reduce([_RADIUS - np.abs(q[:, 0] - _CAP0[0]),
                                   q[:, 1] - lo, hi - q[:, 1]])
@@ -170,16 +168,15 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
     # injectivity: identical images from separated preimages
     order = np.lexsort((h_img[:, 1], h_img[:, 0]))
     si, sp = h_img[order], h_pts[order]
-    img_close = np.linalg.norm(np.diff(si, axis=0), axis=1) < 1e-7
-    pre_far = np.linalg.norm(np.diff(sp, axis=0), axis=1) > 1e-4
-    bad = img_close & pre_far
+    img_gap = _kernels.row_norms(np.diff(si, axis=0))
+    pre_far = _kernels.row_norms(np.diff(sp, axis=0)) > 1e-4
+    bad = (img_gap < 1e-7) & pre_far
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
         checks.append(Check("injectivity", STATUS_FAIL,
                             region.to_world(sp[i]), 0.0,
                             data={"collides_with": region.to_world(sp[i + 1])}))
     else:
-        img_gap = np.linalg.norm(np.diff(si, axis=0), axis=1)
         sep = float(np.min(img_gap[pre_far])) if np.any(pre_far) else \
             float("inf")
         checks.append(Check("injectivity", STATUS_PASS, None, sep))
@@ -214,7 +211,7 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
         q = z_pts[active]
         # the images v of e2; where v = 0 the angle is 0
         v = _model_jacobians(handle, region, q)[:, :, 1]
-        nv = np.linalg.norm(v, axis=1)
+        nv = _kernels.row_norms(v)
         ang = np.arcsin(np.minimum(1.0, np.abs(v[:, 1]) /
                                    np.where(nv == 0.0, 1.0, nv)))
         i = int(np.argmin(ang))
@@ -242,8 +239,8 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(300):
                 orbit_pts = handle.eval(orbit_pts)
-                basin_err = float(np.max(np.linalg.norm(
-                    orbit_pts - fp.points[0], axis=1)))
+                basin_err = float(np.max(_kernels.row_norms(
+                    orbit_pts - fp.points[0])))
                 if basin_err < 1e-8:
                     break
         checks.append(Check(
@@ -286,7 +283,7 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
     z_in = z_pts[(region.inside("z", z_pts) > 2 * eps)]
     dh = _map_model(handle, region, z_in + [eps, 0.0]) - \
         _map_model(handle, region, z_in)
-    lam_contr = float(np.max(np.linalg.norm(dh, axis=1))) / eps
+    lam_contr = float(np.max(_kernels.row_norms(dh))) / eps
     band_pts = np.vstack([region.sample("s0", sampling),
                           region.sample("s1", sampling)])
     keep = (region.inside("s0", band_pts) > 2 * eps) | \
@@ -294,7 +291,7 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
     band_in = band_pts[keep]
     dv = _map_model(handle, region, band_in + [0.0, eps]) - \
         _map_model(handle, region, band_in)
-    mu_exp = float(np.min(np.linalg.norm(dv, axis=1))) / eps
+    mu_exp = float(np.min(_kernels.row_norms(dv))) / eps
     checks.append(Check(
         "foliation_rates", verdict(0.0 < lam_contr < 1.0 < mu_exp), None,
         min(1.0 - lam_contr, mu_exp - 1.0),
@@ -344,36 +341,99 @@ def _power_eval(handle: MapHandle, pts: np.ndarray, k: int) -> np.ndarray:
     return pts
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """An (n, 2) float array as n complex128 rows, so that a gather or a
+    scatter moves whole rows; a view of a C-contiguous array."""
+    return np.ascontiguousarray(a, dtype=float).view(np.complex128).ravel()
+
+
+def _merge_rows(old, at_old, new, at_new) -> np.ndarray:
+    """A fresh array with old's rows at rows at_old and new's at at_new."""
+    out = np.empty((len(old) + len(new), 2))
+    _rows(out)[at_old] = _rows(old)
+    _rows(out)[at_new] = _rows(new)
+    return out
+
+
 def _refine_segment(handle: MapHandle, k: int, pre: np.ndarray,
                     img: np.ndarray, tol: float, cap: int):
     """Cut each image gap above tol into ceil(gap / tol) equal preimage
-    steps, round by round, until no image gap is above tol."""
+    steps, round by round, until no image gap is above tol; returns the
+    refined image and its gaps."""
     for _ in range(60):
-        gaps = np.linalg.norm(np.diff(img, axis=0), axis=1)
+        gaps = _kernels.row_norms(np.diff(img, axis=0))
         big = np.flatnonzero(gaps > tol)
         if big.size == 0:
-            return pre, img
+            return img, gaps
         parts = np.ceil(gaps[big] / tol)
         if len(pre) + np.sum(parts - 1.0) > cap:
-            raise _CapReached(pre, img)
-        new = parts.astype(np.int64) - 1  # points added in each gap
-        at = np.repeat(big, new)
-        # the new points of a gap sit at j / parts of it, j = 1 .. new
-        j = np.arange(1, len(at) + 1) - np.repeat(np.cumsum(new) - new, new)
-        t = (j / np.repeat(parts, new))[:, None]
-        cut_pre = pre[at] + t * (pre[at + 1] - pre[at])
-        cut_img = _power_eval(handle, cut_pre, k)
-        if not np.all(np.isfinite(cut_img)):
-            raise DivergenceError("manifold refinement diverged")
-        pre = np.insert(pre, at + 1, cut_pre, axis=0)
-        img = np.insert(img, at + 1, cut_img, axis=0)
-    raise _CapReached(pre, img)
+            raise _CapReached(img)
+        pre, img = _cut_gaps(handle, k, pre, img, big, parts)
+    raise _CapReached(img)
+
+
+def _cut_gaps(handle: MapHandle, k: int, pre: np.ndarray, img: np.ndarray,
+              big: np.ndarray, parts: np.ndarray):
+    """One round: parts - 1 new points in each gap big, at j / parts of
+    its preimage gap, j = 1 .. parts - 1.  Each row is placed once: new
+    point i goes after row at[i], behind the i new points before it, and
+    old row r moves down by the new points of the gaps before it; one
+    scatter of whole rows each fills the fresh arrays."""
+    new = parts.astype(np.int64) - 1
+    at = np.repeat(big, new)
+    dest = np.arange(1, len(at) + 1)
+    t = (dest - np.repeat(np.cumsum(new) - new, new)) / np.repeat(parts, new)
+    dest += at
+    lo, cut = (_rows(pre)[j].view(float).reshape(-1, 2) for j in (at, at + 1))
+    cut -= lo  # lo + t * (hi - lo), in place
+    cut *= t[:, None]
+    cut += lo
+    del lo, at, t  # the largest temporaries go before the arrays grow
+    cut_img = _power_eval(handle, cut, k)
+    if not np.all(np.isfinite(cut_img)):
+        raise DivergenceError("manifold refinement diverged")
+    place = np.zeros(len(pre), dtype=np.int64)
+    place[big + 1] = new
+    place = np.cumsum(place, out=place) + np.arange(len(pre))
+    pre = _merge_rows(pre, place, cut, dest)
+    del cut
+    return pre, _merge_rows(img, place, cut_img, dest)
 
 
 class _CapReached(Exception):
-    def __init__(self, pre, img):
-        self.pre = pre
+    def __init__(self, img):
         self.img = img
+
+
+def _image_to_budget(handle: MapHandle, m: int, pre: np.ndarray, arc: float,
+                     half: float) -> np.ndarray:
+    """f^m of pre, imaged _IMAGE_BLOCK rows at a time, only until the
+    running arclength arc + the sum of the image's gaps reaches half, and
+    one gap past it: a refined gap is never shorter than its chord, and
+    each gap refines on its own.  The sum is one cumsum seeded block by
+    block, so its bits are those of a cumsum over the whole image."""
+    img = np.empty_like(pre)
+    run = 0.0
+    for s in range(0, len(pre), _IMAGE_BLOCK):
+        block = img[s:s + _IMAGE_BLOCK]
+        block[:] = _power_eval(handle, pre[s:s + _IMAGE_BLOCK], m)
+        if not np.all(np.isfinite(block)):
+            raise DivergenceError("unstable manifold diverged")
+        first = max(s - 1, 0)  # the gap into the block, after the first
+        gaps = _kernels.row_norms(np.diff(img[first:s + len(block)], axis=0))
+        gaps[0] += run
+        reach = arc + np.cumsum(gaps, out=gaps)
+        run = gaps[-1]
+        if reach[-1] >= half:
+            return img[:first + int(reach.searchsorted(half)) + 2]
+    return img
+
+
+def _polyline(minus: list, p: np.ndarray, plus: list) -> np.ndarray:
+    """The branches' chunks, each from the saddle outward, as one polyline
+    in one copy: the minus branch reversed, the saddle, the plus branch."""
+    return np.concatenate([c[::-1] for c in minus[::-1]] + [p[None, :]] +
+                          plus)
 
 
 def unstable_manifold(handle: MapHandle, saddle: Cycle,
@@ -388,7 +448,7 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
     image starts where the one before it ends.  Wherever consecutive
     image points separate by more than tol, the preimage gap is cut into
     equal steps.  Only the part of an iterate that the arc budget keeps
-    is refined.  Each branch stops for one of these reasons:
+    is imaged and refined.  Each branch stops for one of these reasons:
 
     * ``"arc_budget"``: it has accumulated arc_budget/2 of arclength;
       the last image is cut at its first point that reaches it, so the
@@ -398,8 +458,11 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
       collapsing onto an attractor below the refinement resolution (a
       growing branch is exempt however short, since its gain rises by
       |mu| per iterate);
-    * more than 10^7 points in all raises RefinementExplosion carrying
-      the partial cloud, a backstop for unbounded folding.
+    * more than 10^7 points in all raises RefinementExplosion, a
+      backstop for unbounded folding.  Its partial cloud is laid out like
+      the polyline (minus reversed, saddle, plus); the capped branch ends
+      in its last iterate as far as refinement got, whose gaps may still
+      exceed tol.
 
     meta["stop_reasons"], meta["branch_arclength"] and
     meta["branch_iterations"] (iterations of f^k, or of f^2k when
@@ -423,31 +486,24 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
     m, lam = (k, mu) if mu > 0.0 else (2 * k, mu * mu)
     a = 1e-6 / (lam - 1.0)
     half = arc_budget / 2.0
-    branches, stops = [], []
+    # each branch is a list of chunks, the saddle's side first
+    plus, minus, stops = [], [], []
     total = 0
-    for sign in (1.0, -1.0):
+    for sign, chunks in ((1.0, plus), (-1.0, minus)):
         # the fundamental segment ends at f^m of its start, so each image
         # starts exactly where the image before it ends
         start = (p + sign * a * v)[None, :]
         pre = np.linspace(start[0], _power_eval(handle, start, m)[0], 33)
-        chunks = [pre.copy()]
+        chunks.append(pre)
         arc = prev_gain = 0.0
         reason = "arc_budget"
         try:
             while arc < half:
                 if total + len(pre) > POINT_CAP:
-                    raise _CapReached(pre, pre[:0])
-                img = _power_eval(handle, pre, m)
-                if not np.all(np.isfinite(img)):
-                    raise DivergenceError("unstable manifold diverged")
-                # refine only what the budget keeps: a refined gap is never
-                # shorter than its chord, and each gap refines on its own
-                reach = arc + np.cumsum(
-                    np.linalg.norm(np.diff(img, axis=0), axis=1))
-                keep = int(reach.searchsorted(half)) + 2
-                _, img = _refine_segment(handle, m, pre[:keep], img[:keep],
-                                         tol, POINT_CAP - total)
-                gaps = np.linalg.norm(np.diff(img, axis=0), axis=1)
+                    raise _CapReached(pre[:0])
+                img = _image_to_budget(handle, m, pre, arc, half)
+                img, gaps = _refine_segment(handle, m, pre[:len(img)], img,
+                                            tol, POINT_CAP - total)
                 gain = float(np.sum(gaps))
                 if arc + gain < half:
                     arc += gain
@@ -464,21 +520,17 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
                     break
                 prev_gain = gain
         except _CapReached as cap:
-            chunks.append(cap.img)
-            pieces = branches + [np.vstack(chunks)]
-            partial = PointCloud(np.vstack(pieces), ordered=True,
+            chunks.append(cap.img[1:])
+            partial = PointCloud(_polyline(minus, p, plus), ordered=True,
                                  meta={"saddle": p})
             raise RefinementExplosion(
                 "manifold refinement exceeded the point budget", partial)
-        branches.append(np.vstack(chunks))
         stops.append((reason, arc, len(chunks) - 1))
     reasons, arcs, iterations = zip(*stops[::-1])
-    minus = branches[1][::-1]
-    plus = branches[0]
-    pts = np.vstack([minus, p[None, :], plus])
-    return PointCloud(pts, ordered=True,
+    return PointCloud(_polyline(minus, p, plus), ordered=True,
                       meta={"saddle": p, "multiplier": mu, "period": k,
-                            "branch_sizes": (len(minus), len(plus)),
+                            "branch_sizes": (sum(map(len, minus)),
+                                             sum(map(len, plus))),
                             "stop_reasons": reasons,
                             "branch_arclength": arcs,
                             "branch_iterations": iterations,
@@ -491,7 +543,8 @@ def trellis(handle: MapHandle, saddle_cycle: Cycle,
 
     Component i is the forward image of component i-1 under f, refined
     to the same tolerance; meta["component_slices"] delimits them, and
-    the manifold's branch stop telemetry is carried over.
+    the manifold's branch stop telemetry is carried over.  At k = 1 the
+    points are the manifold's own array.
     """
     k = saddle_cycle.period
     base = unstable_manifold(handle, saddle_cycle, arc_budget, tol)
@@ -502,24 +555,18 @@ def trellis(handle: MapHandle, saddle_cycle: Cycle,
         if not np.all(np.isfinite(img)):
             raise DivergenceError("trellis image diverged")
         try:
-            cur, img = _refine_segment(handle, 1, cur, img, tol,
-                                       POINT_CAP - sum(map(len, comps)))
+            cur, _ = _refine_segment(handle, 1, cur, img, tol,
+                                     POINT_CAP - sum(map(len, comps)))
         except _CapReached as cap:
             partial = PointCloud(np.vstack(comps + [cap.img]), ordered=True,
                                  meta={"saddle": base.meta["saddle"]})
             raise RefinementExplosion(
                 "trellis refinement exceeded the point budget", partial)
-        comps.append(img)
-        cur = img
-    slices = []
-    start = 0
-    for c in comps:
-        slices.append((start, start + len(c)))
-        start += len(c)
-    pts = np.vstack(comps)
-    meta = dict(base.meta)
-    meta["component_slices"] = slices
-    return PointCloud(pts, ordered=True, meta=meta)
+        comps.append(cur)
+    ends = np.cumsum([len(c) for c in comps]).tolist()
+    meta = dict(base.meta, component_slices=list(zip([0] + ends, ends)))
+    return PointCloud(np.concatenate(comps) if k > 1 else base.points,
+                      ordered=True, meta=meta)
 
 
 # model fixture

@@ -21,6 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import _kernels
 from .maps import MapHandle
 from .dynamics import DivergenceError, PointCloud
 
@@ -132,7 +133,7 @@ def _shells(handle: MapHandle, radii: np.ndarray,
     """Points r u over radii x directions (flat), |f| there by radius."""
     dirs = _directions(handle, n_directions)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-    vals = np.linalg.norm(handle.eval(pts), axis=1)
+    vals = _kernels.row_norms(handle.eval(pts))
     return pts, vals.reshape(len(radii), -1)
 
 
@@ -188,7 +189,7 @@ def estimate_sup_norm(handle: MapHandle, search_radius: float,
     grid that sees only |f| = 0 raises too.
     """
     pts = _grid_points(handle, search_radius, grid)
-    vals = np.linalg.norm(handle.eval(pts), axis=1)
+    vals = _kernels.row_norms(handle.eval(pts))
     m_grid = float(vals.max())
     edge = np.any(np.abs(pts) >= search_radius * (1 - 1e-12), axis=1)
     boundary_max = float(vals[edge].max())
@@ -237,7 +238,7 @@ def az_decay_profile(handle: MapHandle, radii) -> Check:
     # reference magnitude: profile peak or an interior coarse-grid peak
     inner = _grid_points(handle, float(radii[0]), 64)
     m_ref = max(float(profile.max()),
-                float(np.linalg.norm(handle.eval(inner), axis=1).max()))
+                float(_kernels.row_norms(handle.eval(inner)).max()))
     peak = int(profile.argmax())
     rising = np.flatnonzero(np.diff(profile[peak:]) > 1e-12 * max(m_ref, 1.0))
     reason = witness = None
@@ -310,7 +311,7 @@ def origin_contraction_check(handle: MapHandle, r_m: float,
     radii = np.sort(np.concatenate([np.linspace(r_m / grid, r_m, grid),
                                     r_m * 2.0 ** -np.arange(46, dtype=float)]))
     pts, vals = _shells(handle, radii, 128)
-    ratios = vals.ravel() / np.linalg.norm(pts, axis=1)
+    ratios = vals.ravel() / _kernels.row_norms(pts)
     imax = int(ratios.argmax())
     max_ratio = float(ratios[imax])
     status = (STATUS_PASS if max_ratio < 1.0 - _RATIO_TOL else
@@ -334,7 +335,7 @@ def attracting_set_sample(handle: MapHandle, n_iterates: int) -> PointCloud:
         raise ValueError("n_iterates must be nonnegative")
     m_sup = _sup_norm_search(handle, 8.0, grid=256).m_sup
     pts = _grid_points(handle, m_sup, 128)
-    pts = pts[np.linalg.norm(pts, axis=1) <= m_sup]
+    pts = pts[_kernels.row_norms(pts) <= m_sup]
     pts = np.vstack([pts, np.zeros(2)])
     for _ in range(n_iterates):
         pts = handle.eval(pts)

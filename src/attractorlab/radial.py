@@ -21,6 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _kernels
 from .maps import MapHandle, MapSpec
 from .dynamics import PointCloud
 
@@ -109,11 +110,11 @@ def radial_derivative(handle: MapHandle,
     or f(x) = 0; either anywhere in the block raises ValueError.
     """
     x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    r = _kernels.row_norms(x)[..., None]
     if np.any(r == 0.0):
         raise ValueError("radial derivative undefined at the origin")
     fx, jac = handle.eval(x, True)
-    nf = np.linalg.norm(fx, axis=-1, keepdims=True)
+    nf = _kernels.row_norms(fx)[..., None]
     if np.any(nf == 0.0):
         raise ValueError("radial derivative undefined where f vanishes")
     d = np.einsum("...i,...ij,...j->...", fx / nf, jac, x / r)
@@ -512,7 +513,7 @@ def radial_tent_map(slopes=(3.0, 3.0), zeta: float = 1.0, theta: float = 0.0,
         """Image of a point or an (n, 2) block [and Jacobian(s)]."""
         x = np.asarray(x, dtype=float)
         pts = x.reshape(-1, 2)
-        r = np.linalg.norm(pts, axis=1)
+        r = _kernels.row_norms(pts)
         scale = np.zeros_like(r)
         nz = r > 0
         scale[nz] = g(r[nz]) / r[nz]

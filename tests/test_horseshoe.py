@@ -1,11 +1,13 @@
 """Horseshoe region geometry, verification report, manifolds, trellises."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from attractorlab import horseshoe
+from attractorlab import _kernels, horseshoe
 from attractorlab.horseshoe import (HorseshoeRegion, RefinementExplosion,
                                     find_saddles, leaf_component_count,
                                     leaf_strip_intervals,
@@ -13,8 +15,8 @@ from attractorlab.horseshoe import (HorseshoeRegion, RefinementExplosion,
                                     unstable_manifold, verify_ah)
 from attractorlab.dynamics import find_cycle
 from attractorlab.chaos import max_lyapunov_norm_sum
-from attractorlab.maps import (gauss_rotation, pioneer_climax_full,
-                               user_map)
+from attractorlab.maps import (GOLDEN_MEAN, gauss_rotation,
+                               pioneer_climax_full, user_map)
 
 SINK_Y = -79.0 / 19.0
 
@@ -545,6 +547,145 @@ def manifold_branches(cloud):
     return cloud.points[:n_minus][::-1], cloud.points[n_minus + 1:]
 
 
+@pytest.mark.parametrize("cap, capped", [(120_000, "minus"),
+                                        (20_000, "plus")])
+def test_refinement_explosion_lays_the_partial_out_like_the_polyline(
+        monkeypatch, cap, capped):
+    # the cap stops the minus branch at 120 000 points and the plus branch
+    # at 20 000; the partial is minus reversed, the saddle, plus, like the
+    # full polyline, and not the branches laid end to end (a 0.112 jump)
+    handle = pioneer_climax_full(3.0, 3.0)
+    saddle = find_cycle(handle, 1, np.array([2.498, 5.007]))
+    tol = 2e-3
+    full = dict(zip(("minus", "plus"), manifold_branches(
+        unstable_manifold(handle, saddle, 300.0, tol))))
+    monkeypatch.setattr(horseshoe, "POINT_CAP", cap)
+    with pytest.raises(RefinementExplosion) as exc:
+        unstable_manifold(handle, saddle, 300.0, tol)
+    partial = exc.value.partial
+    pts = partial.points
+    assert partial.ordered and len(pts) <= cap
+    at = np.flatnonzero((pts == saddle.points[0]).all(axis=1))
+    assert len(at) == 1
+    s = int(at[0])
+    joins = _kernels.row_norms(np.diff(pts[max(s - 1, 0):s + 2], axis=0))
+    assert joins.max() <= tol
+    branches = {"minus": pts[:s][::-1], "plus": pts[s + 1:]}
+    if capped == "minus":
+        assert np.array_equal(branches["plus"], full["plus"])
+    else:
+        assert len(branches["minus"]) == 0
+    # the capped branch is the full one up to its first gap above tol,
+    # where the capped iterate's refinement stopped
+    branch, full_branch = branches[capped], full[capped]
+    over = np.flatnonzero(_kernels.row_norms(np.diff(branch, axis=0)) > tol)
+    n = int(over[0]) + 1 if over.size else len(branch)
+    assert 0 < n and len(branch) < len(full_branch)
+    assert np.array_equal(branch[:n], full_branch[:n])
+
+
+def test_growth_images_only_what_the_budget_keeps(monkeypatch):
+    # per iterate, the rows imaged before refinement are at most the rows
+    # the budget keeps for it plus one block; imaging whole iterates fails
+    # this, since the minus branch's last keeps 572 of its 60 782 rows
+    handle = pioneer_climax_full(3.0, 3.0)
+    saddle = find_cycle(handle, 1, np.array([2.498, 5.007]))
+    imaged, kept = [0], []
+
+    def count(x, with_jac=False):
+        imaged[-1] += len(np.atleast_2d(x))
+        return handle.eval(x, with_jac)
+
+    refine = horseshoe._refine_segment
+
+    def spy(_, k, pre, img, tol, cap):
+        # refinement images through the uncounted handle
+        kept.append(len(img) * k)
+        imaged.append(0)
+        return refine(handle, k, pre, img, tol, cap)
+
+    monkeypatch.setattr(horseshoe, "_refine_segment", spy)
+    cloud = unstable_manifold(dataclasses.replace(handle, eval=count),
+                              saddle, 300.0, 2e-3)
+    m = 2  # mu < 0, so the branches grow under f^2
+    assert cloud.meta["multiplier"] < 0
+    assert len(kept) == sum(cloud.meta["branch_iterations"])
+    # a branch's first count also holds the m rows of its segment's end
+    for rows, keep in zip(imaged, kept):
+        assert rows <= keep + m * (horseshoe._IMAGE_BLOCK + 1)
+
+
+def _refine_by_insert(handle, k, pre, img, tol, cap):
+    """The np.insert form of horseshoe._refine_segment, its oracle: the
+    refined image, or _CapReached with the image the cap stopped at."""
+    for _ in range(60):
+        gaps = np.linalg.norm(np.diff(img, axis=0), axis=1)
+        big = np.flatnonzero(gaps > tol)
+        if big.size == 0:
+            return img
+        parts = np.ceil(gaps[big] / tol)
+        if len(pre) + np.sum(parts - 1.0) > cap:
+            raise horseshoe._CapReached(img)
+        new = parts.astype(np.int64) - 1
+        at = np.repeat(big, new)
+        j = np.arange(1, len(at) + 1) - np.repeat(np.cumsum(new) - new, new)
+        t = (j / np.repeat(parts, new))[:, None]
+        cut_pre = pre[at] + t * (pre[at + 1] - pre[at])
+        cut_img = horseshoe._power_eval(handle, cut_pre, k)
+        pre = np.insert(pre, at + 1, cut_pre, axis=0)
+        img = np.insert(img, at + 1, cut_img, axis=0)
+    raise horseshoe._CapReached(img)
+
+
+# name: (handle, box of segment starts, frame applied to the segment)
+ORACLE_MAPS = {
+    "gauss": (gauss_rotation(3.6, GOLDEN_MEAN), (-1.5, 1.5, -1.5, 1.5),
+              None),
+    "pioneer": (pioneer_climax_full(3.0, 3.0), (0.5, 4.0, 0.5, 6.0), None),
+    "model": (model_horseshoe_map(), (-6.0, 2.0, -5.0, 13.0), None),
+    "model_framed": (model_horseshoe_map(MANIFOLD_FRAME),
+                     (-6.0, 2.0, -5.0, 13.0), MANIFOLD_FRAME),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(ORACLE_MAPS)),
+       start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       angle=st.floats(0.0, 2.0 * math.pi),
+       length=st.floats(0.05, 1.0),
+       n=st.integers(2, 12), k=st.integers(1, 2),
+       tol=st.sampled_from([2e-3, 1e-2, 5e-2]),
+       slack=st.sampled_from([0, 3, 40, 400, 20_000]))
+def test_refine_segment_matches_the_insert_oracle(name, start, angle, length,
+                                                  n, k, tol, slack):
+    handle, (x0, x1, y0, y1), frame = ORACLE_MAPS[name]
+    a = np.array([x0 + start[0] * (x1 - x0), y0 + start[1] * (y1 - y0)])
+    b = a + length * np.array([math.cos(angle), math.sin(angle)])
+    pre = np.linspace(a, b, n)
+    if frame is not None:
+        pre = frame.to_world(pre)
+    img = horseshoe._power_eval(handle, pre, k)
+    cap = n + slack
+    try:
+        want = _refine_by_insert(handle, k, pre, img, tol, cap)
+    except horseshoe._CapReached as stop:
+        with pytest.raises(horseshoe._CapReached) as got:
+            horseshoe._refine_segment(handle, k, pre, img, tol, cap)
+        assert got.value.img.tobytes() == stop.img.tobytes()
+        return
+    got, gaps = horseshoe._refine_segment(handle, k, pre, img, tol, cap)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert gaps.tobytes() == np.linalg.norm(np.diff(got, axis=0),
+                                            axis=1).tobytes()
+    assert gaps.max(initial=0.0) <= tol
+    # the input points keep their order: each is found after the last
+    rows = got.view(np.complex128).ravel()
+    pos = -1
+    for row in img.view(np.complex128).ravel():
+        pos += 1 + int(np.flatnonzero(rows[pos + 1:] == row)[0])
+    assert pos < len(got)
+
+
 @pytest.mark.parametrize("name", MANIFOLD_FIXTURES)
 def test_smaller_budget_branches_are_a_prefix(name):
     # catches refining less of the last iterate than the budget keeps
@@ -568,6 +709,17 @@ def test_manifold_leaves_the_saddle_along_its_unstable_vector(name):
         step = branch[0] - saddle.points[0]
         assert step / np.linalg.norm(step) == \
             pytest.approx(sign * u, abs=1e-6)
+
+
+def test_period_one_trellis_is_the_manifold_uncopied(monkeypatch):
+    handle, saddle, arc_budget, tol, _ = manifold_fixture("model")
+    grown = []
+    grow = horseshoe.unstable_manifold
+    monkeypatch.setattr(horseshoe, "unstable_manifold",
+                        lambda *args: grown.append(grow(*args)) or grown[-1])
+    cloud = trellis(handle, saddle, arc_budget, tol)
+    assert cloud.points is grown[0].points
+    assert cloud.meta["component_slices"] == [(0, len(cloud.points))]
 
 
 def test_trellis_components_and_cycle_exchange():

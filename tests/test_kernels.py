@@ -22,6 +22,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from attractorlab import _kernels
 from attractorlab.dynamics import DivergenceError, orbit
@@ -329,3 +331,38 @@ def test_env_flag_reflects_module_state():
     assert isinstance(_kernels.USE_NUMBA, bool)
     if _kernels.USE_NUMBA:
         assert _kernels.HAVE_NUMBA
+
+
+# every float: signed zeros, subnormals, infinities, nan, and magnitudes
+# whose squares overflow
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True,
+                       allow_subnormal=True)
+_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+          2.2e-308, 1e200, -1e200, 1.7976931348623157e308, 3.0, -4.0]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64),
+                               b[~nan].view(np.int64)))
+
+
+@given(arrays(np.float64, st.tuples(st.integers(0, 40), st.just(2)),
+              elements=_ANY_FLOAT))
+@example(np.array([[x, y] for x in _EDGES for y in _EDGES]))
+def test_row_norms_are_numpy_norms_bit_for_bit(v):
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        want = np.linalg.norm(v, axis=1)
+        got = _kernels.row_norms(v)
+        assert _same_bits(got, want)
+        # a point gives a 0-d value, a stack of blocks one value per row;
+        # np.linalg.norm(w) without an axis takes a dot product, which may
+        # round differently
+        for w in v[:3]:
+            assert _same_bits(_kernels.row_norms(w),
+                              np.linalg.norm(w, axis=-1))
+        stack = np.concatenate([v, v[::-1]]).reshape(2, -1, 2)
+        assert _same_bits(_kernels.row_norms(stack),
+                          np.linalg.norm(stack, axis=-1))
