@@ -14,10 +14,17 @@ import numpy as np
 
 from . import _kernels
 from .maps import MapHandle
-from .dynamics import DivergenceError, PointCloud, initial_point
+from .dynamics import DivergenceError, initial_point, planar_points
 
 TRACE_STRIDE = 100
 MIN_BOX_POINTS = 1000
+# the longest box-count ladder: two finest box indices, each below
+# 2^(n_scales + 2), interleave into one 63-bit Morton key
+MAX_SCALES = 29
+# (shift, mask) steps that spread the low 32 bits of a word to its even bits
+_SPREAD = ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+           (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+           (1, 0x5555555555555555))
 
 
 @dataclass(frozen=True)
@@ -105,12 +112,6 @@ def _check_lyapunov_args(x0, n: int, n_transient: int) -> np.ndarray:
     return initial_point(x0)
 
 
-def max_scales(m: int) -> int:
-    """Longest box-count ladder of an m-axis cloud: the m finest box indices,
-    each below 2^(n_scales + 2), interleave into one int64 Morton key."""
-    return 63 // m - 2
-
-
 def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:
     """Box-counting slope over a geometric scale ladder (ratio 2).
 
@@ -119,19 +120,16 @@ def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:
     bounding-box corner, which makes counts deterministic and monotone
     across the ladder.  The rungs halve exactly, so rung i's box index is
     the finest one shifted right by n_scales-1-i; one sort of the finest
-    indices' Morton key counts every rung.  n_scales runs from 5 to
-    max_scales(m): 29 in the plane, 19 in 3-D, and no ladder fits a cloud
-    of 10 or more axes.
+    indices' Morton key counts every rung.  The cloud is planar (n, 2),
+    and n_scales runs from 5 to MAX_SCALES.
     """
-    pts = getattr(cloud, "points", None)
-    if pts is None:
-        pts = np.asarray(cloud, dtype=float)
-    n_pts, m = pts.shape
+    pts = planar_points(cloud)
+    n_pts = len(pts)
     if n_pts < MIN_BOX_POINTS:
         raise ValueError(f"cloud too small for box counting: {n_pts} points")
-    if not 5 <= n_scales <= max_scales(m):
-        raise ValueError(f"n_scales must be in 5..{max_scales(m)} for "
-                         f"{m} axes, got {n_scales}")
+    if not 5 <= n_scales <= MAX_SCALES:
+        raise ValueError(f"n_scales must be in 5..{MAX_SCALES}, "
+                         f"got {n_scales}")
     mins = pts.min(axis=0)
     diag = float(np.linalg.norm(pts.max(axis=0) - mins))
     if diag == 0.0:
@@ -141,10 +139,10 @@ def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:
     scales = diag / 4.0 / (2.0 ** np.arange(n_scales))
     counts = np.empty(n_scales, dtype=np.int64)
     key = np.sort(_morton_key(
-        np.floor((pts - mins) / scales[-1]).astype(np.int64), n_scales + 2))
+        np.floor((pts - mins) / scales[-1]).astype(np.int64)))
     kept = []
     for i in range(n_scales):
-        shift = m * (n_scales - 1 - i)
+        shift = 2 * (n_scales - 1 - i)
         counts[i] = 1 + np.count_nonzero(np.diff(key >> shift))
         if counts[i] > n_pts / 10:
             counts = counts[:i + 1]
@@ -161,20 +159,20 @@ def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:
     ss_res = float(np.sum((logs_n - fitted) ** 2))
     ss_tot = float(np.sum((logs_n - logs_n.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    dimension = float(min(max(slope, 0.0), m))
+    dimension = float(min(max(slope, 0.0), 2.0))
     return BoxCountResult(scales=scales, counts=counts, dimension=dimension,
                           r2=r2, scale_window=window)
 
 
-def _morton_key(idx: np.ndarray, bits: int) -> np.ndarray:
-    """Interleave the low ``bits`` bits of each column of an (n, m) index.
+def _morton_key(idx: np.ndarray) -> np.ndarray:
+    """Interleave the two columns of an (n, 2) box index, each below 2^31.
 
-    Bit b of column j lands at bit m*b + j, so ``key >> (m*k)`` is the
+    Five shift-and-mask steps spread each column's bits to every other
+    bit; bit b of column j lands at bit 2b + j, so ``key >> 2k`` is the
     key of ``idx >> k`` and sorting by key groups every coarser box.
     """
-    m = idx.shape[1]
-    key = np.zeros(len(idx), dtype=np.int64)
-    for b in range(bits):
-        for j in range(m):
-            key |= ((idx[:, j] >> b) & 1) << (m * b + j)
-    return key
+    v = np.array(idx, dtype=np.int64)
+    for shift, mask in _SPREAD:
+        v |= v << shift
+        v &= mask
+    return v[:, 0] | v[:, 1] << 1

@@ -30,9 +30,9 @@ from . import _kernels
 from .maps import (MapHandle, gauss_rotation, pioneer_climax_full,
                    pioneer_climax_mixed)
 from .dynamics import (DivergenceError, CycleSearchError, orbit,
-                       detect_period, find_cycle)
+                       detect_period, find_cycle, planar_points)
 from .chaos import (max_lyapunov_norm_sum, lyapunov_spectrum_qr,
-                    box_counting_dimension, max_scales, MIN_BOX_POINTS)
+                    box_counting_dimension, MAX_SCALES, MIN_BOX_POINTS)
 from .hypotheses import run_hypothesis_report
 from .radial import radial_tent_map, MODE_SOURCE, MODE_SINK
 from .horseshoe import (HorseshoeRegion, RefinementExplosion,
@@ -46,7 +46,6 @@ FLOAT_FMT = "%.17g"
 CSV_CHUNK_ROWS = 1 << 13  # rows per block: bounds the writer's memory
 SUMMARY_COLUMNS = ("param", "period", "lyap_normsum", "lyap_qr_max",
                    "boxdim", "boxdim_r2", "status", "seconds")
-DIM = 2  # every map family the CLI builds is planar
 
 
 class ConfigError(ValueError):
@@ -163,12 +162,12 @@ COMMON = {"map": Key(_choice(*FAMILIES)), "out": Key(STR, "runs"),
 _SCHEDULE = {"param": Key(Type("float key of map", str)),
              "start": Key(FLOAT), "stop": Key(FLOAT), "step": Key(FLOAT)}
 _ORBIT = {"n_transient": Key(_at_least(0), 10_000),
-          "x0": Key(_vec(DIM), _start_point)}
+          "x0": Key(_vec(2), _start_point)}
 _RASTER = {"resolution": Key(_between(1, MAX_RASTER_SIDE), 1024),
            **dict.fromkeys(BOUNDS, Key(FLOAT, None))}
 # lyap_n >= 100, the least horizon the Lyapunov estimators accept
 N_KEEP, LYAP_N = Key(_at_least(1), 100_000), Key(_at_least(100), 100_000)
-N_SCALES = Key(_between(5, max_scales(DIM)), 8)
+N_SCALES = Key(_between(5, MAX_SCALES), 8)
 
 
 def resolve(command: str, raw: dict) -> dict:
@@ -361,52 +360,44 @@ def _write_rows(path: Path, header: str, columns=(), blocks=None) -> None:
 
 
 def write_cloud_csv(path, points: np.ndarray) -> None:
-    points = np.atleast_2d(points).astype(float, copy=False)
-    header = "i," + ",".join(f"x{j + 1}" for j in range(points.shape[1]))
-    _write_rows(Path(path), header, [np.arange(len(points)), *points.T])
+    x, y = planar_points(points).T
+    _write_rows(Path(path), "i,x1,x2", [np.arange(len(x)), x, y])
 
 
-def render_raster(points: np.ndarray, bounds, resolution, path) -> None:
-    """Binary PGM (P5) density plot with a log(1 + count) tone map.
+def render_raster(points: np.ndarray, bounds, side: int, path) -> None:
+    """Square binary PGM (P5) density plot, side pixels a side, with a
+    log(1 + count) tone map of an (n, 2) cloud.
 
     bounds is ((xmin, xmax), (ymin, ymax)); points outside are dropped.
     An empty cloud renders uniform black and emits a warning.  Only the
     occupied cells are counted and tone-mapped, so memory is one byte per
-    pixel plus O(points) at any resolution.
+    pixel plus O(points) at any side.
     """
-    if np.isscalar(resolution):
-        w = h = int(resolution)
-    else:
-        w, h = (int(r) for r in resolution)
-    if not (0 < w <= MAX_RASTER_SIDE and 0 < h <= MAX_RASTER_SIDE):
-        raise ConfigError(f"raster resolution must be within "
-                          f"{MAX_RASTER_SIDE}^2")
+    if not 0 < side <= MAX_RASTER_SIDE:
+        raise ConfigError(f"raster side must be in 1..{MAX_RASTER_SIDE}")
     (xmin, xmax), (ymin, ymax) = bounds
     if not (xmax > xmin and ymax > ymin):
         raise ConfigError("raster bounds must have positive extent")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    cells = np.empty(0, dtype=np.int64)
-    if len(pts) and pts.shape[1] >= 2:
-        x, y = pts[:, 0], pts[:, 1]
-        keep = (x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)
-        x, y = x[keep], y[keep]
-        # the cell index row * w + col, each operation done in place
-        x -= xmin
-        x /= xmax - xmin
-        x *= w
-        cells = x.astype(np.int64)
-        del x
-        np.clip(cells, 0, w - 1, out=cells)
-        np.subtract(ymax, y, out=y)
-        y /= ymax - ymin
-        y *= h
-        row = y.astype(np.int64)
-        del y
-        np.clip(row, 0, h - 1, out=row)
-        row *= w
-        cells += row
-        del row
-    gray = np.zeros(h * w, dtype=np.uint8)
+    x, y = planar_points(points).T
+    keep = (x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)
+    x, y = x[keep], y[keep]
+    # the cell index row * side + col, each operation done in place
+    x -= xmin
+    x /= xmax - xmin
+    x *= side
+    cells = x.astype(np.int64)
+    del x
+    np.clip(cells, 0, side - 1, out=cells)
+    np.subtract(ymax, y, out=y)
+    y /= ymax - ymin
+    y *= side
+    row = y.astype(np.int64)
+    del y
+    np.clip(row, 0, side - 1, out=row)
+    row *= side
+    cells += row
+    del row
+    gray = np.zeros(side * side, dtype=np.uint8)
     if len(cells) == 0:
         warnings.warn("raster rendered from an empty cloud")
     else:
@@ -427,18 +418,17 @@ def render_raster(points: np.ndarray, bounds, resolution, path) -> None:
         tone *= 255.0
         gray[cells] = np.round(tone, out=tone).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(f"P5\n{side} {side}\n255\n".encode("ascii"))
         fh.write(gray)
 
 
 def _cloud_bounds(points: np.ndarray, cfg: dict):
     if cfg["xmin"] is not None:  # then resolve() saw all four set
         return (cfg["xmin"], cfg["xmax"]), (cfg["ymin"], cfg["ymax"])
-    pts = np.atleast_2d(points)
-    if len(pts) == 0:
+    if len(points) == 0:
         return ((0.0, 1.0), (0.0, 1.0))
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    lo = points.min(axis=0)
+    hi = points.max(axis=0)
     # the floor scales with the coordinates, so a cloud collapsed far from
     # the origin still gets bounds of positive extent
     pad = np.maximum(0.05 * (hi - lo),
@@ -637,13 +627,13 @@ COMMANDS = {
         "k_max": Key(_at_least(1), 1), "n_seeds": Key(_at_least(1), 12),
         **FRAME_KEYS}),
     "trellis": Command(run_trellis, {
-        "saddle_seed": Key(_vec(DIM)), "period": Key(_at_least(1), 1),
+        "saddle_seed": Key(_vec(2)), "period": Key(_at_least(1), 1),
         "arc_budget": Key(POSITIVE, 50.0), "tol": Key(POSITIVE, 1e-3),
         **_RASTER}),
     "bifurcation": Command(run_bifurcation, {
         **_SCHEDULE, "bif_transient": Key(_at_least(0), 1_000),
         "bif_keep": Key(_at_least(1), 200), "x0": _ORBIT["x0"],
-        "projection": Key(_choice("norm", *map(str, range(DIM))), "norm")},
+        "projection": Key(_choice("norm", "0", "1"), "norm")},
         min_values=100),
 }
 

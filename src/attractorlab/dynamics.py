@@ -50,26 +50,29 @@ class CycleSearchError(RuntimeError):
         self.residual = residual
 
 
+def planar_points(cloud) -> np.ndarray:
+    """The points of a PointCloud, or any array-like, as an (n, 2) float
+    array; ValueError for any other shape."""
+    pts = np.asarray(getattr(cloud, "points", cloud), dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
+    return pts
+
+
 @dataclass(frozen=True)
 class PointCloud:
-    """A finite sample of phase space, optionally ordered along an orbit."""
+    """A finite sample of the plane, (n, 2), optionally ordered along an
+    orbit."""
 
     points: np.ndarray
     ordered: bool
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2:
-            pts = pts.reshape(len(pts), -1) if len(pts) else pts.reshape(0, 1)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", planar_points(self.points))
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 @dataclass(frozen=True)
@@ -230,9 +233,7 @@ def detect_period(cloud, max_period: int = 64):
     Checks ``|x_{i+k} - x_i| <= 1e-6`` over the last 2*max_period index
     pairs; returns the string ``"aperiodic"`` when no k qualifies.
     """
-    pts = getattr(cloud, "points", None)
-    if pts is None:
-        pts = np.asarray(cloud, dtype=float)
+    pts = planar_points(cloud)
     if getattr(cloud, "ordered", True) is False:
         raise ValueError("detect_period needs an ordered cloud")
     n = len(pts)

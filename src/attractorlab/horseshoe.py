@@ -356,20 +356,24 @@ def _merge_rows(old, at_old, new, at_new) -> np.ndarray:
 
 
 def _refine_segment(handle: MapHandle, k: int, pre: np.ndarray,
-                    img: np.ndarray, tol: float, cap: int):
-    """Cut each image gap above tol into ceil(gap / tol) equal preimage
-    steps, round by round, until no image gap is above tol; returns the
-    refined image and its gaps."""
+                    img: np.ndarray, gaps: np.ndarray, tol: float,
+                    kept: int):
+    """Cut each image gap above tol (gaps, as given) into ceil(gap / tol)
+    equal preimage steps, round by round, until no image gap is above tol;
+    returns the refined image and its gaps.  The one count against
+    POINT_CAP: with kept points already in the curve, an image that would
+    pass POINT_CAP - kept rows raises _CapReached, cut to those rows."""
+    room = POINT_CAP - kept
     for _ in range(60):
-        gaps = _kernels.row_norms(np.diff(img, axis=0))
         big = np.flatnonzero(gaps > tol)
+        parts = np.ceil(gaps[big] / tol)
+        if len(img) + np.sum(parts - 1.0) > room:
+            break
         if big.size == 0:
             return img, gaps
-        parts = np.ceil(gaps[big] / tol)
-        if len(pre) + np.sum(parts - 1.0) > cap:
-            raise _CapReached(img)
         pre, img = _cut_gaps(handle, k, pre, img, big, parts)
-    raise _CapReached(img)
+        gaps = _kernels.row_norms(np.diff(img, axis=0))
+    raise _CapReached(img[:room])
 
 
 def _cut_gaps(handle: MapHandle, k: int, pre: np.ndarray, img: np.ndarray,
@@ -406,13 +410,15 @@ class _CapReached(Exception):
 
 
 def _image_to_budget(handle: MapHandle, m: int, pre: np.ndarray, arc: float,
-                     half: float) -> np.ndarray:
+                     half: float):
     """f^m of pre, imaged _IMAGE_BLOCK rows at a time, only until the
     running arclength arc + the sum of the image's gaps reaches half, and
     one gap past it: a refined gap is never shorter than its chord, and
-    each gap refines on its own.  The sum is one cumsum seeded block by
-    block, so its bits are those of a cumsum over the whole image."""
+    each gap refines on its own.  Returns that image and its gaps.  The
+    sum is one cumsum seeded block by block, so its bits are those of a
+    cumsum over the whole image."""
     img = np.empty_like(pre)
+    gaps = []  # each block's, before the seeded sum
     run = 0.0
     for s in range(0, len(pre), _IMAGE_BLOCK):
         block = img[s:s + _IMAGE_BLOCK]
@@ -420,13 +426,16 @@ def _image_to_budget(handle: MapHandle, m: int, pre: np.ndarray, arc: float,
         if not np.all(np.isfinite(block)):
             raise DivergenceError("unstable manifold diverged")
         first = max(s - 1, 0)  # the gap into the block, after the first
-        gaps = _kernels.row_norms(np.diff(img[first:s + len(block)], axis=0))
-        gaps[0] += run
-        reach = arc + np.cumsum(gaps, out=gaps)
-        run = gaps[-1]
+        gaps.append(_kernels.row_norms(np.diff(img[first:s + len(block)],
+                                               axis=0)))
+        g = gaps[-1].copy()
+        g[0] += run
+        reach = arc + np.cumsum(g, out=g)
+        run = g[-1]
         if reach[-1] >= half:
-            return img[:first + int(reach.searchsorted(half)) + 2]
-    return img
+            end = first + int(reach.searchsorted(half)) + 1
+            return img[:end + 1], np.concatenate(gaps)[:end]
+    return img, np.concatenate(gaps)
 
 
 def _polyline(minus: list, p: np.ndarray, plus: list) -> np.ndarray:
@@ -458,11 +467,12 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
       collapsing onto an attractor below the refinement resolution (a
       growing branch is exempt however short, since its gain rises by
       |mu| per iterate);
-    * more than 10^7 points in all raises RefinementExplosion, a
-      backstop for unbounded folding.  Its partial cloud is laid out like
-      the polyline (minus reversed, saddle, plus); the capped branch ends
-      in its last iterate as far as refinement got, whose gaps may still
-      exceed tol.
+    * more than POINT_CAP = 10^7 points in all, the saddle and the
+      fundamental segments included, raises RefinementExplosion, a
+      backstop for unbounded folding.  Its partial cloud holds at most
+      POINT_CAP points, laid out like the polyline (minus reversed,
+      saddle, plus); the capped branch ends in its last iterate as far as
+      refinement got, whose gaps may still exceed tol.
 
     meta["stop_reasons"], meta["branch_arclength"] and
     meta["branch_iterations"] (iterations of f^k, or of f^2k when
@@ -488,22 +498,22 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
     half = arc_budget / 2.0
     # each branch is a list of chunks, the saddle's side first
     plus, minus, stops = [], [], []
-    total = 0
+    total = 1  # the points of the polyline so far, the saddle first
     for sign, chunks in ((1.0, plus), (-1.0, minus)):
         # the fundamental segment ends at f^m of its start, so each image
         # starts exactly where the image before it ends
         start = (p + sign * a * v)[None, :]
         pre = np.linspace(start[0], _power_eval(handle, start, m)[0], 33)
         chunks.append(pre)
+        total += len(pre)
         arc = prev_gain = 0.0
         reason = "arc_budget"
         try:
             while arc < half:
-                if total + len(pre) > POINT_CAP:
-                    raise _CapReached(pre[:0])
-                img = _image_to_budget(handle, m, pre, arc, half)
+                img, gaps = _image_to_budget(handle, m, pre, arc, half)
+                # img[0] is the previous chunk's endpoint, counted already
                 img, gaps = _refine_segment(handle, m, pre[:len(img)], img,
-                                            tol, POINT_CAP - total)
+                                            gaps, tol, total - 1)
                 gain = float(np.sum(gaps))
                 if arc + gain < half:
                     arc += gain
@@ -555,8 +565,9 @@ def trellis(handle: MapHandle, saddle_cycle: Cycle,
         if not np.all(np.isfinite(img)):
             raise DivergenceError("trellis image diverged")
         try:
-            cur, _ = _refine_segment(handle, 1, cur, img, tol,
-                                     POINT_CAP - sum(map(len, comps)))
+            cur, _ = _refine_segment(
+                handle, 1, cur, img, _kernels.row_norms(np.diff(img, axis=0)),
+                tol, sum(map(len, comps)))
         except _CapReached as cap:
             partial = PointCloud(np.vstack(comps + [cap.img]), ordered=True,
                                  meta={"saddle": base.meta["saddle"]})

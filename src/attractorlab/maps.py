@@ -150,16 +150,14 @@ def pioneer_climax_mixed(a: float, b: float) -> MapHandle:
 
 
 def finite_difference_jacobian(fn, x, h_scale: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian with step h = max(1e-6, 1e-6 * |x|)."""
+    """Central-difference Jacobian of a planar map at a (2,) point, with
+    step h = max(1e-6, 1e-6 * |x|) along each axis."""
     x = np.asarray(x, dtype=float)
     h = max(h_scale, h_scale * float(np.linalg.norm(x)))
-    m = x.size
-    cols = []
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = h
-        cols.append((np.asarray(fn(x + e), dtype=float) - np.asarray(fn(x - e), dtype=float)) / (2.0 * h))
-    return np.column_stack(cols)
+    dx, dy = ((np.asarray(fn(x + e), dtype=float)
+               - np.asarray(fn(x - e), dtype=float)) / (2.0 * h)
+              for e in ((h, 0.0), (0.0, h)))
+    return np.column_stack((dx, dy))
 
 
 def user_map(

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from attractorlab import _kernels, chaos
@@ -176,62 +176,83 @@ def row_unique_counts(pts, scales):
                           axis=0)) for eps in scales]
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_boxdim_counts_match_row_unique_reference(m):
-    pts = np.random.default_rng(m).normal(size=(20_000, m))
+@pytest.mark.parametrize("seed", [2, 3])
+def test_boxdim_counts_match_row_unique_reference(seed):
+    pts = np.random.default_rng(seed).normal(size=(20_000, 2))
     res = box_counting_dimension(pts)
     assert list(res.counts) == row_unique_counts(pts, res.scales)
 
 
 def test_boxdim_rejects_ladders_past_int64_box_indices():
-    # m finest box indices, each below 2^(n_scales + 2), must interleave
-    # into one int64 key: 29 scales in the plane, 19 in 3-D, none from 10
-    # axes on
-    assert [chaos.max_scales(m) for m in (2, 3, 10)] == [29, 19, 4]
-    rng = np.random.default_rng(7)
-    for m in (2, 3):
-        pts = np.tile(rng.uniform(size=(50, m)), (20, 1))
-        limit = chaos.max_scales(m)
-        box_counting_dimension(pts, n_scales=limit)
-        for n_scales in (4, limit + 1, 62, 70):
-            with pytest.raises(ValueError, match=f"5..{limit} for {m} axes"):
-                box_counting_dimension(pts, n_scales=n_scales)
-    pts = rng.uniform(size=(1000, 10))
-    for n_scales in range(5, 62):
-        with pytest.raises(ValueError, match="5..4 for 10 axes"):
+    # two finest box indices, each below 2^(n_scales + 2), must interleave
+    # into one int64 key: 29 scales
+    assert chaos.MAX_SCALES == 29
+    pts = np.tile(np.random.default_rng(7).uniform(size=(50, 2)), (20, 1))
+    box_counting_dimension(pts, n_scales=29)
+    for n_scales in (4, 30, 62, 70):
+        with pytest.raises(ValueError, match="5..29, got"):
             box_counting_dimension(pts, n_scales=n_scales)
+
+
+@pytest.mark.parametrize("shape", [(2000,), (2000, 1), (2000, 3),
+                                   (2000, 2, 1)])
+def test_boxdim_rejects_clouds_that_are_not_planar(shape):
+    pts = np.random.default_rng(5).uniform(size=shape)
+    with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+        box_counting_dimension(pts)
 
 
 def test_boxdim_finest_allowed_ladder_counts_stay_exact():
     x = np.tile(np.random.default_rng(3).uniform(size=50), 20)
     pts = np.column_stack([x, np.zeros_like(x)])
-    res = box_counting_dimension(pts, n_scales=chaos.max_scales(2))
+    res = box_counting_dimension(pts, n_scales=chaos.MAX_SCALES)
     assert len(res.counts) == 29
     assert np.all(np.diff(res.counts) >= 0)
     assert res.counts.max() <= 50
     assert res.counts[-1] == 50
 
 
+def morton_key_by_bits(idx, bits):
+    """Reference Morton key, one bit at a time: bit b of column j of an
+    (n, m) index lands at bit m*b + j."""
+    m = idx.shape[1]
+    key = np.zeros(len(idx), dtype=np.int64)
+    for b in range(bits):
+        for j in range(m):
+            key |= ((idx[:, j] >> b) & 1) << (m * b + j)
+    return key
+
+
+@given(st.integers(5, chaos.MAX_SCALES).flatmap(lambda n: st.tuples(
+    st.just(n), arrays(np.int64, st.tuples(st.integers(1, 50), st.just(2)),
+                       elements=st.integers(0, 2 ** (n + 1))))))
+@example((29, np.array([[2 ** 30, 0], [0, 2 ** 30], [2 ** 30 - 1] * 2])))
+def test_morton_key_matches_the_bit_loop(case):
+    # the finest box index of a ladder of n_scales rungs is at most
+    # 2^(n_scales + 1), so n_scales + 2 bits hold it
+    n_scales, idx = case
+    want = morton_key_by_bits(idx, n_scales + 2)
+    assert np.array_equal(chaos._morton_key(idx), want)
+
+
 # Box-counting oracles.  A cloud is either up to 40 points repeated to
 # 1000 rows, which never saturates, so every rung of even the finest
 # ladder is counted, or a random normal cloud, which saturates.  Ladders
-# are drawn up to and at the Morton key's limit: 29 scales in 2-D and 19
-# in 3-D.
-LADDERS = {m: [5, 8, chaos.max_scales(m)] for m in (2, 3)}
+# are drawn up to and at the Morton key's limit of 29 scales.
+LADDERS = [5, 8, chaos.MAX_SCALES]
 
 
 @st.composite
 def box_clouds(draw):
-    m = draw(st.sampled_from([2, 3]))
     if draw(st.booleans()):
         distinct = draw(arrays(
-            np.float64, st.tuples(st.integers(1, 40), st.just(m)),
+            np.float64, st.tuples(st.integers(1, 40), st.just(2)),
             elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
         pts = np.tile(distinct, (-(-1000 // len(distinct)), 1))
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-        pts = rng.normal(size=(draw(st.integers(1000, 3000)), m))
-    return pts, draw(st.sampled_from(LADDERS[m]))
+        pts = rng.normal(size=(draw(st.integers(1000, 3000)), 2))
+    return pts, draw(st.sampled_from(LADDERS))
 
 
 @given(box_clouds())

@@ -86,20 +86,22 @@ def test_render_raster_geometry(tmp_path):
                       tmp_path / "flat.pgm")
 
 
-def dense_raster(points, bounds, w, h) -> bytes:
+def dense_raster(points, bounds, side) -> bytes:
     """Reference PGM: count and tone-map every pixel of the window."""
     (xmin, xmax), (ymin, ymax) = bounds
     x, y = points[:, 0], points[:, 1]
     keep = (x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)
     x, y = x[keep], y[keep]
-    col = np.clip(((x - xmin) / (xmax - xmin) * w).astype(np.int64), 0, w - 1)
-    row = np.clip(((ymax - y) / (ymax - ymin) * h).astype(np.int64), 0, h - 1)
-    counts = np.bincount(row * w + col, minlength=h * w)
+    col = np.clip(((x - xmin) / (xmax - xmin) * side).astype(np.int64), 0,
+                  side - 1)
+    row = np.clip(((ymax - y) / (ymax - ymin) * side).astype(np.int64), 0,
+                  side - 1)
+    counts = np.bincount(row * side + col, minlength=side * side)
     tone = np.log1p(counts)
     if counts.sum():
         tone /= tone.max()
         tone *= 255.0
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
+    header = f"P5\n{side} {side}\n255\n".encode("ascii")
     return header + np.round(tone).astype(np.uint8).tobytes()
 
 
@@ -114,19 +116,19 @@ raster_coords = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(raster_coords, raster_coords), max_size=30),
-       st.integers(1, 4), st.integers(1, 9), st.integers(1, 9))
-@example([(0.25, 0.5)], 1, 4, 7)
-@example([(1.0, -2.0)], 3, 5, 2)
-@example([(5.0, 0.0), (0.0, float("nan")), (float("inf"), 1.0)], 1, 6, 6)
+       st.integers(1, 4), st.integers(1, 9))
+@example([(0.25, 0.5)], 1, 7)
+@example([(1.0, -2.0)], 3, 5)
+@example([(5.0, 0.0), (0.0, float("nan")), (float("inf"), 1.0)], 1, 6)
 def test_render_raster_matches_the_dense_reference(tmp_path_factory, pts,
-                                                    repeat, w, h):
+                                                    repeat, side):
     cloud = np.repeat(np.array(pts, dtype=float).reshape(-1, 2), repeat,
                       axis=0)
     path = tmp_path_factory.getbasetemp() / "parity.pgm"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        render_raster(cloud, RASTER_BOUNDS, (w, h), path)
-    assert path.read_bytes() == dense_raster(cloud, RASTER_BOUNDS, w, h)
+        render_raster(cloud, RASTER_BOUNDS, side, path)
+    assert path.read_bytes() == dense_raster(cloud, RASTER_BOUNDS, side)
     (xmin, xmax), (ymin, ymax) = RASTER_BOUNDS
     inside = ((cloud[:, 0] >= xmin) & (cloud[:, 0] <= xmax)
               & (cloud[:, 1] >= ymin) & (cloud[:, 1] <= ymax)).any()
@@ -162,7 +164,7 @@ def test_render_raster_memory_per_point(tmp_path):
         tracemalloc.stop()
     assert peak <= 40 * inside
     assert (tmp_path / "cloud.pgm").read_bytes() == dense_raster(
-        pts, bounds, 1024, 1024)
+        pts, bounds, 1024)
 
 
 def test_traced_names_are_attractorlab_functions():
@@ -314,16 +316,26 @@ def test_write_rows_matches_per_value_format(tmp_path):
 def test_write_cloud_csv_matches_per_value_format(tmp_path):
     rng = np.random.default_rng(3)
     clouds = [rng.normal(size=(cli.CSV_CHUNK_ROWS + 7, 2)),
-              adversarial_floats()[:30_000].reshape(-1, 3),
-              rng.integers(-5, 5, size=(40, 3)),
+              adversarial_floats()[:30_000].reshape(-1, 2),
+              rng.integers(-5, 5, size=(40, 2)),
               np.array([[0.25, -1e-7]]),
               np.empty((0, 2))]
     path = tmp_path / "cloud.csv"
     for pts in clouds:
         cli.write_cloud_csv(path, pts)
-        header = "i," + ",".join(f"x{j + 1}" for j in range(pts.shape[1]))
         rows = [(i, *map(float, p)) for i, p in enumerate(pts)]
-        assert path.read_bytes() == per_value_csv(header, rows)
+        assert path.read_bytes() == per_value_csv("i,x1,x2", rows)
+
+
+@pytest.mark.parametrize("shape", [(6,), (6, 1), (6, 3)])
+def test_cloud_writers_take_planar_points_only(tmp_path, shape):
+    pts = np.zeros(shape)
+    with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+        cli.write_cloud_csv(tmp_path / "cloud.csv", pts)
+    with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+        render_raster(pts, ((-1.0, 1.0), (-1.0, 1.0)), 8,
+                      tmp_path / "cloud.pgm")
+    assert not any(tmp_path.iterdir())
 
 
 def test_lyapunov_command_values(tmp_path):

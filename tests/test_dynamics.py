@@ -20,7 +20,7 @@ def test_orbit_shape_and_meta():
     h = gauss_rotation(2.7, GOLDEN_MEAN)
     cloud = orbit(h, [0.3, 0.1], 100, 50)
     assert len(cloud) == 50
-    assert cloud.dim == 2
+    assert cloud.points.shape == (50, 2)
     assert cloud.ordered
     assert np.all(np.isfinite(cloud.points))
 
@@ -49,6 +49,15 @@ def test_point_cloud_immutable():
     cloud = PointCloud(np.zeros((4, 2)), ordered=True)
     with pytest.raises(Exception):
         cloud.points = np.ones((4, 2))
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 1), (4, 3), (0,), (4, 2, 1)])
+def test_point_cloud_is_planar(shape):
+    with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+        PointCloud(np.zeros(shape), ordered=True)
+    with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+        detect_period(np.zeros(shape))
+    assert PointCloud(np.zeros((0, 2)), ordered=True).points.shape == (0, 2)
 
 
 def test_find_cycle_fixed_point_origin():

@@ -598,11 +598,11 @@ def test_growth_images_only_what_the_budget_keeps(monkeypatch):
 
     refine = horseshoe._refine_segment
 
-    def spy(_, k, pre, img, tol, cap):
+    def spy(_, k, pre, img, gaps, tol, n_kept):
         # refinement images through the uncounted handle
         kept.append(len(img) * k)
         imaged.append(0)
-        return refine(handle, k, pre, img, tol, cap)
+        return refine(handle, k, pre, img, gaps, tol, n_kept)
 
     monkeypatch.setattr(horseshoe, "_refine_segment", spy)
     cloud = unstable_manifold(dataclasses.replace(handle, eval=count),
@@ -617,15 +617,16 @@ def test_growth_images_only_what_the_budget_keeps(monkeypatch):
 
 def _refine_by_insert(handle, k, pre, img, tol, cap):
     """The np.insert form of horseshoe._refine_segment, its oracle: the
-    refined image, or _CapReached with the image the cap stopped at."""
+    refined image, or _CapReached with the image the cap stopped at, cut
+    to cap rows.  It measures every round's gaps itself."""
     for _ in range(60):
         gaps = np.linalg.norm(np.diff(img, axis=0), axis=1)
         big = np.flatnonzero(gaps > tol)
+        parts = np.ceil(gaps[big] / tol)
+        if len(img) + np.sum(parts - 1.0) > cap:
+            raise horseshoe._CapReached(img[:cap])
         if big.size == 0:
             return img
-        parts = np.ceil(gaps[big] / tol)
-        if len(pre) + np.sum(parts - 1.0) > cap:
-            raise horseshoe._CapReached(img)
         new = parts.astype(np.int64) - 1
         at = np.repeat(big, new)
         j = np.arange(1, len(at) + 1) - np.repeat(np.cumsum(new) - new, new)
@@ -634,7 +635,7 @@ def _refine_by_insert(handle, k, pre, img, tol, cap):
         cut_img = horseshoe._power_eval(handle, cut_pre, k)
         pre = np.insert(pre, at + 1, cut_pre, axis=0)
         img = np.insert(img, at + 1, cut_img, axis=0)
-    raise horseshoe._CapReached(img)
+    raise horseshoe._CapReached(img[:cap])
 
 
 # name: (handle, box of segment starts, frame applied to the segment)
@@ -665,15 +666,18 @@ def test_refine_segment_matches_the_insert_oracle(name, start, angle, length,
     if frame is not None:
         pre = frame.to_world(pre)
     img = horseshoe._power_eval(handle, pre, k)
+    gaps = _kernels.row_norms(np.diff(img, axis=0))
     cap = n + slack
+    kept = horseshoe.POINT_CAP - cap
     try:
         want = _refine_by_insert(handle, k, pre, img, tol, cap)
     except horseshoe._CapReached as stop:
         with pytest.raises(horseshoe._CapReached) as got:
-            horseshoe._refine_segment(handle, k, pre, img, tol, cap)
+            horseshoe._refine_segment(handle, k, pre, img, gaps, tol, kept)
         assert got.value.img.tobytes() == stop.img.tobytes()
         return
-    got, gaps = horseshoe._refine_segment(handle, k, pre, img, tol, cap)
+    got, gaps = horseshoe._refine_segment(handle, k, pre, img, gaps, tol,
+                                          kept)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert gaps.tobytes() == np.linalg.norm(np.diff(got, axis=0),
                                             axis=1).tobytes()
@@ -764,3 +768,79 @@ def test_norm_sum_exact_at_model_saddle():
     est = max_lyapunov_norm_sum(handle, [0.0, 0.0], 500, 0)
     # the origin is float-exact fixed; every step contributes log 4
     assert est.max_exponent == pytest.approx(math.log(4.0), abs=1e-12)
+
+
+def test_point_cap_counts_every_point(monkeypatch):
+    # the saddle and each branch's 33-point fundamental segment count too,
+    # and so does an image that needs no cut: the model manifold has
+    # 43 557 points, 65 more than a cap of 43 492, and at a cap of 200 the
+    # pioneer partial would hold 226 points if they went uncounted
+    handle, saddle, _, _, _ = manifold_fixture("model")
+    pioneer = pioneer_climax_full(3.0, 3.0)
+    pioneer_saddle = find_cycle(pioneer, 1, np.array([2.498, 5.007]))
+    for h, s, arc_budget, tol, cap in (
+            (handle, saddle, 50.0, 1e-3, 43_492),
+            (pioneer, pioneer_saddle, 300.0, 2e-3, 200)):
+        monkeypatch.setattr(horseshoe, "POINT_CAP", cap)
+        with pytest.raises(RefinementExplosion) as exc:
+            unstable_manifold(h, s, arc_budget, tol)
+        assert 0 < len(exc.value.partial) <= cap
+    monkeypatch.setattr(horseshoe, "POINT_CAP", 43_557)
+    assert len(unstable_manifold(handle, saddle, 50.0, 1e-3)) == 43_557
+
+
+def test_trellis_components_count_against_the_one_cap(monkeypatch):
+    # period 2: the manifold holds 1 193 points and the trellis 5 380
+    handle, saddle, arc_budget, tol, _ = manifold_fixture("model_period_2")
+    assert len(trellis(handle, saddle, arc_budget, tol)) == 5_380
+    monkeypatch.setattr(horseshoe, "POINT_CAP", 5_380)
+    assert len(trellis(handle, saddle, arc_budget, tol)) == 5_380
+    for cap in (5_379, 3_000):
+        monkeypatch.setattr(horseshoe, "POINT_CAP", cap)
+        with pytest.raises(RefinementExplosion) as exc:
+            trellis(handle, saddle, arc_budget, tol)
+        assert 1_193 < len(exc.value.partial) <= cap
+
+
+def test_growth_measures_each_image_gap_once(monkeypatch):
+    # _image_to_budget hands the kept image's gaps to _refine_segment,
+    # which measures again only after a round that cuts; the polyline is
+    # the one a refinement measuring every round's gaps itself gives
+    handle, saddle, arc_budget, tol, _ = manifold_fixture("pioneer")
+    want = unstable_manifold(handle, saddle, arc_budget, tol).points
+    calls, rounds = [0, 0], []
+    row_norms, cut_gaps = _kernels.row_norms, horseshoe._cut_gaps
+    refine = horseshoe._refine_segment
+
+    def count_norms(v):
+        calls[0] += 1
+        return row_norms(v)
+
+    def count_cuts(*args):
+        calls[1] += 1
+        return cut_gaps(*args)
+
+    def spy(h, k, pre, img, gaps, tol, kept):
+        assert gaps.tobytes() == row_norms(np.diff(img, axis=0)).tobytes()
+        before = calls.copy()
+        out = refine(h, k, pre, img, gaps, tol, kept)
+        rounds.append([c - b for c, b in zip(calls, before)])
+        return out
+
+    monkeypatch.setattr(_kernels, "row_norms", count_norms)
+    monkeypatch.setattr(horseshoe, "_cut_gaps", count_cuts)
+    monkeypatch.setattr(horseshoe, "_refine_segment", spy)
+    got = unstable_manifold(handle, saddle, arc_budget, tol).points
+    assert got.tobytes() == want.tobytes()
+    # each call measures once per round that cut, and some rounds cut
+    assert all(norms == cuts for norms, cuts in rounds)
+    assert sum(cuts for _, cuts in rounds) > 0
+
+    def by_insert(h, k, pre, img, gaps, tol, kept):
+        img = _refine_by_insert(h, k, pre, img, tol,
+                                horseshoe.POINT_CAP - kept)
+        return img, row_norms(np.diff(img, axis=0))
+
+    monkeypatch.setattr(horseshoe, "_refine_segment", by_insert)
+    got = unstable_manifold(handle, saddle, arc_budget, tol).points
+    assert got.tobytes() == want.tobytes()
