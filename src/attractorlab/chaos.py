@@ -14,7 +14,8 @@ import numpy as np
 
 from . import _kernels
 from .maps import MapHandle
-from .dynamics import DivergenceError, initial_point, planar_points
+from .dynamics import (DivergenceError, initial_point, planar_bounds,
+                       planar_points)
 
 TRACE_STRIDE = 100
 MIN_BOX_POINTS = 1000
@@ -130,8 +131,8 @@ def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:
     if not 5 <= n_scales <= MAX_SCALES:
         raise ValueError(f"n_scales must be in 5..{MAX_SCALES}, "
                          f"got {n_scales}")
-    mins = pts.min(axis=0)
-    diag = float(np.linalg.norm(pts.max(axis=0) - mins))
+    mins, maxs = planar_bounds(pts)
+    diag = float(np.linalg.norm(maxs - mins))
     if diag == 0.0:
         return BoxCountResult(scales=np.empty(0), counts=np.empty(0, int),
                               dimension=0.0, r2=1.0,

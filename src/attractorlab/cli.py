@@ -13,7 +13,7 @@ per-value failure in batch mode), 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import difflib
+import importlib.util
 import math
 import os
 import sys
@@ -27,17 +27,31 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .maps import (MapHandle, gauss_rotation, pioneer_climax_full,
-                   pioneer_climax_mixed)
-from .dynamics import (DivergenceError, CycleSearchError, orbit,
-                       detect_period, find_cycle, planar_points)
+from .maps import (MODE_SINK, MODE_SOURCE, MapHandle, gauss_rotation,
+                   pioneer_climax_full, pioneer_climax_mixed)
+from .dynamics import (DivergenceError, CycleSearchError, RefinementExplosion,
+                       orbit, detect_period, find_cycle, planar_bounds,
+                       planar_points)
 from .chaos import (max_lyapunov_norm_sum, lyapunov_spectrum_qr,
                     box_counting_dimension, MAX_SCALES, MIN_BOX_POINTS)
-from .hypotheses import run_hypothesis_report
-from .radial import radial_tent_map, MODE_SOURCE, MODE_SINK
-from .horseshoe import (HorseshoeRegion, RefinementExplosion,
-                        model_horseshoe_map, verify_ah, find_saddles,
-                        trellis as trace_trellis)
+
+
+def _lazy(name: str):
+    """attractorlab.<name>, in sys.modules and on the package at once but
+    run on its first attribute access, which before Python 3.12 only the
+    main thread may make (LazyLoader is not thread-safe there)."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[fullname]
+
+
+hypotheses, radial, horseshoe = map(_lazy, ("hypotheses", "radial",
+                                            "horseshoe"))
 
 MAX_RASTER_SIDE = 8192
 MAX_SCHEDULE = 1_000_000  # values of a sweep or bifurcation schedule
@@ -132,7 +146,7 @@ FAMILIES = {
         lambda cfg: pioneer_climax_mixed(cfg["a"], cfg["b"]), _AB,
         (0.5, 0.5)),
     "radial_tent": Family(
-        lambda cfg: radial_tent_map(
+        lambda cfg: radial.radial_tent_map(
             (cfg["slope_in"], cfg["slope_out"]),
             **{k: cfg[k] for k in ("zeta", "theta", "mode", "alpha0")}).handle,
         {"mode": Key(_choice(MODE_SOURCE, MODE_SINK), MODE_SOURCE),
@@ -140,7 +154,7 @@ FAMILIES = {
          "slope_out": Key(_above(1), 3.0), "zeta": Key(POSITIVE, 1.0),
          "theta": Key(FLOAT, 0.0)}, (0.3, 0.1)),
     "model_horseshoe": Family(
-        lambda cfg: model_horseshoe_map(region=_region_from(cfg)),
+        lambda cfg: horseshoe.model_horseshoe_map(region=_region_from(cfg)),
         FRAME_KEYS, (0.3, 0.1)),
 }
 
@@ -197,6 +211,7 @@ def resolve(command: str, raw: dict) -> dict:
     family = FAMILIES[cfg["map"]]
     keys = {**COMMON, **COMMANDS[command].keys, **family.keys}
     for name in (k for k in raw if k not in keys):
+        import difflib  # only this path needs it
         near = difflib.get_close_matches(name, keys, n=1)
         raise ConfigError(f"unknown config key {name!r} for {command} with "
                           f"map {cfg['map']}" + (f"; did you mean {near[0]!r}?"
@@ -222,9 +237,10 @@ def build_handle(cfg: dict) -> MapHandle:
     return FAMILIES[cfg["map"]].build(cfg)
 
 
-def _region_from(cfg: dict) -> HorseshoeRegion:
+def _region_from(cfg: dict) -> horseshoe.HorseshoeRegion:
     try:
-        return HorseshoeRegion(matrix=cfg["frame"], offset=cfg["frame_offset"])
+        return horseshoe.HorseshoeRegion(matrix=cfg["frame"],
+                                         offset=cfg["frame_offset"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -427,8 +443,7 @@ def _cloud_bounds(points: np.ndarray, cfg: dict):
         return (cfg["xmin"], cfg["xmax"]), (cfg["ymin"], cfg["ymax"])
     if len(points) == 0:
         return ((0.0, 1.0), (0.0, 1.0))
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
+    lo, hi = planar_bounds(points)
     # the floor scales with the coordinates, so a cloud collapsed far from
     # the origin still gets bounds of positive extent
     pad = np.maximum(0.05 * (hi - lo),
@@ -531,18 +546,19 @@ def run_boxdim(handle: MapHandle, cfg: dict, out: Path) -> int:
 
 
 def run_hypothesis(handle: MapHandle, cfg: dict, out: Path) -> int:
-    report = run_hypothesis_report(handle, search_radius=cfg["search_radius"],
-                                   grid=cfg["grid"])
+    report = hypotheses.run_hypothesis_report(
+        handle, search_radius=cfg["search_radius"], grid=cfg["grid"])
     (out / "hypothesis.txt").write_text(report.as_text())
     return 0
 
 
 def run_horseshoe(handle: MapHandle, cfg: dict, out: Path) -> int:
-    report = verify_ah(handle, _region_from(cfg), sampling=cfg["sampling"])
+    report = horseshoe.verify_ah(handle, _region_from(cfg),
+                                 sampling=cfg["sampling"])
     (out / "ahreport.txt").write_text(report.as_text())
     if cfg["box"] is not None:
-        cycles = find_saddles(handle, cfg["box"].reshape(2, 2),
-                              cfg["k_max"], n_seeds=cfg["n_seeds"])
+        cycles = horseshoe.find_saddles(handle, cfg["box"].reshape(2, 2),
+                                        cfg["k_max"], n_seeds=cfg["n_seeds"])
         rows = [(c.period, *map(float, c.points[0]),
                  float(np.abs(c.multipliers).max()),
                  float(np.abs(c.multipliers).min()), c.stability)
@@ -556,8 +572,8 @@ def run_trellis(handle: MapHandle, cfg: dict, out: Path) -> int:
     cycle = find_cycle(handle, cfg["period"], cfg["saddle_seed"])
     if cycle.stability != "saddle":
         raise DivergenceError("seed did not converge to a saddle")
-    cloud = trace_trellis(handle, cycle, arc_budget=cfg["arc_budget"],
-                          tol=cfg["tol"])
+    cloud = horseshoe.trellis(handle, cycle, arc_budget=cfg["arc_budget"],
+                              tol=cfg["tol"])
     write_cloud_csv(out / "trellis.csv", cloud.points)
     render_raster(cloud.points, _cloud_bounds(cloud.points, cfg),
                   cfg["resolution"], out / "trellis.pgm")

@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels
 from .maps import MapHandle, MapSpec
 from .dynamics import (Cycle, DivergenceError, CycleSearchError, PointCloud,
-                       find_cycle)
+                       RefinementExplosion, find_cycle)
 from .hypotheses import (STATUS_FAIL, STATUS_INCONCLUSIVE, STATUS_PASS, Check,
                          Report, verdict)
 
@@ -54,14 +54,6 @@ def _span(piece: str) -> tuple:
     if piece not in _PIECES:
         raise ValueError(f"unknown piece {piece!r}")
     return _PIECES[piece]
-
-
-class RefinementExplosion(RuntimeError):
-    """Manifold refinement exceeded the point budget; .partial saved."""
-
-    def __init__(self, message: str, partial: PointCloud):
-        super().__init__(message)
-        self.partial = partial
 
 
 def _affine(m: np.ndarray, pts) -> np.ndarray:

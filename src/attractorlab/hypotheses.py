@@ -186,8 +186,12 @@ def estimate_sup_norm(handle: MapHandle, search_radius: float,
     whose refined value ties M within 1e-7 relative).  Raises
     :class:`SupNormBoundaryError` when |f| on the search-box boundary
     is not below M/10, which means the box may not contain the peak; a
-    grid that sees only |f| = 0 raises too.
+    grid that sees only |f| = 0 raises too, and so does a radius whose
+    double overflows.
     """
+    if not np.isfinite(2.0 * search_radius):
+        raise SupNormBoundaryError(f"the radius-{search_radius} box is too "
+                                   f"large: 2 * radius overflows")
     pts = _grid_points(handle, search_radius, grid)
     vals = _kernels.row_norms(handle.eval(pts))
     m_grid = float(vals.max())
@@ -213,13 +217,14 @@ def estimate_sup_norm(handle: MapHandle, search_radius: float,
 
 
 def _sup_norm_search(handle: MapHandle, radius: float, grid: int) -> SupNorm:
-    """estimate_sup_norm at radius, doubled until its box holds the peak."""
-    for scale in (1.0, 2.0, 4.0):
+    """estimate_sup_norm at radius, doubled until its box holds the peak,
+    up to 8 * radius; a radius whose double overflows ends the search."""
+    for scale in (1.0, 2.0, 4.0, 8.0):
         try:
             return estimate_sup_norm(handle, scale * radius, grid=grid)
         except SupNormBoundaryError:
-            pass
-    return estimate_sup_norm(handle, 8.0 * radius, grid=grid)
+            if scale == 8.0 or not np.isfinite(2.0 * scale * radius):
+                raise
 
 
 def az_decay_profile(handle: MapHandle, radii) -> Check:

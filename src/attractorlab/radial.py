@@ -22,11 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from .maps import MapHandle, MapSpec
+from .maps import MODE_SINK, MODE_SOURCE, MapHandle, MapSpec
 from .dynamics import PointCloud
-
-MODE_SOURCE = "source_origin"
-MODE_SINK = "sink_origin"
 
 _BISECT_TOL = 1e-12
 MAX_DEPTH = 30

@@ -3,17 +3,21 @@
 import importlib
 import importlib.util
 import inspect
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from attractorlab import _kernels, cli, horseshoe, maps
+import attractorlab
+from attractorlab import _kernels, chaos, cli, dynamics, horseshoe, maps
 from attractorlab.cli import (ConfigError, main, parse_config, render_raster,
                               _schedule)
 
@@ -584,6 +588,69 @@ def test_bounds_of_a_collapsed_cloud_have_positive_extent(point):
     if max(map(abs, point)) <= 1.0:  # unit clouds keep the 1e-9 pad
         assert (x0, x1, y0, y1) == (point[0] - 1e-9, point[0] + 1e-9,
                                     point[1] - 1e-9, point[1] + 1e-9)
+
+
+def axis0_bounds(pts):
+    """The strided axis-0 reductions that planar_bounds replaces."""
+    return pts.min(axis=0), pts.max(axis=0)
+
+
+@st.composite
+def planar_clouds(draw):
+    """Box-countable (n, 2) clouds with none, one, half or all of their rows
+    overwritten by a few drawn points: +-0.0, repeated points, or a cloud
+    of one point."""
+    coord = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+    special = np.array(draw(st.lists(st.tuples(coord, coord), min_size=1,
+                                     max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(chaos.MIN_BOX_POINTS, 3 * chaos.MIN_BOX_POINTS))
+    pts = rng.normal(size=(n, 2)) * draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    rows = rng.permutation(n)[:draw(st.sampled_from([0, 1, n // 2, n]))]
+    pts[rows] = special[rng.integers(0, len(special), len(rows))]
+    return pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(planar_clouds())
+def test_column_bounds_equal_the_axis0_reductions(pts):
+    def results():
+        bounds = cli._cloud_bounds(pts, {"xmin": None})
+        box = chaos.box_counting_dimension(pts, 6)
+        return (np.array(bounds).tobytes(), box.scales.tobytes(),
+                box.counts.tobytes(), box.dimension, box.r2, box.degenerate)
+
+    lo, hi = dynamics.planar_bounds(pts)
+    assert np.array_equal(lo, pts.min(axis=0))
+    assert np.array_equal(hi, pts.max(axis=0))
+    fast = results()
+    with mock.patch.object(cli, "planar_bounds", axis0_bounds), \
+            mock.patch.object(chaos, "planar_bounds", axis0_bounds):
+        assert results() == fast
+
+
+@pytest.mark.parametrize("radius, last", [("2e307", "1.6e+308"),
+                                          ("1e308", "1e+308")])
+def test_hypothesis_search_box_that_overflows_is_inconclusive(tmp_path,
+                                                              radius, last):
+    # the box's span overflowed: NumPy warned in subtract, and the command
+    # exited 2 with a zero-size reduction error; under -W error a warning
+    # would escape main as an exception
+    cfg = write_cfg(tmp_path, "h.cfg", "map = gauss_rotation\na = 3\n"
+                    f"theta = 0.3\ngrid = 2\nsearch_radius = {radius}\n")
+    src = str(Path(attractorlab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "attractorlab.cli",
+         "hypothesis", "--config", cfg, "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == (0, "")
+    rows = [line.split("\t") for line in
+            (tmp_path / "run" / "hypothesis.txt").read_text().splitlines()]
+    assert rows[1][:2] == ["sup_norm", "inconclusive"]
+    assert rows[1][2] == (f"the radius-{last} box is too large: "
+                          "2 * radius overflows")
+    assert [row[0] for row in rows[2:]] == [
+        "decay_to_zero", "cutoff_strict", "cutoff_numeric"]
 
 
 def test_horseshoe_on_a_population_map_prints_no_warnings(tmp_path, capsys):

@@ -68,12 +68,20 @@ def test_sup_norm_boundary_guard():
 
 def test_sup_norm_grid_that_sees_only_zeros_is_inconclusive():
     # a 2-point grid at radius 1e300 samples |f| only where gauss has
-    # underflowed to 0; M = 0 would be a false pass (the true M is 1.2866)
+    # underflowed to 0; M = 0 would be a false pass (the true M is 1.2866).
+    # From 2e307 the doubling search reaches a box whose span overflows,
+    # and from 1e308 the first box's span does: that ends the search
     h = gauss_rotation(3.0, 0.3)
-    with pytest.raises(SupNormBoundaryError, match="grid max 0"):
-        estimate_sup_norm(h, 1e300, grid=2)
-    report = run_hypothesis_report(h, search_radius=1e300, grid=2)
-    assert report.check("sup_norm").status == "inconclusive"
+    for radius, last in ((1e300, "8e+300"), (2e307, "1.6e+308"),
+                         (1e308, "1e+308")):
+        if radius < 1e308:
+            with pytest.raises(SupNormBoundaryError, match="grid max 0"):
+                estimate_sup_norm(h, radius, grid=2)
+        report = run_hypothesis_report(h, search_radius=radius, grid=2)
+        assert report.check("sup_norm").status == "inconclusive"
+        assert f"radius-{last} box" in report.check("sup_norm").witness
+    with pytest.raises(SupNormBoundaryError, match="1e.308 box is too large"):
+        estimate_sup_norm(h, 1e308, grid=2)
 
 
 def test_decay_profile_gauss_passes():
