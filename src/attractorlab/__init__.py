@@ -22,10 +22,10 @@ _NAMES = {
     "hypotheses": "Check Report SupNorm attracting_set_sample "
                   "az_decay_profile estimate_sup_norm ez_check "
                   "origin_contraction_check run_hypothesis_report",
-    "radial": "MODE_SINK MODE_SOURCE RadialTent ShellConstructionError "
-              "ShellPartition ShellSpec SymbolCode cantor_shells "
-              "estimate_radial_bounds hausdorff_bounds periodic_code "
-              "radial_derivative radial_tent_map shift_map shift_metric",
+    "radial": "RadialTent ShellConstructionError ShellPartition ShellSpec "
+              "SymbolCode cantor_shells estimate_radial_bounds "
+              "hausdorff_bounds periodic_code radial_derivative "
+              "radial_tent_map shift_map shift_metric",
     "horseshoe": "HorseshoeRegion RefinementExplosion find_saddles "
                  "leaf_component_count model_horseshoe_map trellis "
                  "unstable_manifold verify_ah",

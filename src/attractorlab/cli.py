@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .maps import (MODE_SINK, MODE_SOURCE, MapHandle, gauss_rotation,
-                   pioneer_climax_full, pioneer_climax_mixed)
+from .maps import (MapHandle, gauss_rotation, pioneer_climax_full,
+                   pioneer_climax_mixed)
 from .dynamics import (DivergenceError, CycleSearchError, RefinementExplosion,
                        orbit, detect_period, find_cycle, planar_bounds,
                        planar_points)
@@ -55,11 +55,13 @@ hypotheses, radial, horseshoe = map(_lazy, ("hypotheses", "radial",
 
 MAX_RASTER_SIDE = 8192
 MAX_SCHEDULE = 1_000_000  # values of a sweep or bifurcation schedule
-BOUNDS = ("xmin", "xmax", "ymin", "ymax")  # the raster window, if set
 FLOAT_FMT = "%.17g"
 CSV_CHUNK_ROWS = 1 << 13  # rows per block: bounds the writer's memory
 SUMMARY_COLUMNS = ("param", "period", "lyap_normsum", "lyap_qr_max",
                    "boxdim", "boxdim_r2", "status", "seconds")
+# a numeric failure: exit code 2, or a swept value's error status
+NUMERIC_FAILURES = (DivergenceError, CycleSearchError, RefinementExplosion,
+                    FloatingPointError, ValueError)
 
 
 class ConfigError(ValueError):
@@ -148,9 +150,8 @@ FAMILIES = {
     "radial_tent": Family(
         lambda cfg: radial.radial_tent_map(
             (cfg["slope_in"], cfg["slope_out"]),
-            **{k: cfg[k] for k in ("zeta", "theta", "mode", "alpha0")}).handle,
-        {"mode": Key(_choice(MODE_SOURCE, MODE_SINK), MODE_SOURCE),
-         "alpha0": Key(POSITIVE, None), "slope_in": Key(_above(1), 3.0),
+            **{k: cfg[k] for k in ("zeta", "theta", "alpha0")}).handle,
+        {"alpha0": Key(POSITIVE, None), "slope_in": Key(_above(1), 3.0),
          "slope_out": Key(_above(1), 3.0), "zeta": Key(POSITIVE, 1.0),
          "theta": Key(FLOAT, 0.0)}, (0.3, 0.1)),
     "model_horseshoe": Family(
@@ -170,28 +171,29 @@ def _start_point(cfg) -> np.ndarray:
     return np.array(FAMILIES[cfg["map"]].x0)
 
 
-COMMON = {"map": Key(_choice(*FAMILIES)), "out": Key(STR, "runs"),
-          "jobs": Key(_at_least(1), _available_cpus)}
+COMMON = {"map": Key(_choice(*FAMILIES))}
+# set on the command line only; jobs never changes an artifact
+FLAGS = {"out": Key(STR, "runs"), "jobs": Key(_at_least(1), _available_cpus)}
 # keys that several commands take
 _SCHEDULE = {"param": Key(Type("float key of map", str)),
              "start": Key(FLOAT), "stop": Key(FLOAT), "step": Key(FLOAT)}
 _ORBIT = {"n_transient": Key(_at_least(0), 10_000),
           "x0": Key(_vec(2), _start_point)}
 _RASTER = {"resolution": Key(_between(1, MAX_RASTER_SIDE), 1024),
-           **dict.fromkeys(BOUNDS, Key(FLOAT, None))}
+           "window": Key(BOX, None)}
 # lyap_n >= 100, the least horizon the Lyapunov estimators accept
 N_KEEP, LYAP_N = Key(_at_least(1), 100_000), Key(_at_least(100), 100_000)
 N_SCALES = Key(_between(5, MAX_SCALES), 8)
 
 
-def resolve(command: str, raw: dict) -> dict:
-    """Check a parsed config against its command's schema and return the
-    schema's keys with typed values or defaults; an unknown key is a
-    ConfigError naming the closest known key."""
+def resolve(command: str, raw: dict, flags: dict | None = None) -> dict:
+    """Check a parsed config against its command's schema, and the given
+    flags against FLAGS, and return the keys of both with typed values or
+    defaults; an unknown key is a ConfigError naming the closest known key."""
     cfg = {}
 
-    def value(name: str, key: Key):
-        if name not in raw:
+    def value(name: str, key: Key, given: dict = raw):
+        if name not in given:
             if key.default is not REQUIRED:
                 return key.default(cfg) if callable(key.default) \
                     else key.default
@@ -199,13 +201,14 @@ def resolve(command: str, raw: dict) -> dict:
                 return None
             raise ConfigError(f"missing config key {name!r}")
         try:
-            parsed = key.type.parse(raw[name])
+            parsed = key.type.parse(given[name])
             if key.type.ok(parsed):
                 return parsed
         except (KeyError, ValueError):
             pass
-        raise ConfigError(f"config key {name!r} must be {key.type.name}; "
-                          f"got {raw[name]!r}")
+        raise ConfigError(f"{'config key' if given is raw else 'flag'} "
+                          f"{name!r} must be {key.type.name}; "
+                          f"got {given[name]!r}")
 
     cfg["map"] = value("map", COMMON["map"])
     family = FAMILIES[cfg["map"]]
@@ -219,13 +222,10 @@ def resolve(command: str, raw: dict) -> dict:
     if "param" in keys:  # it names a float key of the map family
         keys["param"] = Key(_choice(*(k for k, key in family.keys.items()
                                       if key.type.parse is float)))
-    for name, key in keys.items():
-        cfg[name] = value(name, key)
-    if 0 < sum(cfg.get(k) is not None for k in BOUNDS) < len(BOUNDS):
-        raise ConfigError("set all or none of xmin, xmax, ymin and ymax")
-    if cfg.get("xmin") is not None and not (
-            cfg["xmin"] < cfg["xmax"] and cfg["ymin"] < cfg["ymax"]):
-        raise ConfigError("raster bounds need xmin < xmax and ymin < ymax")
+    for name, key in {**keys, **FLAGS}.items():
+        cfg[name] = value(name, key, (flags or {}) if name in FLAGS else raw)
+    if cfg.get("box") is None and {"k_max", "n_seeds"} & raw.keys():
+        raise ConfigError("k_max and n_seeds need the config key 'box'")
     if cfg.get("frame") is not None:
         _region_from(cfg)  # a singular frame is a ConfigError
     if "param" in keys:
@@ -439,8 +439,8 @@ def render_raster(points: np.ndarray, bounds, side: int, path) -> None:
 
 
 def _cloud_bounds(points: np.ndarray, cfg: dict):
-    if cfg["xmin"] is not None:  # then resolve() saw all four set
-        return (cfg["xmin"], cfg["xmax"]), (cfg["ymin"], cfg["ymax"])
+    if cfg["window"] is not None:
+        return cfg["window"].reshape(2, 2)
     if len(points) == 0:
         return ((0.0, 1.0), (0.0, 1.0))
     lo, hi = planar_bounds(points)
@@ -491,8 +491,7 @@ def _sweep_value(args) -> dict:
         write_cloud_csv(out / f"cloud_{idx:03d}.csv", cloud.points)
         render_raster(cloud.points, _cloud_bounds(cloud.points, cfg),
                       cfg["resolution"], out / f"cloud_{idx:03d}.pgm")
-    except (DivergenceError, CycleSearchError, FloatingPointError,
-            ValueError, RuntimeError) as exc:
+    except NUMERIC_FAILURES as exc:
         row["status"] = f"error:{type(exc).__name__}"
     row["seconds"] = time.perf_counter() - t0
     return row
@@ -659,17 +658,13 @@ def main(argv=None) -> int:
                      description="attractor toolkit batch runner")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True)
-    parser.add_argument("--out", help="sets the config key out")
-    parser.add_argument("--jobs", help="sets the config key jobs")
-    parser.add_argument("--literal-rotation", action="store_const",
-                        const="true", help="use the degenerate rotation "
-                        "form of the gauss family")
+    parser.add_argument("--out", help="output directory (default runs)")
+    parser.add_argument("--jobs", help="worker processes (default: CPUs)")
     try:
         args = parser.parse_args(argv)
-        raw = parse_config(args.config)
-        raw.update((k, v) for k in ("out", "jobs", "literal_rotation")
-                   if (v := getattr(args, k)) is not None)
-        cfg = resolve(args.command, raw)
+        cfg = resolve(args.command, parse_config(args.config),
+                      {k: v for k in FLAGS
+                       if (v := getattr(args, k)) is not None})
         run = COMMANDS[args.command].run
         # a command without a schedule builds its map before any output,
         # so a value only the family rejects is a config error
@@ -687,8 +682,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (DivergenceError, CycleSearchError, FloatingPointError,
-            np.linalg.LinAlgError, RefinementExplosion, ValueError) as exc:
+    except NUMERIC_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 

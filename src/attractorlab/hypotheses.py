@@ -186,8 +186,8 @@ def estimate_sup_norm(handle: MapHandle, search_radius: float,
     whose refined value ties M within 1e-7 relative).  Raises
     :class:`SupNormBoundaryError` when |f| on the search-box boundary
     is not below M/10, which means the box may not contain the peak; a
-    grid that sees only |f| = 0 raises too, and so does a radius whose
-    double overflows.
+    grid that sees only |f| = 0, or a non-finite |f|, raises too, and so
+    does a radius whose double overflows.
     """
     if not np.isfinite(2.0 * search_radius):
         raise SupNormBoundaryError(f"the radius-{search_radius} box is too "
@@ -195,6 +195,9 @@ def estimate_sup_norm(handle: MapHandle, search_radius: float,
     pts = _grid_points(handle, search_radius, grid)
     vals = _kernels.row_norms(handle.eval(pts))
     m_grid = float(vals.max())
+    if not np.isfinite(m_grid):
+        raise SupNormBoundaryError(f"|f| is not finite on the radius-"
+                                   f"{search_radius} grid")
     edge = np.any(np.abs(pts) >= search_radius * (1 - 1e-12), axis=1)
     boundary_max = float(vals[edge].max())
     if boundary_max >= m_grid / 10.0:

@@ -37,9 +37,6 @@ import numpy as np
 from . import _kernels
 
 GOLDEN_MEAN = (1.0 + math.sqrt(5.0)) / 2.0
-# the origin modes of the radial tent family (radial.radial_tent_map)
-MODE_SOURCE = "source_origin"
-MODE_SINK = "sink_origin"
 
 _FAMILY_PARAMS = {
     "gauss_rotation": ("a", "theta"),

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from .maps import MODE_SINK, MODE_SOURCE, MapHandle, MapSpec
+from .maps import MapHandle, MapSpec
 from .dynamics import PointCloud
 
 _BISECT_TOL = 1e-12
@@ -49,10 +49,10 @@ class ShellSpec:
     """Radial shell geometry: profiles are functions of the angle.
 
     alpha/beta bound the deleted band S* (the preimage of the dead
-    zone), zeta is the outer cutoff, alpha0 (sink mode only) is the
-    basin radius of the attracting origin.  lam/mu are the radial
-    expansion bounds; sampled validation accepts lam == mu since the
-    equal-slope tent construction is the primary oracle.
+    zone), zeta is the outer cutoff, alpha0, if set, is the basin
+    radius of an attracting origin (else the origin repels).  lam/mu
+    are the radial expansion bounds; sampled validation accepts lam ==
+    mu since the equal-slope tent construction is the primary oracle.
     """
     alpha: Callable
     beta: Callable
@@ -61,14 +61,7 @@ class ShellSpec:
     m_big: float
     lam: float
     mu: float
-    mode: str = MODE_SOURCE
     alpha0: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.mode not in (MODE_SOURCE, MODE_SINK):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == MODE_SINK and self.alpha0 is None:
-            raise ValueError("sink_origin mode requires alpha0")
 
     def validate(self, n_angles: int = 64) -> None:
         """Check the shell inequalities on a sampled angle grid."""
@@ -86,14 +79,14 @@ class ShellSpec:
             raise ValueError("need m_big/m_small < lam")
         if not self.lam <= self.mu:
             raise ValueError("need lam <= mu")
-        if self.mode == MODE_SINK:
+        if self.alpha0 is not None:
             a0 = self.alpha0(u)
             if not np.all((0 < a0) & (a0 < a)):
                 raise ValueError("need 0 < alpha0 < alpha at every angle")
 
     def inner_floor(self, u):
-        """Inner boundary of the shell region: 0 or alpha0 by mode."""
-        if self.mode == MODE_SINK:
+        """Inner boundary of the shell region: alpha0 if set, else 0."""
+        if self.alpha0 is not None:
             return self.alpha0(u)
         return np.asarray(u, dtype=float) * 0.0
 
@@ -127,7 +120,7 @@ def estimate_radial_bounds(handle: MapHandle, shells: ShellSpec,
     points with the wrong sign (inner must be positive, outer negative)
     plus a ratio entry when m_big/m_small >= lam_hat.  Violations are
     data, not errors.  Each region's grid leaves out its inner end (the
-    origin, or the alpha0 kink in sink mode).  All 2 * grid * n_angles
+    origin, or the alpha0 kink of a sink origin).  All 2 * grid * n_angles
     samples, angle by angle with the inner radii first, go through one
     radial_derivative call.
     """
@@ -455,16 +448,15 @@ class RadialTent:
 
 
 def radial_tent_map(slopes=(3.0, 3.0), zeta: float = 1.0, theta: float = 0.0,
-                    mode: str = MODE_SOURCE,
                     alpha0: Optional[float] = None) -> RadialTent:
     """Planar map with a piecewise-linear tent as its radius return map.
 
     |f(x)| = g(|x|) with g rising at slope ``slopes[0]`` and falling at
     slope ``slopes[1]`` to hit zero at the cutoff ``zeta`` (exactly
     zero beyond, so the map has compact support).  The image direction
-    is the input direction rotated by 2*pi*theta.  Sink mode replaces
-    the linear rise below ``alpha0`` with r^2/alpha0, making the origin
-    attracting with basin radius alpha0.
+    is the input direction rotated by 2*pi*theta.  Given ``alpha0``,
+    r^2/alpha0 replaces the linear rise below it, making the origin
+    attracting with basin radius alpha0; else the origin repels.
 
     All shell hypotheses hold by construction; returns the handle, the
     matching ShellSpec, and the return map g(r, angle).
@@ -474,18 +466,15 @@ def radial_tent_map(slopes=(3.0, 3.0), zeta: float = 1.0, theta: float = 0.0,
         raise ValueError("slopes must exceed 1")
     if zeta <= 0:
         raise ValueError("zeta must be positive")
-    if mode == MODE_SINK:
-        a0 = zeta / 4.0 if alpha0 is None else float(alpha0)
+    if alpha0 is None:
+        a0, alpha = None, zeta / s_in
+    else:
+        a0 = float(alpha0)
         alpha = a0 + (zeta - a0) / s_in
         apex = (s_out * zeta + (s_in - 1.0) * a0) / (s_in + s_out)
         if not 0 < a0 < alpha < apex:
             raise ValueError("alpha0 must be positive and small enough for "
                              "these slopes")
-    elif mode == MODE_SOURCE:
-        a0 = None
-        alpha = zeta / s_in
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     beta = zeta * (1.0 - 1.0 / s_out)
 
     def g(r, angle=0.0, slope=False):
@@ -529,13 +518,12 @@ def radial_tent_map(slopes=(3.0, 3.0), zeta: float = 1.0, theta: float = 0.0,
         return img, (rot @ radial).reshape(x.shape + (2,))
 
     params = {"s_in": s_in, "s_out": s_out, "zeta": zeta, "theta": theta,
-              "mode": mode, "alpha0": a0 if a0 is not None else np.nan}
+              "alpha0": a0 if a0 is not None else np.nan}
     handle = MapHandle(spec=MapSpec("user_table", params), eval=tent)
     m_small, m_big = alpha, beta
     spec = ShellSpec(alpha=_const_profile(alpha), beta=_const_profile(beta),
                      zeta=_const_profile(zeta), m_small=m_small,
                      m_big=m_big, lam=min(s_in, s_out), mu=max(s_in, s_out),
-                     mode=mode,
                      alpha0=None if a0 is None else _const_profile(a0))
     return RadialTent(handle=handle, shells=spec,
                       return_map=g)

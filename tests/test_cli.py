@@ -229,18 +229,24 @@ resolution = 16
         assert x1 == x2
 
 
-def test_orbit_literal_rotation_flag(tmp_path):
-    cfg = write_cfg(tmp_path, "flag.cfg", """
+def test_orbit_literal_rotation_flag(tmp_path, capsys):
+    # literal_rotation is a config key only: the flag is no longer one
+    text = """
 map = gauss_rotation
 a = 2.7
 theta = 0.6180339887498949
 n_transient = 50
 n_keep = 300
 resolution = 16
-""")
+"""
     out = tmp_path / "run"
-    assert main(["orbit", "--config", cfg, "--out", str(out),
-                 "--literal-rotation"]) == 0
+    assert main(["orbit", "--config", write_cfg(tmp_path, "flag.cfg", text),
+                 "--out", str(out), "--literal-rotation"]) == 1
+    assert "unrecognized arguments: --literal-rotation" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    cfg = write_cfg(tmp_path, "key.cfg", text + "literal_rotation = true\n")
+    assert main(["orbit", "--config", cfg, "--out", str(out)]) == 0
     rows = (out / "orbit.csv").read_text().splitlines()[1:]
     assert len(rows) == 300
     for row in rows:
@@ -409,7 +415,8 @@ HEADER = "check\tstatus\twitness\ttolerance\n"
      "cutoff_strict\tpass\tR=2.0\t0\n"
      "cutoff_numeric\tpass\tR=2.0\t1e-12\n"
      "origin_contraction\tfail\tmax_ratio=3 [-0.425511  0.201252]\t1e-09\n"),
-    ("map = radial_tent\nmode = sink_origin\nalpha0 = 0.2\n", HEADER +
+    # alpha0 alone makes the origin a sink
+    ("map = radial_tent\nalpha0 = 0.2\n", HEADER +
      "sup_norm\tpass\tM=1.3 R_M=0.566666667\t1e-06\n"
      "decay_to_zero\tpass\tprofile ok\t1e-09\n"
      "cutoff_strict\tpass\tR=2.0\t0\n"
@@ -583,7 +590,7 @@ resolution = 8
                                    (1e300, -1e300)])
 def test_bounds_of_a_collapsed_cloud_have_positive_extent(point):
     (x0, x1), (y0, y1) = cli._cloud_bounds(np.array([point] * 3),
-                                           {"xmin": None})
+                                           {"window": None})
     assert x0 < point[0] < x1 and y0 < point[1] < y1
     if max(map(abs, point)) <= 1.0:  # unit clouds keep the 1e-9 pad
         assert (x0, x1, y0, y1) == (point[0] - 1e-9, point[0] + 1e-9,
@@ -615,7 +622,7 @@ def planar_clouds(draw):
 @given(planar_clouds())
 def test_column_bounds_equal_the_axis0_reductions(pts):
     def results():
-        bounds = cli._cloud_bounds(pts, {"xmin": None})
+        bounds = cli._cloud_bounds(pts, {"window": None})
         box = chaos.box_counting_dimension(pts, 6)
         return (np.array(bounds).tobytes(), box.scales.tobytes(),
                 box.counts.tobytes(), box.dimension, box.r2, box.degenerate)
@@ -629,6 +636,20 @@ def test_column_bounds_equal_the_axis0_reductions(pts):
         assert results() == fast
 
 
+def hypothesis_rows_under_w_error(tmp_path, text):
+    """The hypothesis.txt rows of a run of the CLI under -W error, which
+    must exit 0 with nothing on stderr."""
+    cfg = write_cfg(tmp_path, "h.cfg", text)
+    src = str(Path(attractorlab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "attractorlab.cli",
+         "hypothesis", "--config", cfg, "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == (0, "")
+    return [line.split("\t") for line in
+            (tmp_path / "run" / "hypothesis.txt").read_text().splitlines()]
+
+
 @pytest.mark.parametrize("radius, last", [("2e307", "1.6e+308"),
                                           ("1e308", "1e+308")])
 def test_hypothesis_search_box_that_overflows_is_inconclusive(tmp_path,
@@ -636,22 +657,27 @@ def test_hypothesis_search_box_that_overflows_is_inconclusive(tmp_path,
     # the box's span overflowed: NumPy warned in subtract, and the command
     # exited 2 with a zero-size reduction error; under -W error a warning
     # would escape main as an exception
-    cfg = write_cfg(tmp_path, "h.cfg", "map = gauss_rotation\na = 3\n"
-                    f"theta = 0.3\ngrid = 2\nsearch_radius = {radius}\n")
-    src = str(Path(attractorlab.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "attractorlab.cli",
-         "hypothesis", "--config", cfg, "--out", str(tmp_path / "run")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
-    assert (done.returncode, done.stderr) == (0, "")
-    rows = [line.split("\t") for line in
-            (tmp_path / "run" / "hypothesis.txt").read_text().splitlines()]
+    rows = hypothesis_rows_under_w_error(
+        tmp_path, "map = gauss_rotation\na = 3\ntheta = 0.3\ngrid = 2\n"
+        f"search_radius = {radius}\n")
     assert rows[1][:2] == ["sup_norm", "inconclusive"]
     assert rows[1][2] == (f"the radius-{last} box is too large: "
                           "2 * radius overflows")
     assert [row[0] for row in rows[2:]] == [
         "decay_to_zero", "cutoff_strict", "cutoff_numeric"]
 
+
+
+@pytest.mark.parametrize("grid", ["2", "256"])
+def test_hypothesis_grid_where_f_is_nan_is_inconclusive(tmp_path, grid):
+    # from about 1e155 the pioneer map's inf * 0 makes |f| nan on the grid;
+    # the command exited 2 with a zero-size reduction error
+    rows = hypothesis_rows_under_w_error(
+        tmp_path, PIONEER + f"search_radius = 1e160\ngrid = {grid}\n")
+    assert rows[1][:3] == ["sup_norm", "inconclusive", "|f| is not finite "
+                           "on the radius-8e+160 grid"]
+    assert [row[0] for row in rows[2:]] == [
+        "decay_to_zero", "cutoff_strict", "cutoff_numeric"]
 
 def test_horseshoe_on_a_population_map_prints_no_warnings(tmp_path, capsys):
     # Newton iterates leave the positivity cone, where the pioneer step
@@ -678,8 +704,8 @@ def test_saddle_census_with_huge_newton_residuals_prints_no_warnings(
 def test_bifurcation_csv_matches_per_value_format(tmp_path):
     text = CONTRACT["bifurcation"][0] + "projection = 1\n"
     out = tmp_path / "run"
-    assert main(["bifurcation", "--config",
-                 write_cfg(tmp_path, "b.cfg", text), "--out", str(out)]) == 0
+    assert main(["bifurcation", "--config", write_cfg(tmp_path, "b.cfg", text),
+                 "--out", str(out), "--jobs", "1"]) == 0
     cfg = cli.resolve("bifurcation", parse_config(tmp_path / "b.cfg"))
     name, values = _schedule(cfg, minimum=100)
     rows = [(float(v), float(y)) for v in values
@@ -934,27 +960,27 @@ resolution = 16
 
 # the config contract, command by command: (ok config, misspelt key line,
 # the key its message must name, badly typed line, lines that turn the ok
-# config into a numeric failure, an out-of-range value or an incomplete
-# raster window).  hypothesis and horseshoe have no
-# numeric failure to reach: their batteries report fail or inconclusive
-# rows instead of raising.
+# config into a numeric failure, an out-of-range value or a raster window
+# of reversed or zero extent); the ok configs run at --jobs 1.  hypothesis
+# and horseshoe have no numeric failure to reach: their batteries report
+# fail or inconclusive rows instead of raising.
 PIONEER = "map = pioneer_climax_full\na = 3\nb = 3\n"
 OUTSIDE_CONE = "x0 = -1,0.5\n"   # the pioneer orbit overflows
 CONTRACT = {
     "sweep": ("map = gauss_rotation\ntheta = 0.5\nparam = a\nstart = 2.7\n"
               "stop = 3.6\nstep = 0.9\nn_transient = 10\nn_keep = 1000\n"
-              "lyap_n = 200\nresolution = 8\njobs = 1\n",
+              "lyap_n = 200\nresolution = 8\n",
               "lyap_m = 200\n", "lyap_n", "n_keep = many\n",
-              "start = -0.5\n", "xmin = -5\n"),
+              "start = -0.5\n", "window = 5,-5,-5,5\n"),
     "orbit": (PIONEER + "n_transient = 10\nn_keep = 300\nresolution = 8\n",
               "n_kepe = 300\n", "n_keep", "resolution = big\n",
-              OUTSIDE_CONE, "xmin = -5\nymax = 2\n"),
+              OUTSIDE_CONE, "window = -5,5,2,-2\n"),
     "lyapunov": (PIONEER + "n_transient = 10\nlyap_n = 200\n",
                  "lyap_m = 200\n", "lyap_n", "lyap_n = 1.5\n",
-                 OUTSIDE_CONE, "jobs = 0\n"),
+                 OUTSIDE_CONE, "lyap_n = 50\n"),
     "boxdim": (PIONEER + "n_transient = 10\nn_keep = 1000\n",
                "n_scale = 8\n", "n_scales", "n_scales = x\n", OUTSIDE_CONE,
-               "jobs = 0\n"),
+               "n_scales = 4\n"),
     "hypothesis": ("map = gauss_rotation\na = 2.7\ntheta = 0.5\ngrid = 16\n",
                    "gird = 16\n", "grid", "grid = 1e3\n", None,
                    "search_radius = nan\n"),
@@ -964,12 +990,12 @@ CONTRACT = {
     "trellis": ("map = model_horseshoe\nsaddle_seed = 0.05,0.02\n"
                 "arc_budget = 4\nresolution = 8\n",
                 "arc_budgte = 4\n", "arc_budget", "saddle_seed = 0.05\n",
-                "saddle_seed = 0.1,-4.0\n", "ymin = 0\n"),
+                "saddle_seed = 0.1,-4.0\n", "window = 0,1,1,1\n"),
     "bifurcation": ("map = gauss_rotation\ntheta = 0.5\nparam = a\n"
                     "start = 2.0\nstop = 2.99\nstep = 0.01\n"
-                    "bif_transient = 10\nbif_keep = 2\njobs = 1\n",
+                    "bif_transient = 10\nbif_keep = 2\n",
                     "bif_kep = 2\n", "bif_keep", "projection = 5\n",
-                    "start = -0.5\nstop = 0.49\n", "jobs = 0\n"),
+                    "start = -0.5\nstop = 0.49\n", "bif_keep = 0\n"),
 }
 EXIT_CODES = {"ok": 0, "unknown_key": 1, "bad_type": 1, "numeric": 2,
               "out_of_range": 1, "unwritable_out": 3}
@@ -987,7 +1013,7 @@ def test_config_contract_exit_codes(tmp_path, capsys, command, case):
         (tmp_path / "file").write_text("x")
         out = tmp_path / "file" / "sub"
     code = main([command, "--config", write_cfg(tmp_path, "c.cfg", text),
-                 "--out", str(out)])
+                 "--out", str(out), "--jobs", "1"])
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert code == EXIT_CODES[case], err
@@ -1025,7 +1051,6 @@ def test_sweep_config_errors_stop_before_any_value(tmp_path, capsys):
     ("orbit", "map = warp_drive\n"),
     ("orbit", "a = 2.7\ntheta = 0.5\n"),
     ("orbit", "map = gauss_rotation\ntheta = 0.5\n"),
-    ("orbit", "map = radial_tent\nmode = spiral\n"),
     ("orbit", "map = gauss_rotation\na = 2.7\ntheta = 0.5\n"
               "literal_rotation = maybe\n"),
     # keys of another family, or of none
@@ -1033,15 +1058,19 @@ def test_sweep_config_errors_stop_before_any_value(tmp_path, capsys):
     ("orbit", PIONEER + "theta = 0.5\n"),
     ("orbit", "map = gauss_rotation\na = 2.7\ntheta = 0.5\nseed = 3\n"),
     ("hypothesis", PIONEER + "n_keep = 300\n"),
-    # out of the ranges the library states, or an incomplete raster window
+    # out of the ranges the library states, or a raster window that is
+    # not four floats
     ("horseshoe", "map = model_horseshoe\nsampling = 0\n"),
     ("horseshoe", "map = model_horseshoe\nbox = 0,1,0,1\nk_max = 0\n"),
     ("horseshoe", "map = model_horseshoe\nbox = 0,1,0,1\nn_seeds = 0\n"),
+    # census settings without the census box
+    ("horseshoe", "map = model_horseshoe\nk_max = 2\n"),
+    ("horseshoe", "map = model_horseshoe\nn_seeds = 3\n"),
     ("hypothesis", PIONEER + "search_radius = -1\n"),
     ("hypothesis", PIONEER + "search_radius = 0\n"),
     ("hypothesis", PIONEER + "search_radius = inf\n"),
     ("hypothesis", PIONEER + "grid = 1\n"),
-    ("orbit", PIONEER + "xmin = -5\nxmax = 5\nymin = -5\n"),
+    ("orbit", PIONEER + "window = -5,5,-5\n"),
     ("sweep", CONTRACT["sweep"][0] + "lyap_n = 50\n"),
     ("lyapunov", PIONEER + "lyap_n = 50\n"),
     ("trellis", CONTRACT["trellis"][0] + "tol = 0\n"),
@@ -1060,8 +1089,8 @@ def test_sweep_config_errors_stop_before_any_value(tmp_path, capsys):
     ("orbit", "map = radial_tent\nslope_in = 0\n"),
     ("orbit", "map = radial_tent\nzeta = 0\n"),
     ("orbit", "map = gauss_rotation\na = -1\ntheta = 0.5\n"),
-    ("orbit", "map = radial_tent\nmode = sink_origin\nalpha0 = 0\n"),
-    ("orbit", "map = radial_tent\nmode = sink_origin\nalpha0 = -0.1\n"),
+    ("orbit", "map = radial_tent\nalpha0 = 0\n"),
+    ("orbit", "map = radial_tent\nalpha0 = -0.1\n"),
     ("horseshoe", "map = model_horseshoe\nbox = 0,0,0,0\n"),
     ("horseshoe", "map = model_horseshoe\nbox = 0,1,1,0\n"),
     # values that only a family builder or the frame rejects, before any
@@ -1072,15 +1101,12 @@ def test_sweep_config_errors_stop_before_any_value(tmp_path, capsys):
                 "saddle_seed = 0.05,0.02\n"),
     ("horseshoe", "map = gauss_rotation\na = 2.7\ntheta = 0.5\n"
                   "frame = 1,2,2,4\n"),
-    ("orbit", "map = radial_tent\nmode = sink_origin\nalpha0 = 0.9\n"),
-    ("hypothesis", "map = radial_tent\nmode = sink_origin\nalpha0 = 0.9\n"),
+    ("orbit", "map = radial_tent\nalpha0 = 0.9\n"),
+    ("hypothesis", "map = radial_tent\nalpha0 = 0.9\n"),
     # a raster window of reversed bounds, before any output
-    ("orbit", CONTRACT["orbit"][0]
-     + "xmin = 1\nxmax = 0\nymin = 0\nymax = 1\n"),
-    ("sweep", CONTRACT["sweep"][0]
-     + "xmin = 1\nxmax = 0\nymin = 0\nymax = 1\n"),
-    ("trellis", CONTRACT["trellis"][0]
-     + "xmin = 0\nxmax = 1\nymin = 1\nymax = 1\n"),
+    ("orbit", CONTRACT["orbit"][0] + "window = 1,0,0,1\n"),
+    ("sweep", CONTRACT["sweep"][0] + "window = 1,0,0,1\n"),
+    ("trellis", CONTRACT["trellis"][0] + "window = 0,1,1,1\n"),
     # a bifurcation schedule of fewer than 100 values, before any work
     ("bifurcation", "map = gauss_rotation\ntheta = 0.5\nparam = a\n"
                     "start = 2\nstop = 2.5\nstep = 0.1\n"),
@@ -1107,19 +1133,76 @@ def test_param_may_name_a_float_key_with_a_range():
 
 
 def test_flags_go_through_the_config_checks(tmp_path, capsys):
-    elsewhere = tmp_path / "elsewhere"
     cfg = write_cfg(tmp_path, "c.cfg", PIONEER + "n_keep = 300\n"
-                    f"resolution = 8\nout = {elsewhere}\n")
+                    "resolution = 8\n")
     out = tmp_path / "run"
-    for flags in (["--jobs", "0"], ["--jobs", "two"], ["--literal-rotation"]):
+    for jobs in ("0", "two"):
         assert main(["orbit", "--config", cfg, "--out", str(out),
-                     *flags]) == 1
-        assert "config key" in capsys.readouterr().err
-    # --out wins over the config key
-    assert main(["orbit", "--config", cfg, "--out", str(out)]) == 0
+                     "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: flag 'jobs' must be int >= 1; got {jobs!r}\n")
+        assert not out.exists()
+    assert main(["orbit", "--config", cfg, "--out", str(out),
+                 "--jobs", "1"]) == 0
     assert (out / "orbit.csv").is_file()
-    assert not elsewhere.exists()
 
+
+
+@pytest.mark.parametrize("text, key", [
+    (PIONEER + "xmin = -5\n", "xmin"),
+    ("map = radial_tent\nmode = sink_origin\nalpha0 = 0.2\n", "mode"),
+    (PIONEER + "out = elsewhere\n", "out"),
+    (PIONEER + "jobs = 1\n", "jobs")])
+def test_removed_and_flag_only_keys_are_unknown_in_a_config(tmp_path, capsys,
+                                                           text, key):
+    out = tmp_path / "run"
+    assert main(["orbit", "--config", write_cfg(tmp_path, "c.cfg", text),
+                 "--out", str(out), "--jobs", "1"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: unknown config key {key!r} for orbit")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["orbit", "sweep", "trellis"])
+def test_raster_window_is_one_checked_key(tmp_path, capsys, command):
+    window = "-0.5,6,-1,7" if command != "trellis" else "-0.2,0.3,-0.2,0.3"
+    out = tmp_path / "run"
+    base = CONTRACT[command][0]
+    assert main([command, "--config",
+                 write_cfg(tmp_path, "c.cfg", f"{base}window = {window}\n"),
+                 "--out", str(out), "--jobs", "1"]) == 0
+    name = {"orbit": "orbit", "sweep": "cloud_000",
+            "trellis": "trellis"}[command]
+    lines = (out / f"{name}.csv").read_text().splitlines()[1:]
+    pts = np.array([[float(v) for v in line.split(",")[1:]]
+                    for line in lines])
+    render_raster(pts, np.array(window.split(","), float).reshape(2, 2), 8,
+                  tmp_path / "want.pgm")
+    assert (out / f"{name}.pgm").read_bytes() == \
+        (tmp_path / "want.pgm").read_bytes()
+    reversed_out = tmp_path / "reversed"
+    assert main([command, "--config",
+                 write_cfg(tmp_path, "r.cfg", base + "window = 1,0,0,1\n"),
+                 "--out", str(reversed_out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: config key 'window' must be float[4] "
+        "lo,hi,lo,hi with lo < hi; got '1,0,0,1'\n")
+    assert not reversed_out.exists()
+
+
+def test_sweep_value_reports_numeric_failures_only(tmp_path, monkeypatch):
+    # an error that is no numeric failure ends the run; it is not written
+    # as a value's error status
+    def not_implemented(*args, **kwargs):
+        raise NotImplementedError("box counting")
+
+    monkeypatch.setattr(cli, "box_counting_dimension", not_implemented)
+    out = tmp_path / "run"
+    with pytest.raises(NotImplementedError, match="box counting"):
+        main(["sweep", "--config",
+              write_cfg(tmp_path, "s.cfg", CONTRACT["sweep"][0]),
+              "--out", str(out), "--jobs", "1"])
+    assert not (out / "summary.csv").exists()
 
 def test_resolve_fills_typed_defaults():
     cfg = cli.resolve("orbit", {"map": "pioneer_climax_mixed", "a": "3",
@@ -1127,7 +1210,12 @@ def test_resolve_fills_typed_defaults():
     assert cfg["a"] == 3.0 and cfg["b"] == 2.5 and cfg["n_keep"] == 1000
     assert cfg["n_transient"] == 10_000 and cfg["resolution"] == 1024
     np.testing.assert_array_equal(cfg["x0"], [0.5, 0.5])
-    assert cfg["xmin"] is None and cfg["out"] == "runs" and cfg["jobs"] >= 1
+    assert cfg["window"] is None and cfg["out"] == "runs" and cfg["jobs"] >= 1
+    cfg = cli.resolve("orbit", {"map": "pioneer_climax_mixed", "a": "3",
+                                "b": "2.5", "window": "-1,2,0,3"},
+                      {"out": "elsewhere", "jobs": "3"})
+    np.testing.assert_array_equal(cfg["window"], [-1, 2, 0, 3])
+    assert cfg["out"] == "elsewhere" and cfg["jobs"] == 3
     cfg = cli.resolve("sweep", {"map": "gauss_rotation", "param": "theta",
                                 "a": "4.4", "start": "0", "stop": "1",
                                 "step": "0.5"})

@@ -21,7 +21,7 @@ from attractorlab.hypotheses import (Check, SupNormBoundaryError,
                                      az_decay_profile, estimate_sup_norm,
                                      ez_check, origin_contraction_check,
                                      run_hypothesis_report)
-from attractorlab.radial import MODE_SINK, radial_tent_map
+from attractorlab.radial import radial_tent_map
 
 # |f(x)| = a r exp(-r^2) peaks at r = 1/sqrt(2), closed form below
 GAUSS_M = 2.7 * math.exp(-0.5) / math.sqrt(2)
@@ -82,6 +82,17 @@ def test_sup_norm_grid_that_sees_only_zeros_is_inconclusive():
         assert f"radius-{last} box" in report.check("sup_norm").witness
     with pytest.raises(SupNormBoundaryError, match="1e.308 box is too large"):
         estimate_sup_norm(h, 1e308, grid=2)
+    # from about 1e155, x2 * (0.2 x1 + 0.8 x2) of the pioneer map overflows
+    # to inf and meets an exp that underflowed to 0: |f| is nan on the grid
+    p = pioneer_climax_full(3.0, 3.0)
+    for grid in (2, 256):
+        with pytest.raises(SupNormBoundaryError, match="not finite on the "
+                           r"radius-1e\+160 grid"):
+            estimate_sup_norm(p, 1e160, grid=grid)
+        sup = run_hypothesis_report(p, search_radius=1e160,
+                                    grid=grid).check("sup_norm")
+        assert sup.status == "inconclusive"
+        assert sup.witness == "|f| is not finite on the radius-8e+160 grid"
 
 
 def test_decay_profile_gauss_passes():
@@ -231,7 +242,7 @@ def test_report_pioneer_adaptive_decay():
 @pytest.mark.parametrize("handle", [
     gauss_rotation(2.7, GOLDEN_MEAN), pioneer_climax_full(3.0, 3.0),
     radial_tent_map((3.0, 3.0)).handle,
-    radial_tent_map((3.0, 3.0), mode=MODE_SINK, alpha0=0.2).handle,
+    radial_tent_map((3.0, 3.0), alpha0=0.2).handle,
     bump_map()])
 def test_report_check_data_formats_to_its_witness(handle):
     rep = run_hypothesis_report(handle)

@@ -10,12 +10,11 @@ from hypothesis import assume, given, strategies as st
 
 from attractorlab.maps import (GOLDEN_MEAN, finite_difference_jacobian,
                                gauss_rotation)
-from attractorlab.radial import (MODE_SINK, MODE_SOURCE, RadialTent,
-                                 ShellConstructionError, ShellSpec, SymbolCode,
-                                 cantor_shells, estimate_radial_bounds,
-                                 hausdorff_bounds, periodic_code,
-                                 radial_derivative, radial_tent_map,
-                                 shift_map, shift_metric)
+from attractorlab.radial import (RadialTent, ShellConstructionError,
+                                 ShellSpec, SymbolCode, cantor_shells,
+                                 estimate_radial_bounds, hausdorff_bounds,
+                                 periodic_code, radial_derivative,
+                                 radial_tent_map, shift_map, shift_metric)
 
 
 def const(v):
@@ -34,18 +33,14 @@ def test_shellspec_validation():
         ShellSpec(const(0.3), const(0.7), const(1.0), 0.3, 0.7, 2.0, 3.0).validate()
     with pytest.raises(ValueError):
         ShellSpec(const(0.3), const(0.7), const(1.0), 0.3, 0.7, 3.0, 2.5).validate()
-    with pytest.raises(ValueError):
-        ShellSpec(const(0.3), const(0.7), const(1.0), 0.3, 0.7, 3.0, 3.0,
-                  mode="spiral")
-    with pytest.raises(ValueError):
-        ShellSpec(const(0.3), const(0.7), const(1.0), 0.3, 0.7, 3.0, 3.0,
-                  mode=MODE_SINK)
     sink = ShellSpec(const(0.3), const(0.7), const(1.0), 0.3, 0.7, 3.0, 3.0,
-                     mode=MODE_SINK, alpha0=const(0.1))
+                     alpha0=const(0.1))
     sink.validate()
+    np.testing.assert_array_equal(sink.inner_floor(np.zeros(3)), 0.1)
+    np.testing.assert_array_equal(good.inner_floor(np.zeros(3)), 0.0)
     with pytest.raises(ValueError):
         ShellSpec(const(0.3), const(0.7), const(1.0), 0.3, 0.7, 3.0, 3.0,
-                  mode=MODE_SINK, alpha0=const(0.5)).validate()
+                  alpha0=const(0.5)).validate()
 
 
 def test_radial_derivative_on_tent():
@@ -98,17 +93,17 @@ def test_estimate_radial_bounds_flags_sign_violations():
     assert "sign" in kinds
 
 
-# lam_hat, mu_hat and violation kinds: a tent reads its slopes (in sink
-# mode the inner grid starts one step above the alpha0 kink, so the
+# lam_hat, mu_hat and violation kinds: a tent reads its slopes (with an
+# alpha0 the inner grid starts one step above the alpha0 kink, so the
 # r^2/alpha0 core is never sampled); the gauss row is pinned from a
 # one-sample-at-a-time evaluation.
 @pytest.mark.parametrize("make, grid, n_angles, lam, mu, kinds", [
     (lambda: _tent_case((2.5, 4.0), theta=0.15), 64, 16,
      2.4999999999999996, 4.000000000000003, []),
-    (lambda: _tent_case((3.0, 5.0), mode=MODE_SINK, theta=0.3), 64, 16,
+    (lambda: _tent_case((3.0, 5.0), alpha0=0.25, theta=0.3), 64, 16,
      3.0, 5.000000000000003, []),
-    (lambda: _tent_case((6.0, 6.0), mode=MODE_SINK), 64, 16, 6.0, 6.0, []),
-    (lambda: _tent_case((5.0, 5.0), mode=MODE_SINK), 64, 16, 5.0, 5.0, []),
+    (lambda: _tent_case((6.0, 6.0), alpha0=0.25), 64, 16, 6.0, 6.0, []),
+    (lambda: _tent_case((5.0, 5.0), alpha0=0.25), 64, 16, 5.0, 5.0, []),
     (_gauss_case, 32, 8, 0.06811872501445615, 2.692096278118891,
      ["sign"] * 80 + ["ratio_condition"]),
 ], ids=["tent_source", "tent_sink", "tent_sink_6_6", "tent_sink_5_5",
@@ -143,13 +138,13 @@ def test_radial_derivative_of_a_block_is_its_rows():
 @given(st.floats(1.0, 6.0, exclude_min=True),
        st.floats(1.0, 6.0, exclude_min=True),
        st.floats(0.5, 3.0), st.floats(0.0, 1.0),
-       st.sampled_from([MODE_SOURCE, MODE_SINK]), st.floats(0.05, 0.5),
+       st.booleans(), st.floats(0.05, 0.5),
        st.floats(0.0, 1.0), st.floats(0.0, 2 * np.pi))
 def test_radial_tent_slope_matches_a_central_difference(
-        s_in, s_out, zeta, theta, mode, a0_frac, r_frac, phi):
-    a0 = a0_frac * zeta if mode == MODE_SINK else None
+        s_in, s_out, zeta, theta, sink, a0_frac, r_frac, phi):
+    a0 = a0_frac * zeta if sink else None
     try:
-        tent = radial_tent_map((s_in, s_out), zeta, theta, mode, a0)
+        tent = radial_tent_map((s_in, s_out), zeta, theta, a0)
     except ValueError:
         assume(False)
     lift = 0.0 if a0 is None else (s_in - 1.0) * a0
@@ -296,7 +291,7 @@ def test_write_csv_round_trip(tmp_path):
 
 
 def test_sink_mode_partition_and_basin():
-    tent = radial_tent_map((3.0, 3.0), mode=MODE_SINK)
+    tent = radial_tent_map((3.0, 3.0), alpha0=0.25)
     assert isinstance(tent, RadialTent)
     part = cantor_shells(tent.return_map, tent.shells, depth=3)
     part.validate()
@@ -321,11 +316,9 @@ def test_radial_tent_validation():
         radial_tent_map((1.0, 3.0))
     with pytest.raises(ValueError):
         radial_tent_map((3.0, 3.0), zeta=0.0)
-    with pytest.raises(ValueError):
-        radial_tent_map((3.0, 3.0), mode="other")
     for alpha0 in (0.9, 0.0, -0.1):
         with pytest.raises(ValueError):
-            radial_tent_map((3.0, 3.0), mode=MODE_SINK, alpha0=alpha0)
+            radial_tent_map((3.0, 3.0), alpha0=alpha0)
 
 
 def test_radial_tent_jacobian_matches_fd():
