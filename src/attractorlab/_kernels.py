@@ -2,13 +2,15 @@
 
 Each built-in planar family is defined once, by the orbit loop and the
 tangent (image plus analytic Jacobian, sharing each exponential) in
-``_family`` below, which takes the exponential as an argument.  The loop
-branches on the family inside its body, so the image formula is written
-once and a step costs no Python call.  Built over ``math.exp`` the loop
-is the scalar lane's orbit; built over ``np.exp`` it is the NumPy form
-``_np_orbit``/``_np_tangent``, which also takes column arrays and so runs
-many starts in lockstep.  ``builtin_eval`` wraps the NumPy form (the loop
-run for one transient step) as a built-in handle's one
+``_family`` below, which takes the exponential as an argument.  Its two
+formulas cover the four built-in maps: the literal gauss form packs the
+rotation's first row twice, and pioneer-mixed a climax coupling of 0.
+The loop branches on the family inside its body, so each formula is
+written once and a step costs no Python call.  Built over ``math.exp``
+the loop is the scalar lane's orbit; built over ``np.exp`` it is the
+NumPy form ``_np_orbit``/``_np_tangent``, which also takes column arrays
+and so runs many starts in lockstep.  ``builtin_eval`` wraps the NumPy
+form (the loop run for one transient step) as a built-in handle's one
 ``eval(x, with_jac)``, over a point or a block.
 
 Both Lyapunov estimators share one walk: the orbit loop advances the
@@ -65,76 +67,59 @@ _DISABLED = os.environ.get("ATTRACTORLAB_NO_NUMBA", "").strip().lower() in (
 USE_NUMBA = HAVE_NUMBA and not _DISABLED
 
 # family codes of the built-in families, dispatched on inside _family
-FAM_GAUSS_LITERAL = 0
-FAM_GAUSS = 1
-FAM_PIONEER_FULL = 2
-FAM_PIONEER_MIXED = 3
+FAM_GAUSS = 0
+FAM_PIONEER = 1
 
 
 def _family(exp):
     """The built-in families' orbit loop and tangent over ``exp``.
 
-    ``orbit(fam, pa, pb, pc, x1, x2, n_transient, n_keep, out)`` runs
-    steps ``-n_transient .. n_keep - 1`` from (x1, x2), writes step
-    ``i >= 0`` to row ``i`` of ``out`` and returns the final point; run for
-    one transient step it is the one-step image.  ``tangent`` returns the
-    image and the Jacobian entries (y1, y2, j11, j12, j21, j22), bit for
-    bit the same image as a step of ``orbit``.  With ``math.exp`` they are
-    the scalar definition run by the kernel loops; with ``np.exp`` the
+    ``orbit(fam, pa, pb, pc, pd, pe, x1, x2, n_transient, n_keep, out)``
+    runs steps ``-n_transient .. n_keep - 1`` from (x1, x2), writes step
+    ``i >= 0`` to row ``i`` of ``out`` and returns the final point; run
+    for one transient step it is the one-step image.  ``tangent`` returns
+    the image and the Jacobian entries (y1, y2, j11, j12, j21, j22), bit
+    for bit the same image as a step of ``orbit``.  With ``math.exp`` they
+    are the scalar definition run by the kernel loops; with ``np.exp`` the
     same code also takes column arrays for x1/x2 (and rows of ``out`` of
     their shape) and returns ``inf`` where ``math.exp`` raises
     ``OverflowError``.
     """
 
-    def orbit(fam, pa, pb, pc, x1, x2, n_transient, n_keep, out):
-        # pa/pb/pc packing: gauss -> (a, cos(2*pi*theta), sin(2*pi*theta)),
-        # pioneer -> (a, b, unused)
+    def orbit(fam, pa, pb, pc, pd, pe, x1, x2, n_transient, n_keep, out):
+        # packing: gauss -> (a, M by rows), the image a * exp(-|x|^2) * M x;
+        # pioneer -> (a, b, c, 0, 0), c the climax coupling of the first exp
         if n_keep > 0:  # the one-step form makes no views
             col1, col2 = out[:, 0], out[:, 1]
         for i in range(-n_transient, n_keep):
             if fam == FAM_GAUSS:
                 w = pa * exp(-(x1 * x1 + x2 * x2))
-                x1, x2 = w * (x1 * pb - x2 * pc), w * (x1 * pc + x2 * pb)
-            elif fam == FAM_GAUSS_LITERAL:
-                # degenerate variant: both components share the first formula
-                w = pa * exp(-(x1 * x1 + x2 * x2))
-                x1 = x2 = w * (x1 * pb - x2 * pc)
-            else:  # the pioneer families differ in the first exponent
-                e1 = exp(pa - 0.8 * x1 - 0.2 * x2 if fam == FAM_PIONEER_FULL
-                         else pa - 0.8 * x1)
-                x1, x2 = (x1 * e1, x2 * (0.2 * x1 + 0.8 * x2)
+                x1, x2 = w * (x1 * pb + x2 * pc), w * (x1 * pd + x2 * pe)
+            else:
+                x1, x2 = (x1 * exp(pa - 0.8 * x1 - pc * x2),
+                          x2 * (0.2 * x1 + 0.8 * x2)
                           * exp(pb - 0.2 * x1 - 0.8 * x2))
             if i >= 0:
                 col1[i] = x1
                 col2[i] = x2
         return x1, x2
 
-    def tangent(fam, pa, pb, pc, x1, x2):
+    def tangent(fam, pa, pb, pc, pd, pe, x1, x2):
         # one exp per factor serves both the image and the Jacobian; the
         # image is computed by the same operations as a step of ``orbit``
         if fam == FAM_GAUSS:
+            # J = w * (M - 2 u x^T), u = M x
             w = pa * exp(-(x1 * x1 + x2 * x2))
-            u1 = x1 * pb - x2 * pc
-            u2 = x1 * pc + x2 * pb
+            u1 = x1 * pb + x2 * pc
+            u2 = x1 * pd + x2 * pe
             return (w * u1, w * u2,
-                    w * (pb - 2.0 * u1 * x1), w * (-pc - 2.0 * u1 * x2),
-                    w * (pc - 2.0 * u2 * x1), w * (pb - 2.0 * u2 * x2))
-        if fam == FAM_GAUSS_LITERAL:
-            w = pa * exp(-(x1 * x1 + x2 * x2))
-            t = x1 * pb - x2 * pc
-            j11 = w * (pb - 2.0 * t * x1)
-            j12 = w * (-pc - 2.0 * t * x2)
-            return w * t, w * t, j11, j12, j11, j12
-        if fam == FAM_PIONEER_FULL:
-            e1 = exp(pa - 0.8 * x1 - 0.2 * x2)
-            j12 = -0.2 * x1 * e1
-        else:  # FAM_PIONEER_MIXED
-            e1 = exp(pa - 0.8 * x1)
-            j12 = 0.0
+                    w * (pb - 2.0 * u1 * x1), w * (pc - 2.0 * u1 * x2),
+                    w * (pd - 2.0 * u2 * x1), w * (pe - 2.0 * u2 * x2))
+        e1 = exp(pa - 0.8 * x1 - pc * x2)
         p = 0.2 * x1 + 0.8 * x2
         e2 = exp(pb - 0.2 * x1 - 0.8 * x2)
         return (x1 * e1, x2 * p * e2,
-                e1 * (1.0 - 0.8 * x1), j12,
+                e1 * (1.0 - 0.8 * x1), -pc * x1 * e1,
                 0.2 * x2 * e2 * (1.0 - p), e2 * (p + 0.8 * x2 * (1.0 - p)))
 
     return orbit, tangent
@@ -163,7 +148,6 @@ def builtin_eval(fam, packed, x, with_jac=False):
                                          None))
     y1, y2, *entries = _np_tangent(fam, *packed, x[:, 0], x[:, 1])
     jac = np.empty((len(x), 2, 2))
-    # item assignment broadcasts pioneer-mixed's scalar j12 = 0.0
     jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1] = entries
     return np.column_stack([y1, y2]), jac
 
@@ -199,7 +183,7 @@ def warmup():
     if not HAVE_NUMBA:
         return
     # the walk's layouts: a row slice and the entry rows of a (n, 2, 2)
-    _NB_LOOPS["orbit"](FAM_GAUSS, 1.0, 1.0, 0.0, 0.1, 0.1, 1, 1,
+    _NB_LOOPS["orbit"](FAM_GAUSS, 1.0, 1.0, 0.0, 0.0, 1.0, 0.1, 0.1, 1, 1,
                        np.empty((2, 2))[1:])
     _NB_LOOPS["qr1"](*np.zeros((1, 2, 2)).reshape(-1, 4).T, 1.0, 0.0,
                      np.zeros(1))

@@ -19,7 +19,8 @@ absorbs every orbit after one step.  Three closed-form families are built in:
     f1 = x1 * e^(a - 0.8 x1).
 
 Each built-in formula and its analytic Jacobian are written once, in
-``_kernels._family``; a built-in handle evaluates the NumPy form of that
+``_kernels._family``, where the literal gauss form and pioneer-mixed are
+packed parameters; a built-in handle evaluates the NumPy form of that
 definition, which the kernel lanes run in scalar form.  Arbitrary maps of
 the plane enter through :func:`user_map`; their Jacobians default to
 central finite differences.
@@ -81,7 +82,8 @@ class MapHandle:
     @property
     def literal(self) -> bool:
         """True for the degenerate duplicated-component gauss form."""
-        return self.family_code == _kernels.FAM_GAUSS_LITERAL
+        return (self.family_code == _kernels.FAM_GAUSS
+                and self.packed[1:3] == self.packed[3:])
 
 
 def _require_finite_params(params, names):
@@ -118,16 +120,16 @@ def build_map(spec: MapSpec, *, literal_eq: bool = False) -> MapHandle:
     validate_spec(spec)
     fam = spec.family
     if fam == "gauss_rotation":
-        theta = float(spec.params["theta"])
-        code = _kernels.FAM_GAUSS_LITERAL if literal_eq else _kernels.FAM_GAUSS
-        packed = (float(spec.params["a"]), math.cos(2.0 * math.pi * theta),
-                  math.sin(2.0 * math.pi * theta))
-        cone = False
+        t = 2.0 * math.pi * float(spec.params["theta"])
+        # the rotation matrix by rows; the literal form repeats the first
+        row1 = (math.cos(t), -math.sin(t))
+        code, cone = _kernels.FAM_GAUSS, False
+        packed = (float(spec.params["a"]), *row1,
+                  *(row1 if literal_eq else (math.sin(t), math.cos(t))))
     elif fam in ("pioneer_climax_full", "pioneer_climax_mixed"):
-        code = (_kernels.FAM_PIONEER_MIXED if fam == "pioneer_climax_mixed"
-                else _kernels.FAM_PIONEER_FULL)
-        packed = (float(spec.params["a"]), float(spec.params["b"]), 0.0)
-        cone = True
+        code, cone = _kernels.FAM_PIONEER, True
+        packed = (float(spec.params["a"]), float(spec.params["b"]),
+                  0.0 if fam == "pioneer_climax_mixed" else 0.2, 0.0, 0.0)
     else:
         raise MapDefinitionError("use user_map() to build user_table handles")
     return MapHandle(spec=spec, eval=partial(_kernels.builtin_eval, code,

@@ -371,6 +371,45 @@ n_transient = 200
     assert vals[("n_used", 0)] == 20000
 
 
+# the four built-in variants: the family's keys, and the start and step
+# of a four-value schedule of its `a`
+_VARIANTS = {
+    "gauss": ("map = gauss_rotation\ntheta = 1.6180339887498949\n", 2.7, 0.9),
+    "literal": ("map = gauss_rotation\ntheta = 1.6180339887498949\n"
+                "literal_rotation = true\n", 2.7, 0.9),
+    "full": ("map = pioneer_climax_full\nb = 3\n", 2.0, 0.5),
+    "mixed": ("map = pioneer_climax_mixed\nb = 3\n", 2.0, 0.5),
+}
+
+
+def assert_qr_within_norm_sum(qr, ns):
+    # both estimators walk the same orbit from the same start, so QR's
+    # lambda1 = (1/n) log|J_n...J_1 e1| is at most (1/n) sum log|J_k|
+    assert qr <= ns + 1e-12 * abs(ns), (qr, ns)
+
+
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+def test_artefacts_keep_qr_lambda1_within_the_norm_sum(tmp_path, variant):
+    family, start, step = _VARIANTS[variant]
+    walk = "n_transient = 200\nlyap_n = 2000\n"
+    cfg = write_cfg(tmp_path, "sweep.cfg", family + walk + (
+        f"param = a\nstart = {start}\nstop = {start + 3 * step}\n"
+        f"step = {step}\nn_keep = 200\nresolution = 8\n"))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
+                 "--jobs", "1"]) == 0
+    rows = (tmp_path / "s" / "summary.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    for row in rows:
+        _, _, ns, qr, *_ = row.split(",")
+        assert_qr_within_norm_sum(float(qr), float(ns))
+    cfg = write_cfg(tmp_path, "lyap.cfg", family + walk + f"a = {start}\n")
+    assert main(["lyapunov", "--config", cfg, "--out",
+                 str(tmp_path / "l")]) == 0
+    vals = dict(line.rsplit(",", 1) for line in
+                (tmp_path / "l" / "lyapunov.csv").read_text().splitlines())
+    assert_qr_within_norm_sum(float(vals["qr,0"]), float(vals["norm_sum,0"]))
+
+
 def test_boxdim_command(tmp_path):
     cfg = write_cfg(tmp_path, "box.cfg", """
 map = gauss_rotation

@@ -159,6 +159,35 @@ def test_verify_ah_identity_fails_with_boundary_witness():
         report.check("nonexistent")
 
 
+def test_sink_cap_margin_on_a_failed_sink_search():
+    # a translation has no fixed point: Newton's matrix J - I is zero, so
+    # the sink search fails, and the margin is still 1 - lip = 0
+    shift = user_map(lambda x: x + [1.0, 0.0], jac=lambda x: np.eye(2),
+                     batch=lambda p: p + [1.0, 0.0])
+    check = verify_ah(shift, HorseshoeRegion(), sampling=8).check(
+        "sink_cap_contraction")
+    assert check.status == "fail"
+    assert "singular" in check.data["error"]
+    assert check.margin == 0.0
+
+
+def test_band_saddle_reads_the_unstable_angle_in_model_coordinates():
+    # a linear saddle at model point (-2, 1) of the frame 2 I: multiplier
+    # 3 along a direction tilted phi from vertical, 0.5 along horizontal
+    phi = 0.05
+    region = HorseshoeRegion(matrix=[[2.0, 0.0], [0.0, 2.0]])
+    p = region.to_world(np.array([-2.0, 1.0]))
+    vecs = np.array([[math.sin(phi), 1.0], [math.cos(phi), 0.0]])
+    a = vecs @ np.diag([3.0, 0.5]) @ np.linalg.inv(vecs)
+    lin = user_map(lambda x: p + a @ (x - p), jac=lambda x: a,
+                   batch=lambda x: p + (x - p) @ a.T)
+    check = verify_ah(lin, region, sampling=8).check("band_saddle")
+    np.testing.assert_allclose(check.data["saddle"].points[0], p, atol=1e-12)
+    assert check.data["unstable_angle_from_vertical"] == pytest.approx(
+        phi, abs=1e-12)
+    assert check.status == "fail"
+
+
 def test_model_map_validation_and_seams():
     with pytest.raises(ValueError):
         model_horseshoe_map(contraction=1.2)

@@ -216,24 +216,29 @@ def test_cantor_shells_rejects_broken_return_map():
     assert isinstance(exc.value.angle, float)
 
 
-def test_cantor_shells_angle_dependent_profiles():
+def _zeta(u):
+    return 1.0 + 0.1 * np.cos(np.asarray(u, dtype=float))
+
+
+def _angle_dependent_case():
     # tent scaled per angle: every radial slice is a middle-thirds set
     # stretched by zeta(angle)
-    def zeta(u):
-        return 1.0 + 0.1 * np.cos(np.asarray(u, dtype=float))
-
     def g(r, angle):
-        z = zeta(angle)
+        z = _zeta(angle)
         return np.maximum(np.minimum(3.0 * r, 3.0 * (z - r)), 0.0)
 
-    spec = ShellSpec(alpha=lambda u: zeta(u) / 3.0,
-                     beta=lambda u: 2.0 * zeta(u) / 3.0,
-                     zeta=zeta, m_small=0.9 / 3.0, m_big=2.2 / 3.0,
+    spec = ShellSpec(alpha=lambda u: _zeta(u) / 3.0,
+                     beta=lambda u: 2.0 * _zeta(u) / 3.0,
+                     zeta=_zeta, m_small=0.9 / 3.0, m_big=2.2 / 3.0,
                      lam=3.0, mu=3.0)
-    part = cantor_shells(g, spec, depth=2, angle_grid=16)
+    return g, spec
+
+
+def test_cantor_shells_angle_dependent_profiles():
+    part = cantor_shells(*_angle_dependent_case(), depth=2, angle_grid=16)
     assert not part.collapsed
     part.validate()
-    z = zeta(part.angles)
+    z = _zeta(part.angles)
     clo, chi = part.cell("00")
     np.testing.assert_allclose(clo, 0.0, atol=1e-10)
     np.testing.assert_allclose(chi, z / 9.0, atol=1e-9)
@@ -243,19 +248,8 @@ def test_cantor_shells_angle_dependent_profiles():
 
 
 def test_cantor_shells_size_guard():
-    def zeta(u):
-        return 1.0 + 0.1 * np.cos(np.asarray(u, dtype=float))
-
-    def g(r, angle):
-        z = zeta(angle)
-        return np.maximum(np.minimum(3.0 * r, 3.0 * (z - r)), 0.0)
-
-    spec = ShellSpec(alpha=lambda u: zeta(u) / 3.0,
-                     beta=lambda u: 2.0 * zeta(u) / 3.0,
-                     zeta=zeta, m_small=0.9 / 3.0, m_big=2.2 / 3.0,
-                     lam=3.0, mu=3.0)
     with pytest.raises(ValueError):
-        cantor_shells(g, spec, depth=21, angle_grid=256)
+        cantor_shells(*_angle_dependent_case(), depth=21, angle_grid=256)
 
 
 def test_sample_cloud_hits_leaf_midpoints():
@@ -271,6 +265,21 @@ def test_sample_cloud_hits_leaf_midpoints():
                       np.abs(mids[np.searchsorted(mids, r) - 1] - r))
     assert near.max() < 1e-9
     assert cloud.meta["depth"] == 4
+
+
+def test_sample_cloud_reads_the_leaves_at_the_nearest_stored_angle():
+    part = cantor_shells(*_angle_dependent_case(), depth=2, angle_grid=16)
+    assert not part.collapsed
+    cloud = part.sample_cloud(max_points=2000, seed=3)
+    x, y = cloud.points.T
+    r, phi = np.hypot(x, y), np.arctan2(y, x) % (2 * np.pi)
+    col = np.rint(phi / (2 * np.pi / part.n_angles)).astype(int) \
+        % part.n_angles
+    assert len(set(col)) == part.n_angles
+    lo, hi = part.leaves()
+    # each radius is the midpoint of one leaf of its own column
+    mids = 0.5 * (lo + hi)[col]
+    assert np.abs(mids - r[:, None]).min(axis=1).max() < 1e-12
 
 
 def test_write_csv_round_trip(tmp_path):
