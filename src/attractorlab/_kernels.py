@@ -13,14 +13,15 @@ and so runs many starts in lockstep.  ``builtin_eval`` wraps the NumPy
 form (the loop run for one transient step) as a built-in handle's one
 ``eval(x, with_jac)``, over a point or a block.
 
-Both Lyapunov estimators share one walk: the orbit loop advances the
-trajectory a block of ``_BLOCK`` points at a time, one evaluation gives
-the block's Jacobians, and one NumPy reduction per block gives its
-per-step log terms, summed by a ``cumsum`` seeded with the running total,
-so value and trace are those of a sequential sum.  Norm-sum takes the
-closed-form 2x2 spectral norm.  QR carries only the first Gram-Schmidt
-column (the ``qr1`` loop), since lambda1 + lambda2 is the mean of
-log|det J|.
+Both Lyapunov estimators take their Jacobians at the points ``run_orbit``
+keeps, x_{T+1} .. x_{T+n} after T transient steps: the orbit loop walks
+them ``_BLOCK`` points at a time, or, given n of them (``points=``), no
+orbit loop runs.  One evaluation gives a block's Jacobians, and one NumPy
+reduction per block gives its per-step log terms, summed by a ``cumsum``
+seeded with the running total, so value and trace are those of a
+sequential sum.  Norm-sum takes the closed-form 2x2 spectral norm.  QR
+carries only the first Gram-Schmidt column (the ``qr1`` loop), since
+lambda1 + lambda2 is the mean of log|det J|.
 Three lanes run the loops:
 
 * compiled: the ``math.exp`` orbit loop and ``qr1``, ``njit``-ed; used
@@ -182,37 +183,32 @@ def warmup():
     """Trigger JIT compilation of the compiled lane (no-op without numba)."""
     if not HAVE_NUMBA:
         return
-    # the walk's layouts: a row slice and the entry rows of a (n, 2, 2)
+    # the walk's layouts: a C array and the entry rows of a (n, 2, 2)
     _NB_LOOPS["orbit"](FAM_GAUSS, 1.0, 1.0, 0.0, 0.0, 1.0, 0.1, 0.1, 1, 1,
-                       np.empty((2, 2))[1:])
+                       np.empty((1, 2)))
     _NB_LOOPS["qr1"](*np.zeros((1, 2, 2)).reshape(-1, 4).T, 1.0, 0.0,
                      np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
-# the Lyapunov walk: Jacobian blocks (nb, 2, 2) at the n points after the
-# transient, on the built-in or the generic lane
+# the Lyapunov walk: Jacobian blocks (nb, 2, 2) at the orbit's kept points
+# x_{T+1} .. x_{T+n}, T = n_transient, on the built-in or the generic lane
 
 
 def _walk_builtin(handle, x0, n_transient, n, orbit):
     fam, packed = handle.family_code, handle.packed
-    # row 0 holds the block's first point, rows 1..nb its images
-    buf = np.empty((min(n, _BLOCK) + 1, 2))
-    buf[0] = x0
-    if n_transient:
-        orbit(fam, *packed, float(x0[0]), float(x0[1]), n_transient - 1, 1,
-              buf)
+    buf = np.empty((min(n, _BLOCK), 2))
+    x1, x2 = float(x0[0]), float(x0[1])
     for k in range(0, n, _BLOCK):
         nb = min(_BLOCK, n - k)
-        orbit(fam, *packed, float(buf[0, 0]), float(buf[0, 1]), 0, nb,
-              buf[1:])
+        x1, x2 = orbit(fam, *packed, x1, x2, 0 if k else n_transient, nb,
+                       buf)
         yield builtin_eval(fam, packed, buf[:nb], True)[1]
-        buf[0] = buf[nb]
 
 
 def _walk_generic(eval_fn, x0, n_transient, n):
     x = np.array(x0, dtype=float)
-    for _ in range(n_transient):
+    for _ in range(n_transient + 1):
         x = eval_fn(x)
     for k in range(0, n, _BLOCK):
         jac = np.empty((min(_BLOCK, n - k), 2, 2))
@@ -336,11 +332,16 @@ def run_orbit(handle, x0, n_transient, n_keep, force_python=False):
 
 
 def _estimate(terms, handle, x0, n_transient, n, stride, trace,
-              force_python):
+              force_python, points):
     # silent on overflow and log(0) like every lane; callers test the result
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        loops = _loops(handle, force_python)
+        if points is not None and len(points) >= n:
+            # the orbit's own points: one evaluation per block, no walk
+            blocks = (handle.eval(points[k:min(k + _BLOCK, n)], True)[1]
+                      for k in range(0, n, _BLOCK))
+            return _accumulate(terms(blocks, loops), stride, trace)
         if _builtin(handle):
-            loops = _loops(handle, force_python)
             try:
                 return _accumulate(terms(_walk_builtin(
                     handle, x0, n_transient, n, loops["orbit"]), loops),
@@ -351,18 +352,22 @@ def _estimate(terms, handle, x0, n_transient, n, stride, trace,
             handle.eval, x0, n_transient, n), _PY_LOOPS), stride, trace)
 
 
-def run_norm_sum(handle, x0, n_transient, n, stride, force_python=False):
+def run_norm_sum(handle, x0, n_transient, n, stride, force_python=False,
+                 points=None):
     trace = np.full((max(n // stride, 1), 1), np.nan)
     sums, k_used, degenerate = _estimate(_norm_terms, handle, x0, n_transient,
-                                         n, stride, trace, force_python)
+                                         n, stride, trace, force_python,
+                                         points)
     value = float(sums[0]) / k_used if k_used > 0 else 0.0
     return value, k_used, bool(degenerate[0]), trace[:k_used // stride, 0]
 
 
-def run_qr(handle, x0, n_transient, n, stride, force_python=False):
+def run_qr(handle, x0, n_transient, n, stride, force_python=False,
+           points=None):
     trace = np.full((max(n // stride, 1), 2), np.nan)
     sums, k_used, degenerate = _estimate(_qr_terms, handle, x0, n_transient,
-                                         n, stride, trace, force_python)
+                                         n, stride, trace, force_python,
+                                         points)
     vals = sums / k_used if k_used > 0 else np.zeros(2)
     # the det column holds lambda1 + lambda2
     vals[1] -= vals[0]

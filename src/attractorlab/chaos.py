@@ -3,7 +3,9 @@
 Two exponent estimators are provided: the norm-sum diagnostic
 ``(1/n) sum log ||f'(x_k)||_2`` (an upper-bound-style quantity, since
 log of the spectral norm is submultiplicative) and the standard QR
-tangent-space spectrum.  Exponents are per-iterate natural logs.
+tangent-space spectrum.  Exponents are per-iterate natural logs.  Given
+the cloud ``dynamics.orbit`` returned (``orbit=``), both reduce over its
+points instead of walking the trajectory again, with the same bits.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import numpy as np
 
 from . import _kernels
 from .maps import MapHandle
-from .dynamics import (DivergenceError, initial_point, planar_bounds,
-                       planar_points)
+from .dynamics import (DivergenceError, PointCloud, initial_point,
+                       planar_bounds, planar_points)
 
 TRACE_STRIDE = 100
 MIN_BOX_POINTS = 1000
@@ -48,8 +50,8 @@ class BoxCountResult:
     degenerate: bool = False
 
 
-def max_lyapunov_norm_sum(handle: MapHandle, x0, n: int,
-                          n_transient: int = 0) -> LyapunovEstimate:
+def max_lyapunov_norm_sum(handle: MapHandle, x0, n: int, n_transient: int = 0,
+                          orbit: PointCloud | None = None) -> LyapunovEstimate:
     """Average log spectral norm of the Jacobian along an orbit.
 
     An orbit point with an exactly zero Jacobian norm makes the sum
@@ -57,9 +59,9 @@ def max_lyapunov_norm_sum(handle: MapHandle, x0, n: int,
     raising.  A non-finite sum otherwise means the orbit diverged and
     raises :class:`DivergenceError`.
     """
-    x0 = _check_lyapunov_args(x0, n, n_transient)
+    x0, points = _check_lyapunov_args(handle, x0, n, n_transient, orbit)
     value, k_used, degenerate, trace = _kernels.run_norm_sum(
-        handle, x0, n_transient, n, TRACE_STRIDE)
+        handle, x0, n_transient, n, TRACE_STRIDE, points=points)
     if degenerate:
         value = -np.inf
     elif not np.isfinite(value):
@@ -73,8 +75,8 @@ def max_lyapunov_norm_sum(handle: MapHandle, x0, n: int,
         degenerate=bool(degenerate))
 
 
-def lyapunov_spectrum_qr(handle: MapHandle, x0, n: int,
-                         n_transient: int = 0) -> LyapunovEstimate:
+def lyapunov_spectrum_qr(handle: MapHandle, x0, n: int, n_transient: int = 0,
+                         orbit: PointCloud | None = None) -> LyapunovEstimate:
     """QR tangent-space spectrum: re-orthonormalize a frame every step.
 
     In the plane only the first frame vector is carried, and lambda2 is
@@ -84,9 +86,9 @@ def lyapunov_spectrum_qr(handle: MapHandle, x0, n: int,
     accumulation.  Any other non-finite exponent means the orbit diverged
     and raises :class:`DivergenceError`.
     """
-    x0 = _check_lyapunov_args(x0, n, n_transient)
+    x0, points = _check_lyapunov_args(handle, x0, n, n_transient, orbit)
     vals, k_used, deg, trace = _kernels.run_qr(
-        handle, x0, n_transient, n, TRACE_STRIDE)
+        handle, x0, n_transient, n, TRACE_STRIDE, points=points)
     vals = np.asarray(vals, dtype=float).copy()
     deg = np.asarray(deg, dtype=bool)
     if not np.isfinite(vals[~deg]).all():
@@ -105,12 +107,20 @@ def lyapunov_spectrum_qr(handle: MapHandle, x0, n: int,
         degenerate=bool(deg.any()))
 
 
-def _check_lyapunov_args(x0, n: int, n_transient: int) -> np.ndarray:
+def _check_lyapunov_args(handle, x0, n: int, n_transient: int, orbit):
+    """The start point, and the points of ``orbit`` (None without one)."""
     if n < 100:
         raise ValueError("need n >= 100 iterates for a Lyapunov estimate")
     if n_transient < 0:
         raise ValueError("n_transient must be nonnegative")
-    return initial_point(x0)
+    x0 = initial_point(x0)
+    if orbit is not None and not (
+            orbit.meta.get("spec") == handle.spec
+            and orbit.meta.get("n_transient") == n_transient
+            and np.array_equal(orbit.meta.get("x0"), x0)):
+        raise ValueError("the orbit cloud was not made with this call's "
+                         "map, x0 and n_transient")
+    return x0, None if orbit is None else orbit.points
 
 
 def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:

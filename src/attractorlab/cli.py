@@ -479,10 +479,10 @@ def _sweep_value(args) -> dict:
             period = "undetermined"
         row["period"] = 0 if period == "aperiodic" else period
         ns = max_lyapunov_norm_sum(handle, cfg["x0"], cfg["lyap_n"],
-                                   cfg["n_transient"])
+                                   cfg["n_transient"], orbit=cloud)
         row["lyap_normsum"] = float(ns.max_exponent)
         qr = lyapunov_spectrum_qr(handle, cfg["x0"], cfg["lyap_n"],
-                                  cfg["n_transient"])
+                                  cfg["n_transient"], orbit=cloud)
         row["lyap_qr_max"] = float(qr.max_exponent)
         if len(cloud.points) >= MIN_BOX_POINTS:  # else boxdim stays nan
             box = box_counting_dimension(cloud, cfg["n_scales"])

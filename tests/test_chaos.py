@@ -298,10 +298,11 @@ N_TRANSIENT, N_QR = 50, 1000
 
 
 def jacobians_along(h, x0, n_transient, n):
-    """(j11, j12, j21, j22) at the n orbit points after n_transient steps,
-    the points at which the handle's lane takes its Jacobians."""
+    """(j11, j12, j21, j22) at f^(n_transient + 1)(x0) ..
+    f^(n_transient + n)(x0), the points an orbit keeps, at which the
+    handle's lane takes its Jacobians."""
     path = _kernels.run_orbit(h, x0, 0, n_transient + n)
-    pts = np.vstack([x0, path])[n_transient:n_transient + n]
+    pts = np.vstack([x0, path])[n_transient + 1:n_transient + n + 1]
     return h.eval(pts, True)[1].reshape(n, 4).T
 
 

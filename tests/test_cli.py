@@ -394,7 +394,7 @@ def test_artefacts_keep_qr_lambda1_within_the_norm_sum(tmp_path, variant):
     walk = "n_transient = 200\nlyap_n = 2000\n"
     cfg = write_cfg(tmp_path, "sweep.cfg", family + walk + (
         f"param = a\nstart = {start}\nstop = {start + 3 * step}\n"
-        f"step = {step}\nn_keep = 200\nresolution = 8\n"))
+        f"step = {step}\nn_keep = 2000\nresolution = 8\n"))
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
                  "--jobs", "1"]) == 0
     rows = (tmp_path / "s" / "summary.csv").read_text().splitlines()[1:]
@@ -408,6 +408,10 @@ def test_artefacts_keep_qr_lambda1_within_the_norm_sum(tmp_path, variant):
     vals = dict(line.rsplit(",", 1) for line in
                 (tmp_path / "l" / "lyapunov.csv").read_text().splitlines())
     assert_qr_within_norm_sum(float(vals["qr,0"]), float(vals["norm_sum,0"]))
+    # sweep reduces over its orbit cloud (n_keep = lyap_n), lyapunov walks
+    # from x0: the same points, so the same text
+    _, _, ns, qr, *_ = rows[0].split(",")
+    assert (ns, qr) == (vals["norm_sum,0"], vals["qr,0"])
 
 
 def test_boxdim_command(tmp_path):

@@ -26,10 +26,12 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from attractorlab import _kernels
-from attractorlab.dynamics import DivergenceError, orbit
+from attractorlab.chaos import lyapunov_spectrum_qr, max_lyapunov_norm_sum
+from attractorlab.dynamics import DivergenceError, PointCloud, orbit
 from attractorlab.maps import (GOLDEN_MEAN, gauss_rotation,
                                pioneer_climax_full, pioneer_climax_mixed,
                                user_map)
+from attractorlab.radial import radial_tent_map
 
 X0 = np.array([0.3, 0.1])
 
@@ -167,7 +169,8 @@ def test_builtin_kernels_never_call_handle_callables():
 
 
 def test_generic_lane_makes_one_handle_call_per_step():
-    # each step's image and Jacobian come from one eval(x, True) call, and
+    # each step's image and Jacobian come from one eval(x, True) call, after
+    # n_transient + 1 plain steps reach the orbit's first kept point, and
     # the estimates are those of the built-in's own one-call evaluation
     h = gauss_rotation(4.4, GOLDEN_MEAN)
     twin = generic_twin(h)
@@ -184,7 +187,7 @@ def test_generic_lane_makes_one_handle_call_per_step():
     for kernel in (_kernels.run_norm_sum, _kernels.run_qr):
         calls.clear()
         got = kernel(counted, X0, n_transient, n, stride)
-        assert calls == [False] * n_transient + [True] * n
+        assert calls == [False] * (n_transient + 1) + [True] * n
         want = kernel(own, X0, n_transient, n, stride)
         for g, w in zip(got, want):
             assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
@@ -268,19 +271,90 @@ def test_lyapunov_walk_is_block_invariant(monkeypatch):
                 assert np.asarray(g).tobytes() == np.asarray(v).tobytes()
 
 
-def test_qr_memory_does_not_grow_with_n(monkeypatch):
-    # the walk holds one block at a time; only the trace grows with n
+@pytest.mark.parametrize("cloud", [False, True])
+def test_qr_memory_does_not_grow_with_n(monkeypatch, cloud):
+    # the walk holds one block at a time, and so does the reduction over
+    # an orbit's cloud made before tracing starts; only the trace grows
+    # with n
     monkeypatch.setattr(_kernels, "_BLOCK", 128)
     h = gauss_rotation(4.4, GOLDEN_MEAN)
     peaks = []
     for n in (4_000, 40_000):
+        points = _kernels.run_orbit(h, X0, 0, n) if cloud else None
         tracemalloc.start()
         try:
-            _kernels.run_qr(h, X0, 0, n, 100)
+            _kernels.run_qr(h, X0, 0, n, 100, points=points)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] < 2 * peaks[0]
+
+
+ESTIMATORS = (_kernels.run_norm_sum, _kernels.run_qr)
+
+
+def cloud_handles():
+    """The built-in variants, the radial tent and a finite-difference
+    user map."""
+    henon = user_map(lambda x: np.array([1.0 - 1.4 * x[0] ** 2 + x[1],
+                                         0.3 * x[0]]))
+    return handles() + [radial_tent_map((1.5, 2.0), theta=GOLDEN_MEAN).handle,
+                        henon]
+
+
+@pytest.mark.parametrize("n_transient", [0, 30])
+def test_estimates_over_the_orbit_cloud_are_the_walk_bit_for_bit(
+        monkeypatch, n_transient):
+    # the walk takes its Jacobians at the points run_orbit keeps, so given
+    # those points an estimate runs no orbit loop and has the walk's bits;
+    # a cloud shorter than n is walked from x0
+    monkeypatch.setattr(_kernels, "_BLOCK", 64)
+    n, stride = 5 * 64 + 7, 10
+    cases = []
+    for h in cloud_handles():
+        x0 = start_for(h)
+        want = [kernel(h, x0, n_transient, n, stride) for kernel in ESTIMATORS]
+        clouds = [_kernels.run_orbit(h, x0, n_transient, n_keep)
+                  for n_keep in (n - 1, n, n + 50)]
+        short = [kernel(h, x0, n_transient, n, stride, points=clouds[0])
+                 for kernel in ESTIMATORS]
+        cases.append((h, x0, want, clouds[1:], short))
+
+    def refuse(*args):
+        raise AssertionError("walked although the cloud holds n points")
+
+    monkeypatch.setattr(_kernels, "_walk_builtin", refuse)
+    monkeypatch.setattr(_kernels, "_walk_generic", refuse)
+    for h, x0, want, clouds, short in cases:
+        got = [short] + [[kernel(h, x0, n_transient, n, stride, points=c)
+                          for kernel in ESTIMATORS] for c in clouds]
+        for estimates in got:
+            for g, w in zip(estimates, want):
+                assert g[1] == n
+                for a, b in zip(g, w):
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_estimators_take_only_their_own_orbit_cloud():
+    # a cloud is the one orbit(handle, x0, n_transient, n_keep) returned;
+    # one made with another map, start or transient is a ValueError
+    h = gauss_rotation(4.4, GOLDEN_MEAN)
+    n, n_transient = 200, 30
+    cloud = orbit(h, X0, n_transient, n)
+    foreign = [(h, X0 + 0.01, n_transient), (h, X0, n_transient + 1),
+               (gauss_rotation(4.5, GOLDEN_MEAN), X0, n_transient)]
+    for estimator in (max_lyapunov_norm_sum, lyapunov_spectrum_qr):
+        got = estimator(h, X0, n, n_transient, orbit=cloud)
+        want = estimator(h, X0, n, n_transient)
+        for field in ("spectrum", "convergence_trace"):
+            assert (getattr(got, field).tobytes()
+                    == getattr(want, field).tobytes())
+        for other, x0, t in foreign:
+            with pytest.raises(ValueError, match="orbit cloud"):
+                estimator(other, x0, n, t, orbit=cloud)
+        with pytest.raises(ValueError, match="orbit cloud"):
+            estimator(h, X0, n, n_transient,
+                      orbit=PointCloud(cloud.points, ordered=True))
 
 
 def test_builtin_overflow_reruns_on_generic_lane():
