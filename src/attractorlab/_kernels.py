@@ -14,24 +14,24 @@ form (the loop run for one transient step) as a built-in handle's one
 ``eval(x, with_jac)``, over a point or a block.
 
 Both Lyapunov estimators take their Jacobians at the points ``run_orbit``
-keeps, x_{T+1} .. x_{T+n} after T transient steps: the orbit loop walks
-them ``_BLOCK`` points at a time, or, given n of them (``points=``), no
-orbit loop runs.  One evaluation gives a block's Jacobians, and one NumPy
-reduction per block gives its per-step log terms, summed by a ``cumsum``
-seeded with the running total, so value and trace are those of a
-sequential sum.  Norm-sum takes the closed-form 2x2 spectral norm.  QR
-carries only the first Gram-Schmidt column (the ``qr1`` loop), since
-lambda1 + lambda2 is the mean of log|det J|.
-Three lanes run the loops:
+keeps, x_{T+1} .. x_{T+n} after T transient steps, in blocks of ``_BLOCK``:
+slices of those points when given n of them (``points=``), else runs of
+the lane's orbit loop, each from the last point of the one before.  One
+``eval(block, True)`` gives a block's Jacobians, and one NumPy reduction
+per block gives its per-step log terms, summed by a ``cumsum`` seeded with
+the running total, so value and trace are those of a sequential sum.
+Norm-sum takes the closed-form 2x2 spectral norm.  QR carries only the
+first Gram-Schmidt column (the ``qr1`` loop), since lambda1 + lambda2 is
+the mean of log|det J|.  Three lanes run the loops:
 
 * compiled: the ``math.exp`` orbit loop and ``qr1``, ``njit``-ed; used
   for built-in families when numba is importable and not disabled.
 * scalar Python: the same two loops run by the interpreter, ``qr1`` over
   Python lists; a block's Jacobians come from one ``_np_tangent`` call.
   Used for built-in families whenever the compiled lane is not taken.
-* generic: the orbit and the walk over a handle's ``eval``, one call
-  per step, the only lane for user maps (``user_map``, the radial tent,
-  the model horseshoe), which have no family code.
+* generic: the orbit over a handle's ``eval``, one call per step, the
+  only lane for user maps (``user_map``, the radial tent, the model
+  horseshoe), which have no family code.
 
 Built-ins run on the scalar Python lane without numba or under
 ``ATTRACTORLAB_NO_NUMBA=1`` (or ``true``/``yes``).  ``force_python=True``
@@ -40,9 +40,9 @@ in one process.
 
 ``math.exp`` raises ``OverflowError`` where NumPy and numba return
 ``inf`` (a pioneer orbit started outside its positivity cone).  A scalar
-Python call that overflows is rerun on the generic lane, which for a
-built-in family runs the NumPy form of the same definition, so
-divergence shows up as non-finite values on every lane.
+orbit-loop run (an orbit, or a walk's block) that overflows is rerun from
+its start on the generic lane, the NumPy form of the same definition for
+a built-in, so divergence shows up as non-finite values on every lane.
 """
 
 from __future__ import annotations
@@ -190,33 +190,6 @@ def warmup():
                      np.zeros(1))
 
 
-# ---------------------------------------------------------------------------
-# the Lyapunov walk: Jacobian blocks (nb, 2, 2) at the orbit's kept points
-# x_{T+1} .. x_{T+n}, T = n_transient, on the built-in or the generic lane
-
-
-def _walk_builtin(handle, x0, n_transient, n, orbit):
-    fam, packed = handle.family_code, handle.packed
-    buf = np.empty((min(n, _BLOCK), 2))
-    x1, x2 = float(x0[0]), float(x0[1])
-    for k in range(0, n, _BLOCK):
-        nb = min(_BLOCK, n - k)
-        x1, x2 = orbit(fam, *packed, x1, x2, 0 if k else n_transient, nb,
-                       buf)
-        yield builtin_eval(fam, packed, buf[:nb], True)[1]
-
-
-def _walk_generic(eval_fn, x0, n_transient, n):
-    x = np.array(x0, dtype=float)
-    for _ in range(n_transient + 1):
-        x = eval_fn(x)
-    for k in range(0, n, _BLOCK):
-        jac = np.empty((min(_BLOCK, n - k), 2, 2))
-        for i in range(len(jac)):
-            x, jac[i] = eval_fn(x, True)
-        yield jac
-
-
 def row_norms(v):
     """Euclidean length of each row of an (..., 2) array, sqrt(x*x + y*y):
     the operations of ``np.linalg.norm(v, axis=-1)``, so the same bits,
@@ -304,23 +277,9 @@ def _loops(handle, force_python):
     return _NB_LOOPS if _lane(handle, force_python) else _PY_LOOPS
 
 
-def _orbit_generic(eval_fn, x0, n_transient, n_keep):
-    x = np.array(x0, dtype=float)
-    # overflow en route to a caught divergence is expected; the compiled
-    # lane never warns, so keep the lanes observably identical
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_transient):
-            x = eval_fn(x)
-        out = np.empty((n_keep, 2))
-        for i in range(n_keep):
-            x = eval_fn(x)
-            out[i] = x
-    return out
-
-
-def run_orbit(handle, x0, n_transient, n_keep, force_python=False):
+def _orbit(handle, x0, n_transient, n_keep, force_python):
+    out = np.empty((n_keep, 2))
     if _builtin(handle):
-        out = np.empty((n_keep, 2))
         try:
             _loops(handle, force_python)["orbit"](
                 handle.family_code, *handle.packed, float(x0[0]),
@@ -328,28 +287,41 @@ def run_orbit(handle, x0, n_transient, n_keep, force_python=False):
             return out
         except OverflowError:
             pass  # math.exp overflowed; the generic lane yields inf
-    return _orbit_generic(handle.eval, x0, n_transient, n_keep)
+    x = np.array(x0, dtype=float)
+    # overflow en route to a caught divergence is expected; the compiled
+    # lane never warns, so keep the lanes observably identical
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_transient):
+            x = handle.eval(x)
+        for i in range(n_keep):
+            x = out[i] = handle.eval(x)
+    return out
+
+
+def run_orbit(handle, x0, n_transient, n_keep, force_python=False):
+    return _orbit(handle, x0, n_transient, n_keep, force_python)
 
 
 def _estimate(terms, handle, x0, n_transient, n, stride, trace,
               force_python, points):
+    cloud = points[:n] if points is not None and len(points) >= n else None
+
+    def blocks(x):
+        # Jacobians at x_{T+1} .. x_{T+n}: slices of the orbit's cloud, or
+        # orbit-loop runs, each from the last point of the one before
+        for k in range(0, n, _BLOCK):
+            if cloud is None:
+                block = _orbit(handle, x, 0 if k else n_transient,
+                               min(_BLOCK, n - k), force_python)
+                x = block[-1]
+            else:
+                block = cloud[k:k + _BLOCK]
+            yield handle.eval(block, True)[1]
+
     # silent on overflow and log(0) like every lane; callers test the result
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        loops = _loops(handle, force_python)
-        if points is not None and len(points) >= n:
-            # the orbit's own points: one evaluation per block, no walk
-            blocks = (handle.eval(points[k:min(k + _BLOCK, n)], True)[1]
-                      for k in range(0, n, _BLOCK))
-            return _accumulate(terms(blocks, loops), stride, trace)
-        if _builtin(handle):
-            try:
-                return _accumulate(terms(_walk_builtin(
-                    handle, x0, n_transient, n, loops["orbit"]), loops),
-                    stride, trace)
-            except OverflowError:
-                trace.fill(np.nan)  # rerun on the generic lane
-        return _accumulate(terms(_walk_generic(
-            handle.eval, x0, n_transient, n), _PY_LOOPS), stride, trace)
+        return _accumulate(terms(blocks(x0), _loops(handle, force_python)),
+                           stride, trace)
 
 
 def run_norm_sum(handle, x0, n_transient, n, stride, force_python=False,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .maps import MapHandle
-from .dynamics import (DivergenceError, PointCloud, initial_point,
+from .dynamics import (DivergenceError, PointCloud, initial_point, map_key,
                        planar_bounds, planar_points)
 
 TRACE_STRIDE = 100
@@ -115,7 +115,7 @@ def _check_lyapunov_args(handle, x0, n: int, n_transient: int, orbit):
         raise ValueError("n_transient must be nonnegative")
     x0 = initial_point(x0)
     if orbit is not None and not (
-            orbit.meta.get("spec") == handle.spec
+            orbit.meta.get("map") == map_key(handle)
             and orbit.meta.get("n_transient") == n_transient
             and np.array_equal(orbit.meta.get("x0"), x0)):
         raise ValueError("the orbit cloud was not made with this call's "

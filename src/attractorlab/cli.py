@@ -438,6 +438,20 @@ def render_raster(points: np.ndarray, bounds, side: int, path) -> None:
         fh.write(gray)
 
 
+def _write_cloud(out: Path, stem: str, points: np.ndarray, cfg: dict) -> None:
+    """stem.csv and its raster stem.pgm, over _cloud_bounds."""
+    write_cloud_csv(out / f"{stem}.csv", points)
+    render_raster(points, _cloud_bounds(points, cfg), cfg["resolution"],
+                  out / f"{stem}.pgm")
+
+
+def _period(cloud):
+    try:
+        return detect_period(cloud)
+    except ValueError:  # the cloud is too short to tell
+        return "undetermined"
+
+
 def _cloud_bounds(points: np.ndarray, cfg: dict):
     if cfg["window"] is not None:
         return cfg["window"].reshape(2, 2)
@@ -473,10 +487,7 @@ def _sweep_value(args) -> dict:
     try:
         handle = build_handle(cfg)
         cloud = orbit(handle, cfg["x0"], cfg["n_transient"], cfg["n_keep"])
-        try:
-            period = detect_period(cloud)
-        except ValueError:  # the cloud is too short to tell
-            period = "undetermined"
+        period = _period(cloud)
         row["period"] = 0 if period == "aperiodic" else period
         ns = max_lyapunov_norm_sum(handle, cfg["x0"], cfg["lyap_n"],
                                    cfg["n_transient"], orbit=cloud)
@@ -488,9 +499,7 @@ def _sweep_value(args) -> dict:
             box = box_counting_dimension(cloud, cfg["n_scales"])
             row["boxdim"] = float(box.dimension)
             row["boxdim_r2"] = float(box.r2)
-        write_cloud_csv(out / f"cloud_{idx:03d}.csv", cloud.points)
-        render_raster(cloud.points, _cloud_bounds(cloud.points, cfg),
-                      cfg["resolution"], out / f"cloud_{idx:03d}.pgm")
+        _write_cloud(out, f"cloud_{idx:03d}", cloud.points, cfg)
     except NUMERIC_FAILURES as exc:
         row["status"] = f"error:{type(exc).__name__}"
     row["seconds"] = time.perf_counter() - t0
@@ -509,14 +518,8 @@ def run_sweep(cfg: dict, out: Path) -> int:
 
 def run_orbit(handle: MapHandle, cfg: dict, out: Path) -> int:
     cloud = orbit(handle, cfg["x0"], cfg["n_transient"], cfg["n_keep"])
-    write_cloud_csv(out / "orbit.csv", cloud.points)
-    render_raster(cloud.points, _cloud_bounds(cloud.points, cfg),
-                  cfg["resolution"], out / "orbit.pgm")
-    try:
-        period = detect_period(cloud)
-    except ValueError:  # the cloud is too short to tell
-        period = "undetermined"
-    (out / "orbit.txt").write_text(f"period={period}\n")
+    _write_cloud(out, "orbit", cloud.points, cfg)
+    (out / "orbit.txt").write_text(f"period={_period(cloud)}\n")
     return 0
 
 
@@ -573,9 +576,7 @@ def run_trellis(handle: MapHandle, cfg: dict, out: Path) -> int:
         raise DivergenceError("seed did not converge to a saddle")
     cloud = horseshoe.trellis(handle, cycle, arc_budget=cfg["arc_budget"],
                               tol=cfg["tol"])
-    write_cloud_csv(out / "trellis.csv", cloud.points)
-    render_raster(cloud.points, _cloud_bounds(cloud.points, cfg),
-                  cfg["resolution"], out / "trellis.pgm")
+    _write_cloud(out, "trellis", cloud.points, cfg)
     meta = cloud.meta
     lines = [f"component {i}: [{a}, {b})\n"
              for i, (a, b) in enumerate(meta["component_slices"])]

@@ -74,7 +74,6 @@ class MapHandle:
 
     spec: MapSpec
     eval: Callable[..., np.ndarray | tuple]
-    jac_kind: str = "analytic"
     family_code: int = -1
     packed: tuple = ()
     cone: bool = False  # natural domain restricted to the nonnegative orthant
@@ -189,5 +188,4 @@ def user_map(
         j = jc(x) if point else [jc(p) for p in x]
         return y, np.asarray(j, dtype=float).reshape(x.shape + (2,))
 
-    return MapHandle(spec=spec, eval=ev, cone=cone,
-                     jac_kind="analytic" if jac else "finite_difference")
+    return MapHandle(spec=spec, eval=ev, cone=cone)

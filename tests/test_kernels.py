@@ -151,27 +151,40 @@ def test_qr_scalar_vs_generic():
     check_qr(scalar_lane, generic_lane)
 
 
-def test_builtin_kernels_never_call_handle_callables():
+def test_builtin_kernels_never_call_handle_callables(monkeypatch):
+    # a built-in's orbit runs the family's own loop; the estimators call
+    # eval only for each block's Jacobians, once per block
     def refuse(x, with_jac=False):
         raise AssertionError("a built-in kernel called the handle's eval")
 
+    monkeypatch.setattr(_kernels, "_BLOCK", 64)
+    n = 3 * 64 + 5
     for h in handles():
         bare = dataclasses.replace(h, eval=refuse)
         x0 = start_for(h)
+        calls = []
+
+        def block_eval(x, with_jac=False, h=h):
+            calls.append((np.shape(x), with_jac))
+            return h.eval(x, with_jac)
+
+        counted = dataclasses.replace(h, eval=block_eval)
         for force_python in (False, True):
             out = _kernels.run_orbit(bare, x0, 10, 20,
                                      force_python=force_python)
             assert out.shape == (20, 2)
-            assert _kernels.run_norm_sum(bare, x0, 10, 100, 10,
-                                         force_python=force_python)[1] == 100
-            assert _kernels.run_qr(bare, x0, 10, 100, 10,
-                                   force_python=force_python)[1] == 100
+            for kernel in (_kernels.run_norm_sum, _kernels.run_qr):
+                calls.clear()
+                assert kernel(counted, x0, 10, n, 10,
+                              force_python=force_python)[1] == n
+                # ceil(n / _BLOCK) calls, one per block
+                assert calls == [((64, 2), True)] * 3 + [((5, 2), True)]
 
 
 def test_generic_lane_makes_one_handle_call_per_step():
-    # each step's image and Jacobian come from one eval(x, True) call, after
-    # n_transient + 1 plain steps reach the orbit's first kept point, and
-    # the estimates are those of the built-in's own one-call evaluation
+    # the walk's orbit takes one plain eval(x) per step, n_transient + n in
+    # all, and each block's Jacobians one eval(block, True); the estimates
+    # are those of the built-in's own evaluation
     h = gauss_rotation(4.4, GOLDEN_MEAN)
     twin = generic_twin(h)
     calls = []
@@ -187,7 +200,7 @@ def test_generic_lane_makes_one_handle_call_per_step():
     for kernel in (_kernels.run_norm_sum, _kernels.run_qr):
         calls.clear()
         got = kernel(counted, X0, n_transient, n, stride)
-        assert calls == [False] * (n_transient + 1) + [True] * n
+        assert calls == [False] * (n_transient + n) + [True]
         want = kernel(own, X0, n_transient, n, stride)
         for g, w in zip(got, want):
             assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
@@ -323,8 +336,7 @@ def test_estimates_over_the_orbit_cloud_are_the_walk_bit_for_bit(
     def refuse(*args):
         raise AssertionError("walked although the cloud holds n points")
 
-    monkeypatch.setattr(_kernels, "_walk_builtin", refuse)
-    monkeypatch.setattr(_kernels, "_walk_generic", refuse)
+    monkeypatch.setattr(_kernels, "_orbit", refuse)
     for h, x0, want, clouds, short in cases:
         got = [short] + [[kernel(h, x0, n_transient, n, stride, points=c)
                           for kernel in ESTIMATORS] for c in clouds]
@@ -336,25 +348,33 @@ def test_estimates_over_the_orbit_cloud_are_the_walk_bit_for_bit(
 
 
 def test_estimators_take_only_their_own_orbit_cloud():
-    # a cloud is the one orbit(handle, x0, n_transient, n_keep) returned;
-    # one made with another map, start or transient is a ValueError
-    h = gauss_rotation(4.4, GOLDEN_MEAN)
+    # a cloud is the one orbit(handle, x0, n_transient, n_keep) returned,
+    # or one of a rebuilt identical map; one made with another map, start
+    # or transient is a ValueError, also where the two maps share a spec:
+    # the literal and rotation gauss forms, or user maps with equal params
+    h = gauss_rotation(2.7, GOLDEN_MEAN)
     n, n_transient = 200, 30
-    cloud = orbit(h, X0, n_transient, n)
-    foreign = [(h, X0 + 0.01, n_transient), (h, X0, n_transient + 1),
-               (gauss_rotation(4.5, GOLDEN_MEAN), X0, n_transient)]
+    cloud = orbit(gauss_rotation(2.7, GOLDEN_MEAN), X0, n_transient, n)
+    literal = gauss_rotation(2.7, GOLDEN_MEAN, literal_eq=True)
+    squares = [user_map(lambda x, c=c: np.array([x[0] ** 2 - c, x[0] * x[1]]),
+                        params={"c": 1.0}) for c in (0.5, 0.6)]
+    assert literal.spec == h.spec and squares[0].spec == squares[1].spec
+    foreign = [(h, X0 + 0.01, n_transient, cloud),
+               (h, X0, n_transient + 1, cloud),
+               (gauss_rotation(4.5, GOLDEN_MEAN), X0, n_transient, cloud),
+               (h, X0, n_transient, orbit(literal, X0, n_transient, n)),
+               (squares[1], X0, n_transient,
+                orbit(squares[0], X0, n_transient, n)),
+               (h, X0, n_transient, PointCloud(cloud.points, ordered=True))]
     for estimator in (max_lyapunov_norm_sum, lyapunov_spectrum_qr):
         got = estimator(h, X0, n, n_transient, orbit=cloud)
         want = estimator(h, X0, n, n_transient)
         for field in ("spectrum", "convergence_trace"):
             assert (getattr(got, field).tobytes()
                     == getattr(want, field).tobytes())
-        for other, x0, t in foreign:
+        for other, x0, t, other_cloud in foreign:
             with pytest.raises(ValueError, match="orbit cloud"):
-                estimator(other, x0, n, t, orbit=cloud)
-        with pytest.raises(ValueError, match="orbit cloud"):
-            estimator(h, X0, n, n_transient,
-                      orbit=PointCloud(cloud.points, ordered=True))
+                estimator(other, x0, n, t, orbit=other_cloud)
 
 
 def test_builtin_overflow_reruns_on_generic_lane():
@@ -373,6 +393,23 @@ def test_builtin_overflow_reruns_on_generic_lane():
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
         assert not np.isfinite(got[0]).all()
+
+
+def test_walk_that_overflows_in_a_later_block_diverges(monkeypatch):
+    # two points a block: the pioneer started outside its cone overflows
+    # math.exp after the first block, and only that block reruns on the
+    # generic lane; both estimates are non-finite, so both estimators raise
+    monkeypatch.setattr(_kernels, "_BLOCK", 2)
+    h = pioneer_climax_full(3.0, 3.0)
+    x0 = np.array([-1.0, 0.5])
+    first = np.empty((2, 2))
+    _kernels._PY_LOOPS["orbit"](h.family_code, *h.packed, *x0, 0, 2, first)
+    with pytest.raises(OverflowError):
+        _kernels._PY_LOOPS["orbit"](h.family_code, *h.packed, *first[-1], 0,
+                                    2, np.empty((2, 2)))
+    for estimator in (max_lyapunov_norm_sum, lyapunov_spectrum_qr):
+        with pytest.raises(DivergenceError):
+            estimator(h, x0, 100)
 
 
 def test_generic_lane_overflows_silently():

@@ -89,7 +89,6 @@ def test_analytic_jacobian_matches_finite_difference():
 def test_user_map_defaults():
     f = lambda x: np.array([x[0] ** 2 - x[1], 0.5 * x[1]])
     h = user_map(f)
-    assert h.jac_kind == "finite_difference"
     x = np.array([1.2, -0.7])
     expected_j = np.array([[2 * 1.2, -1.0], [0.0, 0.5]])
     np.testing.assert_allclose(h.eval(x, True)[1], expected_j, atol=1e-7)
