@@ -27,8 +27,7 @@ _NAMES = {
               "hausdorff_bounds periodic_code radial_derivative "
               "radial_tent_map shift_map shift_metric",
     "horseshoe": "HorseshoeRegion RefinementExplosion find_saddles "
-                 "leaf_component_count model_horseshoe_map trellis "
-                 "unstable_manifold verify_ah",
+                 "model_horseshoe_map trellis unstable_manifold verify_ah",
 }
 _HOME = {name: module for module, names in _NAMES.items()
          for name in names.split()}

@@ -26,6 +26,7 @@ NEWTON_MAX_STEPS = 100
 NEWTON_RESIDUAL = 1e-10
 MINIMAL_PERIOD_TOL = 1e-9
 PERIOD_DETECT_TOL = 1e-6
+MAX_PERIOD = 64
 
 
 class DivergenceError(ArithmeticError):
@@ -250,21 +251,21 @@ def find_cycle(handle: MapHandle, period: int, seed) -> Cycle:
                  stability=_classify_multipliers(mult), vectors=vecs)
 
 
-def detect_period(cloud, max_period: int = 64):
-    """Smallest k <= max_period closing the tail of an ordered cloud.
+def detect_period(cloud):
+    """Smallest k <= MAX_PERIOD closing the tail of an ordered cloud.
 
-    Checks ``|x_{i+k} - x_i| <= 1e-6`` over the last 2*max_period index
+    Checks ``|x_{i+k} - x_i| <= 1e-6`` over the last 2*MAX_PERIOD index
     pairs; returns the string ``"aperiodic"`` when no k qualifies.
     """
     pts = planar_points(cloud)
     if getattr(cloud, "ordered", True) is False:
         raise ValueError("detect_period needs an ordered cloud")
     n = len(pts)
-    if n < 3 * max_period:
+    if n < 3 * MAX_PERIOD:
         raise ValueError(
-            f"cloud too short: {n} points, need >= {3 * max_period}")
-    window = 2 * max_period
-    for k in range(1, max_period + 1):
+            f"cloud too short: {n} points, need >= {3 * MAX_PERIOD}")
+    window = 2 * MAX_PERIOD
+    for k in range(1, MAX_PERIOD + 1):
         tail = pts[n - (window + k):]
         gaps = _kernels.row_norms(tail[k:k + window] - tail[:window])
         if gaps.max() <= PERIOD_DETECT_TOL:

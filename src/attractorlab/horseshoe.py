@@ -10,7 +10,8 @@ maps into its own interior, both caps and the fold band land in the
 proper caps, pushed-forward vertical leaves stay transverse to
 horizontal ones inside the core, the lower cap is a contracting sink
 region, a saddle with vertical unstable direction sits in the lower
-band, and the foliation contraction/expansion rates bracket 1.
+band, and the foliation contraction/expansion rates bracket 1.  Every
+rate it checks is read from the map's Jacobian.
 
 The built-in model map realizes all of it with exact rates (0.2, 4);
 its fold sends the middle band onto a family of nested ellipse arcs
@@ -33,7 +34,6 @@ from .hypotheses import (STATUS_FAIL, STATUS_INCONCLUSIVE, STATUS_PASS, Check,
                          Report, verdict)
 
 TRANSVERSALITY_MIN_ANGLE = 1e-2     # radians
-FOLIATION_STEP = 1e-5               # first-difference step, model coords
 POINT_CAP = 10_000_000
 _IMAGE_BLOCK = 4096                # rows imaged per call in manifold growth
 
@@ -147,11 +147,11 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
     """Sampled check of the attracting-horseshoe conditions.
 
     Every condition reports pass/fail/inconclusive with a margin and a
-    worst-case witness (world coordinates); nothing raises.  Foliation
-    rates are sampled on band interiors (a first difference straddling
-    a band boundary would measure the seam, not a leaf rate), and
-    transversality is only enforced at samples whose image lands back
-    in the core Z, where the horizontal foliation lives.
+    worst-case witness (world coordinates); nothing raises.  Every rate
+    comes from the handle's Jacobian: the sink cap's Lipschitz bound and
+    the foliation rates at samples strictly inside their piece, and
+    transversality at samples whose image lands back in the core Z, where
+    the horizontal foliation lives; with no such sample it is inconclusive.
     """
     checks = []
     h_pts = region.sample("h", sampling, boundary=True)
@@ -214,40 +214,42 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
             worst - TRANSVERSALITY_MIN_ANGLE, data={"min_angle": worst}))
 
     # lower cap contracts onto an interior sink; the Lipschitz bound is
-    # sampled strictly inside the cap so a world-coordinate roundtrip
-    # cannot flip a seam sample onto the neighbouring band's derivative
+    # sampled strictly inside the cap, off the seam with the lower band
     c0_pts = region.sample("c0", sampling)
     c0_in = c0_pts[region.inside("c0", c0_pts) > 1e-9]
-    lip = float(np.max(_kernels.spectral_norm2(
-        _model_jacobians(handle, region, c0_in))))
-    try:
-        fp = find_cycle(handle, 1, region.to_world(_CAP0 + [0.0, -2.0]))
-        q_model = region.to_model(fp.points)[0]
-        sink_ok = (lip < 1.0 and fp.stability == "sink"
-                   and float(region.inside("c0", q_model)[0]) > 0)
-        # push the cap samples until all are within 1e-8 of the sink, or
-        # 300 steps; escaping samples overflow quietly to inf or nan
-        orbit_pts = region.to_world(c0_pts)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(300):
-                orbit_pts = handle.eval(orbit_pts)
-                basin_err = float(np.max(_kernels.row_norms(
-                    orbit_pts - fp.points[0])))
-                if basin_err < 1e-8:
-                    break
+    if len(c0_in) == 0:
         checks.append(Check(
-            "sink_cap_contraction", verdict(sink_ok and basin_err < 1e-8),
-            fp.points[0], 1.0 - lip,
-            data={"fixed_point": fp.points[0], "lipschitz": lip,
-                  "basin_residual": basin_err}))
-    except (CycleSearchError, DivergenceError) as exc:
-        checks.append(Check("sink_cap_contraction", STATUS_FAIL, None,
-                            1.0 - lip, data={"error": str(exc)}))
+            "sink_cap_contraction", STATUS_INCONCLUSIVE, None, 0.0,
+            data={"note": "no sample strictly inside C0"}))
+    else:
+        lip = float(np.max(_kernels.spectral_norm2(
+            _model_jacobians(handle, region, c0_in))))
+        try:
+            fp = find_cycle(handle, 1, region.to_world(_CAP0 + [0.0, -2.0]))
+            sink_ok = (lip < 1.0 and fp.stability == "sink" and float(
+                region.inside("c0", region.to_model(fp.points))[0]) > 0)
+            # push the cap samples until all are within 1e-8 of the sink,
+            # or 300 steps; escaping samples overflow quietly to inf or nan
+            orbit_pts = region.to_world(c0_pts)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(300):
+                    orbit_pts = handle.eval(orbit_pts)
+                    basin_err = float(np.max(_kernels.row_norms(
+                        orbit_pts - fp.points[0])))
+                    if basin_err < 1e-8:
+                        break
+            checks.append(Check(
+                "sink_cap_contraction", verdict(sink_ok and basin_err < 1e-8),
+                fp.points[0], 1.0 - lip,
+                data={"fixed_point": fp.points[0], "lipschitz": lip,
+                      "basin_residual": basin_err}))
+        except (CycleSearchError, DivergenceError) as exc:
+            checks.append(Check("sink_cap_contraction", STATUS_FAIL, None,
+                                1.0 - lip, data={"error": str(exc)}))
 
     # saddle in the lower band with vertical unstable direction
     saddle_check = None
-    seeds = region.sample("s0", 7)
-    for seed in region.to_world(seeds):
+    for seed in region.to_world(region.sample("s0", 7)):
         try:
             cyc = find_cycle(handle, 1, seed)
         except (CycleSearchError, DivergenceError):
@@ -271,23 +273,24 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
         data={"note": "no saddle found in lower band"}))
 
     # contraction along horizontal leaves, expansion along vertical ones
-    eps = FOLIATION_STEP
-    z_in = z_pts[(region.inside("z", z_pts) > 2 * eps)]
-    dh = _map_model(handle, region, z_in + [eps, 0.0]) - \
-        _map_model(handle, region, z_in)
-    lam_contr = float(np.max(_kernels.row_norms(dh))) / eps
+    z_in = z_pts[region.inside("z", z_pts) > 0.0]
     band_pts = np.vstack([region.sample("s0", sampling),
                           region.sample("s1", sampling)])
-    keep = (region.inside("s0", band_pts) > 2 * eps) | \
-        (region.inside("s1", band_pts) > 2 * eps)
-    band_in = band_pts[keep]
-    dv = _map_model(handle, region, band_in + [0.0, eps]) - \
-        _map_model(handle, region, band_in)
-    mu_exp = float(np.min(_kernels.row_norms(dv))) / eps
-    checks.append(Check(
-        "foliation_rates", verdict(0.0 < lam_contr < 1.0 < mu_exp), None,
-        min(1.0 - lam_contr, mu_exp - 1.0),
-        data={"lambda_contr": lam_contr, "mu_exp": mu_exp}))
+    band_in = band_pts[(region.inside("s0", band_pts) > 0.0) |
+                       (region.inside("s1", band_pts) > 0.0)]
+    if len(z_in) == 0 or len(band_in) == 0:
+        checks.append(Check(
+            "foliation_rates", STATUS_INCONCLUSIVE, None, 0.0,
+            data={"note": "no sample strictly inside Z or a band"}))
+    else:
+        lam_contr = float(np.max(_kernels.row_norms(
+            _model_jacobians(handle, region, z_in)[:, :, 0])))
+        mu_exp = float(np.min(_kernels.row_norms(
+            _model_jacobians(handle, region, band_in)[:, :, 1])))
+        checks.append(Check(
+            "foliation_rates", verdict(0.0 < lam_contr < 1.0 < mu_exp), None,
+            min(1.0 - lam_contr, mu_exp - 1.0),
+            data={"lambda_contr": lam_contr, "mu_exp": mu_exp}))
 
     return Report(("condition", "status", "margin", "witness"), checks)
 
@@ -641,38 +644,3 @@ def model_horseshoe_map(region: Optional[HorseshoeRegion] = None,
 
     params = {"contraction": lam, "expansion": mu}
     return MapHandle(spec=MapSpec("user_table", params), eval=model)
-
-
-def leaf_strip_intervals(depth: int, contraction: float = 0.2) -> np.ndarray:
-    """x1 footprints of the 2^depth vertical strips of the iterated model.
-
-    Every binary word is admissible because each band's image spans the
-    full height of the core, so the intervals are the images of the
-    core's x1 span under all depth-fold compositions of the two bands'
-    horizontal actions, lam * x1 (S0) and -lam * x1 - 3.2 (S1).
-    """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    lam = float(contraction)
-    intervals = np.array([_X1])
-    for _ in range(depth):
-        intervals = np.sort(np.vstack([lam * intervals,
-                                       -lam * intervals - 3.2]), axis=1)
-    return intervals[np.argsort(intervals[:, 0])]
-
-
-def leaf_component_count(depth: int, x2_level: float = 1.0,
-                         contraction: float = 0.2) -> int:
-    """Components of the model's depth-n region cut by a horizontal leaf.
-
-    The leaf meets each vertical strip in its x1 footprint, so the count
-    is one plus the number of positive gaps between consecutive sorted
-    footprints (touching ones merge).  Valid for leaf levels strictly
-    inside the core's vertical extent.
-    """
-    if not _BANDS[0] < x2_level < _BANDS[3]:
-        raise ValueError("leaf level must lie inside the core")
-    steps = np.diff(leaf_strip_intervals(depth, contraction).ravel())
-    if np.any(steps < 0):
-        raise RuntimeError("strip intervals overlap; cannot count")
-    return 1 + int(np.count_nonzero(steps[1::2] > 0))

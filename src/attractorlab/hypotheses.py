@@ -34,6 +34,7 @@ _ORIGIN_FIXED_TOL = 1e-12
 _DECAY_TOL = 1e-9        # final profile value relative to the peak
 _N_DIRECTIONS = 256      # sphere directions of the decay and EZ checks
 _EZ_CANDIDATES = (2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0)
+_EZ_TOL = 1e-12          # decay bound of the numeric cutoff check
 
 
 def verdict(ok: bool) -> str:
@@ -263,17 +264,14 @@ def az_decay_profile(handle: MapHandle, radii) -> Check:
                        "reason": reason})
 
 
-def ez_check(handle: MapHandle, r_candidates,
-             tol: float = 1e-12) -> tuple[Check, Check]:
+def ez_check(handle: MapHandle, r_candidates) -> tuple[Check, Check]:
     """Sampled sup of |f| on shells beyond each candidate radius.
 
     Returns the checks ``cutoff_strict``, which requires exact zeros
     (cutoff behavior), and ``cutoff_numeric``, which accepts decay below
-    ``tol``.  Each one's ``data["radius"]`` is the smallest candidate
-    that qualifies, or None when none does.
+    ``_EZ_TOL``, the tolerance it reports.  Each one's ``data["radius"]``
+    is the smallest candidate that qualifies, or None when none does.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     cands = sorted(float(r) for r in r_candidates)
     if not cands or cands[0] <= 0:
         raise ValueError("need positive candidate radii")
@@ -282,7 +280,7 @@ def ez_check(handle: MapHandle, r_candidates,
     for r in cands:
         shells = _shells(handle, np.linspace(r, r_out, 33), _N_DIRECTIONS)
         sup = float(shells[1].max())
-        if numeric is None and sup <= tol:
+        if numeric is None and sup <= _EZ_TOL:
             numeric = r
         if strict is None and sup == 0.0:
             strict = r
@@ -292,7 +290,7 @@ def ez_check(handle: MapHandle, r_candidates,
                        "not EZ" if radius is None else f"R={radius}",
                        tolerance=t, data={"radius": radius})
                  for kind, radius, t in (("strict", strict, 0.0),
-                                         ("numeric", numeric, tol)))
+                                         ("numeric", numeric, _EZ_TOL)))
 
 
 def origin_contraction_check(handle: MapHandle, r_m: float,
@@ -355,8 +353,7 @@ def attracting_set_sample(handle: MapHandle, n_iterates: int) -> PointCloud:
 
 
 def run_hypothesis_report(handle: MapHandle, search_radius: float = 8.0,
-                          grid: int = 256,
-                          ez_candidates=_EZ_CANDIDATES) -> Report:
+                          grid: int = 256) -> Report:
     """Assemble the standard battery of checks into one report."""
     try:
         sup = _sup_norm_search(handle, search_radius, grid=grid)
@@ -377,7 +374,7 @@ def run_hypothesis_report(handle: MapHandle, search_radius: float = 8.0,
             break
         end *= 2
     checks.append(decay)
-    checks.extend(ez_check(handle, ez_candidates))
+    checks.extend(ez_check(handle, _EZ_CANDIDATES))
     if sup is not None:
         checks.append(origin_contraction_check(handle, sup.r_m, grid=grid))
     return Report(("check", "status", "witness", "tolerance"), checks)

@@ -150,11 +150,11 @@ def pioneer_climax_mixed(a: float, b: float) -> MapHandle:
     return build_map(MapSpec("pioneer_climax_mixed", {"a": a, "b": b}))
 
 
-def finite_difference_jacobian(fn, x, h_scale: float = 1e-6) -> np.ndarray:
+def finite_difference_jacobian(fn, x) -> np.ndarray:
     """Central-difference Jacobian of a planar map at a (2,) point, with
-    step h = max(1e-6, 1e-6 * |x|) along each axis."""
+    step h = 1e-6 * max(1, |x|) along each axis."""
     x = np.asarray(x, dtype=float)
-    h = max(h_scale, h_scale * float(np.linalg.norm(x)))
+    h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
     dx, dy = ((np.asarray(fn(x + e), dtype=float)
                - np.asarray(fn(x - e), dtype=float)) / (2.0 * h)
               for e in ((h, 0.0), (0.0, h)))

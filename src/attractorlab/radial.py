@@ -15,7 +15,7 @@ constructed ground truth for all of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -172,11 +172,11 @@ class ShellPartition:
     at level d carries the d-bit binary address of i in radial order.
     Children share their outward endpoints with the parent cell, like
     the middle-thirds construction; strict nesting lives in the deleted
-    band: cell.lo < band.lo < band.hi < cell.hi everywhere.
+    band: cell.lo < band.lo < band.hi < cell.hi everywhere.  n_store
+    is 1 for an angle-independent map and n_angles otherwise.
     """
     depth: int
     angles: np.ndarray          # full angle grid
-    collapsed: bool             # True when angle-independent storage
     levels: list                # levels[j] = (lo, hi), shape (n_store, 2^j)
     bands: list                 # bands[j] = (lo, hi), j < depth
 
@@ -184,20 +184,18 @@ class ShellPartition:
     def n_angles(self) -> int:
         return len(self.angles)
 
-    def _expand(self, arr: np.ndarray) -> np.ndarray:
-        if self.collapsed:
-            return np.broadcast_to(arr, (self.n_angles,) + arr.shape[1:])
-        return arr
+    def _expand(self, level: int) -> tuple:
+        """A level's (lo, hi) over the full angle grid, as read-only views."""
+        return tuple(np.broadcast_to(a, (self.n_angles, a.shape[1]))
+                     for a in self.levels[level])
 
     def cell(self, address: str):
         """(inner, outer) radius arrays over the angle grid."""
         if len(address) > self.depth or any(c not in "01" for c in address):
             raise KeyError(address)
-        level = len(address)
+        lo, hi = self._expand(len(address))
         idx = int(address, 2) if address else 0
-        lo, hi = self.levels[level]
-        return (self._expand(lo)[:, idx].copy(),
-                self._expand(hi)[:, idx].copy())
+        return lo[:, idx].copy(), hi[:, idx].copy()
 
     def addresses(self, level: int):
         if not 0 <= level <= self.depth:
@@ -206,8 +204,7 @@ class ShellPartition:
                 for i in range(2 ** level)]
 
     def leaves(self):
-        lo, hi = self.levels[self.depth]
-        return self._expand(lo), self._expand(hi)
+        return self._expand(self.depth)
 
     def validate(self) -> None:
         """Nesting and disjointness at every stored angle and level."""
@@ -236,31 +233,14 @@ class ShellPartition:
         """
         rng = np.random.default_rng(seed)
         lo, hi = self.levels[self.depth]
-        n_leaves = lo.shape[1]
+        n_store, n_leaves = lo.shape
         leaf = rng.integers(0, n_leaves, size=max_points)
         phi = rng.uniform(0.0, 2 * np.pi, size=max_points)
-        if self.collapsed:
-            col = np.zeros(max_points, dtype=int)
-        else:
-            step = 2 * np.pi / self.n_angles
-            col = np.rint(phi / step).astype(int) % self.n_angles
+        col = np.rint(phi / (2 * np.pi / n_store)).astype(int) % n_store
         r = 0.5 * (lo[col, leaf] + hi[col, leaf])
         pts = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
         return PointCloud(pts, ordered=False,
                           meta={"depth": self.depth, "seed": seed})
-
-    def write_csv(self, path, level: Optional[int] = None) -> None:
-        """Rows: angle, address, inner, outer for every cell at level."""
-        level = self.depth if level is None else level
-        addrs = self.addresses(level)
-        lo, hi = self.levels[level]
-        lo, hi = self._expand(lo), self._expand(hi)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("angle,address,inner,outer\n")
-            for i, ang in enumerate(self.angles):
-                for k, addr in enumerate(addrs):
-                    fh.write(f"{ang:.17g},{addr or 'root'},"
-                             f"{lo[i, k]:.17g},{hi[i, k]:.17g}\n")
 
 
 def cantor_shells(return_map: Callable, shells: ShellSpec, depth: int,
@@ -331,8 +311,8 @@ def cantor_shells(return_map: Callable, shells: ShellSpec, depth: int,
         new_bhi = np.where(inc_child, r_hi, r_lo)
         bands.append((new_blo, new_bhi))
 
-    return ShellPartition(depth=depth, angles=angles, collapsed=angle_free,
-                          levels=levels, bands=bands)
+    return ShellPartition(depth=depth, angles=angles, levels=levels,
+                          bands=bands)
 
 
 def hausdorff_bounds(lam: float, mu: float):

@@ -17,8 +17,7 @@ from attractorlab.cli import main as cli_main
 from attractorlab.dynamics import (CycleSearchError, detect_period,
                                    find_cycle, orbit)
 from attractorlab.horseshoe import (HorseshoeRegion, find_saddles,
-                                    leaf_component_count, model_horseshoe_map,
-                                    trellis, verify_ah)
+                                    model_horseshoe_map, trellis, verify_ah)
 from attractorlab.hypotheses import (attracting_set_sample,
                                      estimate_sup_norm,
                                      origin_contraction_check)
@@ -27,6 +26,8 @@ from attractorlab.maps import (GOLDEN_MEAN, finite_difference_jacobian,
                                pioneer_climax_mixed, user_map)
 from attractorlab.radial import (SymbolCode, cantor_shells, hausdorff_bounds,
                                  periodic_code, radial_tent_map, shift_metric)
+
+from model_oracles import leaf_component_count
 
 
 def test_gauss_rotation_regimes():
@@ -49,7 +50,7 @@ def test_gauss_rotation_regimes():
 
     # regular window: a short cycle or a non-expanding exponent
     qr, cloud = results[4.8]
-    period = detect_period(cloud.points[:4096], max_period=64)
+    period = detect_period(cloud.points[:4096])
     assert (isinstance(period, int) and period <= 64) or qr <= 0.02
 
     # chaos with a fractal cloud
@@ -91,7 +92,7 @@ def test_period_six_sink_scan():
     for a in np.arange(2.0, 2.4 + 1e-9, 0.005):
         h = pioneer_climax_full(float(a), float(a) + 0.1)
         cloud = orbit(h, (0.5, 0.5), 2000, 400)
-        if detect_period(cloud.points, max_period=64) == 6:
+        if detect_period(cloud.points) == 6:
             found.append(round(float(a), 3))
     assert found == [2.4]
 

@@ -533,6 +533,16 @@ n_seeds = 9
     assert {"saddle", "sink"} <= stabilities
 
 
+def test_horseshoe_command_at_the_coarsest_sampling(tmp_path):
+    cfg = write_cfg(tmp_path, "hs.cfg",
+                    "map = model_horseshoe\nsampling = 2\n")
+    out = tmp_path / "run"
+    assert main(["horseshoe", "--config", cfg, "--out", str(out)]) == 0
+    report = (out / "ahreport.txt").read_text().splitlines()
+    assert "sink_cap_contraction\tinconclusive\t0\t" in report
+    assert "foliation_rates\tinconclusive\t0\t" in report
+
+
 def test_trellis_command(tmp_path):
     cfg = write_cfg(tmp_path, "tr.cfg", """
 map = model_horseshoe

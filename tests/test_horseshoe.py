@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from attractorlab import _kernels, horseshoe
 from attractorlab.horseshoe import (HorseshoeRegion, RefinementExplosion,
-                                    find_saddles, leaf_component_count,
-                                    leaf_strip_intervals,
-                                    model_horseshoe_map, trellis,
-                                    unstable_manifold, verify_ah)
+                                    find_saddles, model_horseshoe_map,
+                                    trellis, unstable_manifold, verify_ah)
 from attractorlab.dynamics import find_cycle
 from attractorlab.chaos import max_lyapunov_norm_sum
 from attractorlab.maps import (GOLDEN_MEAN, gauss_rotation,
                                pioneer_climax_full, user_map)
+
+from model_oracles import leaf_component_count, leaf_strip_intervals
 
 SINK_Y = -79.0 / 19.0
 
@@ -87,8 +87,8 @@ def test_verify_ah_model_passes_with_exact_rates():
     report = verify_ah(handle, HorseshoeRegion())
     assert report.all_pass, report.as_text()
     rates = report.check("foliation_rates").data
-    assert rates["lambda_contr"] == pytest.approx(0.2, abs=1e-6)
-    assert rates["mu_exp"] == pytest.approx(4.0, abs=1e-6)
+    assert rates["lambda_contr"] == pytest.approx(0.2, abs=1e-12)
+    assert rates["mu_exp"] == pytest.approx(4.0, abs=1e-12)
     saddle = report.check("band_saddle").data["saddle"]
     assert saddle is not None and saddle.period == 1
     np.testing.assert_allclose(saddle.points[0], [0.0, 0.0], atol=1e-9)
@@ -109,8 +109,23 @@ def test_verify_ah_framed_region():
     report = verify_ah(handle, region, sampling=32)
     assert report.all_pass, report.as_text()
     rates = report.check("foliation_rates").data
-    assert rates["lambda_contr"] == pytest.approx(0.2, abs=1e-6)
-    assert rates["mu_exp"] == pytest.approx(4.0, abs=1e-6)
+    assert rates["lambda_contr"] == pytest.approx(0.2, abs=1e-12)
+    assert rates["mu_exp"] == pytest.approx(4.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("sampling", [2, 3, 4, 5])
+@pytest.mark.parametrize("frame", [None, [[0.3, 0.1], [-0.2, 0.5]]])
+def test_verify_ah_never_raises_at_coarse_sampling(sampling, frame):
+    region = HorseshoeRegion(matrix=frame)
+    report = verify_ah(model_horseshoe_map(region=region), region,
+                       sampling=sampling)
+    assert len(report.checks) == 8
+    if sampling == 2:
+        # no sample lies strictly inside C0, Z or a band
+        for name in ("sink_cap_contraction", "foliation_rates"):
+            check = report.check(name)
+            assert check.status == "inconclusive"
+            assert check.data["note"].startswith("no sample strictly inside")
 
 
 def test_verify_ah_block_checks_match_the_point_loops():

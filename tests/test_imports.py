@@ -13,7 +13,8 @@ from attractorlab import dynamics, horseshoe, maps, radial
 SRC = str(Path(attractorlab.__file__).resolve().parents[1])
 
 # attractorlab.__all__ as it stood when the package imported every module,
-# less the radial origin modes that alpha0 alone now sets
+# less the radial origin modes that alpha0 alone now sets and the leaf
+# component oracle, which lives with the tests
 PUBLIC = [
     "GOLDEN_MEAN", "MapDefinitionError", "MapHandle", "MapSpec", "build_map",
     "finite_difference_jacobian", "gauss_rotation", "pioneer_climax_full",
@@ -26,9 +27,10 @@ PUBLIC = [
     "run_hypothesis_report", "RadialTent", "ShellConstructionError",
     "ShellPartition", "ShellSpec", "SymbolCode", "cantor_shells",
     "estimate_radial_bounds", "hausdorff_bounds", "periodic_code",
-    "radial_derivative", "radial_tent_map", "shift_map", "shift_metric", "HorseshoeRegion", "RefinementExplosion", "find_saddles",
-    "leaf_component_count", "model_horseshoe_map", "trellis",
-    "unstable_manifold", "verify_ah", "__version__"]
+    "radial_derivative", "radial_tent_map", "shift_map", "shift_metric",
+    "HorseshoeRegion", "RefinementExplosion", "find_saddles",
+    "model_horseshoe_map", "trellis", "unstable_manifold", "verify_ah",
+    "__version__"]
 # the public constants, by the module that defines them; every other
 # public name's home is its __module__
 CONSTANTS = {"GOLDEN_MEAN": maps}

@@ -168,7 +168,7 @@ def test_radial_tent_slope_matches_a_central_difference(
 def test_cantor_shells_middle_thirds_exact():
     tent = radial_tent_map((3.0, 3.0))
     part = cantor_shells(tent.return_map, tent.shells, depth=3)
-    assert part.collapsed
+    assert len(part.levels[0][0]) == 1
     part.validate()
 
     third = 1.0 / 3.0
@@ -236,7 +236,7 @@ def _angle_dependent_case():
 
 def test_cantor_shells_angle_dependent_profiles():
     part = cantor_shells(*_angle_dependent_case(), depth=2, angle_grid=16)
-    assert not part.collapsed
+    assert len(part.levels[0][0]) == part.n_angles
     part.validate()
     z = _zeta(part.angles)
     clo, chi = part.cell("00")
@@ -269,7 +269,7 @@ def test_sample_cloud_hits_leaf_midpoints():
 
 def test_sample_cloud_reads_the_leaves_at_the_nearest_stored_angle():
     part = cantor_shells(*_angle_dependent_case(), depth=2, angle_grid=16)
-    assert not part.collapsed
+    assert len(part.levels[0][0]) == part.n_angles
     cloud = part.sample_cloud(max_points=2000, seed=3)
     x, y = cloud.points.T
     r, phi = np.hypot(x, y), np.arctan2(y, x) % (2 * np.pi)
@@ -280,23 +280,6 @@ def test_sample_cloud_reads_the_leaves_at_the_nearest_stored_angle():
     # each radius is the midpoint of one leaf of its own column
     mids = 0.5 * (lo + hi)[col]
     assert np.abs(mids - r[:, None]).min(axis=1).max() < 1e-12
-
-
-def test_write_csv_round_trip(tmp_path):
-    tent = radial_tent_map((3.0, 3.0))
-    part = cantor_shells(tent.return_map, tent.shells, depth=2, angle_grid=8)
-    path = tmp_path / "cells.csv"
-    part.write_csv(path, level=1)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "angle,address,inner,outer"
-    assert len(lines) == 1 + 8 * 2
-    first = lines[1].split(",")
-    assert first[1] == "0"
-    assert float(first[2]) == pytest.approx(0.0, abs=1e-12)
-    assert float(first[3]) == pytest.approx(1 / 3, abs=1e-10)
-    part.write_csv(tmp_path / "root.csv", level=0)
-    root = (tmp_path / "root.csv").read_text().splitlines()[1].split(",")
-    assert root[1] == "root"
 
 
 def test_sink_mode_partition_and_basin():
@@ -431,6 +414,12 @@ def test_shift_metric_exact_values():
     # alternating vs zero: digits differ at odd positions
     assert shift_metric(periodic_code("10"), zero) == Fraction(2, 3)
     assert shift_metric(periodic_code("10"), periodic_code("01")) == Fraction(1)
+    # 0^inf, 10^inf, 110^inf: 3/4 exceeds max(1/2, 1/4), so the metric is
+    # not an ultrametric; the triangle inequality holds with equality
+    one_zero, one_one_zero = SymbolCode("1"), SymbolCode("11")
+    assert shift_metric(zero, one_zero) == Fraction(1, 2)
+    assert shift_metric(one_zero, one_one_zero) == Fraction(1, 4)
+    assert shift_metric(zero, one_one_zero) == Fraction(3, 4)
 
 
 def test_shift_metric_axioms_sampled():
