@@ -12,7 +12,7 @@ from importlib import import_module as _import_module
 
 # the public names by the module that defines or re-exports them
 _NAMES = {
-    "maps": "GOLDEN_MEAN MapDefinitionError MapHandle MapSpec build_map "
+    "maps": "GOLDEN_MEAN MapDefinitionError MapHandle "
             "finite_difference_jacobian gauss_rotation pioneer_climax_full "
             "pioneer_climax_mixed user_map",
     "dynamics": "Cycle CycleSearchError DivergenceError PointCloud "

@@ -261,7 +261,7 @@ def _accumulate(terms, stride, trace):
 
 
 # ---------------------------------------------------------------------------
-# dispatch helpers; a handle is anything exposing spec/family_code/packed/eval
+# dispatch helpers; a handle is anything exposing family_code/packed/eval
 
 
 def _builtin(handle):

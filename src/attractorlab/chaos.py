@@ -160,8 +160,6 @@ def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:
             scales = scales[:i + 1]
             break
         kept.append(i)
-    if len(kept) < 2:              # cloud saturates immediately; fit anyway
-        kept = list(range(len(scales)))
     window = np.array(kept, dtype=int)
     logs_inv_eps = np.log(1.0 / scales[window])
     logs_n = np.log(counts[window].astype(float))

@@ -455,8 +455,6 @@ def _period(cloud):
 def _cloud_bounds(points: np.ndarray, cfg: dict):
     if cfg["window"] is not None:
         return cfg["window"].reshape(2, 2)
-    if len(points) == 0:
-        return ((0.0, 1.0), (0.0, 1.0))
     lo, hi = planar_bounds(points)
     # the floor scales with the coordinates, so a cloud collapsed far from
     # the origin still gets bounds of positive extent

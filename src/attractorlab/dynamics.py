@@ -156,14 +156,14 @@ def orbit(handle: MapHandle, x0, n_transient: int, n_keep: int) -> PointCloud:
 
 
 def map_key(handle: MapHandle):
-    """What tells two maps apart where their specs may not: a built-in's
-    family code and packed parameters, else the handle's ``eval``."""
+    """What tells two maps apart: a built-in's family code and packed
+    parameters, else the handle's ``eval``."""
     return ((handle.family_code, handle.packed) if handle.family_code >= 0
             else handle.eval)
 
 
 def _orbit_meta(handle: MapHandle, x0, n_transient: int, n_keep: int) -> dict:
-    return {"spec": handle.spec, "map": map_key(handle),
+    return {"map": map_key(handle),
             "x0": np.array(x0, dtype=float),
             "n_transient": int(n_transient), "n_keep": int(n_keep)}
 

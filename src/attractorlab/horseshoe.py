@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .maps import MapHandle, MapSpec
+from .maps import MapHandle
 from .dynamics import (Cycle, DivergenceError, CycleSearchError, PointCloud,
                        RefinementExplosion, find_cycle)
 from .hypotheses import (STATUS_FAIL, STATUS_INCONCLUSIVE, STATUS_PASS, Check,
@@ -147,7 +147,8 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
     """Sampled check of the attracting-horseshoe conditions.
 
     Every condition reports pass/fail/inconclusive with a margin and a
-    worst-case witness (world coordinates); nothing raises.  Every rate
+    worst-case witness (world coordinates), or with a text witness that
+    says why it has no point; nothing raises.  Every rate
     comes from the handle's Jacobian: the sink cap's Lipschitz bound and
     the foliation rates at samples strictly inside their piece, and
     transversality at samples whose image lands back in the core Z, where
@@ -197,8 +198,7 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
     active = region.inside("z", z_img) >= 0.0
     if not np.any(active):
         checks.append(Check("vertical_transversality", STATUS_INCONCLUSIVE,
-                            None, 0.0,
-                            data={"note": "no sample maps back into Z"}))
+                            "no sample maps back into Z", 0.0))
     else:
         q = z_pts[active]
         # the images v of e2; where v = 0 the angle is 0
@@ -218,9 +218,8 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
     c0_pts = region.sample("c0", sampling)
     c0_in = c0_pts[region.inside("c0", c0_pts) > 1e-9]
     if len(c0_in) == 0:
-        checks.append(Check(
-            "sink_cap_contraction", STATUS_INCONCLUSIVE, None, 0.0,
-            data={"note": "no sample strictly inside C0"}))
+        checks.append(Check("sink_cap_contraction", STATUS_INCONCLUSIVE,
+                            "no sample strictly inside C0", 0.0))
     else:
         lip = float(np.max(_kernels.spectral_norm2(
             _model_jacobians(handle, region, c0_in))))
@@ -244,8 +243,8 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
                 data={"fixed_point": fp.points[0], "lipschitz": lip,
                       "basin_residual": basin_err}))
         except (CycleSearchError, DivergenceError) as exc:
-            checks.append(Check("sink_cap_contraction", STATUS_FAIL, None,
-                                1.0 - lip, data={"error": str(exc)}))
+            checks.append(Check("sink_cap_contraction", STATUS_FAIL,
+                                f"sink search failed: {exc}", 1.0 - lip))
 
     # saddle in the lower band with vertical unstable direction
     saddle_check = None
@@ -269,8 +268,7 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
         if saddle_check.status == STATUS_PASS:
             break
     checks.append(saddle_check or Check(
-        "band_saddle", STATUS_FAIL, None, 0.0,
-        data={"note": "no saddle found in lower band"}))
+        "band_saddle", STATUS_FAIL, "no saddle found in lower band", 0.0))
 
     # contraction along horizontal leaves, expansion along vertical ones
     z_in = z_pts[region.inside("z", z_pts) > 0.0]
@@ -279,9 +277,8 @@ def verify_ah(handle: MapHandle, region: HorseshoeRegion,
     band_in = band_pts[(region.inside("s0", band_pts) > 0.0) |
                        (region.inside("s1", band_pts) > 0.0)]
     if len(z_in) == 0 or len(band_in) == 0:
-        checks.append(Check(
-            "foliation_rates", STATUS_INCONCLUSIVE, None, 0.0,
-            data={"note": "no sample strictly inside Z or a band"}))
+        checks.append(Check("foliation_rates", STATUS_INCONCLUSIVE,
+                            "no sample strictly inside Z or a band", 0.0))
     else:
         lam_contr = float(np.max(_kernels.row_norms(
             _model_jacobians(handle, region, z_in)[:, :, 0])))
@@ -642,5 +639,4 @@ def model_horseshoe_map(region: Optional[HorseshoeRegion] = None,
                 0.025 * s, h_ell * np.pi * c / span]).reshape(-1, 2, 2)
         return img, (frame.matrix @ j @ frame.inverse).reshape(x.shape + (2,))
 
-    params = {"contraction": lam, "expansion": mu}
-    return MapHandle(spec=MapSpec("user_table", params), eval=model)
+    return MapHandle(eval=model)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .maps import MapHandle
-from .dynamics import DivergenceError, PointCloud
+from .dynamics import DivergenceError, PointCloud, map_key
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -348,7 +348,7 @@ def attracting_set_sample(handle: MapHandle, n_iterates: int) -> PointCloud:
     if not np.all(np.isfinite(pts)):
         raise DivergenceError("attracting-set sample diverged")
     return PointCloud(pts, ordered=False,
-                      meta={"spec": handle.spec, "m_sup": m_sup,
+                      meta={"map": map_key(handle), "m_sup": m_sup,
                             "n_iterates": int(n_iterates), "grid": 128})
 
 

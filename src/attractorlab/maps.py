@@ -18,7 +18,9 @@ absorbs every orbit after one step.  Three closed-form families are built in:
     Same second component, first component decoupled:
     f1 = x1 * e^(a - 0.8 x1).
 
-Each built-in formula and its analytic Jacobian are written once, in
+A built-in map is made by calling its constructor, which raises
+:class:`MapDefinitionError` for an invalid parameter.  Each built-in
+formula and its analytic Jacobian are written once, in
 ``_kernels._family``, where the literal gauss form and pioneer-mixed are
 packed parameters; a built-in handle evaluates the NumPy form of that
 definition, which the kernel lanes run in scalar form.  Arbitrary maps of
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -39,29 +41,15 @@ from . import _kernels
 
 GOLDEN_MEAN = (1.0 + math.sqrt(5.0)) / 2.0
 
-_FAMILY_PARAMS = {
-    "gauss_rotation": ("a", "theta"),
-    "pioneer_climax_full": ("a", "b"),
-    "pioneer_climax_mixed": ("a", "b"),
-    "user_table": None,
-}
-
 
 class MapDefinitionError(ValueError):
-    """Raised for unknown families or missing/invalid parameters."""
-
-
-@dataclass(frozen=True)
-class MapSpec:
-    """Declarative description of a map: family name and parameters."""
-
-    family: str
-    params: Mapping[str, float]
+    """Raised by a built-in constructor for a parameter that is not a
+    finite int or float, or for gauss_rotation's a <= 0."""
 
 
 @dataclass(frozen=True)
 class MapHandle:
-    """A built map: spec plus its one evaluation function.
+    """A built map: its one evaluation function.
 
     ``eval(x)`` maps a (2,) point or an (n, 2) block to its image(s) of
     the same shape; ``eval(x, True)`` also returns the (2, 2) or
@@ -72,82 +60,55 @@ class MapHandle:
     holds the callables it was given, and pickles only if they do.
     """
 
-    spec: MapSpec
     eval: Callable[..., np.ndarray | tuple]
     family_code: int = -1
     packed: tuple = ()
     cone: bool = False  # natural domain restricted to the nonnegative orthant
 
-    @property
-    def literal(self) -> bool:
-        """True for the degenerate duplicated-component gauss form."""
-        return (self.family_code == _kernels.FAM_GAUSS
-                and self.packed[1:3] == self.packed[3:])
 
-
-def _require_finite_params(params, names):
-    for name in names:
-        if name not in params:
-            raise MapDefinitionError(f"missing parameter {name!r}")
-        v = params[name]
+def _require_finite(**params):
+    for name, v in params.items():
         if not (isinstance(v, (int, float)) and math.isfinite(v)):
             raise MapDefinitionError(f"parameter {name!r} must be finite, got {v!r}")
-    extra = set(params) - set(names)
-    if extra:
-        raise MapDefinitionError(f"unexpected parameters: {sorted(extra)}")
 
 
-def validate_spec(spec: MapSpec) -> None:
-    if spec.family not in _FAMILY_PARAMS:
-        raise MapDefinitionError(
-            f"unknown family {spec.family!r}; known: {sorted(_FAMILY_PARAMS)}"
-        )
-    if spec.family == "user_table":
-        return
-    _require_finite_params(spec.params, _FAMILY_PARAMS[spec.family])
-    if spec.family == "gauss_rotation" and not spec.params["a"] > 0:
-        raise MapDefinitionError("gauss_rotation needs a > 0")
-
-
-def build_map(spec: MapSpec, *, literal_eq: bool = False) -> MapHandle:
-    """Construct a MapHandle from a spec.
-
-    ``literal_eq`` selects the degenerate duplicated-component form of
-    gauss_rotation (both output components equal), kept for comparison with
-    the corrected rotation form.  It has no effect on the other families.
-    """
-    validate_spec(spec)
-    fam = spec.family
-    if fam == "gauss_rotation":
-        t = 2.0 * math.pi * float(spec.params["theta"])
-        # the rotation matrix by rows; the literal form repeats the first
-        row1 = (math.cos(t), -math.sin(t))
-        code, cone = _kernels.FAM_GAUSS, False
-        packed = (float(spec.params["a"]), *row1,
-                  *(row1 if literal_eq else (math.sin(t), math.cos(t))))
-    elif fam in ("pioneer_climax_full", "pioneer_climax_mixed"):
-        code, cone = _kernels.FAM_PIONEER, True
-        packed = (float(spec.params["a"]), float(spec.params["b"]),
-                  0.0 if fam == "pioneer_climax_mixed" else 0.2, 0.0, 0.0)
-    else:
-        raise MapDefinitionError("use user_map() to build user_table handles")
-    return MapHandle(spec=spec, eval=partial(_kernels.builtin_eval, code,
-                                             packed),
-                     family_code=code, packed=packed, cone=cone)
+def build_map(code: int, packed: tuple) -> MapHandle:
+    """The handle of built-in family ``code`` at its ``packed`` parameters;
+    the pioneer family's natural domain is the nonnegative quadrant."""
+    return MapHandle(eval=partial(_kernels.builtin_eval, code, packed),
+                     family_code=code, packed=packed,
+                     cone=code == _kernels.FAM_PIONEER)
 
 
 def gauss_rotation(a: float, theta: float, *, literal_eq: bool = False) -> MapHandle:
-    return build_map(
-        MapSpec("gauss_rotation", {"a": a, "theta": theta}), literal_eq=literal_eq
-    )
+    """The gauss map with rotation angle 2*pi*theta.
+
+    ``literal_eq`` selects the degenerate duplicated-component form
+    (both output components equal), kept for comparison with the
+    corrected rotation form.
+    """
+    _require_finite(a=a, theta=theta)
+    if not a > 0:
+        raise MapDefinitionError("gauss_rotation needs a > 0")
+    t = 2.0 * math.pi * float(theta)
+    # the rotation matrix by rows; the literal form repeats the first
+    row1 = (math.cos(t), -math.sin(t))
+    return build_map(_kernels.FAM_GAUSS, (
+        float(a), *row1, *(row1 if literal_eq else (math.sin(t), math.cos(t)))))
+
+
+def _pioneer(a: float, b: float, coupling: float) -> MapHandle:
+    _require_finite(a=a, b=b)
+    return build_map(_kernels.FAM_PIONEER,
+                     (float(a), float(b), coupling, 0.0, 0.0))
 
 
 def pioneer_climax_full(a: float, b: float) -> MapHandle:
-    return build_map(MapSpec("pioneer_climax_full", {"a": a, "b": b}))
+    return _pioneer(a, b, 0.2)
 
 
 def pioneer_climax_mixed(a: float, b: float) -> MapHandle:
-    return build_map(MapSpec("pioneer_climax_mixed", {"a": a, "b": b}))
+    return _pioneer(a, b, 0.0)
 
 
 def finite_difference_jacobian(fn, x) -> np.ndarray:
@@ -165,17 +126,14 @@ def user_map(
     fn: Callable[[np.ndarray], np.ndarray],
     jac: Callable[[np.ndarray], np.ndarray] | None = None,
     batch: Callable[[np.ndarray], np.ndarray] | None = None,
-    params: Mapping[str, float] | None = None,
     cone: bool = False,
 ) -> MapHandle:
-    """Wrap a map of the plane as a MapHandle (family ``user_table``).
+    """Wrap a map of the plane as a MapHandle.
 
     A (2,) point goes to ``fn`` and ``jac`` (central differences of ``fn``
     by default); an (n, 2) block goes to ``batch`` for its images when
     given, and row by row to ``fn`` and ``jac`` otherwise.
     """
-    spec = MapSpec("user_table", dict(params or {}))
-    validate_spec(spec)
     jc = jac or partial(finite_difference_jacobian, fn)
 
     def ev(x, with_jac=False):
@@ -188,4 +146,4 @@ def user_map(
         j = jc(x) if point else [jc(p) for p in x]
         return y, np.asarray(j, dtype=float).reshape(x.shape + (2,))
 
-    return MapHandle(spec=spec, eval=ev, cone=cone)
+    return MapHandle(eval=ev, cone=cone)

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from .maps import MapHandle, MapSpec
+from .maps import MapHandle
 from .dynamics import PointCloud
 
 _BISECT_TOL = 1e-12
@@ -73,8 +73,6 @@ class ShellSpec:
             raise ValueError("need alpha < beta at every angle")
         if not np.all(b < z):
             raise ValueError("need beta < zeta at every angle")
-        if not np.all(b - a < z):
-            raise ValueError("band width must stay below zeta")
         if not self.m_big / self.m_small < self.lam:
             raise ValueError("need m_big/m_small < lam")
         if not self.lam <= self.mu:
@@ -497,9 +495,7 @@ def radial_tent_map(slopes=(3.0, 3.0), zeta: float = 1.0, theta: float = 0.0,
         radial = tangential * (np.eye(2) - uu) + d_r[:, None, None] * uu
         return img, (rot @ radial).reshape(x.shape + (2,))
 
-    params = {"s_in": s_in, "s_out": s_out, "zeta": zeta, "theta": theta,
-              "alpha0": a0 if a0 is not None else np.nan}
-    handle = MapHandle(spec=MapSpec("user_table", params), eval=tent)
+    handle = MapHandle(eval=tent)
     m_small, m_big = alpha, beta
     spec = ShellSpec(alpha=_const_profile(alpha), beta=_const_profile(beta),
                      zeta=_const_profile(zeta), m_small=m_small,

@@ -159,7 +159,7 @@ def test_jacobians_match_finite_differences():
             jf = finite_difference_jacobian(h.eval, x)
             scale = max(float(np.abs(ja).max()), 1e-12)
             worst = max(worst, float(np.abs(ja - jf).max()) / scale)
-        assert worst <= 1e-5, (h.spec.family, worst)
+        assert worst <= 1e-5, (h.family_code, worst)
 
 
 def _random_code(rng) -> SymbolCode:

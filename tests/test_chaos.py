@@ -68,6 +68,11 @@ def test_degenerate_orbit_reports_instead_of_raising():
     est = max_lyapunov_norm_sum(h, [0.5, 0.5], 1000, 0)
     assert est.degenerate
     assert est.max_exponent == -np.inf
+    # QR stops at the first step, where the tangent vector's norm r is 0
+    est = lyapunov_spectrum_qr(h, [0.5, 0.5], 1000, 0)
+    assert est.degenerate
+    assert list(est.spectrum) == [-np.inf, -np.inf]
+    assert est.n_used == 0
 
 
 @pytest.mark.parametrize("generic", [False, True])
@@ -273,6 +278,18 @@ def test_boxdim_counts_invariant_under_dyadic_scaling_and_permutation(
     got = box_counting_dimension(moved, n_scales=n_scales)
     assert np.array_equal(got.counts, want.counts)
     assert np.array_equal(got.scales, want.scales * 2.0 ** k)
+
+
+@given(st.one_of(
+    box_clouds().map(lambda cloud: cloud[0]),
+    arrays(np.float64, (chaos.MIN_BOX_POINTS, 2),
+           elements=st.floats(-1e6, 1e6, allow_subnormal=False))))
+def test_boxdim_always_fits_the_two_coarsest_rungs(pts):
+    # rung 0's side is diag/4, so it holds at most 5 x 5 boxes, and rung
+    # 1 at most 9 x 9 = 81, below the saturation bound n/10 >= 100
+    res = box_counting_dimension(pts)
+    assume(not res.degenerate)
+    assert list(res.scale_window[:2]) == [0, 1]
 
 
 # QR oracles over gauss and pioneer parameters and start points, on the

@@ -539,8 +539,11 @@ def test_horseshoe_command_at_the_coarsest_sampling(tmp_path):
     out = tmp_path / "run"
     assert main(["horseshoe", "--config", cfg, "--out", str(out)]) == 0
     report = (out / "ahreport.txt").read_text().splitlines()
-    assert "sink_cap_contraction\tinconclusive\t0\t" in report
-    assert "foliation_rates\tinconclusive\t0\t" in report
+    # each inconclusive condition says why it has no point witness
+    assert ("sink_cap_contraction\tinconclusive\t0\t"
+            "no sample strictly inside C0") in report
+    assert ("foliation_rates\tinconclusive\t0\t"
+            "no sample strictly inside Z or a band") in report
 
 
 def test_trellis_command(tmp_path):

@@ -23,6 +23,12 @@ def test_orbit_shape_and_meta():
     assert cloud.points.shape == (50, 2)
     assert cloud.ordered
     assert np.all(np.isfinite(cloud.points))
+    empty = orbit(h, [0.3, 0.1], 5, 0)
+    assert empty.points.shape == (0, 2) and empty.ordered
+    assert (empty.meta["n_transient"], empty.meta["n_keep"]) == (5, 0)
+    np.testing.assert_array_equal(empty.meta["x0"], [0.3, 0.1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        orbit(h, [0.3, 0.1], -1, 5)
 
 
 def test_orbit_detects_divergence():
@@ -108,6 +114,13 @@ def test_find_cycle_singular_search_fails():
                  batch=lambda p: p + 1.0)
     with pytest.raises(CycleSearchError):
         find_cycle(h, 1, [0.0, 0.0])
+    with pytest.raises(ValueError, match="period"):
+        find_cycle(h, 0, [0.0, 0.0])
+    inf_jac = user_map(lambda x: 0.5 * x,
+                       jac=lambda x: np.full((2, 2), np.inf))
+    with pytest.raises(CycleSearchError,
+                       match="Newton matrix has non-finite entries"):
+        find_cycle(inf_jac, 1, [0.1, 0.2])
 
 
 @settings(max_examples=500, deadline=None)
@@ -157,6 +170,8 @@ def test_detect_period_aperiodic_and_tolerance():
 def test_detect_period_needs_enough_points():
     with pytest.raises(ValueError):
         detect_period(PointCloud(np.zeros((10, 2)), ordered=True))
+    with pytest.raises(ValueError, match="ordered"):
+        detect_period(PointCloud(np.zeros((300, 2)), ordered=False))
 
 
 def test_detect_period_on_gauss_sink():

@@ -11,7 +11,7 @@ from attractorlab import _kernels, horseshoe
 from attractorlab.horseshoe import (HorseshoeRegion, RefinementExplosion,
                                     find_saddles, model_horseshoe_map,
                                     trellis, unstable_manifold, verify_ah)
-from attractorlab.dynamics import find_cycle
+from attractorlab.dynamics import Cycle, find_cycle
 from attractorlab.chaos import max_lyapunov_norm_sum
 from attractorlab.maps import (GOLDEN_MEAN, gauss_rotation,
                                pioneer_climax_full, user_map)
@@ -125,7 +125,7 @@ def test_verify_ah_never_raises_at_coarse_sampling(sampling, frame):
         for name in ("sink_cap_contraction", "foliation_rates"):
             check = report.check(name)
             assert check.status == "inconclusive"
-            assert check.data["note"].startswith("no sample strictly inside")
+            assert check.witness.startswith("no sample strictly inside")
 
 
 def test_verify_ah_block_checks_match_the_point_loops():
@@ -170,6 +170,8 @@ def test_verify_ah_identity_fails_with_boundary_witness():
     assert abs(wd) < 1e-9
     assert report.check("caps_into_sink_cap").status == "fail"
     assert report.check("foliation_rates").status == "fail"
+    # the identity's Newton matrix J - I is zero, so no seed finds a saddle
+    assert "\tno saddle found in lower band\n" in report.as_text()
     with pytest.raises(KeyError):
         report.check("nonexistent")
 
@@ -182,7 +184,8 @@ def test_sink_cap_margin_on_a_failed_sink_search():
     check = verify_ah(shift, HorseshoeRegion(), sampling=8).check(
         "sink_cap_contraction")
     assert check.status == "fail"
-    assert "singular" in check.data["error"]
+    assert check.witness.startswith("sink search failed: ")
+    assert "singular" in check.witness
     assert check.margin == 0.0
 
 
@@ -502,6 +505,11 @@ def test_unstable_manifold_rejects_wrong_stability():
     assert source.stability == "source"
     with pytest.raises(ValueError):
         unstable_manifold(pioneer_climax_full(3.0, 3.0), source)
+    # a hand-built saddle whose unstable multiplier is not real
+    spiral = Cycle(np.zeros((1, 2)), 1, np.array([2.0 + 0.5j, 0.5]),
+                   "saddle", np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="unstable multiplier must be real"):
+        unstable_manifold(handle, spiral)
 
 
 def test_refinement_explosion_carries_partial(monkeypatch):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import attractorlab
-from attractorlab import hypotheses
+from attractorlab import _kernels, hypotheses
 from attractorlab.horseshoe import (HorseshoeRegion, model_horseshoe_map,
                                     verify_ah)
 from attractorlab.maps import (GOLDEN_MEAN, gauss_rotation,
@@ -191,6 +191,8 @@ def test_attracting_set_sample_contracting_case():
     assert len(cloud.points) > 1000
     assert np.linalg.norm(cloud.points, axis=1).max() < 1e-9
     assert cloud.meta["n_iterates"] == 40
+    assert cloud.meta["map"] == (_kernels.FAM_GAUSS,
+                                 gauss_rotation(0.5, GOLDEN_MEAN).packed)
     assert cloud.meta["m_sup"] == pytest.approx(0.5 * math.exp(-0.5) / math.sqrt(2),
                                                 rel=1e-9)
 

@@ -13,10 +13,11 @@ from attractorlab import dynamics, horseshoe, maps, radial
 SRC = str(Path(attractorlab.__file__).resolve().parents[1])
 
 # attractorlab.__all__ as it stood when the package imported every module,
-# less the radial origin modes that alpha0 alone now sets and the leaf
-# component oracle, which lives with the tests
+# less the radial origin modes that alpha0 alone now sets, the leaf
+# component oracle, which lives with the tests, and the map spec layer
+# (MapSpec, build_map), which the constructors replace
 PUBLIC = [
-    "GOLDEN_MEAN", "MapDefinitionError", "MapHandle", "MapSpec", "build_map",
+    "GOLDEN_MEAN", "MapDefinitionError", "MapHandle",
     "finite_difference_jacobian", "gauss_rotation", "pioneer_climax_full",
     "pioneer_climax_mixed", "user_map", "Cycle", "CycleSearchError",
     "DivergenceError", "PointCloud", "detect_period", "find_cycle", "orbit",

@@ -10,10 +10,10 @@ import pytest
 from attractorlab import _kernels
 from attractorlab.dynamics import initial_point
 from attractorlab.horseshoe import HorseshoeRegion, model_horseshoe_map
-from attractorlab.maps import (GOLDEN_MEAN, MapDefinitionError, MapSpec,
-                               build_map, finite_difference_jacobian,
-                               gauss_rotation, pioneer_climax_full,
-                               pioneer_climax_mixed, user_map)
+from attractorlab.maps import (GOLDEN_MEAN, MapDefinitionError,
+                               finite_difference_jacobian, gauss_rotation,
+                               pioneer_climax_full, pioneer_climax_mixed,
+                               user_map)
 from attractorlab.radial import radial_tent_map
 
 
@@ -43,7 +43,6 @@ def test_gauss_literal_duplicates_components():
     h = gauss_rotation(3.0, 0.25, literal_eq=True)
     y = h.eval(np.array([0.5, 0.2]))
     assert y[0] == y[1]
-    assert h.literal
     j = h.eval(np.array([0.5, 0.2]), True)[1]
     np.testing.assert_array_equal(j[0], j[1])
 
@@ -98,18 +97,18 @@ def test_user_map_defaults():
 
 
 def test_spec_validation_errors():
-    with pytest.raises(MapDefinitionError):
-        build_map(MapSpec("nope", {}))
-    with pytest.raises(MapDefinitionError):
-        build_map(MapSpec("gauss_rotation", {"a": 2.0}))
-    with pytest.raises(MapDefinitionError):
-        build_map(MapSpec("gauss_rotation", {"a": -1.0, "theta": 0.5}))
-    with pytest.raises(MapDefinitionError):
-        build_map(MapSpec("gauss_rotation",
-                          {"a": 2.0, "theta": 0.5, "zz": 1.0}))
-    with pytest.raises(MapDefinitionError):
-        build_map(MapSpec("pioneer_climax_full",
-                          {"a": float("nan"), "b": 1.0}))
+    nan, inf = float("nan"), float("inf")
+    for build, args, match in [
+            (gauss_rotation, (nan, 0.5), "'a' must be finite"),
+            (gauss_rotation, (2.0, inf), "'theta' must be finite"),
+            (gauss_rotation, ("2.0", 0.5), "'a' must be finite"),
+            (gauss_rotation, (-1.0, 0.5), "needs a > 0"),
+            (gauss_rotation, (0.0, 0.5), "needs a > 0"),
+            (pioneer_climax_full, (nan, 1.0), "'a' must be finite"),
+            (pioneer_climax_mixed, (3.0, -inf), "'b' must be finite"),
+            (pioneer_climax_full, (3.0, None), "'b' must be finite")]:
+        with pytest.raises(MapDefinitionError, match=match):
+            build(*args)
 
 
 def test_initial_point_input_checks():
@@ -145,9 +144,8 @@ def test_builtin_handles_pickle():
     pts = grid_points()
     for h in builtin_handles():
         back = pickle.loads(pickle.dumps(h))
-        assert (back.spec, back.family_code, back.packed, back.cone,
-                back.literal) == (h.spec, h.family_code, h.packed, h.cone,
-                                  h.literal)
+        assert ((back.family_code, back.packed, back.cone)
+                == (h.family_code, h.packed, h.cone))
         for p in pts:
             assert np.array_equal(back.eval(p), h.eval(p))
             assert np.array_equal(back.eval(p, True)[1], h.eval(p, True)[1])

@@ -24,6 +24,8 @@ def const(v):
 def test_shellspec_validation():
     good = ShellSpec(const(0.3), const(0.7), const(1.0), 0.3, 0.7, 3.0, 3.0)
     good.validate()
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        ShellSpec(const(0.0), const(0.7), const(1.0), 0.3, 0.7, 3.0, 3.0).validate()
     with pytest.raises(ValueError):
         ShellSpec(const(0.8), const(0.7), const(1.0), 0.3, 0.7, 3.0, 3.0).validate()
     with pytest.raises(ValueError):
@@ -188,6 +190,19 @@ def test_cantor_shells_middle_thirds_exact():
     # leaf widths shrink by the slope factor per level
     lo, hi = part.leaves()
     np.testing.assert_allclose(hi - lo, 3.0 ** -3, atol=1e-9)
+
+    # a level-0 band that leaves its cell, and level-1 cells that no
+    # longer tile level 0
+    (clo, chi), (blo, bhi) = part.levels[0], part.bands[0]
+    loose = dataclasses.replace(part, bands=[(blo, chi + 0.1),
+                                             *part.bands[1:]])
+    with pytest.raises(AssertionError, match="band not strictly inside"):
+        loose.validate()
+    nlo, nhi = part.levels[1]
+    gap = dataclasses.replace(part, levels=[part.levels[0], (nlo + 0.01, nhi),
+                                            *part.levels[2:]])
+    with pytest.raises(AssertionError, match="children do not tile"):
+        gap.validate()
 
 
 def test_cantor_shells_addresses_and_errors():
