@@ -20,9 +20,10 @@ the lane's orbit loop, each from the last point of the one before.  One
 ``eval(block, True)`` gives a block's Jacobians, and one NumPy reduction
 per block gives its per-step log terms, summed by a ``cumsum`` seeded with
 the running total, so value and trace are those of a sequential sum.
-Norm-sum takes the closed-form 2x2 spectral norm.  QR carries only the
-first Gram-Schmidt column (the ``qr1`` loop), since lambda1 + lambda2 is
-the mean of log|det J|.  Three lanes run the loops:
+Both estimators are one ``_estimate`` over their per-step terms: the
+log of the closed-form 2x2 spectral norm for norm-sum; for QR log r11 of
+the carried first Gram-Schmidt column (the ``qr1`` loop) and log|det J|,
+whose mean is lambda1 + lambda2.  Three lanes run the loops:
 
 * compiled: the ``math.exp`` orbit loop and ``qr1``, ``njit``-ed; used
   for built-in families when numba is importable and not disabled.
@@ -302,8 +303,10 @@ def run_orbit(handle, x0, n_transient, n_keep, force_python=False):
     return _orbit(handle, x0, n_transient, n_keep, force_python)
 
 
-def _estimate(terms, handle, x0, n_transient, n, stride, trace,
-              force_python, points):
+def _estimate(terms, width, handle, x0, n_transient, n, stride, force_python,
+              points):
+    # the means of the walk's width log terms, the steps used, the
+    # per-column zero flags and the (k_used // stride, width) trace
     cloud = points[:n] if points is not None and len(points) >= n else None
 
     def blocks(x):
@@ -318,30 +321,27 @@ def _estimate(terms, handle, x0, n_transient, n, stride, trace,
                 block = cloud[k:k + _BLOCK]
             yield handle.eval(block, True)[1]
 
+    trace = np.full((max(n // stride, 1), width), np.nan)
     # silent on overflow and log(0) like every lane; callers test the result
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _accumulate(terms(blocks(x0), _loops(handle, force_python)),
-                           stride, trace)
+        sums, k_used, degenerate = _accumulate(
+            terms(blocks(x0), _loops(handle, force_python)), stride, trace)
+        means = sums / k_used if k_used > 0 else np.zeros(width)
+    return means, k_used, degenerate, trace[:k_used // stride]
 
 
 def run_norm_sum(handle, x0, n_transient, n, stride, force_python=False,
                  points=None):
-    trace = np.full((max(n // stride, 1), 1), np.nan)
-    sums, k_used, degenerate = _estimate(_norm_terms, handle, x0, n_transient,
-                                         n, stride, trace, force_python,
-                                         points)
-    value = float(sums[0]) / k_used if k_used > 0 else 0.0
-    return value, k_used, bool(degenerate[0]), trace[:k_used // stride, 0]
+    return _estimate(_norm_terms, 1, handle, x0, n_transient, n, stride,
+                     force_python, points)
 
 
 def run_qr(handle, x0, n_transient, n, stride, force_python=False,
            points=None):
-    trace = np.full((max(n // stride, 1), 2), np.nan)
-    sums, k_used, degenerate = _estimate(_qr_terms, handle, x0, n_transient,
-                                         n, stride, trace, force_python,
-                                         points)
-    vals = sums / k_used if k_used > 0 else np.zeros(2)
+    means, k_used, degenerate, trace = _estimate(
+        _qr_terms, 2, handle, x0, n_transient, n, stride, force_python,
+        points)
     # the det column holds lambda1 + lambda2
-    vals[1] -= vals[0]
+    means[1] -= means[0]
     trace[:, 1] -= trace[:, 0]
-    return vals, k_used, degenerate, trace[:k_used // stride]
+    return means, k_used, degenerate, trace

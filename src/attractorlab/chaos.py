@@ -6,6 +6,8 @@ log of the spectral norm is submultiplicative) and the standard QR
 tangent-space spectrum.  Exponents are per-iterate natural logs.  Given
 the cloud ``dynamics.orbit`` returned (``orbit=``), both reduce over its
 points instead of walking the trajectory again, with the same bits.
+Both are one ``_estimate`` over their kernel, the two kernels differing
+only in their per-step terms.
 """
 
 from __future__ import annotations
@@ -59,20 +61,8 @@ def max_lyapunov_norm_sum(handle: MapHandle, x0, n: int, n_transient: int = 0,
     raising.  A non-finite sum otherwise means the orbit diverged and
     raises :class:`DivergenceError`.
     """
-    x0, points = _check_lyapunov_args(handle, x0, n, n_transient, orbit)
-    value, k_used, degenerate, trace = _kernels.run_norm_sum(
-        handle, x0, n_transient, n, TRACE_STRIDE, points=points)
-    if degenerate:
-        value = -np.inf
-    elif not np.isfinite(value):
-        raise DivergenceError("orbit diverged: non-finite norm-sum estimate")
-    return LyapunovEstimate(
-        max_exponent=float(value),
-        spectrum=np.array([value], dtype=float),
-        n_used=int(k_used),
-        method="norm_sum",
-        convergence_trace=np.asarray(trace, dtype=float),
-        degenerate=bool(degenerate))
+    return _estimate(_kernels.run_norm_sum, "norm_sum", handle, x0, n,
+                     n_transient, orbit)
 
 
 def lyapunov_spectrum_qr(handle: MapHandle, x0, n: int, n_transient: int = 0,
@@ -86,29 +76,14 @@ def lyapunov_spectrum_qr(handle: MapHandle, x0, n: int, n_transient: int = 0,
     accumulation.  Any other non-finite exponent means the orbit diverged
     and raises :class:`DivergenceError`.
     """
-    x0, points = _check_lyapunov_args(handle, x0, n, n_transient, orbit)
-    vals, k_used, deg, trace = _kernels.run_qr(
-        handle, x0, n_transient, n, TRACE_STRIDE, points=points)
-    vals = np.asarray(vals, dtype=float).copy()
-    deg = np.asarray(deg, dtype=bool)
-    if not np.isfinite(vals[~deg]).all():
-        raise DivergenceError("orbit diverged: non-finite QR spectrum")
-    vals[deg] = -np.inf
-    order = np.argsort(vals)[::-1]
-    spectrum = vals[order]
-    trace = np.asarray(trace, dtype=float)
-    trace_max = trace.max(axis=1) if trace.size else np.empty(0)
-    return LyapunovEstimate(
-        max_exponent=float(spectrum[0]),
-        spectrum=spectrum,
-        n_used=int(k_used),
-        method="qr_spectrum",
-        convergence_trace=trace_max,
-        degenerate=bool(deg.any()))
+    return _estimate(_kernels.run_qr, "qr_spectrum", handle, x0, n,
+                     n_transient, orbit)
 
 
-def _check_lyapunov_args(handle, x0, n: int, n_transient: int, orbit):
-    """The start point, and the points of ``orbit`` (None without one)."""
+def _estimate(run, method, handle, x0, n: int, n_transient: int, orbit):
+    """The estimate of kernel ``run``: a zero step term makes its exponent
+    -inf and the estimate degenerate; any other non-finite exponent raises
+    :class:`DivergenceError`.  The trace holds the largest exponent."""
     if n < 100:
         raise ValueError("need n >= 100 iterates for a Lyapunov estimate")
     if n_transient < 0:
@@ -120,7 +95,20 @@ def _check_lyapunov_args(handle, x0, n: int, n_transient: int, orbit):
             and np.array_equal(orbit.meta.get("x0"), x0)):
         raise ValueError("the orbit cloud was not made with this call's "
                          "map, x0 and n_transient")
-    return x0, None if orbit is None else orbit.points
+    means, n_used, degenerate, trace = run(
+        handle, x0, n_transient, n, TRACE_STRIDE,
+        points=None if orbit is None else orbit.points)
+    if not np.isfinite(means[~degenerate]).all():
+        raise DivergenceError(f"orbit diverged: non-finite {method} estimate")
+    means[degenerate] = -np.inf
+    spectrum = means[np.argsort(means)[::-1]]
+    return LyapunovEstimate(
+        max_exponent=float(spectrum[0]),
+        spectrum=spectrum,
+        n_used=int(n_used),
+        method=method,
+        convergence_trace=trace.max(axis=1),
+        degenerate=bool(degenerate.any()))
 
 
 def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:

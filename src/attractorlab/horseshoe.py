@@ -76,6 +76,8 @@ class HorseshoeRegion:
             np.asarray(self.matrix, dtype=float).reshape(2, 2)
         b = np.zeros(2) if self.offset is None else \
             np.asarray(self.offset, dtype=float).reshape(2)
+        if not (np.isfinite(m).all() and np.isfinite(b).all()):
+            raise ValueError("frame must be finite")
         if abs(np.linalg.det(m)) < 1e-9:
             raise ValueError("frame matrix is singular")
         object.__setattr__(self, "matrix", m)
@@ -470,7 +472,10 @@ def unstable_manifold(handle: MapHandle, saddle: Cycle,
     meta["branch_iterations"] (iterations of f^k, or of f^2k when
     mu < 0) are (minus, plus) pairs ordered like meta["branch_sizes"];
     meta["period"] and meta["multiplier"] are the saddle's k and mu.
+    tol and arc_budget must be finite and positive.
     """
+    if not (0.0 < tol < np.inf and 0.0 < arc_budget < np.inf):
+        raise ValueError("tol and arc_budget must be finite and positive")
     mults = np.asarray(saddle.multipliers)
     unstable_idx = np.flatnonzero(np.abs(mults) > 1.0)
     if unstable_idx.size != 1:
@@ -546,7 +551,8 @@ def trellis(handle: MapHandle, saddle_cycle: Cycle,
     Component i is the forward image of component i-1 under f, refined
     to the same tolerance; meta["component_slices"] delimits them, and
     the manifold's branch stop telemetry is carried over.  At k = 1 the
-    points are the manifold's own array.
+    points are the manifold's own array.  tol and arc_budget must be
+    finite and positive, as for :func:`unstable_manifold`.
     """
     k = saddle_cycle.period
     base = unstable_manifold(handle, saddle_cycle, arc_budget, tol)

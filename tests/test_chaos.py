@@ -100,6 +100,23 @@ def test_convergence_trace_progresses():
     assert trace[-1] == pytest.approx(est.max_exponent, abs=5e-2)
 
 
+@pytest.mark.parametrize("estimator", [max_lyapunov_norm_sum,
+                                       lyapunov_spectrum_qr])
+@pytest.mark.parametrize("make, x0", [
+    (lambda: gauss_rotation(4.4, GOLDEN_MEAN), [0.3, 0.1]),
+    (lambda: pioneer_climax_full(3.0, 3.0), [0.5, 0.5])],
+    ids=["gauss", "pioneer_full"])
+def test_convergence_trace_ends_at_the_estimate(estimator, make, x0):
+    # one entry per TRACE_STRIDE steps, the last the mean over all n steps:
+    # the estimate itself, bit for bit, for both estimators
+    n = 30 * chaos.TRACE_STRIDE
+    est = estimator(make(), x0, n, 200)
+    assert est.n_used == n and not est.degenerate
+    assert est.convergence_trace.shape == (n // chaos.TRACE_STRIDE,)
+    assert np.isfinite(est.max_exponent)
+    assert est.convergence_trace[-1] == est.max_exponent
+
+
 def test_diverging_orbit_raises_divergence_error():
     # started outside its positivity cone the pioneer orbit overflows
     h = pioneer_climax_full(3.0, 3.0)

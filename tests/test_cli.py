@@ -928,8 +928,9 @@ def test_sweep_short_clouds_are_not_failures(tmp_path, n_keep, period):
 def test_commands_keep_the_call_structure_the_benchmark_pins(tmp_path,
                                                             monkeypatch):
     # perfbench wraps these functions in every attractorlab module, as
-    # here, and pins one call of each per swept value; an estimator that
-    # called run_orbit would count as a second orbit call
+    # here, and pins one call of each per swept value, and one norm-sum
+    # and one QR walk per `lyapunov` run; an estimator that called
+    # run_orbit would count as a second orbit call
     names = {"run_orbit": _kernels, "run_norm_sum": _kernels,
              "run_qr": _kernels, "build_map": maps}
     calls, stack = [], []
@@ -964,6 +965,8 @@ def test_commands_keep_the_call_structure_the_benchmark_pins(tmp_path,
         dict.fromkeys(names, 2)
     assert run("bifurcation", CONTRACT["bifurcation"][0]) == {
         "run_orbit": 100, "run_norm_sum": 0, "run_qr": 0, "build_map": 100}
+    assert run("lyapunov", CONTRACT["lyapunov"][0]) == {
+        "run_orbit": 0, "run_norm_sum": 1, "run_qr": 1, "build_map": 1}
 
 
 def test_sweep_bad_value_exits_2_with_summary(tmp_path):

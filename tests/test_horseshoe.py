@@ -176,6 +176,29 @@ def test_verify_ah_identity_fails_with_boundary_witness():
         report.check("nonexistent")
 
 
+def test_injectivity_fail_witness_collides_with_its_partner():
+    # the fold |x1 + 2| sends x1 = -2 - d and -2 + d to one image; the
+    # witness and its partner have equal images from separated preimages
+    fold = user_map(lambda x: np.array([0.1 * abs(x[0] + 2.0) - 2.0,
+                                        0.1 * x[1] + 3.0]))
+    check = verify_ah(fold, HorseshoeRegion(), sampling=16).check(
+        "injectivity")
+    assert check.status == "fail"
+    partner = check.data["collides_with"]
+    assert np.linalg.norm(fold.eval(check.witness)
+                          - fold.eval(partner)) < 1e-7
+    assert np.linalg.norm(check.witness - partner) > 1e-4
+
+
+@pytest.mark.parametrize("matrix, offset", [
+    ([[np.nan, 0.0], [0.0, 1.0]], None),
+    ([[1.0, 0.0], [0.0, np.inf]], None),
+    (None, [0.0, np.nan])])
+def test_region_rejects_a_non_finite_frame(matrix, offset):
+    with pytest.raises(ValueError, match="frame must be finite"):
+        HorseshoeRegion(matrix=matrix, offset=offset)
+
+
 def test_sink_cap_margin_on_a_failed_sink_search():
     # a translation has no fixed point: Newton's matrix J - I is zero, so
     # the sink search fails, and the margin is still 1 - lip = 0
@@ -510,6 +533,18 @@ def test_unstable_manifold_rejects_wrong_stability():
                    "saddle", np.eye(2, dtype=complex))
     with pytest.raises(ValueError, match="unstable multiplier must be real"):
         unstable_manifold(handle, spiral)
+
+
+@pytest.mark.parametrize("tol, arc_budget", [
+    (0.0, 4.0), (-1.0, 4.0), (np.nan, 4.0), (np.inf, 4.0),
+    (1e-3, 0.0), (1e-3, -4.0), (1e-3, np.nan), (1e-3, np.inf)])
+def test_manifolds_reject_tolerances_that_are_not_finite_and_positive(
+        tol, arc_budget):
+    handle = model_horseshoe_map()
+    saddle = find_cycle(handle, 1, np.array([0.05, 0.02]))
+    for trace in (unstable_manifold, trellis):
+        with pytest.raises(ValueError, match="finite and positive"):
+            trace(handle, saddle, arc_budget=arc_budget, tol=tol)
 
 
 def test_refinement_explosion_carries_partial(monkeypatch):
