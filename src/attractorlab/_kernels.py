@@ -42,8 +42,9 @@ in one process.
 ``math.exp`` raises ``OverflowError`` where NumPy and numba return
 ``inf`` (a pioneer orbit started outside its positivity cone).  A scalar
 orbit-loop run (an orbit, or a walk's block) that overflows is rerun from
-its start on the generic lane, the NumPy form of the same definition for
-a built-in, so divergence shows up as non-finite values on every lane.
+its start, in one call with the same arguments, by ``_np_orbit``, the
+same loop over ``np.exp``, so divergence shows up as non-finite values on
+every lane and a built-in never takes the generic lane.
 """
 
 from __future__ import annotations
@@ -281,13 +282,13 @@ def _loops(handle, force_python):
 def _orbit(handle, x0, n_transient, n_keep, force_python):
     out = np.empty((n_keep, 2))
     if _builtin(handle):
-        try:
-            _loops(handle, force_python)["orbit"](
-                handle.family_code, *handle.packed, float(x0[0]),
+        args = (handle.family_code, *handle.packed, float(x0[0]),
                 float(x0[1]), n_transient, n_keep, out)
-            return out
+        try:
+            _loops(handle, force_python)["orbit"](*args)
         except OverflowError:
-            pass  # math.exp overflowed; the generic lane yields inf
+            _np_orbit(*args)  # math.exp overflowed; np.exp yields inf
+        return out
     x = np.array(x0, dtype=float)
     # overflow en route to a caught divergence is expected; the compiled
     # lane never warns, so keep the lanes observably identical

@@ -119,8 +119,8 @@ def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:
     bounding-box corner, which makes counts deterministic and monotone
     across the ladder.  The rungs halve exactly, so rung i's box index is
     the finest one shifted right by n_scales-1-i; one sort of the finest
-    indices' Morton key counts every rung.  The cloud is planar (n, 2),
-    and n_scales runs from 5 to MAX_SCALES.
+    indices' Morton key counts every rung.  The cloud is planar (n, 2)
+    and finite, and n_scales runs from 5 to MAX_SCALES.
     """
     pts = planar_points(cloud)
     n_pts = len(pts)
@@ -130,6 +130,8 @@ def box_counting_dimension(cloud, n_scales: int = 8) -> BoxCountResult:
         raise ValueError(f"n_scales must be in 5..{MAX_SCALES}, "
                          f"got {n_scales}")
     mins, maxs = planar_bounds(pts)
+    if not np.isfinite([mins, maxs]).all():  # min and max carry any nan
+        raise ValueError("points must be finite")
     diag = float(np.linalg.norm(maxs - mins))
     if diag == 0.0:
         return BoxCountResult(scales=np.empty(0), counts=np.empty(0, int),

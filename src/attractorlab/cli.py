@@ -61,7 +61,7 @@ SUMMARY_COLUMNS = ("param", "period", "lyap_normsum", "lyap_qr_max",
                    "boxdim", "boxdim_r2", "status", "seconds")
 # a numeric failure: exit code 2, or a swept value's error status
 NUMERIC_FAILURES = (DivergenceError, CycleSearchError, RefinementExplosion,
-                    FloatingPointError, ValueError)
+                    FloatingPointError, ValueError, MemoryError)
 
 
 class ConfigError(ValueError):
@@ -74,11 +74,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_config(path) -> dict:
-    """Flat key = value pairs; '#' comments; later keys win."""
+    """Flat key = value pairs in UTF-8; '#' comments; later keys win."""
     raw = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()

@@ -5,14 +5,14 @@ Orbits of built-in families run through the scalar kernels in
 :mod:`attractorlab._kernels` (compiled when numba is present); everything
 else goes through the generic callable lane.  Periodic orbits are
 located with Newton's method on ``f^k - id`` using the chain-rule
-Jacobian product, then reduced to their minimal period.
+Jacobian product, then reduced to their minimal period j, read off the
+converged step's iterates and products of the first j Jacobians.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -32,10 +32,6 @@ MAX_PERIOD = 64
 class DivergenceError(ArithmeticError):
     """An iterate left the representable range (non-finite coordinates)."""
 
-    def __init__(self, message: str, step: Optional[int] = None):
-        super().__init__(message)
-        self.step = step
-
 
 class RefinementExplosion(RuntimeError):
     """Manifold refinement exceeded the point budget; .partial saved."""
@@ -46,17 +42,7 @@ class RefinementExplosion(RuntimeError):
 
 
 class CycleSearchError(RuntimeError):
-    """Newton iteration for a cycle failed.
-
-    ``condition`` carries a condition-number estimate of the last Newton
-    matrix when the failure was a (near-)singular solve.
-    """
-
-    def __init__(self, message: str, condition: Optional[float] = None,
-                 residual: Optional[float] = None):
-        super().__init__(message)
-        self.condition = condition
-        self.residual = residual
+    """Newton iteration for a cycle failed; the message says why."""
 
 
 def planar_points(cloud) -> np.ndarray:
@@ -149,8 +135,7 @@ def orbit(handle: MapHandle, x0, n_transient: int, n_keep: int) -> PointCloud:
     if not np.all(np.isfinite(pts)):
         bad = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
         raise DivergenceError(
-            f"orbit diverged to non-finite values at kept step {bad}",
-            step=bad)
+            f"orbit diverged to non-finite values at kept step {bad}")
     return PointCloud(pts, ordered=True,
                       meta=_orbit_meta(handle, x0, n_transient, n_keep))
 
@@ -170,14 +155,14 @@ def _orbit_meta(handle: MapHandle, x0, n_transient: int, n_keep: int) -> dict:
 
 def _iterate_with_product(handle: MapHandle, x: np.ndarray, k: int):
     """Return the iterates x, f(x), ..., f^k(x) as the k + 1 rows of an
-    array, and the product of the Jacobians along the k steps."""
+    array, and the products of the first j Jacobians, j = 0 .. k."""
     pts = [np.array(x, dtype=float)]
-    prod = np.eye(2)
+    prods = [np.eye(2)]
     for _ in range(k):
         y, jac = handle.eval(pts[-1], True)
-        prod = jac @ prod
+        prods.append(jac @ prods[-1])
         pts.append(y)
-    return np.array(pts), prod
+    return np.array(pts), prods
 
 
 def _condition_number(amat: np.ndarray) -> float:
@@ -212,7 +197,7 @@ def find_cycle(handle: MapHandle, period: int, seed) -> Cycle:
     # quietly; each step checks what it uses
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(NEWTON_MAX_STEPS):
-            pts, prod = _iterate_with_product(handle, x, period)
+            pts, prods = _iterate_with_product(handle, x, period)
             if not np.isfinite(pts[-1]).all():
                 raise CycleSearchError("iterate escaped to non-finite values "
                                        "during Newton search")
@@ -220,33 +205,27 @@ def find_cycle(handle: MapHandle, period: int, seed) -> Cycle:
             residual = float(np.linalg.norm(fval))
             if residual <= NEWTON_RESIDUAL:
                 break
-            amat = prod - np.eye(2)
+            amat = prods[-1] - np.eye(2)
             if not np.isfinite(amat).all():
                 raise CycleSearchError("Newton matrix has non-finite entries")
             try:
                 delta = np.linalg.solve(amat, -fval)
             except np.linalg.LinAlgError:
-                raise CycleSearchError(
-                    "singular Newton matrix",
-                    condition=_condition_number(amat)) from None
-            cond = _condition_number(amat)
-            if not np.isfinite(delta).all() or cond > 1e14:
-                raise CycleSearchError("ill-conditioned Newton matrix",
-                                       condition=cond)
+                raise CycleSearchError("singular Newton matrix") from None
+            if not np.isfinite(delta).all() or _condition_number(amat) > 1e14:
+                raise CycleSearchError("ill-conditioned Newton matrix")
             x = x + delta
         else:
             raise CycleSearchError(
                 f"no convergence within {NEWTON_MAX_STEPS} Newton steps "
-                f"(residual {residual:.3e})", residual=residual)
+                f"(residual {residual:.3e})")
 
     # minimal-period reduction: the smallest divisor j of k that already
-    # closes.  The converged step holds f^j(x) for every j, and the
-    # product of the k Jacobians; k itself closes, since residual <= tol.
+    # closes.  The converged step holds f^j(x) and the product of the
+    # first j Jacobians for every j; k itself closes, since residual <= tol.
     k_min = next((j for j in range(1, period) if period % j == 0 and
                   np.linalg.norm(pts[j] - x) <= MINIMAL_PERIOD_TOL), period)
-    if k_min < period:
-        _, prod = _iterate_with_product(handle, x, k_min)
-    mult, vecs = np.linalg.eig(prod)
+    mult, vecs = np.linalg.eig(prods[k_min])
     return Cycle(points=pts[:k_min], period=k_min, multipliers=mult,
                  stability=_classify_multipliers(mult), vectors=vecs)
 

@@ -224,6 +224,19 @@ def test_boxdim_rejects_clouds_that_are_not_planar(shape):
         box_counting_dimension(pts)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_boxdim_rejects_non_finite_points(bad, capfd):
+    # without the check LAPACK reports an illegal value on stderr and the
+    # fit fails with "SVD did not converge"
+    pts = np.random.default_rng(4).uniform(size=(5000, 2))
+    pts[17] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="points must be finite"):
+            box_counting_dimension(pts)
+    assert capfd.readouterr().err == ""
+
+
 def test_boxdim_finest_allowed_ladder_counts_stay_exact():
     x = np.tile(np.random.default_rng(3).uniform(size=50), 20)
     pts = np.column_stack([x, np.zeros_like(x)])

@@ -999,6 +999,12 @@ def test_exit_codes_config_numeric_io(tmp_path):
     with pytest.raises(ConfigError):
         # unknown command is a usage error surfaced as ConfigError
         cli._Parser(prog="x").parse_args(["--bogus"])
+    # a config that is not UTF-8 is a config error, before any output
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(PIONEER.replace("a = 3", "a = 3\xff").encode("latin-1"))
+    assert main(["orbit", "--config", str(latin),
+                 "--out", str(tmp_path / "r1")]) == 1
+    assert not (tmp_path / "r1").exists()
     diverging = write_cfg(tmp_path, "diverging.cfg", PIONEER + OUTSIDE_CONE)
     # a pioneer orbit started outside its cone overflows: numeric failure
     assert main(["orbit", "--config", diverging,
@@ -1015,6 +1021,24 @@ resolution = 16
 """)
     assert main(["orbit", "--config", ok,
                  "--out", str(blocker / "sub")]) == 3
+
+
+def test_refused_allocation_is_a_numeric_failure(tmp_path, capsys):
+    # 2**58 kept points are 4 EiB, more than any 64-bit host maps, so
+    # NumPy refuses the allocation at once
+    huge = "n_keep = 288230376151711744\n"
+    cfg = write_cfg(tmp_path, "orbit.cfg", CONTRACT["orbit"][0] + huge)
+    assert main(["orbit", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: Unable to allocate")
+    one_value = CONTRACT["sweep"][0].replace("stop = 3.6", "stop = 2.7")
+    cfg = write_cfg(tmp_path, "sweep.cfg", one_value + huge)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg, "--out", str(out),
+                 "--jobs", "1"]) == 2
+    rows = (out / "summary.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].split(",")[6] == "error:MemoryError"
 
 
 # the config contract, command by command: (ok config, misspelt key line,

@@ -123,6 +123,39 @@ def test_find_cycle_singular_search_fails():
         find_cycle(inf_jac, 1, [0.1, 0.2])
 
 
+# the benchmark's tracer counts failed searches by these message prefixes
+@pytest.mark.parametrize("prefix, fn, jac, seed", [
+    ("iterate escaped", lambda x: np.exp(1000.0 * x), None, [1.0, 1.0]),
+    ("Newton matrix has", lambda x: 0.5 * x,
+     lambda x: np.full((2, 2), np.inf), [0.1, 0.2]),
+    ("singular", lambda x: x + 1.0, lambda x: np.eye(2), [0.0, 0.0]),
+    ("ill-conditioned",
+     lambda x: np.array([2.0 * x[0] + 1.0, (1.0 + 1e-15) * x[1] + 1.0]),
+     lambda x: np.diag([2.0, 1.0 + 1e-15]), [0.0, 0.0]),
+    # Newton's step on x^3 - 2x + 2 cycles between 0 and 1
+    ("no convergence", lambda x: np.array([x[0] ** 3 - x[0] + 2.0,
+                                           0.5 * x[1]]),
+     lambda x: np.diag([3.0 * x[0] ** 2 - 1.0, 0.5]), [0.0, 0.3]),
+])
+def test_find_cycle_failure_messages_keep_their_prefixes(prefix, fn, jac,
+                                                        seed):
+    with pytest.raises(CycleSearchError) as info:
+        find_cycle(user_map(fn, jac=jac), 1, seed)
+    assert str(info.value).startswith(prefix)
+
+
+def test_find_cycle_minimal_period_reuses_the_converged_walk():
+    # a period-2 search that lands on a fixed point in one Newton step:
+    # two walks of two steps each, and the period-1 derivative is the
+    # first product of the second walk, not a third walk
+    calls = []
+    d = np.array([0.5, 0.25])
+    h = user_map(lambda x: calls.append(x) or d * x, jac=lambda x: np.diag(d))
+    c = find_cycle(h, 2, [0.3, 0.4])
+    assert c.period == 1 and len(calls) == 4
+    np.testing.assert_array_equal(c.multipliers, d)
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.floats(-1e3, 1e3), min_size=8, max_size=8),
        st.integers(0, 20))

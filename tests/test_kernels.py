@@ -377,9 +377,36 @@ def test_estimators_take_only_their_own_orbit_cloud():
                 estimator(other, x0, n, t, orbit=other_cloud)
 
 
-def test_builtin_overflow_reruns_on_generic_lane():
+def test_builtin_overflow_reruns_over_np_exp(monkeypatch):
     # started outside the positivity cone the pioneer orbit blows up, and
-    # math.exp raises OverflowError where np.exp gives inf
+    # math.exp raises OverflowError where np.exp gives inf; the run is
+    # redone by the NumPy form of the same loop, row for row the generic
+    # lane's orbit, with no per-step handle call
+    calls, builtin_eval = [], _kernels.builtin_eval
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return builtin_eval(*args, **kwargs)
+
+    # handles built from here on evaluate through the counting wrapper
+    monkeypatch.setattr(_kernels, "builtin_eval", counted)
+    for build in (pioneer_climax_full, pioneer_climax_mixed):
+        h = build(3.0, 3.0)
+        twin = generic_twin(h)
+        for x0 in ((-1.0, 0.5), (-3.0, 0.5)):
+            for n_transient in (0, 5):
+                with pytest.raises(OverflowError):
+                    _kernels._PY_LOOPS["orbit"](h.family_code, *h.packed,
+                                                *x0, n_transient, 100,
+                                                np.empty((100, 2)))
+                calls.clear()
+                got = _kernels.run_orbit(h, np.array(x0), n_transient, 100,
+                                         force_python=True)
+                assert not calls
+                want = _kernels.run_orbit(twin, np.array(x0), n_transient,
+                                          100)
+                np.testing.assert_array_equal(got, want)
+                assert np.isnan(got).any()
     h = pioneer_climax_full(3.0, 3.0)
     x0 = np.array([-1.0, 0.5])
     with pytest.raises(DivergenceError):
@@ -397,8 +424,8 @@ def test_builtin_overflow_reruns_on_generic_lane():
 
 def test_walk_that_overflows_in_a_later_block_diverges(monkeypatch):
     # two points a block: the pioneer started outside its cone overflows
-    # math.exp after the first block, and only that block reruns on the
-    # generic lane; both estimates are non-finite, so both estimators raise
+    # math.exp after the first block, and only that block reruns over
+    # np.exp; both estimates are non-finite, so both estimators raise
     monkeypatch.setattr(_kernels, "_BLOCK", 2)
     h = pioneer_climax_full(3.0, 3.0)
     x0 = np.array([-1.0, 0.5])
